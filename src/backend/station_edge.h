@@ -26,6 +26,16 @@ struct EdgeItem {
   double priority = 1.0;
 };
 
+/// Checkpoint serialization (core/checkpoint.h).
+template <class Ar>
+void io(Ar& ar, EdgeItem& item) {
+  ar.obj(item.capture);
+  ar.obj(item.ground_rx);
+  ar.f64(item.bytes);
+  ar.f64(item.remaining_bytes);
+  ar.f64(item.priority);
+}
+
 /// Fired when an item's last byte reaches the cloud:
 /// (capture-to-cloud latency seconds, item).
 using CloudArrivalCallback = std::function<void(double, const EdgeItem&)>;
@@ -59,12 +69,12 @@ class StationEdgeQueue {
     uploaded_bytes_metric_ = uploaded_bytes;
   }
 
-  /// Checkpoint access (core::Session): the queue contents in service
-  /// order plus the exact queued-bytes aggregate, restored verbatim.
-  const std::deque<EdgeItem>& items() const { return items_; }
-  void restore_state(std::deque<EdgeItem> items, double queued_bytes) {
-    items_ = std::move(items);
-    queued_bytes_ = queued_bytes;
+  /// Checkpoint serialization (core/checkpoint.h): the queue contents in
+  /// service order plus the exact queued-bytes aggregate, verbatim.
+  template <class Ar>
+  void io(Ar& ar) {
+    ar.seq(items_);
+    ar.f64(queued_bytes_);
   }
 
  private:

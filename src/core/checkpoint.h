@@ -15,8 +15,20 @@
 // raw double bits (not decimal text) is what makes restore byte-identical
 // to an uninterrupted run: the restored state is the exact state that was
 // saved, to the last mantissa bit.
+//
+// Section bodies are written once: every serialized type has one
+// `template <class Ar> io(Ar&, T&)` (a member `io(Ar&)` on stateful
+// classes), instantiated for both BinaryWriter and BinaryReader, so the
+// writer and the reader cannot drift apart.  The two archives share one
+// field vocabulary — u8/i32/i64/u64/f64/str/b (bool as u8), count() for
+// length prefixes, expect() for values the reader must find equal to its
+// own, and seq()/map()/obj() for nesting.  The reader bounds every count
+// by the bytes left before it allocates and checks every expect(), so
+// malformed input throws std::invalid_argument rather than exhausting
+// memory.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <istream>
@@ -25,6 +37,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -35,11 +48,37 @@ namespace dgs::core {
 
 inline constexpr std::string_view kCheckpointMagic = "dgs.checkpoint.v1\n";
 
+namespace checkpoint_detail {
+
+/// Serializes any type with an io(): a member `x.io(ar)`, else a free
+/// `io(ar, x)` found next to the type by argument-dependent lookup.
+template <class Ar, class T>
+void io_any(Ar& ar, T& x) {
+  if constexpr (requires { x.io(ar); }) {
+    x.io(ar);
+  } else {
+    io(ar, x);
+  }
+}
+
+/// The default element serializer of seq()/map(): the element's own io.
+struct Obj {
+  template <class Ar, class T>
+  void operator()(Ar& ar, T& x) const {
+    io_any(ar, x);
+  }
+};
+
+}  // namespace checkpoint_detail
+
 /// Little-endian binary section writer.  Explicit byte pushes (not
 /// memcpy-of-struct) keep the format independent of host padding; doubles
-/// round-trip via std::bit_cast so no precision is lost.
+/// round-trip via std::bit_cast so no precision is lost.  The writer only
+/// reads the fields handed to it.
 class BinaryWriter {
  public:
+  static constexpr bool kReading = false;
+
   void u8(std::uint8_t v) { data_.push_back(static_cast<char>(v)); }
   void u32(std::uint32_t v) {
     for (int i = 0; i < 4; ++i) {
@@ -54,11 +93,47 @@ class BinaryWriter {
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  void b(bool v) { u8(v ? 1 : 0); }
   void str(std::string_view s) {
     u32(static_cast<std::uint32_t>(s.size()));
     data_.append(s);
   }
 
+  /// Length prefix (u64) of `n` elements of at least `min_bytes` each;
+  /// returns `n`.
+  std::size_t count(std::size_t n, std::size_t /*min_bytes*/) {
+    u64(n);
+    return n;
+  }
+  /// A value the reader must find equal to its own: bool as u8, any other
+  /// integer as u64.
+  template <class T>
+  void expect(T v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      b(v);
+    } else {
+      u64(static_cast<std::uint64_t>(v));
+    }
+  }
+
+  template <class T>
+  void obj(T& x) {
+    checkpoint_detail::io_any(*this, x);
+  }
+  /// count() then every element through `f(ar, element)`.
+  template <class C, class F = checkpoint_detail::Obj>
+  void seq(C& c, F f = {}) {
+    count(c.size(), 0);
+    for (auto& x : c) f(*this, x);
+  }
+  /// count() then every entry, in key order, through `f(ar, key, value)`.
+  template <class M, class F>
+  void map(M& m, F f) {
+    count(m.size(), 0);
+    for (auto& [key, value] : m) f(*this, key, value);
+  }
+
+  std::size_t size() const { return data_.size(); }
   const std::string& data() const { return data_; }
   std::string take() { return std::move(data_); }
 
@@ -66,54 +141,119 @@ class BinaryWriter {
   std::string data_;
 };
 
-/// Bounds-checked reader over one section's bytes.  Out-of-bounds reads
-/// throw (DGS_ENSURE) rather than abort: a truncated section inside a
-/// checkpoint whose CRC passed is still caller-recoverable corruption.
+/// Bounds-checked reader over one section's bytes, with the writer's
+/// vocabulary: each call fills the field it is given.  Out-of-bounds
+/// reads, oversized counts and failed expect()s throw (DGS_ENSURE) rather
+/// than abort: a malformed section inside a checkpoint whose CRC passed is
+/// still caller-recoverable corruption.
 class BinaryReader {
  public:
+  static constexpr bool kReading = true;
+
   explicit BinaryReader(std::string_view data) : data_(data) {}
 
-  std::uint8_t u8() {
+  void u8(std::uint8_t& v) {
     need(1);
-    return static_cast<std::uint8_t>(data_[i_++]);
+    v = static_cast<std::uint8_t>(data_[i_++]);
   }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<std::uint8_t>(data_[i_ + i]))
-           << (8 * i);
-    }
-    i_ += 4;
-    return v;
+  void u64(std::uint64_t& v) { v = little_endian<std::uint64_t>(); }
+  void i32(std::int32_t& v) {
+    v = static_cast<std::int32_t>(little_endian<std::uint32_t>());
   }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<std::uint8_t>(data_[i_ + i]))
-           << (8 * i);
-    }
-    i_ += 8;
-    return v;
+  void i64(std::int64_t& v) {
+    v = static_cast<std::int64_t>(little_endian<std::uint64_t>());
   }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64() { return std::bit_cast<double>(u64()); }
-  std::string str() {
-    const std::uint32_t n = u32();
+  void f64(double& v) {
+    v = std::bit_cast<double>(little_endian<std::uint64_t>());
+  }
+  void b(bool& v) {
+    std::uint8_t raw = 0;
+    u8(raw);
+    v = raw != 0;
+  }
+  void str(std::string& s) {
+    const std::uint32_t n = little_endian<std::uint32_t>();
     need(n);
-    std::string s(data_.substr(i_, n));
+    s.assign(data_.substr(i_, n));
     i_ += n;
-    return s;
+  }
+
+  /// Reads a length prefix and rejects it unless that many elements of
+  /// `min_bytes` each fit in the bytes left — before anything is sized
+  /// from it.
+  std::size_t count(std::size_t /*n*/, std::size_t min_bytes) {
+    std::uint64_t n = 0;
+    u64(n);
+    DGS_ENSURE(n <= remaining() / std::max<std::size_t>(min_bytes, 1),
+               "checkpoint count " << n << " of " << min_bytes
+                                   << "-byte elements exceeds the "
+                                   << remaining() << " bytes left");
+    return static_cast<std::size_t>(n);
+  }
+  template <class T>
+  void expect(T want) {
+    if constexpr (std::is_same_v<T, bool>) {
+      bool got = false;
+      b(got);
+      DGS_ENSURE_EQ(got, want);
+    } else {
+      std::uint64_t got = 0;
+      u64(got);
+      DGS_ENSURE_EQ(got, static_cast<std::uint64_t>(want));
+    }
+  }
+
+  template <class T>
+  void obj(T& x) {
+    checkpoint_detail::io_any(*this, x);
+  }
+  template <class C, class F = checkpoint_detail::Obj>
+  void seq(C& c, F f = {}) {
+    static const std::size_t min_bytes =
+        min_wire_bytes<typename C::value_type>(f);
+    c.clear();
+    c.resize(count(0, min_bytes));
+    for (auto& x : c) f(*this, x);
+  }
+  template <class M, class F>
+  void map(M& m, F f) {
+    using Entry = std::pair<typename M::key_type, typename M::mapped_type>;
+    const auto entry = [&f](auto& ar, Entry& e) { f(ar, e.first, e.second); };
+    static const std::size_t min_bytes = min_wire_bytes<Entry>(entry);
+    m.clear();
+    for (std::size_t i = count(0, min_bytes); i > 0; --i) {
+      Entry e;
+      entry(*this, e);
+      m.emplace(std::move(e));
+    }
   }
 
   bool done() const { return i_ == data_.size(); }
   std::size_t remaining() const { return data_.size() - i_; }
 
  private:
+  /// Encoded size of a default element, whose nested sequences are all
+  /// empty: the fewest bytes any element of the sequence can take.
+  template <class T, class F>
+  static std::size_t min_wire_bytes(const F& f) {
+    BinaryWriter probe;
+    T x{};
+    f(probe, x);
+    return probe.size();
+  }
+
+  template <class U>
+  U little_endian() {
+    need(sizeof(U));
+    U v = 0;
+    for (std::size_t i = 0; i < sizeof(U); ++i) {
+      v |= static_cast<U>(static_cast<std::uint8_t>(data_[i_ + i]))
+           << (8 * i);
+    }
+    i_ += sizeof(U);
+    return v;
+  }
+
   void need(std::size_t n) const {
     DGS_ENSURE(data_.size() - i_ >= n,
                "checkpoint section truncated: need " << n << " bytes, have "

@@ -25,6 +25,15 @@ struct DataChunk {
   double priority = 1.0;
 };
 
+/// Checkpoint serialization (core/checkpoint.h).
+template <class Ar>
+void io(Ar& ar, DataChunk& c) {
+  ar.obj(c.capture);
+  ar.f64(c.total_bytes);
+  ar.f64(c.remaining_bytes);
+  ar.f64(c.priority);
+}
+
 /// Invoked once per chunk when its last byte reaches the ground:
 /// (capture-to-reception latency in seconds, the delivered chunk).
 using DeliveryCallback = std::function<void(double, const DataChunk&)>;
@@ -110,24 +119,29 @@ class OnboardQueue {
     double bytes = 0.0;
     bool received = true;            ///< Ground captured the transmission.
     std::deque<DataChunk> pieces;    ///< For re-queue when !received.
+
+    template <class Ar>
+    friend void io(Ar& ar, PendingBatch& b) {
+      ar.obj(b.sent);
+      ar.obj(b.report_ready);
+      ar.f64(b.bytes);
+      ar.b(b.received);
+      ar.seq(b.pieces);
+    }
   };
 
-  /// Checkpoint access (core::Session).  The aggregates are restored
-  /// verbatim rather than recomputed so a resumed run's floating-point
-  /// books are bit-identical to an uninterrupted one.
-  const std::deque<PendingBatch>& pending_batches() const { return pending_; }
-  double capacity_bytes() const { return capacity_bytes_; }
-  void restore_state(std::deque<DataChunk> chunks,
-                     std::deque<PendingBatch> pending, double queued_bytes,
-                     double pending_bytes, double dropped_bytes,
-                     double offered_bytes, double acked_bytes) {
-    chunks_ = std::move(chunks);
-    pending_ = std::move(pending);
-    queued_bytes_ = queued_bytes;
-    pending_bytes_ = pending_bytes;
-    dropped_bytes_ = dropped_bytes;
-    offered_bytes_ = offered_bytes;
-    acked_bytes_ = acked_bytes;
+  /// Checkpoint serialization (core/checkpoint.h).  The aggregates travel
+  /// verbatim rather than being recomputed, so a resumed run's
+  /// floating-point books are bit-identical to an uninterrupted one.
+  template <class Ar>
+  void io(Ar& ar) {
+    ar.seq(chunks_);
+    ar.seq(pending_);
+    ar.f64(queued_bytes_);
+    ar.f64(pending_bytes_);
+    ar.f64(dropped_bytes_);
+    ar.f64(offered_bytes_);
+    ar.f64(acked_bytes_);
   }
 
  private:

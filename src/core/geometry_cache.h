@@ -49,6 +49,14 @@ struct VisibleSat {
   double range_km = 0.0;
 };
 
+/// Checkpoint serialization (core/checkpoint.h).
+template <class Ar>
+void io(Ar& ar, VisibleSat& v) {
+  ar.i32(v.sat);
+  ar.f64(v.elevation_rad);
+  ar.f64(v.range_km);
+}
+
 /// Weather-independent geometry of one scheduling step.
 struct StepGeometry {
   std::vector<util::Vec3> sat_ecef;  ///< Per satellite, index-aligned.
@@ -56,6 +64,13 @@ struct StepGeometry {
   /// in ascending satellite order.
   std::vector<std::vector<VisibleSat>> per_station;
 };
+
+template <class Ar>
+void io(Ar& ar, StepGeometry& g) {
+  ar.seq(g.sat_ecef);
+  ar.seq(g.per_station,
+         [](auto& a, std::vector<VisibleSat>& vis) { a.seq(vis); });
+}
 
 class GeometryCache {
  public:
@@ -99,19 +114,25 @@ class GeometryCache {
     return static_cast<std::uint64_t>(misses_->value());
   }
 
-  /// Checkpoint access (core::Session): resident entries in ascending
-  /// step order.  Restoring the contents *and* the hit/miss counts keeps
-  /// a resumed run's cache_hit/cache_miss event deltas — and, with a
-  /// registry, the scraped counters — bit-identical to an uninterrupted
-  /// run.
-  const std::map<std::int64_t, StepGeometry>& entries() const {
-    return entries_;
-  }
-  void restore_state(std::map<std::int64_t, StepGeometry> entries,
-                     std::uint64_t hits, std::uint64_t misses) {
-    entries_ = std::move(entries);
-    hits_->reset_to(static_cast<double>(hits));
-    misses_->reset_to(static_cast<double>(misses));
+  /// Checkpoint serialization (core/checkpoint.h): the hit/miss counts,
+  /// then the resident entries in ascending step order.  Restoring the
+  /// contents *and* the counts keeps a resumed run's cache_hit/cache_miss
+  /// event deltas — and, with a registry, the scraped counters —
+  /// bit-identical to an uninterrupted run.
+  template <class Ar>
+  void io(Ar& ar) {
+    std::uint64_t hit_count = hits();
+    std::uint64_t miss_count = misses();
+    ar.u64(hit_count);
+    ar.u64(miss_count);
+    if constexpr (Ar::kReading) {
+      hits_->reset_to(static_cast<double>(hit_count));
+      misses_->reset_to(static_cast<double>(miss_count));
+    }
+    ar.map(entries_, [](auto& a, auto& key, StepGeometry& geom) {
+      a.i64(key);
+      a.obj(geom);
+    });
   }
 
  private:

@@ -90,12 +90,4 @@ void TenantArbiter::refresh_scales() {
   }
 }
 
-void TenantArbiter::restore_state(std::vector<double> delivered,
-                                  std::vector<std::int64_t> assignments) {
-  DGS_ENSURE_EQ(delivered.size(), tenants_.size());
-  DGS_ENSURE_EQ(assignments.size(), tenants_.size());
-  delivered_ = std::move(delivered);
-  assignments_ = std::move(assignments);
-}
-
 }  // namespace dgs::core

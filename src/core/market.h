@@ -117,9 +117,13 @@ class TenantArbiter {
   /// Multiplier from the last refresh_scales() (1.0 before the first).
   double scale(int t) const { return scale_.at(t); }
 
-  /// Checkpoint restore (core::Session): the cumulative books, verbatim.
-  void restore_state(std::vector<double> delivered,
-                     std::vector<std::int64_t> assignments);
+  /// Checkpoint serialization (core/checkpoint.h) of tenant `t`'s
+  /// cumulative books, verbatim.
+  template <class Ar>
+  void io(Ar& ar, int t) {
+    ar.f64(delivered_.at(t));
+    ar.i64(assignments_.at(t));
+  }
 
  private:
   std::vector<TenantSpec> tenants_;

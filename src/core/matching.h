@@ -121,26 +121,23 @@ class WarmStartMatcher {
   /// starts (vs re-sorted).
   std::int64_t order_reuses() const { return order_reuses_; }
 
-  /// Checkpoint access (core::Session).  The carried-over state decides
-  /// warm vs cold on the next instant, which feeds the
+  /// Checkpoint serialization (core/checkpoint.h).  The carried-over
+  /// state decides warm vs cold on the next instant, which feeds the
   /// dgs_sched_warm_hits/cold_starts counters — so a resumed run must
   /// restore it for metrics byte-equality.  stamp_/slot_ are per-call
   /// scratch and excluded.
-  const std::vector<std::pair<int, int>>& prev_pairs() const {
-    return prev_pairs_;
-  }
-  const std::vector<std::vector<int>>& prev_order() const {
-    return prev_order_;
-  }
-  void restore_state(std::vector<std::pair<int, int>> prev_pairs,
-                     std::vector<std::vector<int>> prev_order,
-                     std::int64_t warm_hits, std::int64_t cold_starts,
-                     std::int64_t order_reuses) {
-    prev_pairs_ = std::move(prev_pairs);
-    prev_order_ = std::move(prev_order);
-    warm_hits_ = warm_hits;
-    cold_starts_ = cold_starts;
-    order_reuses_ = order_reuses;
+  template <class Ar>
+  void io(Ar& ar) {
+    ar.seq(prev_pairs_, [](auto& a, std::pair<int, int>& p) {
+      a.i32(p.first);
+      a.i32(p.second);
+    });
+    ar.seq(prev_order_, [](auto& a, std::vector<int>& order) {
+      a.seq(order, [](auto& b, int& g) { b.i32(g); });
+    });
+    ar.i64(warm_hits_);
+    ar.i64(cold_starts_);
+    ar.i64(order_reuses_);
   }
 
  private:

@@ -20,93 +20,11 @@ namespace dgs::core {
 
 namespace {
 
-// --- Checkpoint encoding helpers -------------------------------------------
-
-void put_epoch(BinaryWriter& w, const util::Epoch& e) {
-  w.f64(e.jd_whole());
-  w.f64(e.jd_frac());
-}
-
-util::Epoch get_epoch(BinaryReader& r) {
-  const double whole = r.f64();
-  const double frac = r.f64();
-  return util::Epoch::from_parts(whole, frac);
-}
-
-void put_samples(BinaryWriter& w, const util::SampleSet& s) {
-  w.u8(s.sort_cached() ? 1 : 0);
-  const std::vector<double>& raw = s.raw();
-  w.u64(raw.size());
-  for (const double v : raw) w.f64(v);
-}
-
-util::SampleSet get_samples(BinaryReader& r) {
-  const bool sorted = r.u8() != 0;
-  const std::uint64_t n = r.u64();
-  std::vector<double> raw;
-  raw.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) raw.push_back(r.f64());
-  util::SampleSet s;
-  s.restore(std::move(raw), sorted);
-  return s;
-}
-
-void put_chunk(BinaryWriter& w, const DataChunk& c) {
-  put_epoch(w, c.capture);
-  w.f64(c.total_bytes);
-  w.f64(c.remaining_bytes);
-  w.f64(c.priority);
-}
-
-DataChunk get_chunk(BinaryReader& r) {
-  DataChunk c;
-  c.capture = get_epoch(r);
-  c.total_bytes = r.f64();
-  c.remaining_bytes = r.f64();
-  c.priority = r.f64();
-  return c;
-}
-
-/// The MODCOD table index of a scheduled MODCOD, or -1 for none.  Edges
-/// only ever point into the static link::dvbs2_modcods() table, so the
-/// index round-trips the pointer — including pointer *equality*, which the
-/// contact-lifecycle modcod_selected comparison relies on.
-std::int32_t put_modcod(const link::ModCod* m) {
-  return m == nullptr ? -1
-                      : static_cast<std::int32_t>(link::modcod_index(*m));
-}
-
-const link::ModCod* get_modcod(std::int32_t idx) {
-  return idx < 0 ? nullptr
-                 : &link::modcod_by_index(static_cast<std::uint8_t>(idx));
-}
-
-void put_edge(BinaryWriter& w, const ContactEdge& e) {
-  w.i32(e.sat);
-  w.i32(e.station);
-  w.f64(e.elevation_rad);
-  w.f64(e.range_km);
-  w.f64(e.predicted_rate_bps);
-  w.i32(put_modcod(e.modcod));
-  w.f64(e.weight);
-}
-
-ContactEdge get_edge(BinaryReader& r) {
-  ContactEdge e;
-  e.sat = r.i32();
-  e.station = r.i32();
-  e.elevation_rad = r.f64();
-  e.range_km = r.f64();
-  e.predicted_rate_bps = r.f64();
-  e.modcod = get_modcod(r.i32());
-  e.weight = r.f64();
-  return e;
-}
-
 /// Canonical byte encoding of every option that shapes the simulated
 /// trajectory (see Session::options_crc32 for the exclusion list).
 void put_options(BinaryWriter& w, const SimulationOptions& o) {
-  put_epoch(w, o.start);
+  util::Epoch start = o.start;
+  w.obj(start);
   w.f64(o.duration_hours);
   w.f64(o.step_seconds);
   w.u8(static_cast<std::uint8_t>(o.matcher));
@@ -1002,220 +920,124 @@ std::uint32_t Session::options_crc32() const {
        w.data().size()});
 }
 
-void Session::snapshot(std::ostream& out) const {
-  std::vector<std::pair<std::string, std::string>> sections;
-
-  {  // "result": the accumulators (derived fields are report()-time).
-    BinaryWriter w;
-    put_samples(w, res_.latency_minutes);
-    put_samples(w, res_.urgent_latency_minutes);
-    put_samples(w, res_.bulk_latency_minutes);
-    put_samples(w, res_.backlog_gb);
-    put_samples(w, res_.ack_delay_minutes);
-    put_samples(w, res_.cloud_latency_minutes);
-    w.f64(res_.station_queued_bytes);
-    w.u64(res_.timeseries.size());
-    for (const StepRecord& r : res_.timeseries) {
-      w.f64(r.hours);
-      w.f64(r.delivered_bytes_cum);
-      w.f64(r.backlog_bytes_total);
-      w.i32(r.active_links);
-      w.i64(r.failed_cum);
+template <class Ar>
+void Session::io_section(Ar& ar, std::string_view name) {
+  if (name == "result") {
+    // The accumulators (derived fields are report()-time) + open contacts.
+    for (util::SampleSet* samples :
+         {&res_.latency_minutes, &res_.urgent_latency_minutes,
+          &res_.bulk_latency_minutes, &res_.backlog_gb,
+          &res_.ack_delay_minutes, &res_.cloud_latency_minutes}) {
+      ar.obj(*samples);
     }
-    w.u64(res_.per_satellite.size());
-    for (const SatelliteOutcome& o : res_.per_satellite) {
-      w.f64(o.generated_bytes);
-      w.f64(o.delivered_bytes);
-      w.f64(o.backlog_bytes);
-      w.f64(o.pending_ack_bytes);
-      w.f64(o.dropped_bytes);
-      w.f64(o.storage_high_water_bytes);
-      w.i32(o.tx_contacts);
-    }
-    w.f64(res_.total_generated_bytes);
-    w.f64(res_.total_delivered_bytes);
-    w.f64(res_.total_dropped_bytes);
-    w.f64(res_.assigned_capacity_bytes);
-    w.i64(res_.assignments);
-    w.f64(res_.total_matched_value);
-    w.i64(res_.failed_assignments);
-    w.f64(res_.wasted_transmission_bytes);
-    w.f64(res_.requeued_bytes);
-    w.i64(res_.slew_events);
-    w.f64(res_.outage_lost_bytes);
-    w.i64(res_.ack_retries);
-    w.i64(res_.replans);
-    w.i64(res_.plan_upload_failures);
-    w.i64(res_.steps);
-    w.f64(res_.mean_station_utilization);
-    w.u64(open_contacts_.size());
-    for (const auto& [key, oc] : open_contacts_) {
-      w.i32(key.first);
-      w.i32(key.second);
-      w.i32(put_modcod(oc.modcod));
-      w.i32(oc.held_steps);
-      w.i64(oc.last_step);
-    }
-    sections.emplace_back("result", w.take());
-  }
-
-  {  // "queues": per-satellite onboard stores + plan-upload stamps.
-    BinaryWriter w;
-    w.u64(queues_.size());
-    for (const OnboardQueue& q : queues_) {
-      w.u64(q.chunks().size());
-      for (const DataChunk& c : q.chunks()) put_chunk(w, c);
-      w.u64(q.pending_batches().size());
-      for (const OnboardQueue::PendingBatch& b : q.pending_batches()) {
-        put_epoch(w, b.sent);
-        put_epoch(w, b.report_ready);
-        w.f64(b.bytes);
-        w.u8(b.received ? 1 : 0);
-        w.u64(b.pieces.size());
-        for (const DataChunk& c : b.pieces) put_chunk(w, c);
-      }
-      w.f64(q.queued_bytes());
-      w.f64(q.pending_ack_bytes());
-      w.f64(q.dropped_bytes());
-      w.f64(q.offered_bytes());
-      w.f64(q.acked_bytes());
-    }
-    for (const util::Epoch& e : last_plan_) put_epoch(w, e);
-    sections.emplace_back("queues", w.take());
-  }
-
-  {  // "stations": busy/served/fault masks + edge queues.
-    BinaryWriter w;
-    w.u64(static_cast<std::uint64_t>(num_stations_));
+    ar.f64(res_.station_queued_bytes);
+    ar.seq(res_.timeseries);
+    ar.expect(num_sats_);
+    for (SatelliteOutcome& o : res_.per_satellite) ar.obj(o);
+    ar.f64(res_.total_generated_bytes);
+    ar.f64(res_.total_delivered_bytes);
+    ar.f64(res_.total_dropped_bytes);
+    ar.f64(res_.assigned_capacity_bytes);
+    ar.i64(res_.assignments);
+    ar.f64(res_.total_matched_value);
+    ar.i64(res_.failed_assignments);
+    ar.f64(res_.wasted_transmission_bytes);
+    ar.f64(res_.requeued_bytes);
+    ar.i64(res_.slew_events);
+    ar.f64(res_.outage_lost_bytes);
+    ar.i64(res_.ack_retries);
+    ar.i64(res_.replans);
+    ar.i64(res_.plan_upload_failures);
+    ar.i64(res_.steps);
+    ar.f64(res_.mean_station_utilization);
+    ar.map(open_contacts_, [](auto& a, auto& key, OpenContact& oc) {
+      a.i32(key.first);
+      a.i32(key.second);
+      a.obj(oc);
+    });
+  } else if (name == "queues") {
+    // Per-satellite onboard stores + plan-upload stamps.
+    ar.expect(num_sats_);
+    for (OnboardQueue& q : queues_) ar.obj(q);
+    for (util::Epoch& e : last_plan_) ar.obj(e);
+  } else if (name == "stations") {
+    // Busy/served/fault masks + edge queues.
+    ar.expect(num_stations_);
     for (int g = 0; g < num_stations_; ++g) {
-      w.i64(station_busy_[g]);
-      w.i32(prev_served_[g]);
+      ar.i64(station_busy_[g]);
+      ar.i32(prev_served_[g]);
     }
-    w.u8(station_faults_ ? 1 : 0);
+    ar.expect(station_faults_);
     if (station_faults_) {
-      for (const char d : prev_down_) w.u8(static_cast<std::uint8_t>(d));
+      for (char& d : prev_down_) {
+        auto down = static_cast<std::uint8_t>(d);
+        ar.u8(down);
+        if constexpr (Ar::kReading) d = static_cast<char>(down);
+      }
     }
-    w.u8(backhaul_faults_ ? 1 : 0);
+    ar.expect(backhaul_faults_);
     if (backhaul_faults_) {
-      for (const double m : prev_backhaul_mult_) w.f64(m);
+      for (double& m : prev_backhaul_mult_) ar.f64(m);
     }
-    w.u8(edge_queues_.empty() ? 0 : 1);
-    for (const backend::StationEdgeQueue& eq : edge_queues_) {
-      w.u64(eq.items().size());
-      for (const backend::EdgeItem& item : eq.items()) {
-        put_epoch(w, item.capture);
-        put_epoch(w, item.ground_rx);
-        w.f64(item.bytes);
-        w.f64(item.remaining_bytes);
-        w.f64(item.priority);
-      }
-      w.f64(eq.queued_bytes());
-    }
-    sections.emplace_back("stations", w.take());
-  }
-
-  {  // "planner": the active look-ahead horizon.
-    BinaryWriter w;
-    w.i64(plan_origin_);
-    w.u64(plan_.per_step.size());
-    for (const std::vector<ContactEdge>& step_edges : plan_.per_step) {
-      w.u64(step_edges.size());
-      for (const ContactEdge& e : step_edges) put_edge(w, e);
-    }
-    sections.emplace_back("planner", w.take());
-  }
-
-  {  // "geometry": the memoized step-geometry cache + event-delta bases.
-     // Contents AND counters travel together: restoring one without the
-     // other would skew the cache_hit/cache_miss deltas of resumed steps.
-    BinaryWriter w;
-    w.u64(cache_hits_prev_);
-    w.u64(cache_misses_prev_);
-    const GeometryCache* gc = engine_->geometry_cache();
-    w.u8(gc != nullptr ? 1 : 0);
-    if (gc != nullptr) {
-      w.u64(gc->hits());
-      w.u64(gc->misses());
-      w.u64(gc->entries().size());
-      for (const auto& [key, geom] : gc->entries()) {
-        w.i64(key);
-        w.u64(geom.sat_ecef.size());
-        for (const util::Vec3& v : geom.sat_ecef) {
-          w.f64(v.x);
-          w.f64(v.y);
-          w.f64(v.z);
-        }
-        w.u64(geom.per_station.size());
-        for (const std::vector<VisibleSat>& vis : geom.per_station) {
-          w.u64(vis.size());
-          for (const VisibleSat& vs : vis) {
-            w.i32(vs.sat);
-            w.f64(vs.elevation_rad);
-            w.f64(vs.range_km);
-          }
-        }
-      }
-    }
-    sections.emplace_back("geometry", w.take());
-  }
-
-  {  // "matcher": warm-start carryover (decides warm vs cold next step).
-    BinaryWriter w;
-    const WarmStartMatcher& wm = scheduler_->warm_matcher();
-    w.u64(wm.prev_pairs().size());
-    for (const auto& [sat, station] : wm.prev_pairs()) {
-      w.i32(sat);
-      w.i32(station);
-    }
-    w.u64(wm.prev_order().size());
-    for (const std::vector<int>& order : wm.prev_order()) {
-      w.u64(order.size());
-      for (const int g : order) w.i32(g);
-    }
-    w.i64(wm.warm_hits());
-    w.i64(wm.cold_starts());
-    w.i64(wm.order_reuses());
-    sections.emplace_back("matcher", w.take());
-  }
-
-  {  // "tenants": the fair-share books + per-tenant accounting.
-    BinaryWriter w;
-    w.u8(arbiter_.has_value() ? 1 : 0);
+    ar.expect(!edge_queues_.empty());
+    for (backend::StationEdgeQueue& eq : edge_queues_) ar.obj(eq);
+  } else if (name == "planner") {
+    // The active look-ahead horizon.
+    ar.i64(plan_origin_);
+    ar.seq(plan_.per_step,
+           [](auto& a, std::vector<ContactEdge>& edges) { a.seq(edges); });
+  } else if (name == "geometry") {
+    // The memoized step-geometry cache + event-delta bases.  Contents AND
+    // counters travel together: restoring one without the other would
+    // skew the cache_hit/cache_miss deltas of resumed steps.
+    ar.u64(cache_hits_prev_);
+    ar.u64(cache_misses_prev_);
+    GeometryCache* gc = engine_->mutable_geometry_cache();
+    ar.expect(gc != nullptr);
+    if (gc != nullptr) ar.obj(*gc);
+  } else if (name == "matcher") {
+    // Warm-start carryover (decides warm vs cold next step).
+    ar.obj(scheduler_->warm_matcher());
+  } else if (name == "tenants") {
+    // The fair-share books + per-tenant accounting.
+    ar.expect(arbiter_.has_value());
     if (arbiter_.has_value()) {
-      w.u64(static_cast<std::uint64_t>(arbiter_->num_tenants()));
+      ar.expect(arbiter_->num_tenants());
       for (int t = 0; t < arbiter_->num_tenants(); ++t) {
-        w.f64(arbiter_->delivered_bytes(t));
-        w.i64(arbiter_->assignments(t));
-        w.i64(tenant_sla_ok_[static_cast<std::size_t>(t)]);
-        put_samples(w, tenant_latency_[static_cast<std::size_t>(t)]);
+        arbiter_->io(ar, t);
+        ar.i64(tenant_sla_ok_[static_cast<std::size_t>(t)]);
+        ar.obj(tenant_latency_[static_cast<std::size_t>(t)]);
       }
     }
-    sections.emplace_back("tenants", w.take());
+  } else if (name == "metrics") {
+    // The registry's folded state, so a resumed run's scrape is
+    // byte-identical to an uninterrupted one.  Read last, so it
+    // overwrites the cache counters the geometry section already set
+    // (with identical values), and consumed even when this session has
+    // no registry.
+    bool has_metrics = opts_.metrics != nullptr;
+    std::vector<obs::MetricSnapshot> snap;
+    if (!Ar::kReading && has_metrics) snap = opts_.metrics->snapshot();
+    ar.b(has_metrics);
+    if (has_metrics) ar.seq(snap);
+    if (Ar::kReading && opts_.metrics != nullptr && !snap.empty()) {
+      opts_.metrics->restore(snap);
+    }
+  } else {
+    DGS_CHECK(false, "unknown checkpoint section '" << name << "'");
   }
+}
 
-  {  // "metrics": the registry's folded state, so a resumed run's scrape
-     // is byte-identical to an uninterrupted one.
+void Session::snapshot(std::ostream& out) const {
+  // io_section serves both directions, so it takes a mutable session; the
+  // writer only reads the fields it is handed.
+  Session& self = const_cast<Session&>(*this);
+  std::vector<std::pair<std::string, std::string>> sections;
+  for (const char* name : checkpoint_section_names()) {
     BinaryWriter w;
-    w.u8(opts_.metrics != nullptr ? 1 : 0);
-    if (opts_.metrics != nullptr) {
-      const std::vector<obs::MetricSnapshot> snap =
-          opts_.metrics->snapshot();
-      w.u64(snap.size());
-      for (const obs::MetricSnapshot& m : snap) {
-        w.str(m.name);
-        w.str(m.help);
-        w.u8(static_cast<std::uint8_t>(m.kind));
-        w.f64(m.value);
-        w.u64(m.upper_bounds.size());
-        for (const double b : m.upper_bounds) w.f64(b);
-        w.u64(m.cells.size());
-        for (const std::uint64_t c : m.cells) w.u64(c);
-        w.f64(m.sum);
-      }
-    }
-    sections.emplace_back("metrics", w.take());
+    self.io_section(w, name);
+    sections.emplace_back(name, w.take());
   }
-
   CheckpointHeader header;
   header.num_satellites = num_sats_;
   header.num_stations = num_stations_;
@@ -1269,292 +1091,12 @@ void Session::apply_checkpoint(std::string_view data) {
   }
   if (h.options_crc32 != options_crc32()) mismatch("options_crc32");
 
-  {  // "result"
-    BinaryReader r(view.section("result"));
-    res_.latency_minutes = get_samples(r);
-    res_.urgent_latency_minutes = get_samples(r);
-    res_.bulk_latency_minutes = get_samples(r);
-    res_.backlog_gb = get_samples(r);
-    res_.ack_delay_minutes = get_samples(r);
-    res_.cloud_latency_minutes = get_samples(r);
-    res_.station_queued_bytes = r.f64();
-    const std::uint64_t n_ts = r.u64();
-    res_.timeseries.clear();
-    res_.timeseries.reserve(n_ts);
-    for (std::uint64_t i = 0; i < n_ts; ++i) {
-      StepRecord rec;
-      rec.hours = r.f64();
-      rec.delivered_bytes_cum = r.f64();
-      rec.backlog_bytes_total = r.f64();
-      rec.active_links = r.i32();
-      rec.failed_cum = r.i64();
-      res_.timeseries.push_back(rec);
-    }
-    const std::uint64_t n_sat = r.u64();
-    DGS_ENSURE_EQ(n_sat, static_cast<std::uint64_t>(num_sats_));
-    for (int s = 0; s < num_sats_; ++s) {
-      SatelliteOutcome& o = res_.per_satellite[s];
-      o.generated_bytes = r.f64();
-      o.delivered_bytes = r.f64();
-      o.backlog_bytes = r.f64();
-      o.pending_ack_bytes = r.f64();
-      o.dropped_bytes = r.f64();
-      o.storage_high_water_bytes = r.f64();
-      o.tx_contacts = r.i32();
-    }
-    res_.total_generated_bytes = r.f64();
-    res_.total_delivered_bytes = r.f64();
-    res_.total_dropped_bytes = r.f64();
-    res_.assigned_capacity_bytes = r.f64();
-    res_.assignments = r.i64();
-    res_.total_matched_value = r.f64();
-    res_.failed_assignments = r.i64();
-    res_.wasted_transmission_bytes = r.f64();
-    res_.requeued_bytes = r.f64();
-    res_.slew_events = r.i64();
-    res_.outage_lost_bytes = r.f64();
-    res_.ack_retries = r.i64();
-    res_.replans = r.i64();
-    res_.plan_upload_failures = r.i64();
-    res_.steps = r.i64();
-    res_.mean_station_utilization = r.f64();
-    const std::uint64_t n_open = r.u64();
-    open_contacts_.clear();
-    for (std::uint64_t i = 0; i < n_open; ++i) {
-      const int sat = r.i32();
-      const int station = r.i32();
-      OpenContact oc;
-      oc.modcod = get_modcod(r.i32());
-      oc.held_steps = r.i32();
-      oc.last_step = r.i64();
-      open_contacts_.emplace(std::make_pair(sat, station), oc);
-    }
-    DGS_ENSURE(r.done(), "trailing bytes in checkpoint section 'result'");
+  for (const char* name : checkpoint_section_names()) {
+    BinaryReader r(view.section(name));
+    io_section(r, name);
+    DGS_ENSURE(r.done(),
+               "trailing bytes in checkpoint section '" << name << "'");
   }
-
-  {  // "queues"
-    BinaryReader r(view.section("queues"));
-    const std::uint64_t n = r.u64();
-    DGS_ENSURE_EQ(n, static_cast<std::uint64_t>(num_sats_));
-    for (int s = 0; s < num_sats_; ++s) {
-      std::deque<DataChunk> chunks;
-      const std::uint64_t n_chunks = r.u64();
-      for (std::uint64_t i = 0; i < n_chunks; ++i) {
-        chunks.push_back(get_chunk(r));
-      }
-      std::deque<OnboardQueue::PendingBatch> pending;
-      const std::uint64_t n_pending = r.u64();
-      for (std::uint64_t i = 0; i < n_pending; ++i) {
-        OnboardQueue::PendingBatch b;
-        b.sent = get_epoch(r);
-        b.report_ready = get_epoch(r);
-        b.bytes = r.f64();
-        b.received = r.u8() != 0;
-        const std::uint64_t n_pieces = r.u64();
-        for (std::uint64_t j = 0; j < n_pieces; ++j) {
-          b.pieces.push_back(get_chunk(r));
-        }
-        pending.push_back(std::move(b));
-      }
-      const double queued = r.f64();
-      const double pend = r.f64();
-      const double dropped = r.f64();
-      const double offered = r.f64();
-      const double acked = r.f64();
-      queues_[s].restore_state(std::move(chunks), std::move(pending),
-                               queued, pend, dropped, offered, acked);
-    }
-    for (int s = 0; s < num_sats_; ++s) last_plan_[s] = get_epoch(r);
-    DGS_ENSURE(r.done(), "trailing bytes in checkpoint section 'queues'");
-  }
-
-  {  // "stations"
-    BinaryReader r(view.section("stations"));
-    const std::uint64_t n = r.u64();
-    DGS_ENSURE_EQ(n, static_cast<std::uint64_t>(num_stations_));
-    for (int g = 0; g < num_stations_; ++g) {
-      station_busy_[g] = r.i64();
-      prev_served_[g] = r.i32();
-    }
-    const bool had_station_faults = r.u8() != 0;
-    DGS_ENSURE_EQ(had_station_faults, station_faults_);
-    if (had_station_faults) {
-      for (int g = 0; g < num_stations_; ++g) {
-        prev_down_[g] = static_cast<char>(r.u8());
-      }
-    }
-    const bool had_backhaul_faults = r.u8() != 0;
-    DGS_ENSURE_EQ(had_backhaul_faults, backhaul_faults_);
-    if (had_backhaul_faults) {
-      for (int g = 0; g < num_stations_; ++g) {
-        prev_backhaul_mult_[g] = r.f64();
-      }
-    }
-    const bool had_edges = r.u8() != 0;
-    DGS_ENSURE_EQ(had_edges, !edge_queues_.empty());
-    for (backend::StationEdgeQueue& eq : edge_queues_) {
-      std::deque<backend::EdgeItem> items;
-      const std::uint64_t n_items = r.u64();
-      for (std::uint64_t i = 0; i < n_items; ++i) {
-        backend::EdgeItem item;
-        item.capture = get_epoch(r);
-        item.ground_rx = get_epoch(r);
-        item.bytes = r.f64();
-        item.remaining_bytes = r.f64();
-        item.priority = r.f64();
-        items.push_back(item);
-      }
-      const double queued = r.f64();
-      eq.restore_state(std::move(items), queued);
-    }
-    DGS_ENSURE(r.done(), "trailing bytes in checkpoint section 'stations'");
-  }
-
-  {  // "planner"
-    BinaryReader r(view.section("planner"));
-    plan_origin_ = r.i64();
-    const std::uint64_t n_steps = r.u64();
-    plan_.per_step.assign(n_steps, {});
-    for (std::uint64_t i = 0; i < n_steps; ++i) {
-      const std::uint64_t n_edges = r.u64();
-      plan_.per_step[i].reserve(n_edges);
-      for (std::uint64_t j = 0; j < n_edges; ++j) {
-        plan_.per_step[i].push_back(get_edge(r));
-      }
-    }
-    DGS_ENSURE(r.done(), "trailing bytes in checkpoint section 'planner'");
-  }
-
-  {  // "geometry"
-    BinaryReader r(view.section("geometry"));
-    cache_hits_prev_ = r.u64();
-    cache_misses_prev_ = r.u64();
-    const bool had_cache = r.u8() != 0;
-    GeometryCache* gc = engine_->mutable_geometry_cache();
-    DGS_ENSURE_EQ(had_cache, gc != nullptr);
-    if (had_cache) {
-      const std::uint64_t hits = r.u64();
-      const std::uint64_t misses = r.u64();
-      std::map<std::int64_t, StepGeometry> entries;
-      const std::uint64_t n_entries = r.u64();
-      for (std::uint64_t i = 0; i < n_entries; ++i) {
-        const std::int64_t key = r.i64();
-        StepGeometry geom;
-        const std::uint64_t n_ecef = r.u64();
-        geom.sat_ecef.reserve(n_ecef);
-        for (std::uint64_t j = 0; j < n_ecef; ++j) {
-          util::Vec3 v;
-          v.x = r.f64();
-          v.y = r.f64();
-          v.z = r.f64();
-          geom.sat_ecef.push_back(v);
-        }
-        const std::uint64_t n_st = r.u64();
-        geom.per_station.resize(n_st);
-        for (std::uint64_t g = 0; g < n_st; ++g) {
-          const std::uint64_t n_vis = r.u64();
-          geom.per_station[g].reserve(n_vis);
-          for (std::uint64_t k = 0; k < n_vis; ++k) {
-            VisibleSat vs;
-            vs.sat = r.i32();
-            vs.elevation_rad = r.f64();
-            vs.range_km = r.f64();
-            geom.per_station[g].push_back(vs);
-          }
-        }
-        entries.emplace(key, std::move(geom));
-      }
-      gc->restore_state(std::move(entries), hits, misses);
-    }
-    DGS_ENSURE(r.done(), "trailing bytes in checkpoint section 'geometry'");
-  }
-
-  {  // "matcher"
-    BinaryReader r(view.section("matcher"));
-    std::vector<std::pair<int, int>> prev_pairs;
-    const std::uint64_t n_pairs = r.u64();
-    prev_pairs.reserve(n_pairs);
-    for (std::uint64_t i = 0; i < n_pairs; ++i) {
-      const int sat = r.i32();
-      const int station = r.i32();
-      prev_pairs.emplace_back(sat, station);
-    }
-    std::vector<std::vector<int>> prev_order;
-    const std::uint64_t n_order = r.u64();
-    prev_order.resize(n_order);
-    for (std::uint64_t i = 0; i < n_order; ++i) {
-      const std::uint64_t m = r.u64();
-      prev_order[i].reserve(m);
-      for (std::uint64_t j = 0; j < m; ++j) {
-        prev_order[i].push_back(r.i32());
-      }
-    }
-    const std::int64_t warm_hits = r.i64();
-    const std::int64_t cold_starts = r.i64();
-    const std::int64_t order_reuses = r.i64();
-    scheduler_->warm_matcher().restore_state(
-        std::move(prev_pairs), std::move(prev_order), warm_hits,
-        cold_starts, order_reuses);
-    DGS_ENSURE(r.done(), "trailing bytes in checkpoint section 'matcher'");
-  }
-
-  {  // "tenants"
-    BinaryReader r(view.section("tenants"));
-    const bool had_tenants = r.u8() != 0;
-    DGS_ENSURE_EQ(had_tenants, arbiter_.has_value());
-    if (had_tenants) {
-      const std::uint64_t n = r.u64();
-      DGS_ENSURE_EQ(n, static_cast<std::uint64_t>(
-                           arbiter_->num_tenants()));
-      std::vector<double> delivered(n);
-      std::vector<std::int64_t> assignments(n);
-      for (std::uint64_t t = 0; t < n; ++t) {
-        delivered[t] = r.f64();
-        assignments[t] = r.i64();
-        tenant_sla_ok_[t] = r.i64();
-        tenant_latency_[t] = get_samples(r);
-      }
-      arbiter_->restore_state(std::move(delivered),
-                              std::move(assignments));
-    }
-    DGS_ENSURE(r.done(), "trailing bytes in checkpoint section 'tenants'");
-  }
-
-  {  // "metrics": restored last so it overwrites the cache counters the
-     // geometry section already set (with identical values).  Consumed
-     // even when this session has no registry.
-    BinaryReader r(view.section("metrics"));
-    const bool had_metrics = r.u8() != 0;
-    std::vector<obs::MetricSnapshot> snap;
-    if (had_metrics) {
-      const std::uint64_t n = r.u64();
-      snap.reserve(n);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        obs::MetricSnapshot m;
-        m.name = r.str();
-        m.help = r.str();
-        m.kind = r.u8();
-        m.value = r.f64();
-        const std::uint64_t n_bounds = r.u64();
-        m.upper_bounds.reserve(n_bounds);
-        for (std::uint64_t j = 0; j < n_bounds; ++j) {
-          m.upper_bounds.push_back(r.f64());
-        }
-        const std::uint64_t n_cells = r.u64();
-        m.cells.reserve(n_cells);
-        for (std::uint64_t j = 0; j < n_cells; ++j) {
-          m.cells.push_back(r.u64());
-        }
-        m.sum = r.f64();
-        snap.push_back(std::move(m));
-      }
-    }
-    if (opts_.metrics != nullptr && !snap.empty()) {
-      opts_.metrics->restore(snap);
-    }
-    DGS_ENSURE(r.done(), "trailing bytes in checkpoint section 'metrics'");
-  }
-
   step_ = h.step_index;
   finalized_ = h.finalized;
 }

@@ -12,7 +12,9 @@
 //     versioned `dgs.checkpoint.v1` artifact (checkpoint.h) such that a
 //     restored run's remaining steps — Report, Prometheus exposition, and
 //     event JSONL — are byte-identical to an uninterrupted run, at any
-//     thread count;
+//     thread count.  Both directions run through one serializer,
+//     io_section(), built from one io() per serialized struct; a member
+//     added to the mutable state below must be added there too;
 //   * multi-tenant fair-share arbitration (SimulationOptions::tenants,
 //     TenantArbiter) with per-tenant accounting and metrics.
 //
@@ -32,6 +34,7 @@
 #include "src/backend/station_edge.h"
 #include "src/core/lookahead.h"
 #include "src/core/simulator.h"
+#include "src/link/dvbs2_framing.h"
 #include "src/obs/events.h"
 
 namespace dgs::core {
@@ -142,6 +145,13 @@ class Session {
     const link::ModCod* modcod = nullptr;
     int held_steps = 0;
     std::int64_t last_step = -1;
+
+    template <class Ar>
+    friend void io(Ar& ar, OpenContact& c) {
+      link::io_modcod(ar, c.modcod);
+      ar.i32(c.held_steps);
+      ar.i64(c.last_step);
+    }
   };
 
   void register_metrics();
@@ -152,6 +162,11 @@ class Session {
   /// Applies a validated checkpoint buffer to this (freshly constructed)
   /// session.  Throws std::invalid_argument on any mismatch.
   void apply_checkpoint(std::string_view data);
+  /// The one serializer of checkpoint section `name`: writes it through a
+  /// BinaryWriter (snapshot) or reads it back through a BinaryReader
+  /// (apply_checkpoint).
+  template <class Ar>
+  void io_section(Ar& ar, std::string_view name);
 
   // --- Immutable run inputs ------------------------------------------------
   std::vector<groundseg::SatelliteConfig> sats_;

@@ -135,6 +135,16 @@ struct StepRecord {
   std::int64_t failed_cum = 0;      ///< Failed assignments so far.
 };
 
+/// Checkpoint serialization (core/checkpoint.h).
+template <class Ar>
+void io(Ar& ar, StepRecord& r) {
+  ar.f64(r.hours);
+  ar.f64(r.delivered_bytes_cum);
+  ar.f64(r.backlog_bytes_total);
+  ar.i32(r.active_links);
+  ar.i64(r.failed_cum);
+}
+
 /// Per-satellite end-of-run accounting.
 struct SatelliteOutcome {
   double generated_bytes = 0.0;     ///< Captured at the sensor (attempted).
@@ -145,6 +155,17 @@ struct SatelliteOutcome {
   double storage_high_water_bytes = 0.0;
   int tx_contacts = 0;              ///< Plan-upload opportunities used.
 };
+
+template <class Ar>
+void io(Ar& ar, SatelliteOutcome& o) {
+  ar.f64(o.generated_bytes);
+  ar.f64(o.delivered_bytes);
+  ar.f64(o.backlog_bytes);
+  ar.f64(o.pending_ack_bytes);
+  ar.f64(o.dropped_bytes);
+  ar.f64(o.storage_high_water_bytes);
+  ar.i32(o.tx_contacts);
+}
 
 /// Per-tenant end-of-run accounting (service mode); empty unless
 /// SimulationOptions::tenants is configured.  Rows are in tenant

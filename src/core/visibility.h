@@ -30,6 +30,7 @@
 #include "src/core/geometry_cache.h"
 #include "src/groundseg/network_gen.h"
 #include "src/link/budget.h"
+#include "src/link/dvbs2_framing.h"
 #include "src/obs/metrics.h"
 #include "src/orbit/sgp4_batch.h"
 #include "src/util/thread_pool.h"
@@ -47,6 +48,18 @@ struct ContactEdge {
   const link::ModCod* modcod = nullptr;  ///< Scheduled (predicted) MODCOD.
   double weight = 0.0;                 ///< Filled in by the scheduler.
 };
+
+/// Checkpoint serialization (core/checkpoint.h).
+template <class Ar>
+void io(Ar& ar, ContactEdge& e) {
+  ar.i32(e.sat);
+  ar.i32(e.station);
+  ar.f64(e.elevation_rad);
+  ar.f64(e.range_km);
+  ar.f64(e.predicted_rate_bps);
+  link::io_modcod(ar, e.modcod);
+  ar.f64(e.weight);
+}
 
 class VisibilityEngine {
  public:

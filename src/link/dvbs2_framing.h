@@ -17,6 +17,7 @@
 #include <cstdint>
 
 #include "src/link/dvbs2.h"
+#include "src/util/check.h"
 
 namespace dgs::link {
 
@@ -71,5 +72,21 @@ FrameAccounting frame_accounting(const ModCod& mc, double payload_bytes,
 /// not a table entry.
 std::uint8_t modcod_index(const ModCod& mc);
 const ModCod& modcod_by_index(std::uint8_t index);
+
+/// Checkpoint serialization (core/checkpoint.h) of a scheduled MODCOD as
+/// its i32 table index, -1 for none.  Scheduled MODCODs only ever point
+/// into the static dvbs2_modcods() table, so the index round-trips the
+/// pointer — including pointer *equality*, which the contact-lifecycle
+/// modcod_selected comparison relies on.
+template <class Ar>
+void io_modcod(Ar& ar, const ModCod*& m) {
+  std::int32_t index = m == nullptr ? -1 : modcod_index(*m);
+  ar.i32(index);
+  if constexpr (Ar::kReading) {
+    DGS_ENSURE(index <= 0xff, "modcod index " << index);
+    m = index < 0 ? nullptr
+                  : &modcod_by_index(static_cast<std::uint8_t>(index));
+  }
+}
 
 }  // namespace dgs::link

@@ -129,6 +129,20 @@ struct MetricSnapshot {
   double sum = 0.0;                      ///< Histogram running sum.
 };
 
+/// Checkpoint serialization (core/checkpoint.h); `kind` travels as u8.
+template <class Ar>
+void io(Ar& ar, MetricSnapshot& m) {
+  ar.str(m.name);
+  ar.str(m.help);
+  auto kind = static_cast<std::uint8_t>(m.kind);
+  ar.u8(kind);
+  if constexpr (Ar::kReading) m.kind = kind;
+  ar.f64(m.value);
+  ar.seq(m.upper_bounds, [](auto& a, double& b) { a.f64(b); });
+  ar.seq(m.cells, [](auto& a, std::uint64_t& c) { a.u64(c); });
+  ar.f64(m.sum);
+}
+
 /// Owns every metric of one run/process and renders the Prometheus text
 /// exposition.  Registration is mutex-guarded (cold); returned pointers are
 /// stable for the registry's lifetime and lock-free to update.

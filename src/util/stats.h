@@ -38,17 +38,15 @@ class SampleSet {
   /// Sorted view of the samples.
   const std::vector<double>& sorted() const;
 
-  /// The samples in their current (insertion, unless sorted() has been
-  /// queried) order, with no sort side effect — checkpoint serialization.
-  /// mean() sums in this order, so restoring it exactly keeps every later
-  /// query bit-identical to an uninterrupted accumulation.
-  const std::vector<double>& raw() const { return samples_; }
-  bool sort_cached() const { return sorted_; }
-  /// Replaces the contents with a previously captured (raw, sort_cached)
-  /// pair, bit-exact.
-  void restore(std::vector<double> samples, bool sort_cached) {
-    samples_ = std::move(samples);
-    sorted_ = sort_cached;
+  /// Checkpoint serialization (core/checkpoint.h): the sort-cache flag and
+  /// the samples in their current (insertion, unless sorted() has been
+  /// queried) order.  mean() sums in this order, so restoring it exactly
+  /// keeps every later query bit-identical to an uninterrupted
+  /// accumulation.
+  template <class Ar>
+  friend void io(Ar& ar, SampleSet& s) {
+    ar.b(s.sorted_);
+    ar.seq(s.samples_, [](auto& a, double& v) { a.f64(v); });
   }
 
  private:

@@ -49,14 +49,6 @@ class Epoch {
   /// Julian date (whole + fraction); fine for GMST / propagation spans.
   double jd() const { return jd_whole_ + jd_frac_; }
 
-  /// The exact internal split, for lossless serialization (checkpoints).
-  /// `from_parts` round-trips bit-for-bit: no normalization is applied.
-  double jd_whole() const { return jd_whole_; }
-  double jd_frac() const { return jd_frac_; }
-  static Epoch from_parts(double whole, double frac) {
-    return Epoch(whole, frac);
-  }
-
   /// Seconds elapsed from `earlier` to this epoch (negative if this < earlier).
   double seconds_since(const Epoch& earlier) const;
   /// Minutes elapsed from `earlier` to this epoch.
@@ -79,6 +71,14 @@ class Epoch {
   }
   friend std::partial_ordering operator<=>(const Epoch& a, const Epoch& b) {
     return a.jd() <=> b.jd();
+  }
+
+  /// Checkpoint serialization (core/checkpoint.h): the exact internal
+  /// split, bit-for-bit, with no normalization.
+  template <class Ar>
+  friend void io(Ar& ar, Epoch& e) {
+    ar.f64(e.jd_whole_);
+    ar.f64(e.jd_frac_);
   }
 
  private:

@@ -34,4 +34,12 @@ struct Vec3 {
 
 constexpr Vec3 operator*(double s, const Vec3& v) { return v * s; }
 
+/// Checkpoint serialization (core/checkpoint.h).
+template <class Ar>
+void io(Ar& ar, Vec3& v) {
+  ar.f64(v.x);
+  ar.f64(v.y);
+  ar.f64(v.z);
+}
+
 }  // namespace dgs::util

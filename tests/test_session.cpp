@@ -3,17 +3,22 @@
 // The golden test interrupts a storm-profile lookahead run mid-horizon,
 // snapshots, restores under thread counts 1 and 4, and requires every
 // output surface — summary JSON, Prometheus exposition, event JSONL — to
-// be byte-identical to the uninterrupted run.  Negative-space tests pin
-// the checkpoint validator: truncations, corrupt bytes, and scenario
+// be byte-identical to the uninterrupted run; a per-instant tenant/churn
+// run is restored every 10 steps under the same requirement.  Checked-in
+// v1 fixtures pin the on-disk format: each restores and re-snapshots to
+// the same bytes.  Negative-space tests pin the checkpoint validator:
+// truncations, corrupt bytes, oversized length prefixes and scenario
 // mismatches must all be rejected with std::invalid_argument.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/core/checkpoint.h"
 #include "src/core/report.h"
 #include "src/core/session.h"
 #include "src/faults/profiles.h"
@@ -48,6 +53,26 @@ Scenario golden_scenario() {
   if (s.opts.faults.has_backhaul_faults()) {
     s.opts.station_backhaul_bps = 50e6;
   }
+  return s;
+}
+
+// Per-instant mode with two tenants, station churn and a 50 Mbps
+// backhaul on the golden network: exercises the matcher, tenant and
+// edge-queue state that the look-ahead scenario leaves empty.
+Scenario tenant_churn_scenario() {
+  Scenario s = golden_scenario();
+  s.opts.lookahead_hours = 0.0;
+  s.opts.faults = faults::make_profile("churn", 7, 12);
+  s.opts.station_backhaul_bps = 50e6;
+  TenantSpec a;
+  a.name = "a";
+  a.weight = 1.0;
+  a.satellites = {0, 1, 2, 3};
+  TenantSpec b;
+  b.name = "b";
+  b.weight = 2.0;
+  b.satellites = {4, 5, 6, 7};
+  s.opts.tenants = {a, b};
   return s;
 }
 
@@ -159,6 +184,111 @@ TEST(SessionCheckpoint, MidHorizonRestoreIsByteIdenticalAcrossThreads) {
   }
 }
 
+// One session with its own metrics and event sinks; only a checkpoint
+// carries state from one leg to the next.
+struct Leg {
+  obs::Registry registry;
+  std::ostringstream events;
+  obs::EventLog log{&events};
+  std::unique_ptr<Session> session;
+
+  SimulationOptions sinks(SimulationOptions opts, bool with_registry) {
+    opts.metrics = with_registry ? &registry : nullptr;
+    opts.events = &log;
+    return opts;
+  }
+};
+
+// Runs `s` to the end, restoring it into a fresh leg at every 10th step
+// (alternating thread counts); the event log is spliced across legs.
+RunOutputs run_restoring_every_ten_steps(const Scenario& s,
+                                         bool with_registry) {
+  auto leg = std::make_unique<Leg>();
+  leg->session = std::make_unique<Session>(
+      s.sats, s.stations, nullptr, leg->sinks(s.opts, with_registry));
+  RunOutputs out;
+  int restores = 0;
+  for (;;) {
+    if (leg->session->step_index() % 10 == 0) {
+      std::stringstream cp;
+      leg->session->snapshot(cp);
+      out.events += leg->events.str();
+      auto next = std::make_unique<Leg>();
+      SimulationOptions opts = next->sinks(s.opts, with_registry);
+      opts.parallel.num_threads = restores % 2 == 0 ? 1 : 4;
+      next->session =
+          Session::restore(cp, s.sats, s.stations, nullptr, opts);
+      leg = std::move(next);
+      ++restores;
+    }
+    if (leg->session->done()) break;
+    leg->session->step();
+  }
+  EXPECT_EQ(restores, 25);
+  out.summary = summary_bytes(leg->session->report());
+  std::ostringstream prom;
+  leg->registry.write_prometheus(prom);
+  out.prometheus = prom.str();
+  out.events += leg->events.str();
+  return out;
+}
+
+// Per-instant coverage of every Session member: a run restored at every
+// 10th step must produce the uninterrupted run's outputs.  A field an
+// io() skips shows up in the summary, the scrape or the event log.
+TEST(SessionCheckpoint, PerInstantRestoreEveryTenStepsIsByteIdentical) {
+  const Scenario s = tenant_churn_scenario();
+  const RunOutputs baseline = run_uninterrupted(s, 1);
+  const RunOutputs resumed = run_restoring_every_ten_steps(s, true);
+  EXPECT_EQ(resumed.summary, baseline.summary);
+  EXPECT_EQ(resumed.prometheus, baseline.prometheus);
+  EXPECT_EQ(resumed.events, baseline.events);
+  // Without a registry the geometry cache counts hits and misses itself,
+  // and only its own io() carries them into the cache_miss event deltas.
+  const RunOutputs unscraped = run_restoring_every_ten_steps(s, false);
+  EXPECT_EQ(unscraped.summary, baseline.summary);
+  EXPECT_EQ(unscraped.events, baseline.events);
+}
+
+// dgs.checkpoint.v1 fixtures written at 1 h by the hand-paired v1 writer
+// this serializer replaced, with a registry and an event log attached (the
+// log makes the session track open contacts).  Restore recomputes no
+// physics, so re-snapshotting must reproduce the file exactly on any
+// platform; it fails as soon as either the writer or the reader leaves v1.
+std::string read_fixture(const std::string& name) {
+  std::ifstream in(std::string(DGS_TEST_FIXTURE_DIR) + "/" + name,
+                   std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+void expect_fixture_round_trips(const Scenario& s, const std::string& name) {
+  const std::string bytes = read_fixture(name);
+  ASSERT_FALSE(bytes.empty()) << name;
+  obs::Registry registry;
+  SimulationOptions opts = s.opts;
+  opts.metrics = &registry;
+  std::istringstream in(bytes);
+  std::unique_ptr<Session> restored =
+      Session::restore(in, s.sats, s.stations, nullptr, opts);
+  EXPECT_EQ(restored->step_index(), 60);
+  std::ostringstream again;
+  restored->snapshot(again);
+  // Not EXPECT_EQ: a mismatch would print two 30-50 KB binary strings.
+  EXPECT_TRUE(again.str() == bytes) << name << " re-snapshots differently";
+}
+
+TEST(SessionCheckpointFixture, StormLookaheadV1RoundTripsByteForByte) {
+  expect_fixture_round_trips(golden_scenario(),
+                             "checkpoint_v1_storm_lookahead_1h.ckpt");
+}
+
+TEST(SessionCheckpointFixture, TenantsChurnV1RoundTripsByteForByte) {
+  expect_fixture_round_trips(tenant_churn_scenario(),
+                             "checkpoint_v1_tenants_churn_1h.ckpt");
+}
+
 // An immediate snapshot (step 0) restores to the full run, and a
 // snapshot after the final step restores as already-done.
 TEST(SessionCheckpoint, EdgeOfHorizonSnapshots) {
@@ -268,6 +398,69 @@ TEST_F(SessionCheckpointNegative, ScenarioMismatchesAreRejected) {
     EXPECT_THROW(Session::restore(in, other.sats, other.stations, nullptr,
                                   other.opts),
                  std::invalid_argument);
+  }
+}
+
+// A length prefix that claims more elements than the section has bytes
+// left must be rejected before anything is sized from it — not surface
+// as std::bad_alloc / std::length_error or a multi-GB allocation.  One
+// count per section of the tenant/churn fixture, at its byte offset in
+// the section body.
+TEST(SessionCheckpointCounts, OversizedCountsAreRejectedInEverySection) {
+  const Scenario s = tenant_churn_scenario();
+  const std::string bytes =
+      read_fixture("checkpoint_v1_tenants_churn_1h.ckpt");
+  CheckpointView view;
+  ASSERT_FALSE(read_checkpoint(bytes, &view).has_value());
+  const std::pair<const char*, std::size_t> first_counts[] = {
+      // After latency_minutes' sorted flag.
+      {"result", 1},
+      // Satellite 0's chunks, after the fleet size.
+      {"queues", 8},
+      // Station 0's edge items: after the station count, 12 x (busy i64 +
+      // served i32), the churn flag + 12-station down mask, and the
+      // backhaul-fault and edge-queue flags.
+      {"stations", 8 + 12 * 12 + 1 + 12 + 1 + 1},
+      // After plan_origin.
+      {"planner", 8},
+      // After the two event-delta bases, the cache flag, hits and misses.
+      {"geometry", 8 + 8 + 1 + 8 + 8},
+      // prev_pairs.
+      {"matcher", 0},
+      // Tenant 0's latency samples: after the flag, the tenant count,
+      // delivered, assignments, SLA hits and the sorted flag.
+      {"tenants", 1 + 8 + 8 + 8 + 8 + 1},
+      // After the registry flag.
+      {"metrics", 1},
+  };
+  ASSERT_EQ(std::size(first_counts), checkpoint_section_names().size());
+  for (const auto& [section, offset] : first_counts) {
+    for (const std::uint64_t count :
+         {std::uint64_t{1} << 40, std::uint64_t{1} << 62,
+          std::uint64_t{100'000'000}}) {
+      std::vector<std::pair<std::string, std::string>> sections;
+      for (const auto& [name, body] : view.sections) {
+        sections.emplace_back(name, std::string(body));
+      }
+      std::string* body = nullptr;
+      for (auto& [name, b] : sections) {
+        if (name == section) body = &b;
+      }
+      ASSERT_NE(body, nullptr);
+      ASSERT_LE(offset + 8, body->size()) << section;
+      // A real (small) little-endian count has zero high bytes.
+      ASSERT_EQ(body->substr(offset + 2, 6), std::string(6, '\0'))
+          << section << ": offset is not a count";
+      BinaryWriter patched;
+      patched.u64(count);
+      body->replace(offset, 8, patched.data());
+      std::stringstream reframed;
+      write_checkpoint(reframed, view.header, sections);
+      EXPECT_THROW(Session::restore(reframed, s.sats, s.stations, nullptr,
+                                    s.opts),
+                   std::invalid_argument)
+          << section << " count " << count;
+    }
   }
 }
 

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/checkpoint.h"
 #include "src/core/report.h"
 #include "src/core/session.h"
 #include "tests/json_lite.h"
@@ -160,9 +161,12 @@ TEST(TenantArbiter, RestoreStateReproducesBooks) {
   a.record_delivery(0, 500.0);
   a.record_assignment(0);
   a.record_assignment(3);
+  BinaryWriter w;
+  for (int t = 0; t < 2; ++t) a.io(w, t);
   TenantArbiter b(make_tenants(4, {{"a", 1}, {"b", 3}}), 4);
-  b.restore_state({a.delivered_bytes(0), a.delivered_bytes(1)},
-                  {a.assignments(0), a.assignments(1)});
+  BinaryReader r(w.data());
+  for (int t = 0; t < 2; ++t) b.io(r, t);
+  EXPECT_TRUE(r.done());
   a.refresh_scales();
   b.refresh_scales();
   for (int t = 0; t < 2; ++t) {
