@@ -13,7 +13,7 @@
 //
 //   step [n]             advance n quanta (default 1)
 //   advance <hours>      step until the sim clock reaches <hours>
-//   checkpoint <file>    write a dgs.checkpoint.v1 snapshot
+//   checkpoint <file>    write a dgs.checkpoint.v2 snapshot
 //   restore <file>       replace the session from a snapshot
 //   report <file|->      write the summary JSON (- = stdout)
 //   metrics <file|->     write the Prometheus exposition (- = stdout)
@@ -23,7 +23,8 @@
 // contiguous equal slices in declaration order (the remainder goes to the
 // last tenant).  --restore resumes from a checkpoint before the first
 // command is read: the remaining steps reproduce an uninterrupted run
-// byte for byte, at any --threads value.
+// byte for byte, at any --threads value, with or without --events-out on
+// either side.  Checkpoints of the older v1 format are rejected.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -56,7 +57,8 @@ int usage() {
                "commands on stdin: step [n] | advance <hours> | "
                "checkpoint <file> |\n"
                "  restore <file> | report <file|-> | metrics <file|-> | "
-               "quit\n",
+               "quit\n"
+               "checkpoints are dgs.checkpoint.v2; v1 files are rejected\n",
                examples::common_flags_usage());
   return 2;
 }

@@ -78,8 +78,12 @@ std::string_view CheckpointView::section(std::string_view name) const {
 
 std::optional<ArtifactError> read_checkpoint(std::string_view data,
                                              CheckpointView* out) {
-  if (data.substr(0, kCheckpointMagic.size()) != kCheckpointMagic) {
-    return err("checkpoint", "missing dgs.checkpoint.v1 magic");
+  if (!data.starts_with(kCheckpointMagic)) {
+    const std::string_view want =
+        kCheckpointMagic.substr(0, kCheckpointMagic.size() - 1);
+    const std::string_view got = data.substr(0, data.find('\n'));
+    return err("checkpoint", "expected " + std::string(want) + ", found '" +
+                                 std::string(got.substr(0, 32)) + "'");
   }
   std::size_t at = kCheckpointMagic.size();
   if (data.size() - at < 8) {

@@ -1,5 +1,6 @@
-// dgs.checkpoint.v1: the snapshot/restore container for core::Session
-// (DESIGN.md §16).
+// dgs.checkpoint.v2: the snapshot/restore container for core::Session
+// (DESIGN.md §16).  v2 stores each run fact once; a file with another
+// magic line (a v1 checkpoint included) is rejected.
 //
 // Layout: a magic line naming the container format, a u64 little-endian
 // header length, a single-line restricted-JSON header (schema table:
@@ -22,10 +23,12 @@
 // writer and the reader cannot drift apart.  The two archives share one
 // field vocabulary — u8/i32/i64/u64/f64/str/b (bool as u8), count() for
 // length prefixes, expect() for values the reader must find equal to its
-// own, and seq()/map()/obj() for nesting.  The reader bounds every count
-// by the bytes left before it allocates and checks every expect(), so
-// malformed input throws std::invalid_argument rather than exhausting
-// memory.
+// own, check_index()/check_size() for indices and sizes a resumed run
+// indexes vectors with, and seq()/map()/obj() for nesting.  The reader
+// bounds every count by the bytes left before it allocates and checks
+// every expect(), index and size, so malformed input throws
+// std::invalid_argument rather than exhausting memory or indexing out of
+// bounds.
 #pragma once
 
 #include <algorithm>
@@ -46,7 +49,7 @@
 
 namespace dgs::core {
 
-inline constexpr std::string_view kCheckpointMagic = "dgs.checkpoint.v1\n";
+inline constexpr std::string_view kCheckpointMagic = "dgs.checkpoint.v2\n";
 
 namespace checkpoint_detail {
 
@@ -115,6 +118,9 @@ class BinaryWriter {
       u64(static_cast<std::uint64_t>(v));
     }
   }
+  /// Checked on read only; the writer trusts its own state.
+  void check_index(std::int64_t /*i*/, std::int64_t /*n*/) const {}
+  void check_size(std::size_t /*size*/, std::size_t /*n*/) const {}
 
   template <class T>
   void obj(T& x) {
@@ -201,6 +207,14 @@ class BinaryReader {
       u64(got);
       DGS_ENSURE_EQ(got, static_cast<std::uint64_t>(want));
     }
+  }
+  /// Rejects a stored index outside [0, n), or a sequence whose length
+  /// is not `n`: a CRC-valid file can still carry one.
+  void check_index(std::int64_t i, std::int64_t n) const {
+    DGS_ENSURE(i >= 0 && i < n, "checkpoint index " << i << " of " << n);
+  }
+  void check_size(std::size_t size, std::size_t n) const {
+    DGS_ENSURE_EQ(size, n);
   }
 
   template <class T>

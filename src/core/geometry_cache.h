@@ -118,9 +118,11 @@ class GeometryCache {
   /// then the resident entries in ascending step order.  Restoring the
   /// contents *and* the counts keeps a resumed run's cache_hit/cache_miss
   /// event deltas — and, with a registry, the scraped counters —
-  /// bit-identical to an uninterrupted run.
+  /// bit-identical to an uninterrupted run.  On read, every entry must
+  /// hold one position per satellite, one list per station, and only
+  /// satellite indices below `num_sats`.
   template <class Ar>
-  void io(Ar& ar) {
+  void io(Ar& ar, int num_sats, int num_stations) {
     std::uint64_t hit_count = hits();
     std::uint64_t miss_count = misses();
     ar.u64(hit_count);
@@ -129,9 +131,15 @@ class GeometryCache {
       hits_->reset_to(static_cast<double>(hit_count));
       misses_->reset_to(static_cast<double>(miss_count));
     }
-    ar.map(entries_, [](auto& a, auto& key, StepGeometry& geom) {
+    ar.map(entries_, [&](auto& a, auto& key, StepGeometry& geom) {
       a.i64(key);
       a.obj(geom);
+      a.check_size(geom.sat_ecef.size(), static_cast<std::size_t>(num_sats));
+      a.check_size(geom.per_station.size(),
+                   static_cast<std::size_t>(num_stations));
+      for (const std::vector<VisibleSat>& vis : geom.per_station) {
+        for (const VisibleSat& v : vis) a.check_index(v.sat, num_sats);
+      }
     });
   }
 

@@ -125,15 +125,21 @@ class WarmStartMatcher {
   /// state decides warm vs cold on the next instant, which feeds the
   /// dgs_sched_warm_hits/cold_starts counters — so a resumed run must
   /// restore it for metrics byte-equality.  stamp_/slot_ are per-call
-  /// scratch and excluded.
+  /// scratch and excluded.  On read, every carried satellite and station
+  /// index must lie in the fleet the next match() is called with.
   template <class Ar>
-  void io(Ar& ar) {
-    ar.seq(prev_pairs_, [](auto& a, std::pair<int, int>& p) {
+  void io(Ar& ar, int num_sats, int num_stations) {
+    ar.seq(prev_pairs_, [&](auto& a, std::pair<int, int>& p) {
       a.i32(p.first);
       a.i32(p.second);
+      a.check_index(p.first, num_sats);
+      a.check_index(p.second, num_stations);
     });
-    ar.seq(prev_order_, [](auto& a, std::vector<int>& order) {
-      a.seq(order, [](auto& b, int& g) { b.i32(g); });
+    ar.seq(prev_order_, [&](auto& a, std::vector<int>& order) {
+      a.seq(order, [&](auto& b, int& g) {
+        b.i32(g);
+        b.check_index(g, num_stations);
+      });
     });
     ar.i64(warm_hits_);
     ar.i64(cold_starts_);

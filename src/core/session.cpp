@@ -80,6 +80,13 @@ Session::Session(std::vector<groundseg::SatelliteConfig> sats,
                  std::vector<groundseg::GroundStation> stations,
                  const weather::WeatherProvider* actual_weather,
                  const SimulationOptions& opts)
+    : Session(std::move(sats), std::move(stations), actual_weather, opts,
+              /*publish=*/true) {}
+
+Session::Session(std::vector<groundseg::SatelliteConfig> sats,
+                 std::vector<groundseg::GroundStation> stations,
+                 const weather::WeatherProvider* actual_weather,
+                 const SimulationOptions& opts, bool publish)
     : sats_(std::move(sats)), stations_(std::move(stations)),
       actual_wx_(actual_weather), opts_(opts),
       clock_(opts.start, opts.step_seconds) {
@@ -133,8 +140,6 @@ Session::Session(std::vector<groundseg::SatelliteConfig> sats,
   engine_->set_metrics(opts_.metrics);
   if (!opts_.tenants.empty()) {
     arbiter_.emplace(opts_.tenants, num_sats_);
-    tenant_latency_.resize(opts_.tenants.size());
-    tenant_sla_ok_.assign(opts_.tenants.size(), 0);
   }
   SchedulerConfig sched_cfg;
   sched_cfg.matcher = opts_.matcher;
@@ -160,7 +165,30 @@ Session::Session(std::vector<groundseg::SatelliteConfig> sats,
   backhaul_faults_ =
       timeline_.has_value() && timeline_->has_backhaul_faults();
 
-  register_metrics();
+  // The families with no other ledger (DESIGN.md §10), updated where their
+  // events happen on the driver thread; publish_metrics() registers the
+  // rest.
+  if (obs::Registry* const metrics = opts_.metrics; metrics != nullptr) {
+    live_.backhaul_received = metrics->counter(
+        "dgs_backhaul_received_bytes_total",
+        "Bytes queued at station edges from the downlink");
+    live_.backhaul_uploaded = metrics->counter(
+        "dgs_backhaul_uploaded_bytes_total",
+        "Bytes uploaded from station edges to the cloud");
+    live_.latency_minutes = metrics->histogram(
+        "dgs_sim_latency_minutes", "Capture-to-ground latency per chunk",
+        {1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0});
+    // Fault families exist only while a fault plan is active, so
+    // fault-free runs keep their exposition unchanged.
+    if (timeline_.has_value()) {
+      live_.outage_transitions = metrics->counter(
+          "dgs_faults_outage_transitions_total",
+          "Station up->down and down->up transitions");
+      live_.backhaul_degraded_steps = metrics->counter(
+          "dgs_faults_backhaul_degraded_station_steps_total",
+          "Station-steps spent with a degraded backhaul multiplier");
+    }
+  }
 
   prev_down_.assign(static_cast<std::size_t>(num_stations_), 0);
   if (station_faults_) {
@@ -178,9 +206,9 @@ Session::Session(std::vector<groundseg::SatelliteConfig> sats,
     }
   }
   last_plan_.assign(static_cast<std::size_t>(num_sats_), opts_.start);
-  station_busy_.assign(static_cast<std::size_t>(num_stations_), 0);
   leads_.assign(static_cast<std::size_t>(num_sats_), 0.0);
   prev_served_.assign(static_cast<std::size_t>(num_stations_), -1);
+  open_contacts_.resize(static_cast<std::size_t>(num_sats_));
 
   // Steady-state warm start: pre-existing backlog captured in the past.
   if (opts_.initial_backlog_bytes > 0.0) {
@@ -190,9 +218,6 @@ Session::Session(std::vector<groundseg::SatelliteConfig> sats,
       queues_[s].generate(opts_.initial_backlog_bytes, captured);
       res_.per_satellite[s].generated_bytes += opts_.initial_backlog_bytes;
       res_.total_generated_bytes += opts_.initial_backlog_bytes;
-      if (om_.generated_bytes != nullptr) {
-        om_.generated_bytes->inc(opts_.initial_backlog_bytes);
-      }
     }
   }
 
@@ -202,7 +227,7 @@ Session::Session(std::vector<groundseg::SatelliteConfig> sats,
         static_cast<std::size_t>(num_stations_),
         backend::StationEdgeQueue(opts_.station_backhaul_bps));
     for (backend::StationEdgeQueue& eq : edge_queues_) {
-      eq.set_metrics(om_.backhaul_received, om_.backhaul_uploaded);
+      eq.set_metrics(live_.backhaul_received, live_.backhaul_uploaded);
     }
   }
 
@@ -215,103 +240,15 @@ Session::Session(std::vector<groundseg::SatelliteConfig> sats,
           : 0;
   engine_->enable_geometry_cache(
       opts_.start, dt_, plan_window_steps_ > 0 ? plan_window_steps_ : 4);
+  if (publish) publish_metrics();
 }
 
-void Session::register_metrics() {
-  obs::Registry* const metrics = opts_.metrics;
-  if (metrics == nullptr) return;
-  // Sim-level metrics.  All updates happen on the driver thread: byte
-  // quantities are non-integer doubles, which the shard-fold determinism
-  // contract (DESIGN.md §10) keeps out of parallel regions.  Each counter
-  // mirrors the matching SimulationResult field add-for-add, so the two
-  // stay bit-identical.
-  om_.generated_bytes = metrics->counter(
-      "dgs_sim_generated_bytes_total", "Bytes captured at the sensors");
-  om_.delivered_bytes = metrics->counter(
-      "dgs_sim_delivered_bytes_total", "Bytes captured by the ground");
-  om_.dropped_bytes = metrics->counter(
-      "dgs_sim_dropped_bytes_total", "Bytes lost to full recorders");
-  om_.wasted_bytes = metrics->counter(
-      "dgs_sim_wasted_bytes_total",
-      "Bytes transmitted into failed (mis-predicted MODCOD) slots");
-  om_.requeued_bytes = metrics->counter(
-      "dgs_sim_requeued_bytes_total",
-      "Bytes re-queued for retransmission after a collated report");
-  om_.assignments = metrics->counter(
-      "dgs_sim_assignments_total", "Scheduled (sat, station) slots");
-  om_.failed_assignments = metrics->counter(
-      "dgs_sim_failed_assignments_total",
-      "Slots whose scheduled MODCOD did not close");
-  om_.slew_events = metrics->counter(
-      "dgs_sim_slew_events_total",
-      "Station retargets to a new satellite (slew model on)");
-  om_.steps = metrics->counter("dgs_sim_steps_total",
-                               "Simulation steps executed");
-  om_.ack_batches = metrics->counter(
-      "dgs_sim_ack_batches_total",
-      "Delivery batches acknowledged via collated reports");
-  om_.plan_uploads = metrics->counter(
-      "dgs_sim_plan_uploads_total",
-      "Fresh plans uploaded at transmit-capable contacts");
-  om_.backhaul_received = metrics->counter(
-      "dgs_backhaul_received_bytes_total",
-      "Bytes queued at station edges from the downlink");
-  om_.backhaul_uploaded = metrics->counter(
-      "dgs_backhaul_uploaded_bytes_total",
-      "Bytes uploaded from station edges to the cloud");
-  om_.backlog_bytes = metrics->gauge(
-      "dgs_sim_backlog_bytes", "Bytes queued on board across satellites");
-  om_.pending_ack_bytes = metrics->gauge(
-      "dgs_sim_pending_ack_bytes",
-      "Bytes delivered but not yet acknowledged");
-  om_.station_queued_bytes = metrics->gauge(
-      "dgs_backhaul_queued_bytes",
-      "Bytes still queued at station edges (not yet in the cloud)");
-  om_.latency_minutes = metrics->histogram(
-      "dgs_sim_latency_minutes", "Capture-to-ground latency per chunk",
-      {1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0});
-
-  // Fault metrics, registered only when a fault plan is active so
-  // fault-free runs keep their exposition unchanged.
-  if (timeline_.has_value()) {
-    fm_.outage_transitions = metrics->counter(
-        "dgs_faults_outage_transitions_total",
-        "Station up->down and down->up transitions");
-    fm_.outage_lost_bytes = metrics->counter(
-        "dgs_faults_outage_lost_bytes_total",
-        "Bytes transmitted into a faulted station's dead contact");
-    fm_.ack_retries = metrics->counter(
-        "dgs_faults_ack_retries_total",
-        "Ack-relay report attempts lost to Internet faults and retried");
-    fm_.replans = metrics->counter(
-        "dgs_faults_replans_total",
-        "Look-ahead replans triggered by an assigned station faulting");
-    fm_.plan_upload_failures = metrics->counter(
-        "dgs_faults_plan_upload_failures_total",
-        "TX contacts whose TT&C exchange failed");
-    fm_.backhaul_degraded_steps = metrics->counter(
-        "dgs_faults_backhaul_degraded_station_steps_total",
-        "Station-steps spent with a degraded backhaul multiplier");
-    fm_.stations_down = metrics->gauge(
-        "dgs_faults_stations_down", "Stations currently in outage");
+double Session::station_queued_bytes() const {
+  double queued = 0.0;
+  for (const backend::StationEdgeQueue& eq : edge_queues_) {
+    queued += eq.queued_bytes();
   }
-
-  // Per-tenant series (service mode): names carry the validated tenant
-  // name, e.g. dgs_tenant_acme_delivered_bytes_total.
-  if (arbiter_.has_value()) {
-    for (int t = 0; t < arbiter_->num_tenants(); ++t) {
-      const std::string& name = arbiter_->tenant(t).name;
-      tm_.delivered.push_back(metrics->counter(
-          "dgs_tenant_" + name + "_delivered_bytes_total",
-          "Bytes delivered for tenant " + name));
-      tm_.assignments.push_back(metrics->counter(
-          "dgs_tenant_" + name + "_assignments_total",
-          "Scheduled slots for tenant " + name));
-      tm_.share.push_back(metrics->gauge(
-          "dgs_tenant_" + name + "_share",
-          "Realized delivered-bytes share of tenant " + name));
-    }
-  }
+  return queued;
 }
 
 double Session::realized_rate_bps(const ContactEdge& e,
@@ -349,13 +286,17 @@ void Session::step() {
                           << step_ << " of " << steps_ << ")");
   DGS_TRACE_SPAN("sim.step");
   const std::int64_t step = step_;
-  obs::Registry* const metrics = opts_.metrics;
   obs::EventLog* const events = events_;
   // StepClock is the single timestamp source: step_start drives the
   // physics, end_hours stamps both the timeseries record and every event
   // this step emits, so the two artifacts join without drift.
   const util::Epoch now = clock_.step_start(step);
   if (events != nullptr) events->begin_step(step, clock_.end_hours(step));
+  // This step's cache events count the lookups it makes.
+  const GeometryCache* const cache =
+      events != nullptr ? engine_->geometry_cache() : nullptr;
+  const std::uint64_t hits0 = cache != nullptr ? cache->hits() : 0;
+  const std::uint64_t misses0 = cache != nullptr ? cache->misses() : 0;
 
   // 0. Fault state for this step: refresh the station down mask and
   // emit up/down transitions.  `new_outage` feeds the look-ahead
@@ -367,13 +308,13 @@ void Session::step() {
       if (down_[g] != 0 && prev_down_[g] == 0) {
         new_outage = true;
         if (events != nullptr) events->outage_begin(g);
-        if (fm_.outage_transitions != nullptr) {
-          fm_.outage_transitions->inc();
+        if (live_.outage_transitions != nullptr) {
+          live_.outage_transitions->inc();
         }
       } else if (down_[g] == 0 && prev_down_[g] != 0) {
         if (events != nullptr) events->outage_end(g);
-        if (fm_.outage_transitions != nullptr) {
-          fm_.outage_transitions->inc();
+        if (live_.outage_transitions != nullptr) {
+          live_.outage_transitions->inc();
         }
       }
     }
@@ -397,7 +338,6 @@ void Session::step() {
       queues_[s].generate(bytes - urgent, now);
       res_.per_satellite[s].generated_bytes += bytes;
       res_.total_generated_bytes += bytes;
-      if (om_.generated_bytes != nullptr) om_.generated_bytes->inc(bytes);
     }
   }
 
@@ -451,7 +391,6 @@ void Session::step() {
                                down_span);
           plan_origin_ = step + 1;
           res_.replans += 1;
-          if (fm_.replans != nullptr) fm_.replans->inc();
           if (events != nullptr) {
             events->replan(faulted_station, window);
           }
@@ -477,35 +416,30 @@ void Session::step() {
     for (const ContactEdge& e : assigned) {
       res_.assignments += 1;
       res_.total_matched_value += e.weight;
-      station_busy_[e.station] += 1;
-      if (om_.assignments != nullptr) om_.assignments->inc();
-      const int tenant = arbiter_.has_value() ? arbiter_->tenant_of(e.sat)
-                                              : -1;
-      if (arbiter_.has_value()) {
-        arbiter_->record_assignment(e.sat);
-        if (!tm_.assignments.empty()) tm_.assignments[tenant]->inc();
-      }
+      if (arbiter_.has_value()) arbiter_->record_assignment(e.sat);
 
       // Contact lifecycle: a pair entering the assigned set opens a
-      // contact; a MODCOD change mid-pass is a reselection.
+      // contact; a MODCOD change mid-pass is a reselection.  Tracked with
+      // or without an event log, so a checkpoint carries it either way.
+      std::vector<OpenContact>& contacts = open_contacts_[e.sat];
+      auto oc = std::ranges::lower_bound(contacts, e.station, {},
+                                         &OpenContact::station);
+      const bool opened = oc == contacts.end() || oc->station != e.station;
+      if (opened) oc = contacts.insert(oc, OpenContact{e.station});
       if (events != nullptr) {
-        const auto key = std::make_pair(e.sat, e.station);
-        auto [it, inserted] = open_contacts_.try_emplace(key);
-        OpenContact& oc = it->second;
         const std::string_view name =
             e.modcod != nullptr ? e.modcod->name : "none";
-        if (inserted) {
-          events->contact_open(e.sat, e.station, name,
-                               e.predicted_rate_bps,
+        if (opened) {
+          events->contact_open(e.sat, e.station, name, e.predicted_rate_bps,
                                util::rad2deg(e.elevation_rad));
-        } else if (oc.modcod != e.modcod) {
+        } else if (oc->modcod != e.modcod) {
           events->modcod_selected(e.sat, e.station, name,
                                   e.predicted_rate_bps);
         }
-        oc.modcod = e.modcod;
-        oc.held_steps += 1;
-        oc.last_step = step;
       }
+      oc->modcod = e.modcod;
+      oc->held_steps += 1;
+      oc->last_step = step;
 
       // A faulted station captures nothing: the satellite transmits
       // into the dead contact (it cannot tell), and the bytes take the
@@ -517,7 +451,6 @@ void Session::step() {
       if (opts_.slew_seconds > 0.0 && prev_served_[e.station] != e.sat) {
         effective_dt = std::max(0.0, dt_ - opts_.slew_seconds);
         res_.slew_events += 1;
-        if (om_.slew_events != nullptr) om_.slew_events->inc();
       }
       const double link_bytes = e.predicted_rate_bps * effective_dt / 8.0;
       // Ack-relay Internet faults: the station's report upload is lost
@@ -531,9 +464,6 @@ void Session::step() {
         if (relay.retries > 0) {
           report_delay_s = relay.delay_s;
           res_.ack_retries += relay.retries;
-          if (fm_.ack_retries != nullptr) {
-            fm_.ack_retries->inc(relay.retries);
-          }
           if (events != nullptr) {
             events->ack_relay_retry(e.sat, e.station, relay.retries,
                                     relay.delay_s);
@@ -543,23 +473,11 @@ void Session::step() {
       const double sent = queues_[e.sat].transmit(
           link_bytes, now,
           [&](double latency_s, const DataChunk& chunk) {
-            res_.latency_minutes.add(latency_s / 60.0);
-            if (om_.latency_minutes != nullptr) {
-              om_.latency_minutes->observe(latency_s / 60.0);
-            }
-            if (chunk.priority > 1.0) {
-              res_.urgent_latency_minutes.add(latency_s / 60.0);
-            } else {
-              res_.bulk_latency_minutes.add(latency_s / 60.0);
-            }
-            if (tenant >= 0) {
-              const double lat_min = latency_s / 60.0;
-              tenant_latency_[tenant].add(lat_min);
-              const double sla =
-                  arbiter_->tenant(tenant).sla_latency_minutes;
-              if (sla <= 0.0 || lat_min <= sla) {
-                tenant_sla_ok_[tenant] += 1;
-              }
+            delivered_latency_.push_back(latency_s / 60.0);
+            delivered_sat_.push_back(e.sat);
+            delivered_urgent_.push_back(chunk.priority > 1.0 ? 1 : 0);
+            if (live_.latency_minutes != nullptr) {
+              live_.latency_minutes->observe(latency_s / 60.0);
             }
             if (!edge_queues_.empty()) {
               edge_queues_[e.station].receive(chunk.total_bytes,
@@ -573,23 +491,12 @@ void Session::step() {
         res_.assigned_capacity_bytes += link_bytes;
         res_.per_satellite[e.sat].delivered_bytes += sent;
         res_.total_delivered_bytes += sent;
-        if (om_.delivered_bytes != nullptr) om_.delivered_bytes->inc(sent);
-        if (arbiter_.has_value()) {
-          arbiter_->record_delivery(e.sat, sent);
-          if (!tm_.delivered.empty()) tm_.delivered[tenant]->inc(sent);
-        }
+        if (arbiter_.has_value()) arbiter_->record_delivery(e.sat, sent);
       } else {
         res_.failed_assignments += 1;
         res_.wasted_transmission_bytes += sent;
-        if (om_.failed_assignments != nullptr) {
-          om_.failed_assignments->inc();
-        }
-        if (om_.wasted_bytes != nullptr) om_.wasted_bytes->inc(sent);
         if (!station_up) {
           res_.outage_lost_bytes += sent;
-          if (fm_.outage_lost_bytes != nullptr) {
-            fm_.outage_lost_bytes->inc(sent);
-          }
           if (events != nullptr) {
             events->outage_loss(e.sat, e.station, sent);
           }
@@ -610,9 +517,6 @@ void Session::step() {
         if (opts_.faults.has_plan_upload_faults() &&
             timeline_->plan_upload_fails(step, e.sat, e.station)) {
           res_.plan_upload_failures += 1;
-          if (fm_.plan_upload_failures != nullptr) {
-            fm_.plan_upload_failures->inc();
-          }
           if (events != nullptr) {
             events->plan_upload_failed(e.sat, e.station);
           }
@@ -626,13 +530,6 @@ void Session::step() {
                 ack_batches += 1;
               });
           res_.requeued_bytes += requeued;
-          if (om_.requeued_bytes != nullptr) {
-            om_.requeued_bytes->inc(requeued);
-          }
-          if (om_.ack_batches != nullptr && ack_batches > 0) {
-            om_.ack_batches->inc(ack_batches);
-          }
-          if (om_.plan_uploads != nullptr) om_.plan_uploads->inc();
           if (events != nullptr) {
             events->ack_relayed(e.sat, e.station, acked_bytes, requeued,
                                 ack_batches);
@@ -647,17 +544,7 @@ void Session::step() {
   }
 
   // Contacts absent from this step's assigned set have ended.
-  if (events != nullptr) {
-    for (auto it = open_contacts_.begin(); it != open_contacts_.end();) {
-      if (it->second.last_step != step) {
-        events->contact_close(it->first.first, it->first.second,
-                              it->second.held_steps);
-        it = open_contacts_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
+  close_contacts(step);
 
   // 4b. Track which satellite each station served (slew accounting).
   if (opts_.slew_seconds > 0.0) {
@@ -692,16 +579,13 @@ void Session::step() {
           },
           mult);
     }
-    if (fm_.backhaul_degraded_steps != nullptr && degraded_stations > 0) {
-      fm_.backhaul_degraded_steps->inc(
+    if (live_.backhaul_degraded_steps != nullptr && degraded_stations > 0) {
+      live_.backhaul_degraded_steps->inc(
           static_cast<double>(degraded_stations));
     }
     if (events != nullptr) {
-      double queued = 0.0;
-      for (const backend::StationEdgeQueue& eq : edge_queues_) {
-        queued += eq.queued_bytes();
-      }
-      events->backhaul_step(step_edge_received, step_uploaded, queued);
+      events->backhaul_step(step_edge_received, step_uploaded,
+                            station_queued_bytes());
     }
   }
 
@@ -723,49 +607,14 @@ void Session::step() {
   }
 #endif
 
-  // 6c. Geometry-cache deltas accrued during this step.
-  if (events != nullptr) {
-    if (const GeometryCache* gc = engine_->geometry_cache();
-        gc != nullptr) {
-      const std::uint64_t h = gc->hits();
-      const std::uint64_t m = gc->misses();
-      if (h > cache_hits_prev_) {
-        events->cache_hit(static_cast<std::int64_t>(h - cache_hits_prev_));
-      }
-      if (m > cache_misses_prev_) {
-        events->cache_miss(
-            static_cast<std::int64_t>(m - cache_misses_prev_));
-      }
-      cache_hits_prev_ = h;
-      cache_misses_prev_ = m;
+  // 6c. Geometry-cache lookups made during this step.
+  if (cache != nullptr) {
+    if (cache->hits() > hits0) {
+      events->cache_hit(static_cast<std::int64_t>(cache->hits() - hits0));
     }
-  }
-
-  // 6d. Step-end gauges.
-  if (metrics != nullptr) {
-    double backlog = 0.0;
-    double pending = 0.0;
-    for (int s = 0; s < num_sats_; ++s) {
-      backlog += queues_[s].queued_bytes();
-      pending += queues_[s].pending_ack_bytes();
-    }
-    om_.backlog_bytes->set(backlog);
-    om_.pending_ack_bytes->set(pending);
-    double station_queued = 0.0;
-    for (const backend::StationEdgeQueue& eq : edge_queues_) {
-      station_queued += eq.queued_bytes();
-    }
-    om_.station_queued_bytes->set(station_queued);
-    om_.steps->inc();
-    if (fm_.stations_down != nullptr) {
-      std::int64_t n_down = 0;
-      for (const char d : down_) n_down += (d != 0) ? 1 : 0;
-      fm_.stations_down->set(static_cast<double>(n_down));
-    }
-    if (!tm_.share.empty()) {
-      for (int t = 0; t < arbiter_->num_tenants(); ++t) {
-        tm_.share[t]->set(arbiter_->share(t));
-      }
+    if (cache->misses() > misses0) {
+      events->cache_miss(
+          static_cast<std::int64_t>(cache->misses() - misses0));
     }
   }
 
@@ -784,25 +633,28 @@ void Session::step() {
 
   ++step_;
   if (step_ == steps_) finalize();
+  publish_metrics();
+}
+
+void Session::close_contacts(std::int64_t step) {
+  for (int s = 0; s < num_sats_; ++s) {
+    std::erase_if(open_contacts_[s], [&](const OpenContact& c) {
+      if (c.last_step == step) return false;
+      if (events_ != nullptr) {
+        events_->contact_close(s, c.station, c.held_steps);
+      }
+      return true;
+    });
+  }
 }
 
 void Session::finalize() {
   if (finalized_) return;
   finalized_ = true;
 
-  // Contacts still open at horizon end close at the final step's stamp.
-  if (events_ != nullptr) {
-    for (const auto& [key, oc] : open_contacts_) {
-      events_->contact_close(key.first, key.second, oc.held_steps);
-    }
-  }
-  open_contacts_.clear();
-
-  for (int s = 0; s < num_sats_; ++s) {
-    if (om_.dropped_bytes != nullptr) {
-      om_.dropped_bytes->inc(queues_[s].dropped_bytes());
-    }
-  }
+  // Contacts still open at horizon end close at the final step's stamp
+  // (none is assigned at step steps_).
+  close_contacts(steps_);
 
   // Whole-run conservation: the result's aggregate counters must agree
   // with the queues' lifetime books.  Generated splits into delivered +
@@ -844,6 +696,96 @@ void Session::finalize() {
 #endif
 }
 
+void Session::publish_metrics() {
+  obs::Registry* const metrics = opts_.metrics;
+  if (metrics == nullptr) return;
+  // Each family is set from its one ledger on the driver thread, so it is
+  // bit-identical to the value report() renders (DESIGN.md §10).
+  const auto counter = [metrics](const std::string& name,
+                                 const std::string& help, double v) {
+    metrics->counter(name, help)->reset_to(v);
+  };
+  const auto count = [](std::int64_t n) { return static_cast<double>(n); };
+  double backlog = 0.0;
+  double pending = 0.0;
+  double dropped = 0.0;
+  std::int64_t plan_uploads = 0;
+  for (int s = 0; s < num_sats_; ++s) {
+    backlog += queues_[s].queued_bytes();
+    pending += queues_[s].pending_ack_bytes();
+    dropped += queues_[s].dropped_bytes();
+    plan_uploads += res_.per_satellite[s].tx_contacts;
+  }
+  counter("dgs_sim_generated_bytes_total", "Bytes captured at the sensors",
+          res_.total_generated_bytes);
+  counter("dgs_sim_delivered_bytes_total", "Bytes captured by the ground",
+          res_.total_delivered_bytes);
+  counter("dgs_sim_dropped_bytes_total", "Bytes lost to full recorders",
+          dropped);
+  counter("dgs_sim_wasted_bytes_total",
+          "Bytes transmitted into failed (mis-predicted MODCOD) slots",
+          res_.wasted_transmission_bytes);
+  counter("dgs_sim_requeued_bytes_total",
+          "Bytes re-queued for retransmission after a collated report",
+          res_.requeued_bytes);
+  counter("dgs_sim_assignments_total", "Scheduled (sat, station) slots",
+          count(res_.assignments));
+  counter("dgs_sim_failed_assignments_total",
+          "Slots whose scheduled MODCOD did not close",
+          count(res_.failed_assignments));
+  counter("dgs_sim_slew_events_total",
+          "Station retargets to a new satellite (slew model on)",
+          count(res_.slew_events));
+  counter("dgs_sim_steps_total", "Simulation steps executed", count(step_));
+  // One ack-delay sample per acknowledged batch.
+  counter("dgs_sim_ack_batches_total",
+          "Delivery batches acknowledged via collated reports",
+          static_cast<double>(res_.ack_delay_minutes.size()));
+  counter("dgs_sim_plan_uploads_total",
+          "Fresh plans uploaded at transmit-capable contacts",
+          count(plan_uploads));
+  metrics->gauge("dgs_sim_backlog_bytes",
+                 "Bytes queued on board across satellites")
+      ->set(backlog);
+  metrics->gauge("dgs_sim_pending_ack_bytes",
+                 "Bytes delivered but not yet acknowledged")
+      ->set(pending);
+  metrics->gauge("dgs_backhaul_queued_bytes",
+                 "Bytes still queued at station edges (not yet in the cloud)")
+      ->set(station_queued_bytes());
+  if (timeline_.has_value()) {
+    counter("dgs_faults_outage_lost_bytes_total",
+            "Bytes transmitted into a faulted station's dead contact",
+            res_.outage_lost_bytes);
+    counter("dgs_faults_ack_retries_total",
+            "Ack-relay report attempts lost to Internet faults and retried",
+            count(res_.ack_retries));
+    counter("dgs_faults_replans_total",
+            "Look-ahead replans triggered by an assigned station faulting",
+            count(res_.replans));
+    counter("dgs_faults_plan_upload_failures_total",
+            "TX contacts whose TT&C exchange failed",
+            count(res_.plan_upload_failures));
+    metrics->gauge("dgs_faults_stations_down", "Stations currently in outage")
+        ->set(count(std::count_if(prev_down_.begin(), prev_down_.end(),
+                                  [](char d) { return d != 0; })));
+  }
+  // Per-tenant series (service mode): names carry the validated tenant
+  // name, e.g. dgs_tenant_acme_delivered_bytes_total.
+  for (int t = 0; arbiter_.has_value() && t < arbiter_->num_tenants(); ++t) {
+    const std::string& name = arbiter_->tenant(t).name;
+    counter("dgs_tenant_" + name + "_delivered_bytes_total",
+            "Bytes delivered for tenant " + name,
+            arbiter_->delivered_bytes(t));
+    counter("dgs_tenant_" + name + "_assignments_total",
+            "Scheduled slots for tenant " + name,
+            count(arbiter_->assignments(t)));
+    metrics->gauge("dgs_tenant_" + name + "_share",
+                   "Realized delivered-bytes share of tenant " + name)
+        ->set(arbiter_->share(t));
+  }
+}
+
 std::int64_t Session::run_until_hours(double t_hours) {
   std::int64_t executed = 0;
   while (!done() &&
@@ -870,44 +812,66 @@ SimulationResult Session::report() const {
     out.total_dropped_bytes += o.dropped_bytes;
     out.backlog_gb.add(o.backlog_bytes / 1e9);
   }
-  for (const backend::StationEdgeQueue& eq : edge_queues_) {
-    out.station_queued_bytes += eq.queued_bytes();
-  }
-  std::int64_t busy_total = 0;
-  for (const std::int64_t b : station_busy_) busy_total += b;
+  out.station_queued_bytes = station_queued_bytes();
   out.steps = step_;
+  // Every assignment keeps one station busy for one step.
   out.mean_station_utilization =
-      step_ > 0 ? static_cast<double>(busy_total) /
+      step_ > 0 ? static_cast<double>(res_.assignments) /
                       static_cast<double>(step_ * num_stations_)
                 : 0.0;
-  if (arbiter_.has_value()) {
-    out.per_tenant.resize(static_cast<std::size_t>(
-        arbiter_->num_tenants()));
-    for (int t = 0; t < arbiter_->num_tenants(); ++t) {
-      const TenantSpec& spec = arbiter_->tenant(t);
-      TenantOutcome& to = out.per_tenant[static_cast<std::size_t>(t)];
-      to.name = spec.name;
-      to.weight = spec.weight;
-      to.sla_latency_minutes = spec.sla_latency_minutes;
-      to.num_satellites = static_cast<int>(spec.satellites.size());
-      for (const int s : spec.satellites) {
-        to.generated_bytes += out.per_satellite[s].generated_bytes;
-        to.backlog_bytes += queues_[s].queued_bytes();
-      }
-      to.delivered_bytes = arbiter_->delivered_bytes(t);
-      to.assignments = arbiter_->assignments(t);
-      to.entitlement = arbiter_->entitlement(t);
-      to.share = arbiter_->share(t);
-      to.latency_minutes = tenant_latency_[static_cast<std::size_t>(t)];
-      const std::size_t delivered_chunks =
-          tenant_latency_[static_cast<std::size_t>(t)].size();
-      to.sla_attainment =
-          delivered_chunks == 0
-              ? 1.0
-              : static_cast<double>(
-                    tenant_sla_ok_[static_cast<std::size_t>(t)]) /
-                    static_cast<double>(delivered_chunks);
+  // The latency splits, replayed from the delivery record in delivery
+  // order (SampleSet::mean() sums in insertion order).  Without urgent
+  // chunks, the usual case, every chunk is bulk.
+  out.latency_minutes.add_all(delivered_latency_);
+  if (std::ranges::count(delivered_urgent_, 1) == 0) {
+    out.bulk_latency_minutes = out.latency_minutes;
+  } else {
+    for (std::size_t i = 0; i < delivered_latency_.size(); ++i) {
+      (delivered_urgent_[i] != 0 ? out.urgent_latency_minutes
+                                 : out.bulk_latency_minutes)
+          .add(delivered_latency_[i]);
     }
+  }
+  const int tenants = arbiter_.has_value() ? arbiter_->num_tenants() : 0;
+  out.per_tenant.resize(static_cast<std::size_t>(tenants));
+  // Each tenant's latencies, sized first so that each is written once.
+  std::vector<std::vector<double>> by_tenant(out.per_tenant.size());
+  if (tenants > 0) {
+    std::vector<std::size_t> n(by_tenant.size(), 0);
+    for (const int sat : delivered_sat_) {
+      n[static_cast<std::size_t>(arbiter_->tenant_of(sat))] += 1;
+    }
+    for (std::size_t t = 0; t < n.size(); ++t) by_tenant[t].reserve(n[t]);
+    for (std::size_t i = 0; i < delivered_latency_.size(); ++i) {
+      const int t = arbiter_->tenant_of(delivered_sat_[i]);
+      by_tenant[static_cast<std::size_t>(t)].push_back(delivered_latency_[i]);
+    }
+  }
+  for (int t = 0; t < tenants; ++t) {
+    const TenantSpec& spec = arbiter_->tenant(t);
+    TenantOutcome& to = out.per_tenant[static_cast<std::size_t>(t)];
+    to.name = spec.name;
+    to.weight = spec.weight;
+    to.sla_latency_minutes = spec.sla_latency_minutes;
+    to.num_satellites = static_cast<int>(spec.satellites.size());
+    for (const int s : spec.satellites) {
+      to.generated_bytes += out.per_satellite[s].generated_bytes;
+      to.backlog_bytes += queues_[s].queued_bytes();
+    }
+    to.delivered_bytes = arbiter_->delivered_bytes(t);
+    to.assignments = arbiter_->assignments(t);
+    to.entitlement = arbiter_->entitlement(t);
+    to.share = arbiter_->share(t);
+    const std::vector<double>& lat = by_tenant[static_cast<std::size_t>(t)];
+    if (!lat.empty()) {
+      const double sla = spec.sla_latency_minutes;
+      const auto within = std::count_if(
+          lat.begin(), lat.end(),
+          [sla](double v) { return sla <= 0.0 || v <= sla; });
+      to.sla_attainment =
+          static_cast<double>(within) / static_cast<double>(lat.size());
+    }
+    to.latency_minutes.add_all(lat);
   }
   return out;
 }
@@ -923,20 +887,26 @@ std::uint32_t Session::options_crc32() const {
 template <class Ar>
 void Session::io_section(Ar& ar, std::string_view name) {
   if (name == "result") {
-    // The accumulators (derived fields are report()-time) + open contacts.
-    for (util::SampleSet* samples :
-         {&res_.latency_minutes, &res_.urgent_latency_minutes,
-          &res_.bulk_latency_minutes, &res_.backlog_gb,
-          &res_.ack_delay_minutes, &res_.cloud_latency_minutes}) {
-      ar.obj(*samples);
-    }
-    ar.f64(res_.station_queued_bytes);
+    // The deliveries, the accumulators and the open contacts; report()
+    // derives everything else.
+    ar.seq(delivered_latency_, [](auto& a, double& v) { a.f64(v); });
+    ar.seq(delivered_sat_, [this](auto& a, int& sat) {
+      a.i32(sat);
+      a.check_index(sat, num_sats_);
+    });
+    ar.seq(delivered_urgent_, [](auto& a, std::uint8_t& urgent) {
+      a.u8(urgent);
+      a.check_index(urgent, 2);
+    });
+    ar.check_size(delivered_sat_.size(), delivered_latency_.size());
+    ar.check_size(delivered_urgent_.size(), delivered_latency_.size());
+    ar.obj(res_.ack_delay_minutes);
+    ar.obj(res_.cloud_latency_minutes);
     ar.seq(res_.timeseries);
     ar.expect(num_sats_);
     for (SatelliteOutcome& o : res_.per_satellite) ar.obj(o);
     ar.f64(res_.total_generated_bytes);
     ar.f64(res_.total_delivered_bytes);
-    ar.f64(res_.total_dropped_bytes);
     ar.f64(res_.assigned_capacity_bytes);
     ar.i64(res_.assignments);
     ar.f64(res_.total_matched_value);
@@ -948,25 +918,16 @@ void Session::io_section(Ar& ar, std::string_view name) {
     ar.i64(res_.ack_retries);
     ar.i64(res_.replans);
     ar.i64(res_.plan_upload_failures);
-    ar.i64(res_.steps);
-    ar.f64(res_.mean_station_utilization);
-    ar.map(open_contacts_, [](auto& a, auto& key, OpenContact& oc) {
-      a.i32(key.first);
-      a.i32(key.second);
-      a.obj(oc);
-    });
+    for (std::vector<OpenContact>& mine : open_contacts_) ar.seq(mine);
   } else if (name == "queues") {
     // Per-satellite onboard stores + plan-upload stamps.
     ar.expect(num_sats_);
     for (OnboardQueue& q : queues_) ar.obj(q);
     for (util::Epoch& e : last_plan_) ar.obj(e);
   } else if (name == "stations") {
-    // Busy/served/fault masks + edge queues.
+    // Served/fault masks + edge queues.
     ar.expect(num_stations_);
-    for (int g = 0; g < num_stations_; ++g) {
-      ar.i64(station_busy_[g]);
-      ar.i32(prev_served_[g]);
-    }
+    for (int& served : prev_served_) ar.i32(served);
     ar.expect(station_faults_);
     if (station_faults_) {
       for (char& d : prev_down_) {
@@ -982,39 +943,44 @@ void Session::io_section(Ar& ar, std::string_view name) {
     ar.expect(!edge_queues_.empty());
     for (backend::StationEdgeQueue& eq : edge_queues_) ar.obj(eq);
   } else if (name == "planner") {
-    // The active look-ahead horizon.
+    // The active look-ahead horizon.  step() executes
+    // per_step[step_ - plan_origin_] until the window runs out, so both
+    // the edges and that offset must fit this session.
     ar.i64(plan_origin_);
-    ar.seq(plan_.per_step,
-           [](auto& a, std::vector<ContactEdge>& edges) { a.seq(edges); });
+    ar.seq(plan_.per_step, [this](auto& a, std::vector<ContactEdge>& edges) {
+      a.seq(edges, [this](auto& b, ContactEdge& e) {
+        b.obj(e);
+        b.check_index(e.sat, num_sats_);
+        b.check_index(e.station, num_stations_);
+      });
+    });
+    ar.check_index(plan_origin_ + 1, step_ + 2);  // -1 = no plan yet.
+    if (plan_origin_ >= 0 && !done() &&
+        step_ - plan_origin_ < plan_window_steps_) {
+      ar.check_index(step_ - plan_origin_, std::ssize(plan_.per_step));
+    }
   } else if (name == "geometry") {
-    // The memoized step-geometry cache + event-delta bases.  Contents AND
-    // counters travel together: restoring one without the other would
-    // skew the cache_hit/cache_miss deltas of resumed steps.
-    ar.u64(cache_hits_prev_);
-    ar.u64(cache_misses_prev_);
+    // The memoized step-geometry cache with its hit/miss counters.
     GeometryCache* gc = engine_->mutable_geometry_cache();
     ar.expect(gc != nullptr);
-    if (gc != nullptr) ar.obj(*gc);
+    if (gc != nullptr) gc->io(ar, num_sats_, num_stations_);
   } else if (name == "matcher") {
     // Warm-start carryover (decides warm vs cold next step).
-    ar.obj(scheduler_->warm_matcher());
+    scheduler_->warm_matcher().io(ar, num_sats_, num_stations_);
   } else if (name == "tenants") {
-    // The fair-share books + per-tenant accounting.
+    // The fair-share books.
     ar.expect(arbiter_.has_value());
     if (arbiter_.has_value()) {
       ar.expect(arbiter_->num_tenants());
-      for (int t = 0; t < arbiter_->num_tenants(); ++t) {
-        arbiter_->io(ar, t);
-        ar.i64(tenant_sla_ok_[static_cast<std::size_t>(t)]);
-        ar.obj(tenant_latency_[static_cast<std::size_t>(t)]);
-      }
+      for (int t = 0; t < arbiter_->num_tenants(); ++t) arbiter_->io(ar, t);
     }
   } else if (name == "metrics") {
     // The registry's folded state, so a resumed run's scrape is
     // byte-identical to an uninterrupted one.  Read last, so it
     // overwrites the cache counters the geometry section already set
     // (with identical values), and consumed even when this session has
-    // no registry.
+    // no registry.  The published families in it are set again from
+    // their sources once the checkpoint is applied.
     bool has_metrics = opts_.metrics != nullptr;
     std::vector<obs::MetricSnapshot> snap;
     if (!Ar::kReading && has_metrics) snap = opts_.metrics->snapshot();
@@ -1060,7 +1026,7 @@ std::unique_ptr<Session> Session::restore(
   const std::string data = buffer.str();
   auto session = std::unique_ptr<Session>(
       new Session(std::move(sats), std::move(stations), actual_weather,
-                  opts));
+                  opts, /*publish=*/false));
   session->apply_checkpoint(data);
   return session;
 }
@@ -1091,14 +1057,16 @@ void Session::apply_checkpoint(std::string_view data) {
   }
   if (h.options_crc32 != options_crc32()) mismatch("options_crc32");
 
+  // Set first: the planner section checks its offsets against them.
+  step_ = h.step_index;
+  finalized_ = h.finalized;
   for (const char* name : checkpoint_section_names()) {
     BinaryReader r(view.section(name));
     io_section(r, name);
     DGS_ENSURE(r.done(),
                "trailing bytes in checkpoint section '" << name << "'");
   }
-  step_ = h.step_index;
-  finalized_ = h.finalized;
+  publish_metrics();
 }
 
 }  // namespace dgs::core

@@ -9,7 +9,7 @@
 //   * step() advances exactly one scheduling quantum;
 //   * report() renders a full SimulationResult at ANY point mid-run;
 //   * snapshot()/restore() round-trip the whole session through the
-//     versioned `dgs.checkpoint.v1` artifact (checkpoint.h) such that a
+//     versioned `dgs.checkpoint.v2` artifact (checkpoint.h) such that a
 //     restored run's remaining steps — Report, Prometheus exposition, and
 //     event JSONL — are byte-identical to an uninterrupted run, at any
 //     thread count.  Both directions run through one serializer,
@@ -18,17 +18,20 @@
 //   * multi-tenant fair-share arbitration (SimulationOptions::tenants,
 //     TenantArbiter) with per-tenant accounting and metrics.
 //
+// Each run fact is kept in one ledger (DESIGN.md §10, §16): `res_`, one
+// record per delivered chunk, the queues' and the arbiter's books.
+// report() derives every other figure, and publish_metrics() sets the
+// Prometheus families from those ledgers after every step.
+//
 // Simulator (simulator.h) survives as the run-to-completion convenience
 // wrapper: Simulator::run() == Session(...).run_to_end().
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "src/backend/station_edge.h"
@@ -81,7 +84,7 @@ class Session {
   /// does not perturb the run.
   SimulationResult report() const;
 
-  /// Writes a complete `dgs.checkpoint.v1` snapshot of the session.
+  /// Writes a complete `dgs.checkpoint.v2` snapshot of the session.
   void snapshot(std::ostream& out) const;
 
   /// Reconstructs a session from a snapshot.  The scenario inputs must
@@ -89,7 +92,8 @@ class Session {
   /// to execution-irrelevant fields — thread count and observability
   /// sinks); mismatches are rejected via the header identity and
   /// options_crc32().  Throws std::invalid_argument on a malformed or
-  /// mismatched checkpoint.
+  /// mismatched checkpoint, or one in another format version.  Nothing is
+  /// published into `opts.metrics` until the checkpoint has been applied.
   static std::unique_ptr<Session> restore(
       std::istream& in, std::vector<groundseg::SatelliteConfig> sats,
       std::vector<groundseg::GroundStation> stations,
@@ -105,58 +109,49 @@ class Session {
   std::uint32_t options_crc32() const;
 
  private:
-  struct SimMetrics {
-    obs::Counter* generated_bytes = nullptr;
-    obs::Counter* delivered_bytes = nullptr;
-    obs::Counter* dropped_bytes = nullptr;
-    obs::Counter* wasted_bytes = nullptr;
-    obs::Counter* requeued_bytes = nullptr;
-    obs::Counter* assignments = nullptr;
-    obs::Counter* failed_assignments = nullptr;
-    obs::Counter* slew_events = nullptr;
-    obs::Counter* steps = nullptr;
-    obs::Counter* ack_batches = nullptr;
-    obs::Counter* plan_uploads = nullptr;
+  /// The five families with no other ledger, updated where their events
+  /// happen (DESIGN.md §10); the fault pair needs a fault plan.
+  struct LiveMetrics {
     obs::Counter* backhaul_received = nullptr;
     obs::Counter* backhaul_uploaded = nullptr;
-    obs::Gauge* backlog_bytes = nullptr;
-    obs::Gauge* pending_ack_bytes = nullptr;
-    obs::Gauge* station_queued_bytes = nullptr;
     obs::Histogram* latency_minutes = nullptr;
-  };
-  struct FaultMetrics {
     obs::Counter* outage_transitions = nullptr;
-    obs::Counter* outage_lost_bytes = nullptr;
-    obs::Counter* ack_retries = nullptr;
-    obs::Counter* replans = nullptr;
-    obs::Counter* plan_upload_failures = nullptr;
     obs::Counter* backhaul_degraded_steps = nullptr;
-    obs::Gauge* stations_down = nullptr;
   };
-  /// Per-tenant series, indexed by tenant declaration order; empty unless
-  /// both a registry and tenants are configured.
-  struct TenantMetrics {
-    std::vector<obs::Counter*> delivered;
-    std::vector<obs::Counter*> assignments;
-    std::vector<obs::Gauge*> share;
-  };
-  /// Contact lifecycle tracking for the event log.
+  /// Contact lifecycle tracking for the event log (kept with or without
+  /// a log, so a checkpoint carries it either way).
   struct OpenContact {
+    int station = 0;
     const link::ModCod* modcod = nullptr;
     int held_steps = 0;
     std::int64_t last_step = -1;
 
     template <class Ar>
     friend void io(Ar& ar, OpenContact& c) {
+      ar.i32(c.station);
       link::io_modcod(ar, c.modcod);
       ar.i32(c.held_steps);
       ar.i64(c.last_step);
     }
   };
+  /// restore() passes `publish` = false: its registry may be shared with a
+  /// live session until the checkpoint has been applied.
+  Session(std::vector<groundseg::SatelliteConfig> sats,
+          std::vector<groundseg::GroundStation> stations,
+          const weather::WeatherProvider* actual_weather,
+          const SimulationOptions& opts, bool publish);
 
-  void register_metrics();
+  /// Closes every contact not assigned at `step`, logging the closes in
+  /// (satellite, station) order.
+  void close_contacts(std::int64_t step);
+  /// Registers and sets every published family from its one ledger; a
+  /// no-op without a registry.  Runs after each step (the last one after
+  /// finalize()) and after a checkpoint is applied.
+  void publish_metrics();
   /// End-of-horizon bookkeeping; idempotent.
   void finalize();
+  /// Bytes still queued at the station edges (not yet in the cloud).
+  double station_queued_bytes() const;
   double realized_rate_bps(const ContactEdge& e,
                            const util::Epoch& when) const;
   /// Applies a validated checkpoint buffer to this (freshly constructed)
@@ -190,30 +185,31 @@ class Session {
   std::unique_ptr<Scheduler> scheduler_;
   std::optional<faults::FaultTimeline> timeline_;
   std::optional<TenantArbiter> arbiter_;
-  SimMetrics om_;
-  FaultMetrics fm_;
-  TenantMetrics tm_;
+  LiveMetrics live_;
   obs::EventLog* events_ = nullptr;
 
   // --- Mutable per-run state (everything snapshot() serializes) ------------
-  std::map<std::pair<int, int>, OpenContact> open_contacts_;
+  /// Per satellite, ascending by station.
+  std::vector<std::vector<OpenContact>> open_contacts_;
   std::vector<char> down_;              ///< Scratch, refilled each step.
   std::vector<char> prev_down_;
   std::vector<double> prev_backhaul_mult_;
-  std::uint64_t cache_hits_prev_ = 0;
-  std::uint64_t cache_misses_prev_ = 0;
   std::vector<OnboardQueue> queues_;
   std::vector<util::Epoch> last_plan_;
-  std::vector<std::int64_t> station_busy_;
   std::vector<double> leads_;           ///< Scratch, refilled each step.
   std::vector<int> prev_served_;
   std::vector<backend::StationEdgeQueue> edge_queues_;
   HorizonPlan plan_;
   std::int64_t plan_origin_ = -1;
-  std::vector<util::SampleSet> tenant_latency_;
-  std::vector<std::int64_t> tenant_sla_ok_;
-  SimulationResult res_;                ///< Accumulators; derived fields
-                                        ///< are filled by report().
+  // Every delivered chunk, once, in delivery order (one column per field):
+  // report() rebuilds the latency splits from them, and insertion order
+  // keeps SampleSet::mean() bit-identical.
+  std::vector<double> delivered_latency_;  ///< Minutes.
+  std::vector<int> delivered_sat_;
+  std::vector<std::uint8_t> delivered_urgent_;  ///< Priority > 1.
+  SimulationResult res_;                ///< Accumulators; the latency
+                                        ///< splits and derived fields are
+                                        ///< filled by report().
   std::int64_t step_ = 0;
   bool finalized_ = false;
 };

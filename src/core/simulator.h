@@ -156,13 +156,12 @@ struct SatelliteOutcome {
   int tx_contacts = 0;              ///< Plan-upload opportunities used.
 };
 
+/// Checkpoint serialization (core/checkpoint.h) of the accumulated fields;
+/// Session::report() reads the rest off the onboard queue.
 template <class Ar>
 void io(Ar& ar, SatelliteOutcome& o) {
   ar.f64(o.generated_bytes);
   ar.f64(o.delivered_bytes);
-  ar.f64(o.backlog_bytes);
-  ar.f64(o.pending_ack_bytes);
-  ar.f64(o.dropped_bytes);
   ar.f64(o.storage_high_water_bytes);
   ar.i32(o.tx_contacts);
 }

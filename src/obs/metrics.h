@@ -11,7 +11,10 @@
 //     yields the same scraped value for any thread count;
 //   * non-integer accumulations (byte totals, latency sums) are only ever
 //     incremented from the simulation driver thread, so exactly one shard
-//     is nonzero and the fold order is irrelevant.
+//     is nonzero and the fold order is irrelevant;
+//   * a value another ledger already holds is published with
+//     Counter::reset_to / Gauge::set from the driver thread, which leaves
+//     it in one shard as well.
 //
 // Metric objects are owned by their Registry and have stable addresses for
 // the registry's lifetime; hot loops cache the pointers once and never take
@@ -64,6 +67,7 @@ class Counter {
   /// exact fetch_add sequence an uninterrupted run would have produced
   /// (driver-thread doubles live in one shard; worker increments are
   /// exact integers, so the fold stays bit-identical — DESIGN.md §16).
+  /// Also publishes a value kept in another ledger (DESIGN.md §10).
   /// Not safe concurrently with inc().
   void reset_to(double v);
 
@@ -118,7 +122,7 @@ class Histogram {
 };
 
 /// One registered metric's folded state, captured by Registry::snapshot()
-/// for the dgs.checkpoint.v1 artifact and replayed by Registry::restore().
+/// for the dgs.checkpoint.v2 artifact and replayed by Registry::restore().
 struct MetricSnapshot {
   std::string name;
   std::string help;

@@ -1,11 +1,13 @@
 // End-to-end observability reconciliation (DESIGN.md §10): a 24 h run with
 // every sink enabled must produce
-//   (1) a Prometheus exposition with >= 20 series whose counters mirror the
-//       SimulationResult aggregates bit-for-bit,
+//   (1) a Prometheus exposition with >= 20 series whose published families
+//       equal the SimulationResult aggregates bit-for-bit,
 //   (2) a Perfetto-loadable Chrome trace, and
 //   (3) a JSONL event log that balances exactly against the Report — the
 //       log is a ledger, not a sampling — and whose (step, t_hours) stamps
 //       join the timeseries CSV with no off-by-one-step drift.
+// Stepped sessions then check every published family against report() at
+// every step boundary, mid-run included.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -16,6 +18,9 @@
 
 #include "src/core/dgs.h"
 #include "src/core/report.h"
+#include "src/core/session.h"
+#include "src/faults/fault_plan.h"
+#include "src/faults/profiles.h"
 #include "src/obs/events.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -71,7 +76,7 @@ TEST(ObsReconcile, TwentyFourHourRunBalancesExactly) {
             std::string::npos);
   EXPECT_NE(prom_text.find("# TYPE dgs_sim_latency_minutes histogram"),
             std::string::npos);
-  // Counters mirror the result add-for-add, so equality is exact.
+  // Published families are set from the result, so equality is exact.
   EXPECT_EQ(registry.counter("dgs_sim_generated_bytes_total", "")->value(),
             r.total_generated_bytes);
   EXPECT_EQ(registry.counter("dgs_sim_delivered_bytes_total", "")->value(),
@@ -91,6 +96,13 @@ TEST(ObsReconcile, TwentyFourHourRunBalancesExactly) {
             static_cast<double>(r.steps));
   EXPECT_EQ(registry.gauge("dgs_backhaul_queued_bytes", "")->value(),
             r.station_queued_bytes);
+  EXPECT_EQ(registry.counter("dgs_sim_dropped_bytes_total", "")->value(),
+            r.total_dropped_bytes);
+  EXPECT_EQ(registry.counter("dgs_sim_ack_batches_total", "")->value(),
+            static_cast<double>(r.ack_delay_minutes.size()));
+  EXPECT_EQ(
+      registry.counter("dgs_faults_outage_lost_bytes_total", "")->value(),
+      r.outage_lost_bytes);
   EXPECT_GT(registry.counter("dgs_vis_propagations_total", "")->value(),
             0.0);
 
@@ -188,6 +200,149 @@ TEST(ObsReconcile, TwentyFourHourRunBalancesExactly) {
                   r.timeseries[static_cast<std::size_t>(step)].hours);
     EXPECT_EQ(t_hours, std::atof(csv_hours)) << "step " << step;
   }
+}
+
+// --- Published families equal their sources at every step ---------------
+
+struct SteppedScenario {
+  std::vector<groundseg::SatelliteConfig> sats;
+  std::vector<groundseg::GroundStation> stations;
+  SimulationOptions opts;
+};
+
+SteppedScenario stepped_scenario() {
+  groundseg::NetworkOptions net;
+  net.num_satellites = 8;
+  net.num_stations = 12;
+  net.seed = 13;
+  SteppedScenario s;
+  s.sats = groundseg::generate_constellation(net, kT0);
+  s.stations = groundseg::generate_dgs_stations(net);
+  s.opts.start = kT0;
+  s.opts.duration_hours = 3.0;
+  s.opts.faults = faults::make_profile("storm", 7, net.num_stations);
+  s.opts.station_backhaul_bps = 50e6;
+  s.opts.slew_seconds = 5.0;
+  return s;
+}
+
+/// Every published family against report() (and, for the stations-down
+/// gauge, the fault timeline's mask of the step just executed).
+void expect_published_equal_report(obs::Registry& reg, const Session& s,
+                                   const SimulationOptions& opts) {
+  const SimulationResult r = s.report();
+  const auto counter = [&](const std::string& name) {
+    return reg.counter(name, "")->value();
+  };
+  const auto gauge = [&](const std::string& name) {
+    return reg.gauge(name, "")->value();
+  };
+  const auto count = [](std::int64_t n) { return static_cast<double>(n); };
+  const std::string at = "step " + std::to_string(s.step_index());
+  EXPECT_EQ(counter("dgs_sim_generated_bytes_total"),
+            r.total_generated_bytes) << at;
+  EXPECT_EQ(counter("dgs_sim_delivered_bytes_total"),
+            r.total_delivered_bytes) << at;
+  EXPECT_EQ(counter("dgs_sim_dropped_bytes_total"), r.total_dropped_bytes)
+      << at;
+  EXPECT_EQ(counter("dgs_sim_wasted_bytes_total"),
+            r.wasted_transmission_bytes) << at;
+  EXPECT_EQ(counter("dgs_sim_requeued_bytes_total"), r.requeued_bytes)
+      << at;
+  EXPECT_EQ(counter("dgs_sim_assignments_total"), count(r.assignments))
+      << at;
+  EXPECT_EQ(counter("dgs_sim_failed_assignments_total"),
+            count(r.failed_assignments)) << at;
+  EXPECT_EQ(counter("dgs_sim_slew_events_total"), count(r.slew_events))
+      << at;
+  EXPECT_EQ(counter("dgs_sim_steps_total"), count(r.steps)) << at;
+  EXPECT_EQ(counter("dgs_sim_ack_batches_total"),
+            static_cast<double>(r.ack_delay_minutes.size())) << at;
+  double backlog = 0.0;
+  double pending = 0.0;
+  std::int64_t tx_contacts = 0;
+  for (const SatelliteOutcome& o : r.per_satellite) {
+    backlog += o.backlog_bytes;
+    pending += o.pending_ack_bytes;
+    tx_contacts += o.tx_contacts;
+  }
+  EXPECT_EQ(counter("dgs_sim_plan_uploads_total"), count(tx_contacts))
+      << at;
+  EXPECT_EQ(gauge("dgs_sim_backlog_bytes"), backlog) << at;
+  EXPECT_EQ(gauge("dgs_sim_pending_ack_bytes"), pending) << at;
+  EXPECT_EQ(gauge("dgs_backhaul_queued_bytes"), r.station_queued_bytes)
+      << at;
+  EXPECT_EQ(counter("dgs_faults_outage_lost_bytes_total"),
+            r.outage_lost_bytes) << at;
+  EXPECT_EQ(counter("dgs_faults_ack_retries_total"), count(r.ack_retries))
+      << at;
+  EXPECT_EQ(counter("dgs_faults_replans_total"), count(r.replans)) << at;
+  EXPECT_EQ(counter("dgs_faults_plan_upload_failures_total"),
+            count(r.plan_upload_failures)) << at;
+  std::int64_t down = 0;
+  if (s.step_index() > 0) {
+    const faults::FaultTimeline timeline(opts.faults, s.num_stations(),
+                                         s.num_steps(),
+                                         opts.step_seconds);
+    std::vector<char> mask;
+    timeline.fill_station_down(s.step_index() - 1, &mask);
+    for (const char d : mask) down += d != 0 ? 1 : 0;
+  }
+  EXPECT_EQ(gauge("dgs_faults_stations_down"), count(down)) << at;
+  for (const TenantOutcome& t : r.per_tenant) {
+    const std::string prefix = "dgs_tenant_" + t.name;
+    EXPECT_EQ(counter(prefix + "_delivered_bytes_total"), t.delivered_bytes)
+        << at;
+    EXPECT_EQ(counter(prefix + "_assignments_total"), count(t.assignments))
+        << at;
+    EXPECT_EQ(gauge(prefix + "_share"), t.share) << at;
+  }
+}
+
+/// Steps `s` to the end, checking every published family at construction
+/// and after every step.
+SimulationResult run_checking_every_step(const SteppedScenario& s) {
+  obs::Registry registry;
+  SimulationOptions opts = s.opts;
+  opts.metrics = &registry;
+  Session session(s.sats, s.stations, nullptr, opts);
+  expect_published_equal_report(registry, session, opts);
+  while (!session.done()) {
+    session.step();
+    expect_published_equal_report(registry, session, opts);
+  }
+  return session.report();
+}
+
+// Per-instant tenants under the storm profile: the tenant families, the
+// fault counters and the stations-down gauge.
+TEST(ObsReconcile, PublishedFamiliesEqualTheReportAtEveryStep) {
+  SteppedScenario s = stepped_scenario();
+  TenantSpec a;
+  a.name = "a";
+  a.weight = 1.0;
+  a.satellites = {0, 1, 2, 3};
+  TenantSpec b;
+  b.name = "b";
+  b.weight = 2.0;
+  b.satellites = {4, 5, 6, 7};
+  s.opts.tenants = {a, b};
+  const SimulationResult r = run_checking_every_step(s);
+  EXPECT_GT(r.ack_retries, 0);
+  EXPECT_GT(r.per_tenant.at(0).delivered_bytes, 0.0);
+}
+
+// Look-ahead replans, and recorders small enough to drop data mid-run:
+// the dropped-bytes counter is published every step, not only at the end.
+TEST(ObsReconcile, PublishedFamiliesEqualTheReportWhileRecordersDrop) {
+  SteppedScenario s = stepped_scenario();
+  s.opts.lookahead_hours = 1.0;
+  for (groundseg::SatelliteConfig& sat : s.sats) {
+    sat.storage_capacity_bytes = 0.02 * sat.data_generation_bytes_per_day;
+  }
+  const SimulationResult r = run_checking_every_step(s);
+  EXPECT_GT(r.total_dropped_bytes, 0.0);
+  EXPECT_GT(r.replans, 0);
 }
 
 }  // namespace

@@ -5,15 +5,19 @@
 // output surface — summary JSON, Prometheus exposition, event JSONL — to
 // be byte-identical to the uninterrupted run; a per-instant tenant/churn
 // run is restored every 10 steps under the same requirement.  Checked-in
-// v1 fixtures pin the on-disk format: each restores and re-snapshots to
-// the same bytes.  Negative-space tests pin the checkpoint validator:
-// truncations, corrupt bytes, oversized length prefixes and scenario
-// mismatches must all be rejected with std::invalid_argument.
+// v2 fixtures pin the on-disk format: each restores and re-snapshots to
+// the same bytes, and the v1 fixtures are rejected.  Negative-space tests
+// pin the checkpoint validator: truncations, corrupt bytes, oversized
+// length prefixes, out-of-range indices and scenario mismatches must all
+// be rejected with std::invalid_argument.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -250,11 +254,50 @@ TEST(SessionCheckpoint, PerInstantRestoreEveryTenStepsIsByteIdentical) {
   EXPECT_EQ(unscraped.events, baseline.events);
 }
 
-// dgs.checkpoint.v1 fixtures written at 1 h by the hand-paired v1 writer
-// this serializer replaced, with a registry and an event log attached (the
-// log makes the session track open contacts).  Restore recomputes no
-// physics, so re-snapshotting must reproduce the file exactly on any
-// platform; it fails as soon as either the writer or the reader leaves v1.
+// A checkpoint taken without an event log restores into a run that logs
+// one: every step's cache_hit/cache_miss counts are that step's lookups,
+// so the resumed log equals the uninterrupted run's from the same step on.
+TEST(SessionCheckpoint, CacheEventsResumeFromACheckpointWithoutEventLog) {
+  const Scenario s = tenant_churn_scenario();
+  std::ostringstream full_events;
+  obs::EventLog full_log(&full_events);
+  SimulationOptions logged = s.opts;
+  logged.events = &full_log;
+  Session full(s.sats, s.stations, nullptr, logged);
+  full.run_until_hours(1.0);
+  const std::size_t prefix = full_events.str().size();
+  full.run_to_end();
+  const std::string suffix = full_events.str().substr(prefix);
+  // Per-instant steps look their geometry up once, and miss: every step
+  // logs its own single miss, not a running total.
+  std::istringstream lines(full_events.str());
+  int misses = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"cache_miss\"") == std::string::npos) continue;
+    EXPECT_NE(line.find("\"count\": 1}"), std::string::npos) << line;
+    ++misses;
+  }
+  EXPECT_EQ(misses, 4 * 60);
+
+  Session unlogged(s.sats, s.stations, nullptr, s.opts);
+  unlogged.run_until_hours(1.0);
+  std::stringstream cp;
+  unlogged.snapshot(cp);
+  std::ostringstream resumed_events;
+  obs::EventLog resumed_log(&resumed_events);
+  SimulationOptions resumed_opts = s.opts;
+  resumed_opts.events = &resumed_log;
+  Session::restore(cp, s.sats, s.stations, nullptr, resumed_opts)
+      ->run_to_end();
+  EXPECT_EQ(resumed_events.str(), suffix);
+}
+
+// dgs.checkpoint.v2 fixtures written at 1 h, with a registry and an event
+// log attached.  Restore
+// recomputes no physics, so re-snapshotting must reproduce the file
+// exactly on any platform; it fails as soon as either the writer or the
+// reader leaves v2.  The v1 fixtures of the same scenarios stay checked in
+// to pin that an older format is refused, not misread.
 std::string read_fixture(const std::string& name) {
   std::ifstream in(std::string(DGS_TEST_FIXTURE_DIR) + "/" + name,
                    std::ios::binary);
@@ -279,14 +322,34 @@ void expect_fixture_round_trips(const Scenario& s, const std::string& name) {
   EXPECT_TRUE(again.str() == bytes) << name << " re-snapshots differently";
 }
 
-TEST(SessionCheckpointFixture, StormLookaheadV1RoundTripsByteForByte) {
+TEST(SessionCheckpointFixture, StormLookaheadV2RoundTripsByteForByte) {
   expect_fixture_round_trips(golden_scenario(),
-                             "checkpoint_v1_storm_lookahead_1h.ckpt");
+                             "checkpoint_v2_storm_lookahead_1h.ckpt");
 }
 
-TEST(SessionCheckpointFixture, TenantsChurnV1RoundTripsByteForByte) {
+TEST(SessionCheckpointFixture, TenantsChurnV2RoundTripsByteForByte) {
   expect_fixture_round_trips(tenant_churn_scenario(),
-                             "checkpoint_v1_tenants_churn_1h.ckpt");
+                             "checkpoint_v2_tenants_churn_1h.ckpt");
+}
+
+TEST(SessionCheckpointFixture, V1FixturesAreRejectedNamingTheVersion) {
+  const std::pair<Scenario, const char*> v1[] = {
+      {golden_scenario(), "checkpoint_v1_storm_lookahead_1h.ckpt"},
+      {tenant_churn_scenario(), "checkpoint_v1_tenants_churn_1h.ckpt"},
+  };
+  for (const auto& [s, name] : v1) {
+    const std::string bytes = read_fixture(name);
+    ASSERT_FALSE(bytes.empty()) << name;
+    std::istringstream in(bytes);
+    try {
+      Session::restore(in, s.sats, s.stations, nullptr, s.opts);
+      ADD_FAILURE() << name << " restored";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("dgs.checkpoint.v1"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // An immediate snapshot (step 0) restores to the full run, and a
@@ -409,27 +472,27 @@ TEST_F(SessionCheckpointNegative, ScenarioMismatchesAreRejected) {
 TEST(SessionCheckpointCounts, OversizedCountsAreRejectedInEverySection) {
   const Scenario s = tenant_churn_scenario();
   const std::string bytes =
-      read_fixture("checkpoint_v1_tenants_churn_1h.ckpt");
+      read_fixture("checkpoint_v2_tenants_churn_1h.ckpt");
   CheckpointView view;
   ASSERT_FALSE(read_checkpoint(bytes, &view).has_value());
   const std::pair<const char*, std::size_t> first_counts[] = {
-      // After latency_minutes' sorted flag.
-      {"result", 1},
+      // The delivery latencies.
+      {"result", 0},
       // Satellite 0's chunks, after the fleet size.
       {"queues", 8},
-      // Station 0's edge items: after the station count, 12 x (busy i64 +
-      // served i32), the churn flag + 12-station down mask, and the
-      // backhaul-fault and edge-queue flags.
-      {"stations", 8 + 12 * 12 + 1 + 12 + 1 + 1},
+      // Station 0's edge items: after the station count, 12 served i32s,
+      // the churn flag + 12-station down mask, and the backhaul-fault and
+      // edge-queue flags.
+      {"stations", 8 + 12 * 4 + 1 + 12 + 1 + 1},
       // After plan_origin.
       {"planner", 8},
-      // After the two event-delta bases, the cache flag, hits and misses.
-      {"geometry", 8 + 8 + 1 + 8 + 8},
+      // After the cache flag, hits and misses.
+      {"geometry", 1 + 8 + 8},
       // prev_pairs.
       {"matcher", 0},
-      // Tenant 0's latency samples: after the flag, the tenant count,
-      // delivered, assignments, SLA hits and the sorted flag.
-      {"tenants", 1 + 8 + 8 + 8 + 8 + 1},
+      // The section holds no sequence; its tenant count, after the flag,
+      // is checked against the session's instead.
+      {"tenants", 1},
       // After the registry flag.
       {"metrics", 1},
   };
@@ -462,6 +525,260 @@ TEST(SessionCheckpointCounts, OversizedCountsAreRejectedInEverySection) {
           << section << " count " << count;
     }
   }
+}
+
+// --- Index range checks: a CRC-valid checkpoint whose section carries a
+// satellite or station index past the fleet (or a geometry entry of the
+// wrong size) is rejected on read, before a resumed step indexes a vector
+// with it.  Each test patches one field of a fresh 1 h snapshot and
+// re-frames the file with a valid CRC through write_checkpoint.
+
+std::string snapshot_at_one_hour(const Scenario& s) {
+  Session session(s.sats, s.stations, nullptr, s.opts);
+  session.run_until_hours(1.0);
+  std::stringstream cp;
+  session.snapshot(cp);
+  return cp.str();
+}
+
+/// Offset of the read position of `r` within `body`.
+std::size_t offset_of(const std::string& body, const BinaryReader& r) {
+  return body.size() - r.remaining();
+}
+
+std::uint64_t read_u64(BinaryReader& r) {
+  std::uint64_t v = 0;
+  r.u64(v);
+  return v;
+}
+
+void put_i32(std::string* body, std::size_t at, std::int32_t v) {
+  BinaryWriter w;
+  w.i32(v);
+  ASSERT_LE(at + 4, body->size());
+  body->replace(at, 4, w.data());
+}
+
+void put_u64(std::string* body, std::size_t at, std::uint64_t v) {
+  BinaryWriter w;
+  w.u64(v);
+  ASSERT_LE(at + 8, body->size());
+  body->replace(at, 8, w.data());
+}
+
+/// Restores `bytes` with section `section` rewritten by `patch` (which
+/// returns false when the snapshot lacks the field) and requires
+/// std::invalid_argument.
+void expect_patch_rejected(const Scenario& s, const std::string& bytes,
+                           const char* section,
+                           const std::function<bool(std::string*)>& patch) {
+  CheckpointView view;
+  ASSERT_FALSE(read_checkpoint(bytes, &view).has_value());
+  std::vector<std::pair<std::string, std::string>> sections;
+  for (const auto& [name, body] : view.sections) {
+    sections.emplace_back(name, std::string(body));
+  }
+  bool patched = false;
+  for (auto& [name, body] : sections) {
+    if (name == section) patched = patch(&body);
+  }
+  ASSERT_TRUE(patched) << section << ": the snapshot lacks the field";
+  std::stringstream reframed;
+  write_checkpoint(reframed, view.header, sections);
+  EXPECT_THROW(Session::restore(reframed, s.sats, s.stations, nullptr,
+                                s.opts),
+               std::invalid_argument)
+      << section;
+}
+
+// Satellite and station indices are checked from both ends.
+constexpr std::int32_t kBadSat[] = {-1, 8};
+constexpr std::int32_t kBadStation[] = {-1, 12};
+
+TEST(SessionCheckpointIndices, DeliverySatelliteIsRangeChecked) {
+  const Scenario s = golden_scenario();
+  const std::string bytes = snapshot_at_one_hour(s);
+  for (const std::int32_t bad : kBadSat) {
+    // The first delivery's satellite: after the latency column (a count
+    // and one f64 per delivery) and the satellite column's count.
+    expect_patch_rejected(s, bytes, "result", [&](std::string* body) {
+      BinaryReader r(*body);
+      const std::uint64_t deliveries = read_u64(r);
+      if (deliveries == 0) return false;
+      put_i32(body, 8 + 8 * deliveries + 8, bad);
+      return true;
+    });
+  }
+}
+
+/// Offset of the first edge of the first non-empty planned step.
+std::optional<std::size_t> first_planned_edge(const std::string& body) {
+  BinaryReader r(body);
+  std::int64_t origin = 0;
+  r.i64(origin);
+  for (std::uint64_t k = read_u64(r); k > 0; --k) {
+    if (read_u64(r) > 0) return offset_of(body, r);
+  }
+  return std::nullopt;
+}
+
+TEST(SessionCheckpointIndices, PlannerEdgesAreRangeChecked) {
+  const Scenario s = golden_scenario();
+  const std::string bytes = snapshot_at_one_hour(s);
+  for (const std::int32_t bad : kBadSat) {
+    expect_patch_rejected(s, bytes, "planner", [&](std::string* body) {
+      const auto at = first_planned_edge(*body);
+      if (at.has_value()) put_i32(body, *at, bad);
+      return at.has_value();
+    });
+  }
+  for (const std::int32_t bad : kBadStation) {
+    expect_patch_rejected(s, bytes, "planner", [&](std::string* body) {
+      const auto at = first_planned_edge(*body);
+      if (at.has_value()) put_i32(body, *at + 4, bad);
+      return at.has_value();
+    });
+  }
+}
+
+TEST(SessionCheckpointIndices, PlanOriginIsRangeChecked) {
+  const Scenario s = golden_scenario();
+  const std::string bytes = snapshot_at_one_hour(s);
+  // Before "no plan" (-1), and past the snapshot's step (60).
+  for (const std::int64_t bad : {std::int64_t{-2}, std::int64_t{61}}) {
+    expect_patch_rejected(s, bytes, "planner", [&](std::string* body) {
+      put_u64(body, 0, static_cast<std::uint64_t>(bad));
+      return true;
+    });
+  }
+}
+
+TEST(SessionCheckpointIndices, WarmStartPairsAreRangeChecked) {
+  const Scenario s = tenant_churn_scenario();
+  const std::string bytes = snapshot_at_one_hour(s);
+  // The first pair's satellite, then its station, after the pair count.
+  for (const std::int32_t bad : kBadSat) {
+    expect_patch_rejected(s, bytes, "matcher", [&](std::string* body) {
+      BinaryReader r(*body);
+      if (read_u64(r) == 0) return false;
+      put_i32(body, 8, bad);
+      return true;
+    });
+  }
+  for (const std::int32_t bad : kBadStation) {
+    expect_patch_rejected(s, bytes, "matcher", [&](std::string* body) {
+      BinaryReader r(*body);
+      if (read_u64(r) == 0) return false;
+      put_i32(body, 12, bad);
+      return true;
+    });
+  }
+}
+
+TEST(SessionCheckpointIndices, WarmStartOrdersAreRangeChecked) {
+  const Scenario s = tenant_churn_scenario();
+  const std::string bytes = snapshot_at_one_hour(s);
+  for (const std::int32_t bad : kBadStation) {
+    // The first station of the first non-empty preference order, after
+    // the (sat, station) pairs.
+    expect_patch_rejected(s, bytes, "matcher", [&](std::string* body) {
+      BinaryReader r(*body);
+      const std::uint64_t pairs = read_u64(r);
+      BinaryReader orders(std::string_view(*body).substr(8 + 8 * pairs));
+      for (std::uint64_t k = read_u64(orders); k > 0; --k) {
+        const std::uint64_t n = read_u64(orders);
+        if (n > 0) {
+          put_i32(body, offset_of(*body, orders), bad);
+          return true;
+        }
+      }
+      return false;
+    });
+  }
+}
+
+/// Byte layout of the geometry section's cache entries.  After the cache
+/// flag, the hit and miss counts and the entry count, each entry is its
+/// step key, its satellite positions (a count, 24 bytes each), then its
+/// station lists (a count; per station a count and 20 bytes per visible
+/// satellite).
+struct GeometryEntry {
+  std::size_t positions_at = 0;  ///< The position count.
+  std::uint64_t positions = 0;
+  std::size_t stations_at = 0;   ///< The station count.
+  std::vector<std::size_t> station_at;  ///< Each station's list count.
+  std::size_t end = 0;
+};
+
+std::vector<GeometryEntry> geometry_entries(const std::string& body) {
+  BinaryReader r(body);
+  std::uint8_t has_cache = 0;
+  r.u8(has_cache);
+  read_u64(r);
+  read_u64(r);
+  std::vector<GeometryEntry> entries(has_cache != 0 ? read_u64(r) : 0);
+  for (GeometryEntry& e : entries) {
+    read_u64(r);  // Step key.
+    e.positions_at = offset_of(body, r);
+    e.positions = read_u64(r);
+    for (std::uint64_t i = 0; i < 3 * e.positions; ++i) read_u64(r);
+    e.stations_at = offset_of(body, r);
+    for (std::uint64_t g = read_u64(r); g > 0; --g) {
+      e.station_at.push_back(offset_of(body, r));
+      for (std::uint64_t v = read_u64(r); v > 0; --v) {
+        std::int32_t sat = 0;
+        double x = 0.0;
+        r.i32(sat);
+        r.f64(x);
+        r.f64(x);
+      }
+    }
+    e.end = offset_of(body, r);
+  }
+  return entries;
+}
+
+TEST(SessionCheckpointIndices, GeometryVisibleSatelliteIsRangeChecked) {
+  const Scenario s = golden_scenario();
+  const std::string bytes = snapshot_at_one_hour(s);
+  for (const std::int32_t bad : kBadSat) {
+    // The first visible satellite of any cached step.
+    expect_patch_rejected(s, bytes, "geometry", [&](std::string* body) {
+      for (const GeometryEntry& e : geometry_entries(*body)) {
+        for (const std::size_t at : e.station_at) {
+          BinaryReader r(std::string_view(*body).substr(at));
+          if (read_u64(r) > 0) {
+            put_i32(body, at + 8, bad);
+            return true;
+          }
+        }
+      }
+      return false;
+    });
+  }
+}
+
+TEST(SessionCheckpointIndices, GeometryEntrySizesAreChecked) {
+  const Scenario s = golden_scenario();
+  const std::string bytes = snapshot_at_one_hour(s);
+  // The first cached step one satellite position short.
+  expect_patch_rejected(s, bytes, "geometry", [&](std::string* body) {
+    const std::vector<GeometryEntry> entries = geometry_entries(*body);
+    if (entries.empty() || entries[0].positions == 0) return false;
+    const GeometryEntry& e = entries[0];
+    body->erase(e.stations_at - 24, 24);
+    put_u64(body, e.positions_at, e.positions - 1);
+    return true;
+  });
+  // The first cached step one station list short.
+  expect_patch_rejected(s, bytes, "geometry", [&](std::string* body) {
+    const std::vector<GeometryEntry> entries = geometry_entries(*body);
+    if (entries.empty() || entries[0].station_at.empty()) return false;
+    const GeometryEntry& e = entries[0];
+    body->erase(e.station_at.back(), e.end - e.station_at.back());
+    put_u64(body, e.stations_at, e.station_at.size() - 1);
+    return true;
+  });
 }
 
 TEST_F(SessionCheckpointNegative, ThreadCountChangeIsAccepted) {
