@@ -1,6 +1,6 @@
 // Constellation-scale ablation (EXPERIMENTS.md E25): per-step scheduling
 // cost at 1k/5k/10k satellites, brute-force all-pairs sweep vs the
-// spatial visibility index, and cold vs warm-started stable matching.
+// spatial visibility index, and one stable-matching scheduling instant.
 //
 // Timings come from google-benchmark (no raw clocks, dgslint R1).  With
 // `--summary-out=FILE` the binary additionally writes a deterministic
@@ -45,8 +45,7 @@ struct World {
   std::unique_ptr<dgs::util::ThreadPool> pool;
   std::unique_ptr<VisibilityEngine> brute;
   std::unique_ptr<VisibilityEngine> indexed;
-  std::unique_ptr<Scheduler> sched_warm;  ///< On the indexed engine.
-  std::unique_ptr<Scheduler> sched_cold;
+  std::unique_ptr<Scheduler> sched;  ///< Stable matching, indexed engine.
   std::vector<OnboardQueue> queues;
 };
 
@@ -72,11 +71,8 @@ World& world(int num_sats) {
   w.indexed = std::make_unique<VisibilityEngine>(w.sats, w.stations, nullptr);
   w.indexed->set_thread_pool(w.pool.get());
 
-  SchedulerConfig warm_cfg;
-  w.sched_warm = std::make_unique<Scheduler>(w.indexed.get(), warm_cfg);
-  SchedulerConfig cold_cfg;
-  cold_cfg.warm_start = false;
-  w.sched_cold = std::make_unique<Scheduler>(w.indexed.get(), cold_cfg);
+  w.sched =
+      std::make_unique<Scheduler>(w.indexed.get(), SchedulerConfig{});
 
   // Deterministic backlog so edge values are positive (no RNG: a fixed
   // arithmetic pattern over the fleet).
@@ -111,17 +107,7 @@ void BM_ScaleScheduleCold(benchmark::State& state) {
   for (auto _ : state) {
     const dgs::util::Epoch t =
         kEpoch.plus_seconds(60.0 * static_cast<double>(step++ % 90));
-    benchmark::DoNotOptimize(w.sched_cold->schedule_instant(t, w.queues));
-  }
-}
-
-void BM_ScaleScheduleWarm(benchmark::State& state) {
-  World& w = world(static_cast<int>(state.range(0)));
-  std::int64_t step = 0;
-  for (auto _ : state) {
-    const dgs::util::Epoch t =
-        kEpoch.plus_seconds(60.0 * static_cast<double>(step++ % 90));
-    benchmark::DoNotOptimize(w.sched_warm->schedule_instant(t, w.queues));
+    benchmark::DoNotOptimize(w.sched->schedule_instant(t, w.queues));
   }
 }
 
@@ -193,29 +179,15 @@ int write_summary(const std::string& path, const std::vector<int>& sizes) {
                    indexed_crc);
       failed = true;
     }
-    // Fresh schedulers: the matching digest must not depend on benchmark
-    // iteration counts.  Warm and cold must agree exactly.
-    SchedulerConfig warm_cfg;
-    Scheduler warm(w.indexed.get(), warm_cfg);
-    SchedulerConfig cold_cfg;
-    cold_cfg.warm_start = false;
-    Scheduler cold(w.indexed.get(), cold_cfg);
-    const std::vector<ContactEdge> mw = warm.schedule_instant(t, w.queues);
-    const std::vector<ContactEdge> mc = cold.schedule_instant(t, w.queues);
-    const std::uint32_t warm_crc = matched_crc(mw);
-    const std::uint32_t cold_crc = matched_crc(mc);
-    if (mw.size() != mc.size() || warm_crc != cold_crc) {
-      std::fprintf(stderr,
-                   "abl_scale: warm/cold matching mismatch at %d sats\n",
-                   sizes[i]);
-      failed = true;
-    }
+    const std::vector<ContactEdge> matched =
+        w.sched->schedule_instant(t, w.queues);
     std::fprintf(fh,
                  "    {\"sats\": %d, \"stations\": %zu, \"edges\": %zu, "
                  "\"edges_crc32\": \"%08x\", \"matched\": %zu, "
                  "\"matched_crc32\": \"%08x\"}%s\n",
                  sizes[i], w.stations.size(), indexed.size(), indexed_crc,
-                 mw.size(), warm_crc, i + 1 < sizes.size() ? "," : "");
+                 matched.size(), matched_crc(matched),
+                 i + 1 < sizes.size() ? "," : "");
   }
   std::fprintf(fh, "  ]\n}\n");
   std::fclose(fh);
@@ -239,8 +211,6 @@ int main(int argc, char** argv) {
     benchmark::RegisterBenchmark("BM_ScaleStepIndexed", BM_ScaleStepIndexed)
         ->Arg(n)->Unit(benchmark::kMillisecond);
     benchmark::RegisterBenchmark("BM_ScaleScheduleCold", BM_ScaleScheduleCold)
-        ->Arg(n)->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark("BM_ScaleScheduleWarm", BM_ScaleScheduleWarm)
         ->Arg(n)->Unit(benchmark::kMillisecond);
   }
 

@@ -85,21 +85,6 @@ void BM_PlanThreeHourHorizon(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanThreeHourHorizon)->Unit(benchmark::kMillisecond);
 
-// Same sweep with the step-geometry cache enabled: after the first
-// iteration every epoch is a cache hit, isolating the non-geometry cost
-// (weather + budgets + block allocation) of a planning pass.
-void BM_PlanThreeHourHorizonCached(benchmark::State& state) {
-  PaperScale& ps = fixture();
-  ps.engine.enable_geometry_cache(kEpoch, 60.0, 192);
-  core::LatencyValue phi;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::plan_horizon(ps.engine, ps.queues, phi, kEpoch, 180, 60.0));
-  }
-  ps.engine.enable_geometry_cache(kEpoch, 60.0, 1);  // drop the memory
-}
-BENCHMARK(BM_PlanThreeHourHorizonCached)->Unit(benchmark::kMillisecond);
-
 void BM_SimulateOneHourPaperScale(benchmark::State& state) {
   PaperScale& ps = fixture();
   core::SimulationOptions opts;

@@ -8,12 +8,12 @@
 //             [--events-out <file>]
 //
 // The binary holds one core::Session and drives it with a newline command
-// protocol on stdin; every response line goes to stdout, errors to
-// stderr.  Commands:
+// protocol on stdin; every response line (`ok ...` or `error ...`) goes to
+// stdout, fatal startup errors to stderr.  Commands:
 //
-//   step [n]             advance n quanta (default 1)
-//   advance <hours>      step until the sim clock reaches <hours>
-//   checkpoint <file>    write a dgs.checkpoint.v2 snapshot
+//   step [n]             advance n >= 0 quanta (default 1)
+//   advance <hours>      step until the sim clock reaches <hours> >= 0
+//   checkpoint <file>    write a dgs.checkpoint.v3 snapshot
 //   restore <file>       replace the session from a snapshot
 //   report <file|->      write the summary JSON (- = stdout)
 //   metrics <file|->     write the Prometheus exposition (- = stdout)
@@ -24,7 +24,16 @@
 // last tenant).  --restore resumes from a checkpoint before the first
 // command is read: the remaining steps reproduce an uninterrupted run
 // byte for byte, at any --threads value, with or without --events-out on
-// either side.  Checkpoints of the older v1 format are rejected.
+// either side.  Checkpoints of the older v1 and v2 formats are rejected.
+//
+// A malformed command line (unknown verb, missing or non-numeric
+// argument, extra tokens) gets one `error ...` reply and leaves the
+// session unchanged.  So does a `restore` whose file cannot be read or
+// holds no valid checkpoint for this scenario: the reply names the
+// reason, and the current session keeps running.
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -58,7 +67,8 @@ int usage() {
                "checkpoint <file> |\n"
                "  restore <file> | report <file|-> | metrics <file|-> | "
                "quit\n"
-               "checkpoints are dgs.checkpoint.v2; v1 files are rejected\n",
+               "checkpoints are dgs.checkpoint.v3; v1 and v2 files are "
+               "rejected\n",
                examples::common_flags_usage());
   return 2;
 }
@@ -82,6 +92,27 @@ void partition_fleet(int num_sats, std::vector<core::TenantSpec>* tenants) {
     const int count = t + 1 == n ? num_sats - next : per;
     for (int k = 0; k < count; ++k) (*tenants)[t].satellites.push_back(next++);
   }
+}
+
+// All of `text` as an integer >= 0.
+bool parse_count(const std::string& text, std::int64_t* n) {
+  if (text.empty()) return false;
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (errno != 0 || *end != '\0' || v < 0) return false;
+  *n = v;
+  return true;
+}
+
+// All of `text` as a finite number >= 0.
+bool parse_hours(const std::string& text, double* hours) {
+  if (text.empty()) return false;
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (*end != '\0' || !std::isfinite(v) || v < 0.0) return false;
+  *hours = v;
+  return true;
 }
 
 // Writes to `path`, or to stdout when path is "-".
@@ -152,8 +183,10 @@ int main(int argc, char** argv) {
       opts.tenants = tenants;
     }
 
-    obs::Registry registry;
-    opts.metrics = &registry;
+    // Each session gets its own registry: a restore builds the new session
+    // over a fresh one and swaps both in only once it succeeded.
+    auto registry = std::make_unique<obs::Registry>();
+    opts.metrics = registry.get();
     std::ofstream events_file;
     obs::EventLog event_log;
     if (!flags.events_out.empty()) {
@@ -182,28 +215,39 @@ int main(int argc, char** argv) {
                 opts.tenants.size());
     std::fflush(stdout);
 
+    const auto advanced = [&](std::int64_t done) {
+      std::printf("ok step=%lld/%lld advanced=%lld\n",
+                  static_cast<long long>(session->step_index()),
+                  static_cast<long long>(session->num_steps()),
+                  static_cast<long long>(done));
+    };
     std::string line;
     while (std::getline(std::cin, line)) {
       std::istringstream cmd(line);
-      std::string verb, arg;
-      cmd >> verb >> arg;
+      std::string verb, arg, extra;
+      cmd >> verb >> arg >> extra;
       if (verb.empty()) continue;
-      if (verb == "quit") break;
-      if (verb == "step") {
-        std::int64_t n = arg.empty() ? 1 : std::atoll(arg.c_str());
-        std::int64_t done = 0;
-        for (; done < n && !session->done(); ++done) session->step();
-        std::printf("ok step=%lld/%lld advanced=%lld\n",
-                    static_cast<long long>(session->step_index()),
-                    static_cast<long long>(session->num_steps()),
-                    static_cast<long long>(done));
+      std::int64_t n = 1;
+      double hours = 0.0;
+      if (!extra.empty()) {
+        std::printf("error %s: unexpected argument '%s'\n", verb.c_str(),
+                    extra.c_str());
+      } else if (verb == "quit") {
+        break;
+      } else if (verb == "step") {
+        if (arg.empty() || parse_count(arg, &n)) {
+          std::int64_t done = 0;
+          for (; done < n && !session->done(); ++done) session->step();
+          advanced(done);
+        } else {
+          std::printf("error step=%s: want an integer >= 0\n", arg.c_str());
+        }
       } else if (verb == "advance") {
-        const std::int64_t done = session->run_until_hours(
-            std::atof(arg.c_str()));
-        std::printf("ok step=%lld/%lld advanced=%lld\n",
-                    static_cast<long long>(session->step_index()),
-                    static_cast<long long>(session->num_steps()),
-                    static_cast<long long>(done));
+        if (parse_hours(arg, &hours)) {
+          advanced(session->run_until_hours(hours));
+        } else {
+          std::printf("error advance=%s: want hours >= 0\n", arg.c_str());
+        }
       } else if (verb == "checkpoint" && !arg.empty()) {
         std::ofstream out(arg, std::ios::binary);
         if (out) session->snapshot(out);
@@ -212,14 +256,25 @@ int main(int argc, char** argv) {
                     arg.c_str());
       } else if (verb == "restore" && !arg.empty()) {
         std::ifstream in(arg, std::ios::binary);
-        if (in) {
-          session = core::Session::restore(in, sats, stations, &wx, opts);
-          std::printf("ok step=%lld/%lld restored=%s\n",
-                      static_cast<long long>(session->step_index()),
-                      static_cast<long long>(session->num_steps()),
+        if (!in) {
+          std::printf("error restore=%s: cannot read the file\n",
                       arg.c_str());
         } else {
-          std::printf("error restore=%s\n", arg.c_str());
+          auto fresh = std::make_unique<obs::Registry>();
+          core::SimulationOptions restore_opts = opts;
+          restore_opts.metrics = fresh.get();
+          try {
+            session = core::Session::restore(in, sats, stations, &wx,
+                                             restore_opts);
+            registry = std::move(fresh);
+            opts.metrics = registry.get();
+            std::printf("ok step=%lld/%lld restored=%s\n",
+                        static_cast<long long>(session->step_index()),
+                        static_cast<long long>(session->num_steps()),
+                        arg.c_str());
+          } catch (const std::exception& e) {
+            std::printf("error restore=%s: %s\n", arg.c_str(), e.what());
+          }
         }
       } else if (verb == "report" && !arg.empty()) {
         const core::SimulationResult r = session->report();
@@ -228,7 +283,7 @@ int main(int argc, char** argv) {
         std::printf(ok ? "ok report=%s\n" : "error report=%s\n", arg.c_str());
       } else if (verb == "metrics" && !arg.empty()) {
         const bool ok = with_output(arg, [&](std::ostream& out) {
-          registry.write_prometheus(out);
+          registry->write_prometheus(out);
         });
         std::printf(ok ? "ok metrics=%s\n" : "error metrics=%s\n",
                     arg.c_str());

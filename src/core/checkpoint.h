@@ -1,6 +1,8 @@
-// dgs.checkpoint.v2: the snapshot/restore container for core::Session
-// (DESIGN.md §16).  v2 stores each run fact once; a file with another
-// magic line (a v1 checkpoint included) is rejected.
+// dgs.checkpoint.v3: the snapshot/restore container for core::Session
+// (DESIGN.md §16).  v3 stores each run fact once and writes the
+// `geometry` and `matcher` sections empty (the state they held is gone);
+// a file with another magic line (a v1 or v2 checkpoint included) is
+// rejected.
 //
 // Layout: a magic line naming the container format, a u64 little-endian
 // header length, a single-line restricted-JSON header (schema table:
@@ -49,7 +51,7 @@
 
 namespace dgs::core {
 
-inline constexpr std::string_view kCheckpointMagic = "dgs.checkpoint.v2\n";
+inline constexpr std::string_view kCheckpointMagic = "dgs.checkpoint.v3\n";
 
 namespace checkpoint_detail {
 

@@ -469,192 +469,6 @@ std::string validate_b_matching(const std::vector<Edge>& edges,
   return {};
 }
 
-void WarmStartMatcher::reset() {
-  prev_pairs_.clear();
-  prev_order_.clear();
-}
-
-Matching WarmStartMatcher::match(const std::vector<Edge>& edges, int num_sats,
-                                 int num_stations) {
-  validate(edges, num_sats, num_stations);
-
-  // Positive candidate edges per satellite, in ascending edge order.
-  std::vector<std::vector<int>> by_sat(num_sats);
-  for (int i = 0; i < static_cast<int>(edges.size()); ++i) {
-    if (edges[i].weight > 0.0) by_sat[edges[i].sat].push_back(i);
-  }
-
-  // Duplicate (sat, station) pairs make the winning edge index ambiguous
-  // under equal weights; detect them with a per-station stamp and fall
-  // back to a plain cold start.
-  stamp_.assign(static_cast<std::size_t>(num_stations), -1);
-  slot_.assign(static_cast<std::size_t>(num_stations), -1);
-  bool duplicates = false;
-  for (int s = 0; s < num_sats && !duplicates; ++s) {
-    for (const int ei : by_sat[s]) {
-      const int g = edges[ei].station;
-      if (stamp_[g] == s) {
-        duplicates = true;
-        break;
-      }
-      stamp_[g] = s;
-    }
-  }
-  if (duplicates) {
-    prev_order_.clear();  // station->edge mapping is ambiguous; drop hints
-    const Matching m = cold_start(edges, num_sats, num_stations, by_sat,
-                                  /*allow_carryover=*/false);
-    prev_pairs_.clear();
-    for (const int ei : m) prev_pairs_.emplace_back(edges[ei].sat,
-                                                    edges[ei].station);
-    return m;
-  }
-
-  // Tier 1: map the previous pairs onto the new edge set and audit.  The
-  // unique-stable-matching property (see header) makes a passing audit a
-  // proof that this IS the Gale-Shapley result.
-  if (!prev_pairs_.empty()) {
-    Matching cand;
-    cand.reserve(prev_pairs_.size());
-    bool mappable = true;
-    for (const auto& [s, g] : prev_pairs_) {
-      if (s >= num_sats || g >= num_stations) {
-        mappable = false;
-        break;
-      }
-      // At most one candidate edge per (sat, station) here (no dups).
-      for (const int ei : by_sat[s]) {
-        if (edges[ei].station == g) {
-          cand.push_back(ei);
-          break;
-        }
-      }
-    }
-    if (mappable) {
-      // Vanished pairs simply leave both endpoints unmatched; emit in the
-      // station-ascending order Gale-Shapley uses.
-      std::sort(cand.begin(), cand.end(), [&](int a, int b) {
-        return edges[a].station < edges[b].station;
-      });
-      if (is_stable(edges, cand, num_sats, num_stations)) {
-        ++warm_hits_;
-        prev_pairs_.clear();
-        for (const int ei : cand) {
-          prev_pairs_.emplace_back(edges[ei].sat, edges[ei].station);
-        }
-        return cand;
-      }
-    }
-  }
-
-  // Tier 2: cold start with proposal-pointer carryover.
-  const Matching m =
-      cold_start(edges, num_sats, num_stations, by_sat,
-                 /*allow_carryover=*/true);
-  prev_pairs_.clear();
-  for (const int ei : m) {
-    prev_pairs_.emplace_back(edges[ei].sat, edges[ei].station);
-  }
-  return m;
-}
-
-Matching WarmStartMatcher::cold_start(
-    const std::vector<Edge>& edges, int num_sats, int num_stations,
-    const std::vector<std::vector<int>>& by_sat, bool allow_carryover) {
-  ++cold_starts_;
-
-  // Per-satellite preference lists, best-first — the exact lists
-  // stable_matching sorts, but seeded from the previous instant's order
-  // when it still agrees with the new weights.  The order comparator is a
-  // strict total order over a satellite's candidates (stations are
-  // distinct), so a sequence that passes the adjacent-pair sweep IS the
-  // sorted sequence.
-  std::vector<std::vector<int>> prefs(num_sats);
-  const bool have_orders =
-      allow_carryover &&
-      static_cast<int>(prev_order_.size()) == num_sats;
-  for (int s = 0; s < num_sats; ++s) {
-    const std::vector<int>& cand = by_sat[s];
-    std::vector<int>& list = prefs[s];
-    list = cand;
-    if (have_orders &&
-        prev_order_[s].size() == cand.size() && !cand.empty()) {
-      for (const int ei : cand) {
-        stamp_[edges[ei].station] = s;
-        slot_[edges[ei].station] = ei;
-      }
-      bool ok = true;
-      for (std::size_t k = 0; k < prev_order_[s].size(); ++k) {
-        const int g = prev_order_[s][k];
-        if (g < 0 || g >= num_stations || stamp_[g] != s) {
-          ok = false;
-          break;
-        }
-        list[k] = slot_[g];
-        if (k > 0 && !prefers(edges[list[k - 1]].weight,
-                              edges[list[k - 1]].station,
-                              edges[list[k]].weight,
-                              edges[list[k]].station)) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) {
-        ++order_reuses_;
-        continue;
-      }
-      list = cand;  // fall through to a fresh sort
-    }
-    std::sort(list.begin(), list.end(), [&](int a, int b) {
-      return prefers(edges[a].weight, edges[a].station, edges[b].weight,
-                     edges[b].station);
-    });
-  }
-
-  // Remember the station orders for the next instant.
-  prev_order_.assign(static_cast<std::size_t>(num_sats), {});
-  for (int s = 0; s < num_sats; ++s) {
-    prev_order_[s].reserve(prefs[s].size());
-    for (const int ei : prefs[s]) prev_order_[s].push_back(edges[ei].station);
-  }
-
-  // Deferred acceptance, identical to stable_matching.
-  std::vector<int> next_proposal(num_sats, 0);
-  std::vector<int> station_edge(num_stations, -1);
-  std::vector<int> sat_edge(num_sats, -1);
-  std::vector<int> free_sats;
-  for (int s = 0; s < num_sats; ++s) {
-    if (!prefs[s].empty()) free_sats.push_back(s);
-  }
-  while (!free_sats.empty()) {
-    const int s = free_sats.back();
-    free_sats.pop_back();
-    while (next_proposal[s] < static_cast<int>(prefs[s].size())) {
-      const int ei = prefs[s][next_proposal[s]++];
-      const int g = edges[ei].station;
-      const int held = station_edge[g];
-      if (held == -1) {
-        station_edge[g] = ei;
-        sat_edge[s] = ei;
-        break;
-      }
-      if (prefers(edges[ei].weight, s, edges[held].weight, edges[held].sat)) {
-        station_edge[g] = ei;
-        sat_edge[s] = ei;
-        sat_edge[edges[held].sat] = -1;
-        free_sats.push_back(edges[held].sat);
-        break;
-      }
-    }
-  }
-
-  Matching m;
-  for (int g = 0; g < num_stations; ++g) {
-    if (station_edge[g] != -1) m.push_back(station_edge[g]);
-  }
-  return m;
-}
-
 std::string_view matcher_name(MatcherKind kind) {
   switch (kind) {
     case MatcherKind::kStable:

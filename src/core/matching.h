@@ -16,10 +16,8 @@
 // optimality coincides with receiver optimality for aligned preferences).
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace dgs::core {
@@ -80,90 +78,6 @@ std::string_view matcher_name(MatcherKind kind);
 
 Matching run_matcher(MatcherKind kind, const std::vector<Edge>& edges,
                      int num_sats, int num_stations);
-
-// --- Warm-start stable matching (constellation scale, DESIGN.md §14) --------
-//
-// Consecutive scheduling instants share most of their contact graph: a
-// pass lasts many quanta, so the previous instant's assignment is usually
-// still stable under the new weights.  Because preferences on both sides
-// derive from the same edge weight (ties by index), the stable matching is
-// UNIQUE — so any matching that passes the validity + stability audit IS
-// the Gale-Shapley result, and can be returned without running deferred
-// acceptance at all.
-//
-// WarmStartMatcher exploits this in two tiers, both exact:
-//   1. Reuse: map the previous instant's (sat, station) pairs onto the new
-//      edge set (dropping vanished pairs) and audit the candidate in O(E).
-//      If it is stable, return it directly.
-//   2. Proposal-pointer carryover: when reuse fails, run Gale-Shapley, but
-//      seed each satellite's preference list with the previous instant's
-//      station order, verified against the new weights by one O(d)
-//      adjacent-pair sweep per satellite; only lists whose order actually
-//      changed are re-sorted.
-// Duplicate (sat, station) edges in the input force a plain cold start
-// (tier 2 with no carryover): duplicate ties make the edge-index choice
-// ambiguous.  In every case the returned matching — indices and order —
-// is identical to stable_matching(edges, ...), which tests pin.
-class WarmStartMatcher {
- public:
-  /// Exactly stable_matching(edges, num_sats, num_stations), warm-started
-  /// from the previous call.  Stateful: NOT thread-safe; call from the
-  /// thread driving the simulation.
-  Matching match(const std::vector<Edge>& edges, int num_sats,
-                 int num_stations);
-
-  /// Forget the previous instant (e.g. after a constellation change).
-  void reset();
-
-  std::int64_t warm_hits() const { return warm_hits_; }
-  std::int64_t cold_starts() const { return cold_starts_; }
-  /// Satellites whose preference order was carried over across all cold
-  /// starts (vs re-sorted).
-  std::int64_t order_reuses() const { return order_reuses_; }
-
-  /// Checkpoint serialization (core/checkpoint.h).  The carried-over
-  /// state decides warm vs cold on the next instant, which feeds the
-  /// dgs_sched_warm_hits/cold_starts counters — so a resumed run must
-  /// restore it for metrics byte-equality.  stamp_/slot_ are per-call
-  /// scratch and excluded.  On read, every carried satellite and station
-  /// index must lie in the fleet the next match() is called with.
-  template <class Ar>
-  void io(Ar& ar, int num_sats, int num_stations) {
-    ar.seq(prev_pairs_, [&](auto& a, std::pair<int, int>& p) {
-      a.i32(p.first);
-      a.i32(p.second);
-      a.check_index(p.first, num_sats);
-      a.check_index(p.second, num_stations);
-    });
-    ar.seq(prev_order_, [&](auto& a, std::vector<int>& order) {
-      a.seq(order, [&](auto& b, int& g) {
-        b.i32(g);
-        b.check_index(g, num_stations);
-      });
-    });
-    ar.i64(warm_hits_);
-    ar.i64(cold_starts_);
-    ar.i64(order_reuses_);
-  }
-
- private:
-  Matching cold_start(const std::vector<Edge>& edges, int num_sats,
-                      int num_stations,
-                      const std::vector<std::vector<int>>& by_sat,
-                      bool allow_carryover);
-
-  /// Previous result as (sat, station) pairs, station-ascending.
-  std::vector<std::pair<int, int>> prev_pairs_;
-  /// Previous per-satellite preference order (station ids, best first).
-  std::vector<std::vector<int>> prev_order_;
-  std::int64_t warm_hits_ = 0;
-  std::int64_t cold_starts_ = 0;
-  std::int64_t order_reuses_ = 0;
-  /// Scratch: per-station stamp/edge-slot used while scanning one
-  /// satellite's candidates (stamp == sat id marks validity).
-  std::vector<int> stamp_;
-  std::vector<int> slot_;
-};
 
 // --- Beamforming extension (paper §3.3) -------------------------------------
 //

@@ -194,7 +194,7 @@ std::optional<ArtifactError> validate_netdesign_front_json(
     std::string_view text);
 
 // ---------------------------------------------------------------------------
-// Checkpoint artifact (src/core/checkpoint.h): the `dgs.checkpoint.v2`
+// Checkpoint artifact (src/core/checkpoint.h): the `dgs.checkpoint.v3`
 // container opens with a restricted-JSON header identifying the run a
 // snapshot belongs to.  The binary framing (magic line, sized sections,
 // CRC) is defined in checkpoint.h; the header's key set lives here so the
@@ -209,7 +209,8 @@ std::optional<ArtifactError> validate_netdesign_front_json(
 std::span<const NetdesignFieldSpec> checkpoint_header_specs();
 
 /// Ordered payload section names of a checkpoint, the exact sequence the
-/// writer emits and the reader requires.
+/// writer emits and the reader requires.  Since v3 the "geometry" and
+/// "matcher" sections are always empty.
 std::span<const char* const> checkpoint_section_names();
 
 /// Full schema validation of a checkpoint header document: artifact

@@ -17,12 +17,6 @@ Scheduler::Scheduler(const VisibilityEngine* engine,
     matched_edges_ = metrics->counter(
         "dgs_sched_matched_edges_total",
         "Assignments selected by the matcher across all instants");
-    warm_hits_ = metrics->counter(
-        "dgs_sched_warm_hits_total",
-        "Instants where the previous stable matching was reused as-is");
-    cold_starts_ = metrics->counter(
-        "dgs_sched_cold_starts_total",
-        "Instants that ran full Gale-Shapley deferred acceptance");
   }
 }
 
@@ -77,22 +71,8 @@ std::vector<ContactEdge> Scheduler::schedule_instant(
   DGS_TRACE_SPAN("sched.match");
   Matching m;
   if (!any_beams) {
-    if (config_.matcher == MatcherKind::kStable && config_.warm_start) {
-      // Warm-start from the previous instant; the result is identical to
-      // stable_matching (unique stable matching, see matching.h).
-      const std::int64_t hits_before = warm_.warm_hits();
-      const std::int64_t colds_before = warm_.cold_starts();
-      m = warm_.match(edges, engine_->num_sats(), engine_->num_stations());
-      if (warm_hits_ != nullptr && warm_.warm_hits() > hits_before) {
-        warm_hits_->inc();
-      }
-      if (cold_starts_ != nullptr && warm_.cold_starts() > colds_before) {
-        cold_starts_->inc();
-      }
-    } else {
-      m = run_matcher(config_.matcher, edges, engine_->num_sats(),
-                      engine_->num_stations());
-    }
+    m = run_matcher(config_.matcher, edges, engine_->num_sats(),
+                    engine_->num_stations());
   } else {
     switch (config_.matcher) {
       case MatcherKind::kStable:

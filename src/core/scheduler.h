@@ -30,10 +30,6 @@ struct SchedulerConfig {
   /// edge_value_modifier — the parallel weigh path stays bit-identical to
   /// serial.  Size must be >= the engine's satellite count.
   const std::vector<double>* sat_value_scale = nullptr;
-  /// Warm-start the stable matcher from the previous instant
-  /// (WarmStartMatcher).  Results are identical either way; this is a
-  /// performance toggle only.  Applies to the point-to-point kStable path.
-  bool warm_start = true;
 };
 
 class Scheduler {
@@ -58,23 +54,13 @@ class Scheduler {
   const SchedulerConfig& config() const { return config_; }
   const ValueFunction& value_function() const { return *value_; }
 
-  /// Checkpoint access (core::Session): the warm-start matcher whose
-  /// carried-over state must survive a snapshot/restore round trip.
-  WarmStartMatcher& warm_matcher() const { return warm_; }
-
  private:
   const VisibilityEngine* engine_;
   SchedulerConfig config_;
   std::unique_ptr<ValueFunction> value_;
-  /// Warm-start state for the stable matcher.  Mutable: schedule_instant
-  /// is logically const (identical results with or without the state);
-  /// call from the thread driving the simulation only.
-  mutable WarmStartMatcher warm_;
   /// Registry handles (null when the engine has no registry).
   obs::Counter* instants_ = nullptr;
   obs::Counter* matched_edges_ = nullptr;
-  obs::Counter* warm_hits_ = nullptr;
-  obs::Counter* cold_starts_ = nullptr;
 };
 
 }  // namespace dgs::core

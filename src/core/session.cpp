@@ -135,8 +135,8 @@ Session::Session(std::vector<groundseg::SatelliteConfig> sats,
   engine_ = std::make_unique<VisibilityEngine>(sats_, stations_,
                                                forecast_wx);
   engine_->set_thread_pool(pool_.get());
-  // Must precede Scheduler construction and enable_geometry_cache: both
-  // register their counters against the engine's registry at setup time.
+  // Must precede Scheduler construction: the scheduler registers its
+  // counters against the engine's registry at setup time.
   engine_->set_metrics(opts_.metrics);
   if (!opts_.tenants.empty()) {
     arbiter_.emplace(opts_.tenants, num_sats_);
@@ -231,15 +231,12 @@ Session::Session(std::vector<groundseg::SatelliteConfig> sats,
     }
   }
 
-  // Look-ahead planning state (opts_.lookahead_hours > 0) and the
-  // step-geometry memoization, sized to hold a whole planning window.
+  // Look-ahead planning state (opts_.lookahead_hours > 0).
   plan_window_steps_ =
       opts_.lookahead_hours > 0.0
           ? std::max(1, static_cast<int>(std::llround(
                             opts_.lookahead_hours * 3600.0 / dt_)))
           : 0;
-  engine_->enable_geometry_cache(
-      opts_.start, dt_, plan_window_steps_ > 0 ? plan_window_steps_ : 4);
   if (publish) publish_metrics();
 }
 
@@ -292,11 +289,6 @@ void Session::step() {
   // this step emits, so the two artifacts join without drift.
   const util::Epoch now = clock_.step_start(step);
   if (events != nullptr) events->begin_step(step, clock_.end_hours(step));
-  // This step's cache events count the lookups it makes.
-  const GeometryCache* const cache =
-      events != nullptr ? engine_->geometry_cache() : nullptr;
-  const std::uint64_t hits0 = cache != nullptr ? cache->hits() : 0;
-  const std::uint64_t misses0 = cache != nullptr ? cache->misses() : 0;
 
   // 0. Fault state for this step: refresh the station down mask and
   // emit up/down transitions.  `new_outage` feeds the look-ahead
@@ -606,17 +598,6 @@ void Session::step() {
                                      << audit);
   }
 #endif
-
-  // 6c. Geometry-cache lookups made during this step.
-  if (cache != nullptr) {
-    if (cache->hits() > hits0) {
-      events->cache_hit(static_cast<std::int64_t>(cache->hits() - hits0));
-    }
-    if (cache->misses() > misses0) {
-      events->cache_miss(
-          static_cast<std::int64_t>(cache->misses() - misses0));
-    }
-  }
 
   // 7. Timeseries capture (same StepClock as the event log).
   if (opts_.collect_timeseries) {
@@ -959,14 +940,10 @@ void Session::io_section(Ar& ar, std::string_view name) {
         step_ - plan_origin_ < plan_window_steps_) {
       ar.check_index(step_ - plan_origin_, std::ssize(plan_.per_step));
     }
-  } else if (name == "geometry") {
-    // The memoized step-geometry cache with its hit/miss counters.
-    GeometryCache* gc = engine_->mutable_geometry_cache();
-    ar.expect(gc != nullptr);
-    if (gc != nullptr) gc->io(ar, num_sats_, num_stations_);
-  } else if (name == "matcher") {
-    // Warm-start carryover (decides warm vs cold next step).
-    scheduler_->warm_matcher().io(ar, num_sats_, num_stations_);
+  } else if (name == "geometry" || name == "matcher") {
+    // Empty since v3: the state they held (the step-geometry cache and
+    // the warm-start matcher) is gone.  A non-empty body is rejected as
+    // trailing bytes.
   } else if (name == "tenants") {
     // The fair-share books.
     ar.expect(arbiter_.has_value());
@@ -976,11 +953,9 @@ void Session::io_section(Ar& ar, std::string_view name) {
     }
   } else if (name == "metrics") {
     // The registry's folded state, so a resumed run's scrape is
-    // byte-identical to an uninterrupted one.  Read last, so it
-    // overwrites the cache counters the geometry section already set
-    // (with identical values), and consumed even when this session has
-    // no registry.  The published families in it are set again from
-    // their sources once the checkpoint is applied.
+    // byte-identical to an uninterrupted one.  Consumed even when this
+    // session has no registry.  The published families in it are set
+    // again from their sources once the checkpoint is applied.
     bool has_metrics = opts_.metrics != nullptr;
     std::vector<obs::MetricSnapshot> snap;
     if (!Ar::kReading && has_metrics) snap = opts_.metrics->snapshot();

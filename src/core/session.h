@@ -2,14 +2,14 @@
 //
 // core::Session is the stateful heart of the simulator: it owns every piece
 // of mutable per-run state that Simulator::run() used to keep in locals —
-// onboard queues, station edge queues, the horizon plan, fault masks, the
-// warm-start matcher, contact lifecycle tracking, the result accumulators —
-// and exposes the run as an explicit state machine:
+// onboard queues, station edge queues, the horizon plan, fault masks,
+// contact lifecycle tracking, the result accumulators — and exposes the
+// run as an explicit state machine:
 //
 //   * step() advances exactly one scheduling quantum;
 //   * report() renders a full SimulationResult at ANY point mid-run;
 //   * snapshot()/restore() round-trip the whole session through the
-//     versioned `dgs.checkpoint.v2` artifact (checkpoint.h) such that a
+//     versioned `dgs.checkpoint.v3` artifact (checkpoint.h) such that a
 //     restored run's remaining steps — Report, Prometheus exposition, and
 //     event JSONL — are byte-identical to an uninterrupted run, at any
 //     thread count.  Both directions run through one serializer,
@@ -84,7 +84,7 @@ class Session {
   /// does not perturb the run.
   SimulationResult report() const;
 
-  /// Writes a complete `dgs.checkpoint.v2` snapshot of the session.
+  /// Writes a complete `dgs.checkpoint.v3` snapshot of the session.
   void snapshot(std::ostream& out) const;
 
   /// Reconstructs a session from a snapshot.  The scenario inputs must

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "src/obs/trace.h"
 #include "src/orbit/frames.h"
@@ -96,14 +97,6 @@ void VisibilityEngine::set_metrics(obs::Registry* registry) {
   cull_precise_ = registry->counter(
       "dgs_vis_cull_precise_total",
       "Pairs passing the cone cull and given the precise elevation test");
-}
-
-void VisibilityEngine::enable_geometry_cache(const util::Epoch& base,
-                                             double step_seconds,
-                                             int capacity_steps,
-                                             std::size_t max_bytes) {
-  cache_ = std::make_unique<GeometryCache>(base, step_seconds, capacity_steps,
-                                           metrics_, max_bytes);
 }
 
 util::Vec3 VisibilityEngine::satellite_ecef(int sat,
@@ -304,22 +297,6 @@ void VisibilityEngine::compute_step_geometry(const util::Epoch& when,
   }
 }
 
-const StepGeometry* VisibilityEngine::step_geometry(
-    const util::Epoch& when) const {
-  if (cache_ != nullptr) {
-    if (const std::optional<std::int64_t> key = cache_->step_key(when)) {
-      if (const StepGeometry* hit = cache_->find(*key)) return hit;
-      StepGeometry& slot = cache_->emplace(*key);
-      compute_step_geometry(when, slot);
-      return &slot;
-    }
-  }
-  // Off-grid / uncached steps reuse the engine scratch so the per-step
-  // vectors keep their capacity across calls.
-  compute_step_geometry(when, scratch_geometry_);
-  return &scratch_geometry_;
-}
-
 std::vector<ContactEdge> VisibilityEngine::contacts(
     const util::Epoch& when, std::span<const double> forecast_lead_s,
     std::span<const char> station_down) const {
@@ -332,13 +309,16 @@ std::vector<ContactEdge> VisibilityEngine::contacts(
                                   << stations_->size());
   DGS_TRACE_SPAN("vis.contacts");
 
-  const StepGeometry* geo = step_geometry(when);
+  // The geometry reuses the engine scratch, so the per-step vectors keep
+  // their capacity across calls.
+  compute_step_geometry(when, scratch_geometry_);
+  const StepGeometry& geo = scratch_geometry_;
 
   // Weather sampling and link budgets depend on the forecast lead and the
-  // outage mask, so they are evaluated per call (never cached).  Each
-  // station produces its own edge list (a scratch slot that keeps its
-  // capacity across calls); concatenating them in station order
-  // reproduces the serial station-major, satellite-minor order.
+  // outage mask, so they are evaluated per call.  Each station produces its
+  // own edge list (a scratch slot that keeps its capacity across calls);
+  // concatenating them in station order reproduces the serial
+  // station-major, satellite-minor order.
   edge_scratch_.resize(stations_->size());
   for (std::vector<ContactEdge>& v : edge_scratch_) v.clear();
   std::vector<std::vector<ContactEdge>>& per_station = edge_scratch_;
@@ -354,7 +334,7 @@ std::vector<ContactEdge> VisibilityEngine::contacts(
       // cache.
       std::optional<weather::WeatherSample> station_wx;
 
-      for (const VisibleSat& v : geo->per_station[g]) {
+      for (const VisibleSat& v : geo.per_station[g]) {
         const auto s = static_cast<std::size_t>(v.sat);
         weather::WeatherSample wx;  // defaults to clear sky
         if (wx_ != nullptr) {

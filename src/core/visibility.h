@@ -7,12 +7,9 @@
 // (§3.2) with forecast weather to produce the weighted bipartite contact
 // graph.
 //
-// Three optional accelerators, all preserving bit-identical output:
+// Two optional accelerators, both preserving bit-identical output:
 //   * a ThreadPool (set_thread_pool) parallelizes the per-satellite
 //     propagation and the per-station visibility + link-budget sweep;
-//   * a GeometryCache (enable_geometry_cache) memoizes the weather-
-//     independent geometry of on-grid epochs, so repeated queries of the
-//     same step (look-ahead planning, replanning) propagate only once;
 //   * a spatial visibility index (set_spatial_index, ON by default) culls
 //     sat x station pairs by groundtrack latitude bands and a conservative
 //     visibility-cone test before the precise elevation check, replacing
@@ -20,23 +17,44 @@
 //     The cull is strictly conservative (DESIGN.md §14), so the surviving
 //     pairs — and therefore every produced edge — are bit-identical to
 //     the brute-force sweep.
+//
+// Every query propagates its epoch afresh into a scratch StepGeometry the
+// engine reuses across calls, which is where the allocation savings at
+// constellation scale come from.  No step geometry is memoized: per-instant
+// scheduling queries each step once, and a look-ahead replan re-propagates
+// its window (SGP4 plus the sweep are a small share of a step whose cost
+// is weather sampling; DESIGN.md §9).
 #pragma once
 
-#include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
-#include "src/core/geometry_cache.h"
 #include "src/groundseg/network_gen.h"
 #include "src/link/budget.h"
 #include "src/link/dvbs2_framing.h"
 #include "src/obs/metrics.h"
 #include "src/orbit/sgp4_batch.h"
 #include "src/util/thread_pool.h"
+#include "src/util/vec3.h"
 #include "src/weather/provider.h"
 
 namespace dgs::core {
+
+/// One satellite above a station's elevation mask at a step, with the
+/// topocentric geometry the link budget needs.
+struct VisibleSat {
+  int sat = 0;
+  double elevation_rad = 0.0;
+  double range_km = 0.0;
+};
+
+/// Weather-independent geometry of one scheduling step.
+struct StepGeometry {
+  std::vector<util::Vec3> sat_ecef;  ///< Per satellite, index-aligned.
+  /// Per station: satellites above the mask (owner constraints applied),
+  /// in ascending satellite order.
+  std::vector<std::vector<VisibleSat>> per_station;
+};
 
 /// One feasible downlink opportunity at an instant.
 struct ContactEdge {
@@ -74,8 +92,7 @@ class VisibilityEngine {
   /// (a perfectly fresh plan).  `station_down` optionally marks stations
   /// currently unavailable (failure injection); empty means all up.
   /// Edges that cannot close are omitted.  Output (values and order) is
-  /// independent of the thread pool, cache, and spatial-index
-  /// configuration.
+  /// independent of the thread pool and spatial-index configuration.
   std::vector<ContactEdge> contacts(
       const util::Epoch& when, std::span<const double> forecast_lead_s = {},
       std::span<const char> station_down = {}) const;
@@ -98,23 +115,9 @@ class VisibilityEngine {
 
   /// Borrowed metrics registry; nullptr (default) disables instrumentation.
   /// Registers the engine's counters (propagations, link budgets, contact
-  /// edges, cull candidates/precise tests) and is handed to any cache
-  /// enabled afterwards, so call this before enable_geometry_cache.
+  /// edges, cull candidates/precise tests).
   void set_metrics(obs::Registry* registry);
   obs::Registry* metrics() const { return metrics_; }
-
-  /// Memoize step geometry on the grid `base + k * step_seconds`, keeping
-  /// the most recent `capacity_steps` steps, additionally bounded by
-  /// `max_bytes` of estimated entry footprint (constellation-scale runs
-  /// would otherwise hold gigabytes of per-step geometry; see
-  /// GeometryCache).  Replaces any prior cache.
-  void enable_geometry_cache(
-      const util::Epoch& base, double step_seconds, int capacity_steps,
-      std::size_t max_bytes = GeometryCache::kDefaultMaxBytes);
-  /// The active cache (for tests/telemetry); nullptr when disabled.
-  const GeometryCache* geometry_cache() const { return cache_.get(); }
-  /// Mutable access for checkpoint restore (core::Session).
-  GeometryCache* mutable_geometry_cache() { return cache_.get(); }
 
   int num_sats() const { return batch_.size(); }
   int num_stations() const { return static_cast<int>(stations_->size()); }
@@ -156,11 +159,6 @@ class VisibilityEngine {
   /// then the identical precise elevation test on survivors.
   void sweep_indexed(StepGeometry& out) const;
 
-  /// Geometry for `when`, served from the cache when possible.  The
-  /// returned pointer is the engine's scratch or a cache entry; valid
-  /// until the next step_geometry call or cache mutation.
-  const StepGeometry* step_geometry(const util::Epoch& when) const;
-
   const std::vector<groundseg::SatelliteConfig>* sats_;
   const std::vector<groundseg::GroundStation>* stations_;
   const weather::WeatherProvider* wx_;  ///< May be null (clear-sky planning).
@@ -168,12 +166,11 @@ class VisibilityEngine {
   std::vector<StationGeom> geom_;
   util::ThreadPool* pool_ = nullptr;              ///< Borrowed; may be null.
   bool spatial_index_ = true;
-  mutable std::unique_ptr<GeometryCache> cache_;  ///< Memoization only.
   /// Scratch reused across steps to avoid per-call allocation churn at
   /// constellation scale.  The engine's query methods are driver-thread
-  /// only (the cache already mutates under const); pool workers touch
+  /// only (they mutate this scratch under const); pool workers touch
   /// disjoint per-station slots.
-  mutable StepGeometry scratch_geometry_;       ///< Uncached-step storage.
+  mutable StepGeometry scratch_geometry_;       ///< This query's geometry.
   mutable std::vector<double> radius_scratch_;  ///< Geocentric radii.
   /// Satellites per latitude band, sorted by (longitude, id).
   mutable std::vector<std::vector<BandSat>> band_scratch_;

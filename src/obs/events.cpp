@@ -158,18 +158,6 @@ void EventLog::backhaul_fault_end(int station) {
   begin_line("backhaul_fault_end") << ", \"gs\": " << station << "}\n";
 }
 
-void EventLog::cache_hit(std::int64_t count) {
-  if (!enabled()) return;
-  begin_line("cache_hit")
-      << ", \"count\": " << static_cast<long long>(count) << "}\n";
-}
-
-void EventLog::cache_miss(std::int64_t count) {
-  if (!enabled()) return;
-  begin_line("cache_miss")
-      << ", \"count\": " << static_cast<long long>(count) << "}\n";
-}
-
 void EventLog::backhaul_step(double received_bytes, double uploaded_bytes,
                              double queued_bytes) {
   if (!enabled()) return;

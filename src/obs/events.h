@@ -1,7 +1,7 @@
 // Structured event log: one JSON object per line (JSONL), recording the
 // per-contact lifecycle of a simulation run — contact open/close, MODCOD
 // selection, bytes moved, ack relays, plan uploads, station outages, and
-// geometry-cache behaviour.  The schema (stable keys, one example line per
+// backhaul activity.  The schema (stable keys, one example line per
 // event type) is documented in DESIGN.md §10.
 //
 // Timestamps: every event carries the *end-of-step* simulation time of the
@@ -97,10 +97,6 @@ class EventLog {
   /// (0 = blackout) / recovered to nominal.
   void backhaul_fault_begin(int station, double multiplier);
   void backhaul_fault_end(int station);
-  /// Geometry-cache hits/misses accrued during this step (emitted only for
-  /// steps where the count is nonzero).
-  void cache_hit(std::int64_t count);
-  void cache_miss(std::int64_t count);
   /// Station-side backhaul activity for this step (aggregate over
   /// stations): bytes newly queued at edges and bytes uploaded to cloud.
   void backhaul_step(double received_bytes, double uploaded_bytes,

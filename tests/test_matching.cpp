@@ -2,7 +2,6 @@
 // randomized property sweeps.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "src/core/matching.h"
@@ -202,99 +201,6 @@ TEST(MatcherName, AllKindsNamed) {
   EXPECT_NE(matcher_name(MatcherKind::kStable), "");
   EXPECT_NE(matcher_name(MatcherKind::kOptimal), "");
   EXPECT_NE(matcher_name(MatcherKind::kGreedy), "");
-}
-
-TEST(WarmStartMatcher, EqualsColdStartOnDriftingSequence) {
-  // Simulated pass dynamics: weights drift a little each instant, edges
-  // appear and vanish.  The warm matcher must return exactly what a fresh
-  // Gale-Shapley run returns, instant after instant.
-  util::Rng rng(77);
-  const int sats = 14, stations = 9;
-  std::vector<Edge> edges = random_graph(rng, sats, stations, 0.35);
-  WarmStartMatcher warm;
-  for (int t = 0; t < 60; ++t) {
-    const Matching expect = stable_matching(edges, sats, stations);
-    const Matching got = warm.match(edges, sats, stations);
-    EXPECT_EQ(expect, got) << "instant " << t;
-    // Drift: nudge weights, occasionally drop or add an edge.
-    for (Edge& e : edges) {
-      e.weight = std::max(0.05, e.weight + rng.uniform(-0.5, 0.5));
-    }
-    if (!edges.empty() && rng.chance(0.3)) {
-      edges.erase(edges.begin() +
-                  rng.uniform_int(0, static_cast<int>(edges.size()) - 1));
-    }
-    if (rng.chance(0.3)) {
-      // Contact graphs carry one edge per (sat, station) pair, so the
-      // drift must not create parallel edges (those force the cold-start
-      // fallback and would mask the warm path entirely).
-      const int s = static_cast<int>(rng.uniform_int(0, sats - 1));
-      const int g = static_cast<int>(rng.uniform_int(0, stations - 1));
-      const double w = rng.uniform(0.1, 100.0);
-      const bool present =
-          std::any_of(edges.begin(), edges.end(), [&](const Edge& e) {
-            return e.sat == s && e.station == g;
-          });
-      if (!present) edges.push_back(Edge{s, g, w});
-    }
-  }
-  // A slowly-drifting sequence must actually exercise the warm path.
-  EXPECT_GT(warm.warm_hits(), 0);
-  EXPECT_GT(warm.cold_starts(), 0);
-}
-
-TEST(WarmStartMatcher, StableWeightsReuseThePreviousMatching) {
-  util::Rng rng(5);
-  const auto edges = random_graph(rng, 10, 8, 0.5);
-  WarmStartMatcher warm;
-  const Matching first = warm.match(edges, 10, 8);
-  EXPECT_EQ(warm.cold_starts(), 1);
-  for (int t = 0; t < 5; ++t) {
-    EXPECT_EQ(warm.match(edges, 10, 8), first);
-  }
-  EXPECT_EQ(warm.warm_hits(), 5);
-  EXPECT_EQ(warm.cold_starts(), 1);
-}
-
-TEST(WarmStartMatcher, DuplicatePairsFallBackToColdStart) {
-  // Parallel (sat, station) edges make the winning index ambiguous under
-  // ties; the warm matcher must defer to plain Gale-Shapley.
-  const std::vector<Edge> edges{{0, 0, 1.0}, {0, 0, 7.0}, {1, 1, 3.0}};
-  WarmStartMatcher warm;
-  for (int t = 0; t < 3; ++t) {
-    EXPECT_EQ(warm.match(edges, 2, 2), stable_matching(edges, 2, 2));
-  }
-  EXPECT_EQ(warm.warm_hits(), 0);
-}
-
-TEST(WarmStartMatcher, HandlesEmptyAndShrinkingProblems) {
-  WarmStartMatcher warm;
-  EXPECT_TRUE(warm.match({}, 0, 0).empty());
-  const std::vector<Edge> edges{{0, 0, 2.0}, {1, 1, 1.0}};
-  EXPECT_EQ(warm.match(edges, 2, 2), stable_matching(edges, 2, 2));
-  // The problem shrinks below the previous matching's indices.
-  EXPECT_TRUE(warm.match({}, 1, 1).empty());
-  EXPECT_EQ(warm.match(edges, 2, 2), stable_matching(edges, 2, 2));
-  warm.reset();
-  EXPECT_EQ(warm.match(edges, 2, 2), stable_matching(edges, 2, 2));
-}
-
-TEST(WarmStartMatcher, RandomizedSequencesAgreeWithColdStart) {
-  // Property sweep: arbitrary regenerated graphs (no temporal locality at
-  // all) must still agree — the warm path is exact, not approximate.
-  for (const std::uint64_t seed : {11u, 23u, 31u}) {
-    util::Rng rng(seed);
-    WarmStartMatcher warm;
-    for (int t = 0; t < 30; ++t) {
-      const int sats = static_cast<int>(rng.uniform_int(1, 12));
-      const int stations = static_cast<int>(rng.uniform_int(1, 10));
-      const auto edges =
-          random_graph(rng, sats, stations, rng.uniform(0.1, 0.9));
-      EXPECT_EQ(warm.match(edges, sats, stations),
-                stable_matching(edges, sats, stations))
-          << "seed " << seed << " instant " << t;
-    }
-  }
 }
 
 }  // namespace

@@ -215,8 +215,6 @@ TEST(EventLog, EveryEventTypeEmitsOneValidJsonLine) {
   log.contact_close(1, 2, 4);
   log.outage_begin(7);
   log.outage_end(7);
-  log.cache_hit(3);
-  log.cache_miss(1);
   log.backhaul_step(1.0, 2.0, 3.0);
 
   std::set<std::string> types;
@@ -235,11 +233,11 @@ TEST(EventLog, EveryEventTypeEmitsOneValidJsonLine) {
     ASSERT_TRUE(json_string_field(line, "type", &type)) << line;
     types.insert(type);
   }
-  EXPECT_EQ(lines, 12);
+  EXPECT_EQ(lines, 10);
   const std::set<std::string> expected{
       "contact_open", "modcod_selected", "bytes_moved", "ack_relayed",
       "plan_uploaded", "contact_close", "outage_begin", "outage_end",
-      "cache_hit", "cache_miss", "backhaul_step"};
+      "backhaul_step"};
   EXPECT_EQ(types, expected);
 }
 

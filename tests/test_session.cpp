@@ -5,11 +5,12 @@
 // output surface — summary JSON, Prometheus exposition, event JSONL — to
 // be byte-identical to the uninterrupted run; a per-instant tenant/churn
 // run is restored every 10 steps under the same requirement.  Checked-in
-// v2 fixtures pin the on-disk format: each restores and re-snapshots to
-// the same bytes, and the v1 fixtures are rejected.  Negative-space tests
-// pin the checkpoint validator: truncations, corrupt bytes, oversized
-// length prefixes, out-of-range indices and scenario mismatches must all
-// be rejected with std::invalid_argument.
+// v3 fixtures pin the on-disk format: each restores and re-snapshots to
+// the same bytes, and the v1 and v2 fixtures are rejected.  Negative-space
+// tests pin the checkpoint validator: truncations, corrupt bytes,
+// oversized length prefixes, out-of-range indices, bytes in the empty
+// geometry/matcher sections and scenario mismatches must all be rejected
+// with std::invalid_argument.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -247,16 +248,16 @@ TEST(SessionCheckpoint, PerInstantRestoreEveryTenStepsIsByteIdentical) {
   EXPECT_EQ(resumed.summary, baseline.summary);
   EXPECT_EQ(resumed.prometheus, baseline.prometheus);
   EXPECT_EQ(resumed.events, baseline.events);
-  // Without a registry the geometry cache counts hits and misses itself,
-  // and only its own io() carries them into the cache_miss event deltas.
+  // Without a registry the checkpoint carries no metrics, and the summary
+  // and event log still resume exactly.
   const RunOutputs unscraped = run_restoring_every_ten_steps(s, false);
   EXPECT_EQ(unscraped.summary, baseline.summary);
   EXPECT_EQ(unscraped.events, baseline.events);
 }
 
 // A checkpoint taken without an event log restores into a run that logs
-// one: every step's cache_hit/cache_miss counts are that step's lookups,
-// so the resumed log equals the uninterrupted run's from the same step on.
+// one: every event is emitted by the step it happens in, so the resumed
+// log equals the uninterrupted run's from the same step on.
 TEST(SessionCheckpoint, CacheEventsResumeFromACheckpointWithoutEventLog) {
   const Scenario s = tenant_churn_scenario();
   std::ostringstream full_events;
@@ -268,16 +269,7 @@ TEST(SessionCheckpoint, CacheEventsResumeFromACheckpointWithoutEventLog) {
   const std::size_t prefix = full_events.str().size();
   full.run_to_end();
   const std::string suffix = full_events.str().substr(prefix);
-  // Per-instant steps look their geometry up once, and miss: every step
-  // logs its own single miss, not a running total.
-  std::istringstream lines(full_events.str());
-  int misses = 0;
-  for (std::string line; std::getline(lines, line);) {
-    if (line.find("\"cache_miss\"") == std::string::npos) continue;
-    EXPECT_NE(line.find("\"count\": 1}"), std::string::npos) << line;
-    ++misses;
-  }
-  EXPECT_EQ(misses, 4 * 60);
+  ASSERT_FALSE(suffix.empty());
 
   Session unlogged(s.sats, s.stations, nullptr, s.opts);
   unlogged.run_until_hours(1.0);
@@ -292,12 +284,12 @@ TEST(SessionCheckpoint, CacheEventsResumeFromACheckpointWithoutEventLog) {
   EXPECT_EQ(resumed_events.str(), suffix);
 }
 
-// dgs.checkpoint.v2 fixtures written at 1 h, with a registry and an event
-// log attached.  Restore
-// recomputes no physics, so re-snapshotting must reproduce the file
-// exactly on any platform; it fails as soon as either the writer or the
-// reader leaves v2.  The v1 fixtures of the same scenarios stay checked in
-// to pin that an older format is refused, not misread.
+// dgs.checkpoint.v3 fixtures written at 1 h, with a registry and an event
+// log attached.  Restore recomputes no physics, so re-snapshotting must
+// reproduce the file exactly on any platform; it fails as soon as either
+// the writer or the reader leaves v3.  The v1 and v2 fixtures of the same
+// scenarios stay checked in to pin that an older format is refused, not
+// misread.
 std::string read_fixture(const std::string& name) {
   std::ifstream in(std::string(DGS_TEST_FIXTURE_DIR) + "/" + name,
                    std::ios::binary);
@@ -322,22 +314,26 @@ void expect_fixture_round_trips(const Scenario& s, const std::string& name) {
   EXPECT_TRUE(again.str() == bytes) << name << " re-snapshots differently";
 }
 
-TEST(SessionCheckpointFixture, StormLookaheadV2RoundTripsByteForByte) {
+TEST(SessionCheckpointFixture, StormLookaheadV3RoundTripsByteForByte) {
   expect_fixture_round_trips(golden_scenario(),
-                             "checkpoint_v2_storm_lookahead_1h.ckpt");
+                             "checkpoint_v3_storm_lookahead_1h.ckpt");
 }
 
-TEST(SessionCheckpointFixture, TenantsChurnV2RoundTripsByteForByte) {
+TEST(SessionCheckpointFixture, TenantsChurnV3RoundTripsByteForByte) {
   expect_fixture_round_trips(tenant_churn_scenario(),
-                             "checkpoint_v2_tenants_churn_1h.ckpt");
+                             "checkpoint_v3_tenants_churn_1h.ckpt");
 }
 
-TEST(SessionCheckpointFixture, V1FixturesAreRejectedNamingTheVersion) {
-  const std::pair<Scenario, const char*> v1[] = {
-      {golden_scenario(), "checkpoint_v1_storm_lookahead_1h.ckpt"},
-      {tenant_churn_scenario(), "checkpoint_v1_tenants_churn_1h.ckpt"},
+/// Restoring both fixtures of format `version` ("v1", "v2") must throw
+/// std::invalid_argument naming that version.
+void expect_fixtures_rejected(const std::string& version) {
+  const std::pair<Scenario, std::string> fixtures[] = {
+      {golden_scenario(),
+       "checkpoint_" + version + "_storm_lookahead_1h.ckpt"},
+      {tenant_churn_scenario(),
+       "checkpoint_" + version + "_tenants_churn_1h.ckpt"},
   };
-  for (const auto& [s, name] : v1) {
+  for (const auto& [s, name] : fixtures) {
     const std::string bytes = read_fixture(name);
     ASSERT_FALSE(bytes.empty()) << name;
     std::istringstream in(bytes);
@@ -345,11 +341,19 @@ TEST(SessionCheckpointFixture, V1FixturesAreRejectedNamingTheVersion) {
       Session::restore(in, s.sats, s.stations, nullptr, s.opts);
       ADD_FAILURE() << name << " restored";
     } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("dgs.checkpoint.v1"),
+      EXPECT_NE(std::string(e.what()).find("dgs.checkpoint." + version),
                 std::string::npos)
           << e.what();
     }
   }
+}
+
+TEST(SessionCheckpointFixture, V1FixturesAreRejectedNamingTheVersion) {
+  expect_fixtures_rejected("v1");
+}
+
+TEST(SessionCheckpointFixture, V2FixturesAreRejectedNamingTheVersion) {
+  expect_fixtures_rejected("v2");
 }
 
 // An immediate snapshot (step 0) restores to the full run, and a
@@ -467,12 +471,13 @@ TEST_F(SessionCheckpointNegative, ScenarioMismatchesAreRejected) {
 // A length prefix that claims more elements than the section has bytes
 // left must be rejected before anything is sized from it — not surface
 // as std::bad_alloc / std::length_error or a multi-GB allocation.  One
-// count per section of the tenant/churn fixture, at its byte offset in
-// the section body.
+// count per section of the tenant/churn fixture that holds one, at its
+// byte offset in the section body.  The geometry and matcher sections are
+// empty (SessionCheckpointEmptySections below).
 TEST(SessionCheckpointCounts, OversizedCountsAreRejectedInEverySection) {
   const Scenario s = tenant_churn_scenario();
   const std::string bytes =
-      read_fixture("checkpoint_v2_tenants_churn_1h.ckpt");
+      read_fixture("checkpoint_v3_tenants_churn_1h.ckpt");
   CheckpointView view;
   ASSERT_FALSE(read_checkpoint(bytes, &view).has_value());
   const std::pair<const char*, std::size_t> first_counts[] = {
@@ -486,17 +491,14 @@ TEST(SessionCheckpointCounts, OversizedCountsAreRejectedInEverySection) {
       {"stations", 8 + 12 * 4 + 1 + 12 + 1 + 1},
       // After plan_origin.
       {"planner", 8},
-      // After the cache flag, hits and misses.
-      {"geometry", 1 + 8 + 8},
-      // prev_pairs.
-      {"matcher", 0},
       // The section holds no sequence; its tenant count, after the flag,
       // is checked against the session's instead.
       {"tenants", 1},
       // After the registry flag.
       {"metrics", 1},
   };
-  ASSERT_EQ(std::size(first_counts), checkpoint_section_names().size());
+  // Plus the two empty sections.
+  ASSERT_EQ(std::size(first_counts) + 2, checkpoint_section_names().size());
   for (const auto& [section, offset] : first_counts) {
     for (const std::uint64_t count :
          {std::uint64_t{1} << 40, std::uint64_t{1} << 62,
@@ -528,8 +530,7 @@ TEST(SessionCheckpointCounts, OversizedCountsAreRejectedInEverySection) {
 }
 
 // --- Index range checks: a CRC-valid checkpoint whose section carries a
-// satellite or station index past the fleet (or a geometry entry of the
-// wrong size) is rejected on read, before a resumed step indexes a vector
+// satellite or station index past the fleet is rejected on read, before a resumed step indexes a vector
 // with it.  Each test patches one field of a fresh 1 h snapshot and
 // re-frames the file with a valid CRC through write_checkpoint.
 
@@ -653,132 +654,24 @@ TEST(SessionCheckpointIndices, PlanOriginIsRangeChecked) {
   }
 }
 
-TEST(SessionCheckpointIndices, WarmStartPairsAreRangeChecked) {
-  const Scenario s = tenant_churn_scenario();
-  const std::string bytes = snapshot_at_one_hour(s);
-  // The first pair's satellite, then its station, after the pair count.
-  for (const std::int32_t bad : kBadSat) {
-    expect_patch_rejected(s, bytes, "matcher", [&](std::string* body) {
-      BinaryReader r(*body);
-      if (read_u64(r) == 0) return false;
-      put_i32(body, 8, bad);
-      return true;
-    });
-  }
-  for (const std::int32_t bad : kBadStation) {
-    expect_patch_rejected(s, bytes, "matcher", [&](std::string* body) {
-      BinaryReader r(*body);
-      if (read_u64(r) == 0) return false;
-      put_i32(body, 12, bad);
-      return true;
-    });
-  }
-}
-
-TEST(SessionCheckpointIndices, WarmStartOrdersAreRangeChecked) {
-  const Scenario s = tenant_churn_scenario();
-  const std::string bytes = snapshot_at_one_hour(s);
-  for (const std::int32_t bad : kBadStation) {
-    // The first station of the first non-empty preference order, after
-    // the (sat, station) pairs.
-    expect_patch_rejected(s, bytes, "matcher", [&](std::string* body) {
-      BinaryReader r(*body);
-      const std::uint64_t pairs = read_u64(r);
-      BinaryReader orders(std::string_view(*body).substr(8 + 8 * pairs));
-      for (std::uint64_t k = read_u64(orders); k > 0; --k) {
-        const std::uint64_t n = read_u64(orders);
-        if (n > 0) {
-          put_i32(body, offset_of(*body, orders), bad);
+// The geometry and matcher sections are written empty; a CRC-valid file
+// that carries bytes in either is rejected as trailing section bytes.
+TEST(SessionCheckpointEmptySections, NonEmptyGeometryOrMatcherIsRejected) {
+  for (const Scenario& s : {golden_scenario(), tenant_churn_scenario()}) {
+    const std::string bytes = snapshot_at_one_hour(s);
+    CheckpointView view;
+    ASSERT_FALSE(read_checkpoint(bytes, &view).has_value());
+    for (const char* section : {"geometry", "matcher"}) {
+      EXPECT_TRUE(view.section(section).empty()) << section;
+      // One stray byte, and what an empty count would look like.
+      for (const std::size_t n : {std::size_t{1}, std::size_t{8}}) {
+        expect_patch_rejected(s, bytes, section, [&](std::string* body) {
+          body->append(n, '\0');
           return true;
-        }
-      }
-      return false;
-    });
-  }
-}
-
-/// Byte layout of the geometry section's cache entries.  After the cache
-/// flag, the hit and miss counts and the entry count, each entry is its
-/// step key, its satellite positions (a count, 24 bytes each), then its
-/// station lists (a count; per station a count and 20 bytes per visible
-/// satellite).
-struct GeometryEntry {
-  std::size_t positions_at = 0;  ///< The position count.
-  std::uint64_t positions = 0;
-  std::size_t stations_at = 0;   ///< The station count.
-  std::vector<std::size_t> station_at;  ///< Each station's list count.
-  std::size_t end = 0;
-};
-
-std::vector<GeometryEntry> geometry_entries(const std::string& body) {
-  BinaryReader r(body);
-  std::uint8_t has_cache = 0;
-  r.u8(has_cache);
-  read_u64(r);
-  read_u64(r);
-  std::vector<GeometryEntry> entries(has_cache != 0 ? read_u64(r) : 0);
-  for (GeometryEntry& e : entries) {
-    read_u64(r);  // Step key.
-    e.positions_at = offset_of(body, r);
-    e.positions = read_u64(r);
-    for (std::uint64_t i = 0; i < 3 * e.positions; ++i) read_u64(r);
-    e.stations_at = offset_of(body, r);
-    for (std::uint64_t g = read_u64(r); g > 0; --g) {
-      e.station_at.push_back(offset_of(body, r));
-      for (std::uint64_t v = read_u64(r); v > 0; --v) {
-        std::int32_t sat = 0;
-        double x = 0.0;
-        r.i32(sat);
-        r.f64(x);
-        r.f64(x);
+        });
       }
     }
-    e.end = offset_of(body, r);
   }
-  return entries;
-}
-
-TEST(SessionCheckpointIndices, GeometryVisibleSatelliteIsRangeChecked) {
-  const Scenario s = golden_scenario();
-  const std::string bytes = snapshot_at_one_hour(s);
-  for (const std::int32_t bad : kBadSat) {
-    // The first visible satellite of any cached step.
-    expect_patch_rejected(s, bytes, "geometry", [&](std::string* body) {
-      for (const GeometryEntry& e : geometry_entries(*body)) {
-        for (const std::size_t at : e.station_at) {
-          BinaryReader r(std::string_view(*body).substr(at));
-          if (read_u64(r) > 0) {
-            put_i32(body, at + 8, bad);
-            return true;
-          }
-        }
-      }
-      return false;
-    });
-  }
-}
-
-TEST(SessionCheckpointIndices, GeometryEntrySizesAreChecked) {
-  const Scenario s = golden_scenario();
-  const std::string bytes = snapshot_at_one_hour(s);
-  // The first cached step one satellite position short.
-  expect_patch_rejected(s, bytes, "geometry", [&](std::string* body) {
-    const std::vector<GeometryEntry> entries = geometry_entries(*body);
-    if (entries.empty() || entries[0].positions == 0) return false;
-    const GeometryEntry& e = entries[0];
-    body->erase(e.stations_at - 24, 24);
-    put_u64(body, e.positions_at, e.positions - 1);
-    return true;
-  });
-  // The first cached step one station list short.
-  expect_patch_rejected(s, bytes, "geometry", [&](std::string* body) {
-    const std::vector<GeometryEntry> entries = geometry_entries(*body);
-    if (entries.empty() || entries[0].station_at.empty()) return false;
-    const GeometryEntry& e = entries[0];
-    body->erase(e.station_at.back(), e.end - e.station_at.back());
-    put_u64(body, e.stations_at, e.station_at.size() - 1);
-    return true;
-  });
 }
 
 TEST_F(SessionCheckpointNegative, ThreadCountChangeIsAccepted) {

@@ -3,6 +3,7 @@
 // and checkpointing of the tenant books.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <sstream>
@@ -258,6 +259,39 @@ TEST(TenantSim, SummaryJsonGainsTenantRowsAndValidates) {
                           "\"share\":", "\"sla_attainment\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
+}
+
+TEST(TenantSim, SlaBoundaryCountsAsAttained) {
+  // A chunk delivered at exactly the target latency is within the SLA.
+  // The target is accounting-only, so both runs share one trajectory and
+  // the target can be set to a latency the untargeted run delivered.
+  const TenantScenario s = tenant_scenario();
+  auto opts = tenant_opts(9, make_tenants(9, {{"a", 1}, {"b", 2}}));
+  const SimulationResult untargeted =
+      Simulator(s.sats, s.stations, nullptr, opts).run();
+  ASSERT_EQ(untargeted.per_tenant.size(), 2u);
+  const std::vector<double> lat =
+      untargeted.per_tenant[0].latency_minutes.sorted();
+  ASSERT_FALSE(lat.empty());
+  EXPECT_EQ(untargeted.per_tenant[0].sla_attainment, 1.0);
+
+  const double target = lat[lat.size() / 2];
+  opts.tenants[0].sla_latency_minutes = target;
+  const SimulationResult r =
+      Simulator(s.sats, s.stations, nullptr, opts).run();
+  EXPECT_EQ(r.per_tenant[0].latency_minutes.sorted(), lat);
+  const auto n = static_cast<double>(lat.size());
+  const double at_or_below =
+      static_cast<double>(std::count_if(
+          lat.begin(), lat.end(), [&](double v) { return v <= target; })) /
+      n;
+  const double below =
+      static_cast<double>(std::count_if(
+          lat.begin(), lat.end(), [&](double v) { return v < target; })) /
+      n;
+  ASSERT_GT(at_or_below, below);
+  EXPECT_EQ(r.per_tenant[0].sla_attainment, at_or_below);
+  EXPECT_EQ(r.per_tenant[1].sla_attainment, 1.0);
 }
 
 TEST(TenantSim, CheckpointRoundTripsTenantBooks) {

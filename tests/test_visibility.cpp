@@ -1,4 +1,5 @@
-// Contact graph construction: geometry, masks, constraints, weather input.
+// Contact graph construction: geometry, masks, constraints, weather input,
+// and thread-count independence of the produced edges.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -6,6 +7,7 @@
 #include "src/core/visibility.h"
 #include "src/orbit/passes.h"
 #include "src/util/angles.h"
+#include "src/weather/synthetic.h"
 
 namespace dgs::core {
 namespace {
@@ -145,6 +147,46 @@ TEST_F(VisibilityTest, SatelliteEcefIsLeoAltitude) {
 TEST_F(VisibilityTest, LeadVectorSizeValidated) {
   std::vector<double> bad(3, 0.0);  // wrong size
   EXPECT_THROW(engine_.contacts(kEpoch, bad), std::invalid_argument);
+}
+
+struct EngineFixture : public ::testing::Test {
+  EngineFixture() {
+    groundseg::NetworkOptions net;
+    net.num_satellites = 8;
+    net.num_stations = 10;
+    net.seed = 5;
+    sats = groundseg::generate_constellation(net, kEpoch);
+    stations = groundseg::generate_dgs_stations(net);
+  }
+  std::vector<groundseg::SatelliteConfig> sats;
+  std::vector<groundseg::GroundStation> stations;
+  weather::SyntheticWeatherProvider wx{13, kEpoch, 4.0};
+};
+
+void expect_same_edges(const std::vector<ContactEdge>& a,
+                       const std::vector<ContactEdge>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].sat, b[i].sat);
+    EXPECT_EQ(a[i].station, b[i].station);
+    EXPECT_EQ(a[i].elevation_rad, b[i].elevation_rad);
+    EXPECT_EQ(a[i].range_km, b[i].range_km);
+    EXPECT_EQ(a[i].predicted_rate_bps, b[i].predicted_rate_bps);
+    EXPECT_EQ(a[i].modcod, b[i].modcod);
+  }
+}
+
+TEST_F(EngineFixture, ThreadedContactsIdenticalToSerial) {
+  VisibilityEngine serial(sats, stations, &wx);
+  VisibilityEngine threaded(sats, stations, &wx);
+  util::ThreadPool pool(
+      util::ParallelConfig{.num_threads = 4, .chunk_size = 2});
+  threaded.set_thread_pool(&pool);
+  std::vector<double> leads(sats.size(), 1800.0);  // stale-plan forecasts
+  for (int k = 0; k < 6; ++k) {
+    const util::Epoch t = kEpoch.plus_seconds(k * 60.0);
+    expect_same_edges(serial.contacts(t, leads), threaded.contacts(t, leads));
+  }
 }
 
 }  // namespace
