@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
+#include <limits>
 
 #include "src/obs/trace.h"
 #include "src/orbit/frames.h"
@@ -330,9 +330,12 @@ std::vector<ContactEdge> VisibilityEngine::contacts(
       if (!station_down.empty() && station_down[g]) continue;
       const groundseg::GroundStation& gs = (*stations_)[g];
 
-      // Zero-lead forecast is shared by all satellites at this station;
-      // cache.
-      std::optional<weather::WeatherSample> station_wx;
+      // The station's last (lead, sample): satellites sharing a lead share
+      // the forecast, as every satellite does within a look-ahead horizon
+      // step.  Leads <= 0 all mean the actual weather, keyed as 0.  A NaN
+      // lead never matches, so it still reaches forecast() and throws.
+      double memo_lead = std::numeric_limits<double>::quiet_NaN();
+      weather::WeatherSample memo_wx;
 
       for (const VisibleSat& v : geo.per_station[g]) {
         const auto s = static_cast<std::size_t>(v.sat);
@@ -340,16 +343,18 @@ std::vector<ContactEdge> VisibilityEngine::contacts(
         if (wx_ != nullptr) {
           const double lead =
               forecast_lead_s.empty() ? 0.0 : forecast_lead_s[s];
-          if (lead <= 0.0) {
-            if (!station_wx) {
-              station_wx = wx_->actual(gs.location.latitude_rad,
-                                       gs.location.longitude_rad, when);
+          const double key = lead <= 0.0 ? 0.0 : lead;
+          if (!(key == memo_lead)) {
+            if (lead <= 0.0) {
+              memo_wx = wx_->actual(gs.location.latitude_rad,
+                                    gs.location.longitude_rad, when);
+            } else {
+              memo_wx = wx_->forecast(gs.location.latitude_rad,
+                                      gs.location.longitude_rad, when, lead);
             }
-            wx = *station_wx;
-          } else {
-            wx = wx_->forecast(gs.location.latitude_rad,
-                               gs.location.longitude_rad, when, lead);
+            memo_lead = key;
           }
+          wx = memo_wx;
         }
 
         link::PathConditions path;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/util/angles.h"
 #include "src/util/check.h"
@@ -13,6 +14,22 @@ namespace dgs::weather {
 namespace {
 
 constexpr double kEarthRadiusKm = 6371.0;
+
+// Storm-field index (DESIGN.md §9): query latitudes in 2-degree bands.  The
+// margin widens every conservative bound far beyond the few-ulp rounding of
+// the distance test it stands in for.
+constexpr int kFieldBands = 90;
+constexpr double kFieldMarginRad = 1e-6;
+
+/// Band of a latitude (not NaN); beyond either pole clamps to the end band.
+/// Monotone, so a storm listed in the bands of both ends of its latitude
+/// reach is listed in the band of every latitude between.
+int field_band(double lat) {
+  const double t = (lat + util::kPi / 2.0) / (util::kPi / kFieldBands);
+  if (!(t > 0.0)) return 0;
+  if (t >= kFieldBands) return kFieldBands - 1;
+  return static_cast<int>(t);
+}
 
 /// SplitMix64 — used for deterministic forecast-error angles.
 std::uint64_t mix64(std::uint64_t z) {
@@ -76,45 +93,162 @@ SyntheticWeatherProvider::SyntheticWeatherProvider(
   }
 }
 
-WeatherSample SyntheticWeatherProvider::sample_at(double lat, double lon,
-                                                  double t_s) const {
-  WeatherSample out;
-  out.cloud_liquid_kg_m2 = background_cloud_kg_m2(lat);
+/// The storm field at one instant.  Each cell holds one live storm's
+/// drifted centre and the per-instant constants of its distance and
+/// intensity terms; `bands[b]` lists, in ascending storm order, the cells
+/// whose 3.5-sigma shield can reach a query point whose latitude falls in
+/// band b.  Sampling walks one band: every storm it skips would have failed
+/// the distance test, and the rest are summed in storm order with the
+/// arithmetic of a scan over all storms, so samples are bit-identical to
+/// that scan (tests/test_weather.cpp keeps it as the oracle).
+struct SyntheticWeatherProvider::Field {
+  struct Cell {
+    double c_lat, c_lon;   ///< Drifted centre.
+    double cos_c_lat;      ///< cos(c_lat), hoisted out of the haversine.
+    double c_lon_wrapped;  ///< c_lon reduced to [-pi, pi].
+    double lon_reach_rad;  ///< Shield's longitude half-width (inf: pole).
+    double reach_km;       ///< 3.5 cloud sigma: the shield's extent.
+    double rain_reach_km;  ///< 2.5 rain sigma.
+    double rain_denom;     ///< 2 rain_sigma^2.
+    double cloud_denom;    ///< 2 cloud_sigma^2.
+    double rain_amp;       ///< Peak rain x envelope.
+    double cloud_amp;      ///< Peak cloud x envelope.
+  };
 
-  for (const Storm& s : storms_) {
-    if (t_s < s.birth_s || t_s > s.death_s) continue;
-    const double age = t_s - s.birth_s;
-    const double c_lat = s.lat0_rad + s.vel_north_rad_s * age;
-    const double c_lon = s.lon0_rad + s.vel_east_rad_s * age;
+  double t_s = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Cell> cells;
+  std::vector<std::vector<std::uint32_t>> bands;
+
+  void build(const std::vector<Storm>& storms, double t);
+  WeatherSample sample(double lat, double lon) const;
+};
+
+void SyntheticWeatherProvider::Field::build(const std::vector<Storm>& storms,
+                                            double t) {
+  t_s = t;
+  cells.clear();
+  bands.resize(kFieldBands);
+  for (std::vector<std::uint32_t>& band : bands) band.clear();
+  for (const Storm& s : storms) {
+    if (t < s.birth_s || t > s.death_s) continue;
+    const double age = t - s.birth_s;
+    Cell c;
+    c.c_lat = s.lat0_rad + s.vel_north_rad_s * age;
+    c.c_lon = s.lon0_rad + s.vel_east_rad_s * age;
+    c.cos_c_lat = std::cos(c.c_lat);
+    c.c_lon_wrapped = std::remainder(c.c_lon, util::kTwoPi);
 
     // The precipitating core is much smaller than the cloud shield: rain
     // covers only a few percent of the globe at any instant while cloud
     // cover is a large fraction.
     const double cloud_sigma = s.radius_km;
     const double rain_sigma = s.radius_km / 4.0;
-
-    // Cheap meridional prefilter: |dlat| alone already exceeds the shield.
-    if (std::fabs(lat - c_lat) * kEarthRadiusKm > 3.5 * cloud_sigma) continue;
-
-    const double d_km =
-        util::great_circle_angle(lat, lon, c_lat, c_lon) * kEarthRadiusKm;
-    if (d_km > 3.5 * cloud_sigma) continue;
+    c.reach_km = 3.5 * cloud_sigma;
+    c.rain_reach_km = 2.5 * rain_sigma;
+    c.rain_denom = 2.0 * rain_sigma * rain_sigma;
+    c.cloud_denom = 2.0 * cloud_sigma * cloud_sigma;
 
     // Storm intensity ramps up and decays over its lifetime (sine envelope).
     const double life = s.death_s - s.birth_s;
     const double envelope = std::sin(util::kPi * age / life);
+    c.rain_amp = s.peak_rain_mm_h * envelope;
+    c.cloud_amp = s.cloud_kg_m2 * envelope;
 
-    if (d_km < 2.5 * rain_sigma) {
-      const double rain =
-          s.peak_rain_mm_h * envelope *
-          std::exp(-d_km * d_km / (2.0 * rain_sigma * rain_sigma));
+    // The shield's angular radius, widened by the margin, bounds both the
+    // latitude bands it reaches and, when it holds no pole, its longitude
+    // extent: the spherical cap's bounding box.
+    const double reach_rad = c.reach_km / kEarthRadiusKm + kFieldMarginRad;
+    c.lon_reach_rad = std::numeric_limits<double>::infinity();
+    if (std::fabs(c.c_lat) + reach_rad < util::kPi / 2.0) {
+      c.lon_reach_rad =
+          std::asin(std::min(1.0, std::sin(reach_rad) / c.cos_c_lat)) +
+          kFieldMarginRad;
+    }
+    // A NaN centre (a NaN instant) is visited from every band, as a scan
+    // over all storms would visit it.
+    int lo = 0;
+    int hi = kFieldBands - 1;
+    if (!std::isnan(c.c_lat)) {
+      lo = field_band(c.c_lat - reach_rad);
+      hi = field_band(c.c_lat + reach_rad);
+    }
+    const auto index = static_cast<std::uint32_t>(cells.size());
+    for (int b = lo; b <= hi; ++b) {
+      bands[static_cast<std::size_t>(b)].push_back(index);
+    }
+    cells.push_back(c);
+  }
+}
+
+WeatherSample SyntheticWeatherProvider::Field::sample(double lat,
+                                                      double lon) const {
+  WeatherSample out;
+  out.cloud_liquid_kg_m2 = background_cloud_kg_m2(lat);
+
+  // The longitude window only holds for a point on the sphere's chart; a
+  // forecast-displaced latitude beyond a pole skips it.
+  const bool lon_window = std::fabs(lat) <= util::kPi / 2.0;
+  const double lon_wrapped = std::remainder(lon, util::kTwoPi);
+  const double cos_lat = std::cos(lat);
+  const auto visit = [&](const Cell& c) {
+    // Cheap meridional prefilter: |dlat| alone already exceeds the shield.
+    if (std::fabs(lat - c.c_lat) * kEarthRadiusKm > c.reach_km) return;
+    if (lon_window) {
+      double dlon = std::fabs(lon_wrapped - c.c_lon_wrapped);
+      if (dlon > util::kPi) dlon = util::kTwoPi - dlon;
+      if (dlon > c.lon_reach_rad) return;
+    }
+
+    // util::great_circle_angle(lat, lon, c_lat, c_lon) with both cosines
+    // hoisted: the same operations in the same order.
+    const double sdlat = std::sin((c.c_lat - lat) / 2.0);
+    const double sdlon = std::sin((c.c_lon - lon) / 2.0);
+    const double h = sdlat * sdlat + cos_lat * c.cos_c_lat * sdlon * sdlon;
+    const double d_km =
+        2.0 * std::asin(std::min(1.0, std::sqrt(h))) * kEarthRadiusKm;
+    if (d_km > c.reach_km) return;
+
+    if (d_km < c.rain_reach_km) {
+      const double rain = c.rain_amp * std::exp(-d_km * d_km / c.rain_denom);
       out.rain_rate_mm_h = std::max(out.rain_rate_mm_h, rain);
     }
     out.cloud_liquid_kg_m2 +=
-        s.cloud_kg_m2 * envelope *
-        std::exp(-d_km * d_km / (2.0 * cloud_sigma * cloud_sigma));
+        c.cloud_amp * std::exp(-d_km * d_km / c.cloud_denom);
+  };
+  if (std::isnan(lat)) {
+    // No band holds a NaN latitude; no storm would fail its tests either.
+    for (const Cell& c : cells) visit(c);
+  } else {
+    for (std::uint32_t i : bands[static_cast<std::size_t>(field_band(lat))]) {
+      visit(cells[i]);
+    }
   }
   out.cloud_liquid_kg_m2 = std::min(out.cloud_liquid_kg_m2, 4.0);
+  return out;
+}
+
+std::shared_ptr<const SyntheticWeatherProvider::Field>
+SyntheticWeatherProvider::field_at(double t_s) const {
+  std::lock_guard<std::mutex> lock(field_mu_);
+  if (field_ == nullptr || !(field_->t_s == t_s)) {
+    // Rebuild in place, keeping the buffers, unless another caller is
+    // still sampling the previous instant.
+    if (field_ == nullptr || field_.use_count() > 1) {
+      field_ = std::make_shared<Field>();
+    }
+    field_->build(storms_, t_s);
+  }
+  return field_;
+}
+
+WeatherSample SyntheticWeatherProvider::sample_at(double lat, double lon,
+                                                  double t_s) const {
+  std::shared_ptr<const Field> field = field_at(t_s);
+  const WeatherSample out = field->sample(lat, lon);
+  // Drop the reference under the lock: a later field_at() that sees
+  // use_count() == 1 then happens after this caller's last read.
+  const std::lock_guard<std::mutex> lock(field_mu_);
+  field.reset();
   return out;
 }
 

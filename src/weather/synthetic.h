@@ -8,9 +8,15 @@
 // with lead time by perturbing the queried position/time with deterministic
 // noise, which reproduces the operationally relevant failure mode: a
 // mis-placed storm, not white noise on the rain rate.
+//
+// Every sample at one instant sees the same storm field, so the provider
+// builds it once per distinct instant (drifted centres, envelopes, latitude
+// bands) and reuses it until the instant changes (DESIGN.md §9).
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "src/weather/provider.h"
@@ -47,6 +53,10 @@ class SyntheticWeatherProvider final : public WeatherProvider {
   std::size_t storm_count() const { return storms_.size(); }
 
  private:
+  /// Test-only access: tests/test_weather.cpp checks the storm-field index
+  /// against a scan of every storm.
+  friend struct SyntheticWeatherPeer;
+
   struct Storm {
     double lat0_rad, lon0_rad;     ///< Centre at birth.
     double vel_east_rad_s;         ///< Zonal drift.
@@ -57,13 +67,22 @@ class SyntheticWeatherProvider final : public WeatherProvider {
     double cloud_kg_m2;            ///< Peak cloud liquid of the shield.
   };
 
+  /// The storms alive at one instant, bucketed by latitude (synthetic.cpp).
+  struct Field;
+
   WeatherSample sample_at(double lat, double lon, double t_s) const;
+  std::shared_ptr<const Field> field_at(double t_s) const;
 
   util::Epoch start_;
   double horizon_s_;
   SyntheticWeatherOptions opts_;
   std::uint64_t seed_;
   std::vector<Storm> storms_;
+
+  /// The field of the last instant sampled.  Callers take and drop their
+  /// reference under the lock, so a field nobody holds is rebuilt in place.
+  mutable std::mutex field_mu_;
+  mutable std::shared_ptr<Field> field_;
 };
 
 }  // namespace dgs::weather

@@ -6,10 +6,10 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "src/orbit/numerical.h"
 #include "src/orbit/sgp4.h"
 #include "src/orbit/tle.h"
 #include "src/util/constants.h"
+#include "tests/numerical.h"
 
 namespace dgs::orbit {
 namespace {

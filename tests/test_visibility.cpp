@@ -2,7 +2,11 @@
 // and thread-count independence of the produced edges.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
+#include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "src/core/visibility.h"
 #include "src/orbit/passes.h"
@@ -187,6 +191,139 @@ TEST_F(EngineFixture, ThreadedContactsIdenticalToSerial) {
     const util::Epoch t = kEpoch.plus_seconds(k * 60.0);
     expect_same_edges(serial.contacts(t, leads), threaded.contacts(t, leads));
   }
+}
+
+/// Pass-through provider that counts calls (both kinds) and records the
+/// sampled points, as perfbench's recording wrapper does.
+class CountingWeather final : public weather::WeatherProvider {
+ public:
+  explicit CountingWeather(const weather::WeatherProvider* inner)
+      : inner_(inner) {}
+
+  weather::WeatherSample actual(double lat, double lon,
+                                const util::Epoch& when) const override {
+    ++calls_;
+    return inner_->actual(lat, lon, when);
+  }
+  weather::WeatherSample forecast(double lat, double lon,
+                                  const util::Epoch& when,
+                                  double lead_seconds) const override {
+    ++calls_;
+    return inner_->forecast(lat, lon, when, lead_seconds);
+  }
+
+  int take_calls() const { return calls_.exchange(0); }
+
+ private:
+  const weather::WeatherProvider* inner_;
+  mutable std::atomic<int> calls_{0};
+};
+
+struct ForecastMemoFixture : public ::testing::Test {
+  ForecastMemoFixture() {
+    groundseg::NetworkOptions net;
+    net.num_satellites = 60;
+    net.num_stations = 40;
+    net.seed = 11;
+    sats = groundseg::generate_constellation(net, kEpoch);
+    stations = groundseg::generate_dgs_stations(net);
+  }
+
+  /// Visible (allowed, above-mask) pairs at `when` and the number of
+  /// stations that see at least one satellite.
+  std::pair<int, int> visible_pairs_and_stations(const VisibilityEngine& e,
+                                                 const util::Epoch& when) {
+    int pairs = 0;
+    int seeing = 0;
+    for (int g = 0; g < e.num_stations(); ++g) {
+      int here = 0;
+      for (int s = 0; s < e.num_sats(); ++s) {
+        if (stations[static_cast<std::size_t>(g)].constraints.allows(
+                static_cast<std::size_t>(s)) &&
+            e.visible(s, g, when)) {
+          ++here;
+        }
+      }
+      pairs += here;
+      if (here > 0) ++seeing;
+    }
+    return {pairs, seeing};
+  }
+
+  /// Memo-free reference: one single-satellite engine per satellite, so
+  /// every station samples the weather once per satellite, merged into
+  /// the engine's station-major, satellite-minor order.
+  std::vector<ContactEdge> reference(const util::Epoch& when,
+                                     const std::vector<double>& leads) {
+    std::vector<std::vector<ContactEdge>> per_station(stations.size());
+    for (std::size_t s = 0; s < sats.size(); ++s) {
+      const std::vector<groundseg::SatelliteConfig> one = {sats[s]};
+      auto restricted = stations;
+      for (auto& gs : restricted) {
+        const bool allowed = gs.constraints.allows(s);
+        gs.constraints = groundseg::DownlinkConstraints(1);
+        if (!allowed) gs.constraints.deny(0);
+      }
+      const VisibilityEngine single(one, restricted, &wx);
+      const std::vector<double> lead = {leads[s]};
+      for (ContactEdge e : single.contacts(when, lead)) {
+        e.sat = static_cast<int>(s);
+        per_station[static_cast<std::size_t>(e.station)].push_back(e);
+      }
+    }
+    std::vector<ContactEdge> out;
+    for (const auto& v : per_station) out.insert(out.end(), v.begin(), v.end());
+    return out;
+  }
+
+  std::vector<groundseg::SatelliteConfig> sats;
+  std::vector<groundseg::GroundStation> stations;
+  weather::SyntheticWeatherProvider wx{17, kEpoch, 4.0};
+};
+
+TEST_F(ForecastMemoFixture, OneForecastPerStationAndLead) {
+  CountingWeather counting(&wx);
+  VisibilityEngine engine(sats, stations, &counting);
+  const std::vector<double> uniform(sats.size(), 1800.0);
+  std::vector<double> distinct(sats.size());
+  for (std::size_t s = 0; s < sats.size(); ++s) {
+    distinct[s] = 600.0 + 7.0 * static_cast<double>(s);
+  }
+  int checked_pairs = 0;
+  for (int k = 0; k < 12; ++k) {
+    const util::Epoch t = kEpoch.plus_seconds(k * 300.0);
+    const auto [pairs, seeing] = visible_pairs_and_stations(engine, t);
+    checked_pairs += pairs;
+
+    // Uniform leads (a look-ahead horizon step): one forecast per station
+    // that sees a satellite.
+    expect_same_edges(engine.contacts(t, uniform), reference(t, uniform));
+    EXPECT_EQ(counting.take_calls(), seeing) << "step " << k;
+
+    // Pairwise-distinct leads: one forecast per visible pair.
+    expect_same_edges(engine.contacts(t, distinct), reference(t, distinct));
+    EXPECT_EQ(counting.take_calls(), pairs) << "step " << k;
+
+    // Zero lead: the actual weather, once per station.
+    expect_same_edges(engine.contacts(t),
+                      reference(t, std::vector<double>(sats.size(), 0.0)));
+    EXPECT_EQ(counting.take_calls(), seeing) << "step " << k;
+  }
+  EXPECT_GT(checked_pairs, 100);  // the counts are not vacuous
+}
+
+TEST_F(ForecastMemoFixture, NanLeadStillReachesForecast) {
+  VisibilityEngine engine(sats, stations, &wx);
+  std::vector<double> leads(sats.size(), std::nan(""));
+  bool threw = false;
+  for (int k = 0; k < 12 && !threw; ++k) {
+    try {
+      engine.contacts(kEpoch.plus_seconds(k * 300.0), leads);
+    } catch (const std::invalid_argument&) {
+      threw = true;
+    }
+  }
+  EXPECT_TRUE(threw);
 }
 
 }  // namespace
