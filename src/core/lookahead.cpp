@@ -1,7 +1,6 @@
 #include "src/core/lookahead.h"
 
 #include <algorithm>
-#include <map>
 
 #include "src/obs/trace.h"
 #include "src/util/check.h"
@@ -24,8 +23,10 @@ std::vector<PassBlock> find_pass_blocks(
   DGS_TRACE_SPAN("plan.blocks");
 
   std::vector<PassBlock> blocks;
-  // Open block per (sat, station) pair, indexed into `blocks`.
-  std::map<std::pair<int, int>, int> open;
+  // Per (sat, station): latest block index, -1 if none (DESIGN.md §9).
+  const auto num_stations = static_cast<std::size_t>(engine.num_stations());
+  std::vector<int> latest(
+      static_cast<std::size_t>(engine.num_sats()) * num_stations, -1);
 
   // The plan is computed at `start`; looking `k` steps ahead means relying
   // on a forecast with lead k*dt.
@@ -36,13 +37,11 @@ std::vector<PassBlock> find_pass_blocks(
     const std::vector<ContactEdge> edges =
         engine.contacts(t, leads, station_down);
 
-    std::map<std::pair<int, int>, int> still_open;
     for (const ContactEdge& e : edges) {
-      const auto key = std::make_pair(e.sat, e.station);
-      const auto it = open.find(key);
-      if (it != open.end() && blocks[it->second].last_step() == k - 1) {
-        blocks[it->second].steps.push_back(e);
-        still_open[key] = it->second;
+      int& slot = latest[static_cast<std::size_t>(e.sat) * num_stations +
+                         static_cast<std::size_t>(e.station)];
+      if (slot >= 0 && blocks[slot].last_step() == k - 1) {
+        blocks[slot].steps.push_back(e);
       } else {
         PassBlock b;
         b.sat = e.sat;
@@ -50,10 +49,9 @@ std::vector<PassBlock> find_pass_blocks(
         b.first_step = k;
         b.steps.push_back(e);
         blocks.push_back(std::move(b));
-        still_open[key] = static_cast<int>(blocks.size()) - 1;
+        slot = static_cast<int>(blocks.size()) - 1;
       }
     }
-    open = std::move(still_open);
   }
   return blocks;
 }

@@ -39,6 +39,7 @@ struct PassBlock {
 /// window uses older information, exactly as a real uploaded plan would.
 /// `station_down` (empty or num_stations) excludes faulted stations from
 /// every swept instant — the planner schedules around known outages.
+/// Blocks come in opening order: by first step, then contacts() order.
 std::vector<PassBlock> find_pass_blocks(
     const VisibilityEngine& engine, const util::Epoch& start, int steps,
     double step_seconds, std::span<const char> station_down = {});

@@ -22,8 +22,8 @@
 // engine reuses across calls, which is where the allocation savings at
 // constellation scale come from.  No step geometry is memoized: per-instant
 // scheduling queries each step once, and a look-ahead replan re-propagates
-// its window (SGP4 plus the sweep are a small share of a step whose cost
-// is weather sampling; DESIGN.md §9).
+// its window; one query splits about evenly between SGP4, the sweep's
+// per-station loop, weather and link budgets (DESIGN.md §9).
 #pragma once
 
 #include <span>

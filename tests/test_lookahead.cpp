@@ -2,12 +2,16 @@
 // allocation, and end-to-end behaviour through the simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "src/core/lookahead.h"
 #include "src/core/simulator.h"
+#include "src/weather/synthetic.h"
 
 namespace dgs::core {
 namespace {
@@ -34,6 +38,81 @@ class LookaheadTest : public ::testing::Test {
   std::vector<groundseg::GroundStation> stations_;
   VisibilityEngine engine_;
 };
+
+/// Pass-block fusion through a std::map of the pairs open at the previous
+/// step, rebuilt every step: the oracle find_pass_blocks must reproduce
+/// exactly (same blocks, same order, same edges).
+std::vector<PassBlock> reference_pass_blocks(
+    const VisibilityEngine& engine, const util::Epoch& start, int steps,
+    double step_seconds, std::span<const char> station_down = {}) {
+  std::vector<PassBlock> blocks;
+  // Open block per (sat, station) pair, indexed into `blocks`.
+  std::map<std::pair<int, int>, int> open;
+
+  // The plan is computed at `start`; looking `k` steps ahead means relying
+  // on a forecast with lead k*dt.
+  std::vector<double> leads(engine.num_sats(), 0.0);
+  for (int k = 0; k < steps; ++k) {
+    const util::Epoch t = start.plus_seconds(k * step_seconds);
+    std::fill(leads.begin(), leads.end(), k * step_seconds);
+    const std::vector<ContactEdge> edges =
+        engine.contacts(t, leads, station_down);
+
+    std::map<std::pair<int, int>, int> still_open;
+    for (const ContactEdge& e : edges) {
+      const auto key = std::make_pair(e.sat, e.station);
+      const auto it = open.find(key);
+      if (it != open.end() && blocks[it->second].last_step() == k - 1) {
+        blocks[it->second].steps.push_back(e);
+        still_open[key] = it->second;
+      } else {
+        PassBlock b;
+        b.sat = e.sat;
+        b.station = e.station;
+        b.first_step = k;
+        b.steps.push_back(e);
+        blocks.push_back(std::move(b));
+        still_open[key] = static_cast<int>(blocks.size()) - 1;
+      }
+    }
+    open = std::move(still_open);
+  }
+  return blocks;
+}
+
+/// Same blocks in the same order, every edge equal bit for bit.
+void expect_same_blocks(const std::vector<PassBlock>& a,
+                        const std::vector<PassBlock>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "block " << i);
+    EXPECT_EQ(a[i].sat, b[i].sat);
+    EXPECT_EQ(a[i].station, b[i].station);
+    EXPECT_EQ(a[i].first_step, b[i].first_step);
+    ASSERT_EQ(a[i].steps.size(), b[i].steps.size());
+    for (std::size_t k = 0; k < a[i].steps.size(); ++k) {
+      const ContactEdge& x = a[i].steps[k];
+      const ContactEdge& y = b[i].steps[k];
+      EXPECT_EQ(x.sat, y.sat);
+      EXPECT_EQ(x.station, y.station);
+      EXPECT_EQ(x.elevation_rad, y.elevation_rad);
+      EXPECT_EQ(x.range_km, y.range_km);
+      EXPECT_EQ(x.predicted_rate_bps, y.predicted_rate_bps);
+      EXPECT_EQ(x.modcod, y.modcod);
+      EXPECT_EQ(x.weight, y.weight);
+    }
+  }
+}
+
+/// Largest number of blocks any one (sat, station) pair has in `blocks`.
+int max_blocks_per_pair(const std::vector<PassBlock>& blocks) {
+  std::map<std::pair<int, int>, int> count;
+  int most = 0;
+  for (const PassBlock& b : blocks) {
+    most = std::max(most, ++count[{b.sat, b.station}]);
+  }
+  return most;
+}
 
 TEST_F(LookaheadTest, BlocksAreContiguousAndConsistent) {
   const int steps = 120;
@@ -83,6 +162,56 @@ TEST_F(LookaheadTest, PassBlockDurationsAreLeoTypical) {
   // Above amateur masks, pass blocks run a few minutes; none exceed ~15.
   EXPECT_LE(durations_min.max(), 15.0);
   EXPECT_GE(durations_min.median(), 2.0);
+}
+
+TEST_F(LookaheadTest, FusionMatchesMapReferenceClearSky) {
+  for (const int steps : {60, 180}) {
+    SCOPED_TRACE(::testing::Message() << steps << " steps");
+    const auto blocks = find_pass_blocks(engine_, kEpoch, steps, 60.0);
+    expect_same_blocks(blocks,
+                       reference_pass_blocks(engine_, kEpoch, steps, 60.0));
+    // Within three hours some pair is seen, lost and seen again, so the
+    // comparison covers a second block for one pair, not only extensions.
+    if (steps == 180) {
+      EXPECT_GE(max_blocks_per_pair(blocks), 2);
+    }
+  }
+}
+
+TEST_F(LookaheadTest, FusionMatchesMapReferenceWithWeather) {
+  const weather::SyntheticWeatherProvider wx(13, kEpoch, 4.0);
+  const VisibilityEngine engine(sats_, stations_, &wx);
+  for (const int steps : {60, 180}) {
+    SCOPED_TRACE(::testing::Message() << steps << " steps");
+    expect_same_blocks(find_pass_blocks(engine, kEpoch, steps, 60.0),
+                       reference_pass_blocks(engine, kEpoch, steps, 60.0));
+  }
+}
+
+TEST_F(LookaheadTest, FusionMatchesMapReferenceWithStationsDown) {
+  const weather::SyntheticWeatherProvider wx(13, kEpoch, 4.0);
+  const VisibilityEngine engine(sats_, stations_, &wx);
+  std::vector<char> down(stations_.size(), 0);
+  for (std::size_t g = 0; g < down.size(); g += 3) down[g] = 1;
+  for (const int steps : {60, 180}) {
+    SCOPED_TRACE(::testing::Message() << steps << " steps");
+    const auto blocks = find_pass_blocks(engine, kEpoch, steps, 60.0, down);
+    expect_same_blocks(blocks,
+                       reference_pass_blocks(engine, kEpoch, steps, 60.0,
+                                             down));
+    for (const PassBlock& b : blocks) EXPECT_FALSE(down[b.station]);
+  }
+}
+
+TEST_F(LookaheadTest, FusionIsIndependentOfThreadPool) {
+  const weather::SyntheticWeatherProvider wx(13, kEpoch, 4.0);
+  const VisibilityEngine serial(sats_, stations_, &wx);
+  VisibilityEngine threaded(sats_, stations_, &wx);
+  util::ThreadPool pool(
+      util::ParallelConfig{.num_threads = 4, .chunk_size = 2});
+  threaded.set_thread_pool(&pool);
+  expect_same_blocks(find_pass_blocks(threaded, kEpoch, 180, 60.0),
+                     find_pass_blocks(serial, kEpoch, 180, 60.0));
 }
 
 TEST_F(LookaheadTest, PlanRespectsMatchingConstraints) {
