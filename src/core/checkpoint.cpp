@@ -41,7 +41,12 @@ void write_checkpoint(
     std::span<const std::pair<std::string, std::string>> sections) {
   const auto names = checkpoint_section_names();
   DGS_ENSURE_EQ(sections.size(), names.size());
-  std::string payload;
+  // The header states the payload's size and CRC, so both are summed over
+  // the frames and bodies first; the payload is then streamed in place
+  // rather than assembled into one more copy.
+  std::vector<std::string> frames;
+  std::uint32_t crc = util::crc32_init();
+  header.payload_bytes = 0;
   for (std::size_t i = 0; i < sections.size(); ++i) {
     DGS_ENSURE(sections[i].first == names[i],
                "checkpoint section " << i << " must be '" << names[i]
@@ -50,11 +55,12 @@ void write_checkpoint(
     BinaryWriter frame;
     frame.str(sections[i].first);
     frame.u64(sections[i].second.size());
-    payload += frame.data();
-    payload += sections[i].second;
+    crc = util::crc32_update(crc, as_bytes(frame.data()));
+    crc = util::crc32_update(crc, as_bytes(sections[i].second));
+    header.payload_bytes += frame.size() + sections[i].second.size();
+    frames.push_back(frame.take());
   }
-  header.payload_bytes = payload.size();
-  header.payload_crc32 = util::crc32(as_bytes(payload));
+  header.payload_crc32 = util::crc32_final(crc);
   const std::string header_json = render_checkpoint_header(header);
   // Emitting through our own validator guarantees the writer can never
   // produce a header the reader rejects.
@@ -65,7 +71,10 @@ void write_checkpoint(
   out << kCheckpointMagic;
   BinaryWriter len;
   len.u64(header_json.size());
-  out << len.data() << header_json << payload;
+  out << len.data() << header_json;
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    out << frames[i] << sections[i].second;
+  }
 }
 
 std::string_view CheckpointView::section(std::string_view name) const {

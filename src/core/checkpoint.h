@@ -26,7 +26,8 @@
 // field vocabulary — u8/i32/i64/u64/f64/str/b (bool as u8), count() for
 // length prefixes, expect() for values the reader must find equal to its
 // own, check_index()/check_size() for indices and sizes a resumed run
-// indexes vectors with, and seq()/map()/obj() for nesting.  The reader
+// indexes vectors with, column() for a vector of plain numbers, and
+// seq()/map()/obj() for nesting.  The reader
 // bounds every count by the bytes left before it allocates and checks
 // every expect(), index and size, so malformed input throws
 // std::invalid_argument rather than exhausting memory or indexing out of
@@ -35,7 +36,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <concepts>
 #include <cstdint>
+#include <cstring>
 #include <istream>
 #include <optional>
 #include <ostream>
@@ -74,30 +77,38 @@ struct Obj {
   }
 };
 
+/// The unsigned integer as wide as `T`, which carries T's bit pattern.
+template <class T>
+using Bits = std::conditional_t<
+    sizeof(T) == 1, std::uint8_t,
+    std::conditional_t<sizeof(T) == 4, std::uint32_t, std::uint64_t>>;
+
 }  // namespace checkpoint_detail
 
-/// Little-endian binary section writer.  Explicit byte pushes (not
-/// memcpy-of-struct) keep the format independent of host padding; doubles
-/// round-trip via std::bit_cast so no precision is lost.  The writer only
-/// reads the fields handed to it.
+/// The element types column() moves in bulk: each is written exactly as
+/// its scalar field (u8/i32/u64/f64) writes it.
+template <class T>
+concept ColumnScalar =
+    std::same_as<T, std::uint8_t> || std::same_as<T, std::int32_t> ||
+    std::same_as<T, std::uint64_t> || std::same_as<T, double>;
+
+/// Little-endian binary section writer.  Each field is written on its own
+/// (never a memcpy of a whole struct), so the format does not depend on
+/// host padding.  On a little-endian host a scalar's bytes are already the
+/// wire bytes, so each is appended whole and a column() in one append; a
+/// big-endian host shifts the bytes out one by one.  Either way the bytes
+/// are the same.  Doubles travel as their IEEE-754 bit pattern, so no
+/// precision is lost.  The writer only reads the fields handed to it.
 class BinaryWriter {
  public:
   static constexpr bool kReading = false;
 
-  void u8(std::uint8_t v) { data_.push_back(static_cast<char>(v)); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      data_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      data_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  }
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  void u8(std::uint8_t v) { put(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
+  void i32(std::int32_t v) { put(v); }
+  void i64(std::int64_t v) { put(v); }
+  void f64(double v) { put(v); }
   void b(bool v) { u8(v ? 1 : 0); }
   void str(std::string_view s) {
     u32(static_cast<std::uint32_t>(s.size()));
@@ -134,6 +145,18 @@ class BinaryWriter {
     count(c.size(), 0);
     for (auto& x : c) f(*this, x);
   }
+  /// The bytes seq() writes for `c` with each element as its scalar
+  /// field: count() then the elements, in one append.
+  template <ColumnScalar T>
+  void column(std::vector<T>& c) {
+    count(c.size(), sizeof(T));
+    if constexpr (std::endian::native == std::endian::little) {
+      data_.append(reinterpret_cast<const char*>(c.data()),
+                   c.size() * sizeof(T));
+    } else {
+      for (const T v : c) put(v);
+    }
+  }
   /// count() then every entry, in key order, through `f(ar, key, value)`.
   template <class M, class F>
   void map(M& m, F f) {
@@ -146,6 +169,21 @@ class BinaryWriter {
   std::string take() { return std::move(data_); }
 
  private:
+  /// Appends the sizeof(U) little-endian bytes of `v`.
+  template <class U>
+  void put(U v) {
+    if constexpr (std::endian::native == std::endian::little) {
+      char bytes[sizeof(U)];
+      std::memcpy(bytes, &v, sizeof(U));
+      data_.append(bytes, sizeof(U));
+    } else {
+      const auto bits = std::bit_cast<checkpoint_detail::Bits<U>>(v);
+      for (std::size_t i = 0; i < sizeof(U); ++i) {
+        data_.push_back(static_cast<char>((bits >> (8 * i)) & 0xff));
+      }
+    }
+  }
+
   std::string data_;
 };
 
@@ -160,20 +198,11 @@ class BinaryReader {
 
   explicit BinaryReader(std::string_view data) : data_(data) {}
 
-  void u8(std::uint8_t& v) {
-    need(1);
-    v = static_cast<std::uint8_t>(data_[i_++]);
-  }
+  void u8(std::uint8_t& v) { v = little_endian<std::uint8_t>(); }
   void u64(std::uint64_t& v) { v = little_endian<std::uint64_t>(); }
-  void i32(std::int32_t& v) {
-    v = static_cast<std::int32_t>(little_endian<std::uint32_t>());
-  }
-  void i64(std::int64_t& v) {
-    v = static_cast<std::int64_t>(little_endian<std::uint64_t>());
-  }
-  void f64(double& v) {
-    v = std::bit_cast<double>(little_endian<std::uint64_t>());
-  }
+  void i32(std::int32_t& v) { v = little_endian<std::int32_t>(); }
+  void i64(std::int64_t& v) { v = little_endian<std::int64_t>(); }
+  void f64(double& v) { v = little_endian<double>(); }
   void b(bool& v) {
     std::uint8_t raw = 0;
     u8(raw);
@@ -231,6 +260,18 @@ class BinaryReader {
     c.resize(count(0, min_bytes));
     for (auto& x : c) f(*this, x);
   }
+  /// count() bounds the length by the bytes left before `c` is sized.
+  template <ColumnScalar T>
+  void column(std::vector<T>& c) {
+    c.resize(count(0, sizeof(T)));
+    if constexpr (std::endian::native == std::endian::little) {
+      if (c.empty()) return;  // data() may be null.
+      std::memcpy(c.data(), data_.data() + i_, c.size() * sizeof(T));
+      i_ += c.size() * sizeof(T);
+    } else {
+      for (T& v : c) v = little_endian<T>();
+    }
+  }
   template <class M, class F>
   void map(M& m, F f) {
     using Entry = std::pair<typename M::key_type, typename M::mapped_type>;
@@ -258,13 +299,21 @@ class BinaryReader {
     return probe.size();
   }
 
+  /// The next sizeof(U) bytes as a little-endian U.
   template <class U>
   U little_endian() {
     need(sizeof(U));
-    U v = 0;
-    for (std::size_t i = 0; i < sizeof(U); ++i) {
-      v |= static_cast<U>(static_cast<std::uint8_t>(data_[i_ + i]))
-           << (8 * i);
+    U v{};
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&v, data_.data() + i_, sizeof(U));
+    } else {
+      checkpoint_detail::Bits<U> bits = 0;
+      for (std::size_t i = 0; i < sizeof(U); ++i) {
+        bits |= static_cast<checkpoint_detail::Bits<U>>(
+                    static_cast<std::uint8_t>(data_[i_ + i]))
+                << (8 * i);
+      }
+      v = std::bit_cast<U>(bits);
     }
     i_ += sizeof(U);
     return v;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -870,15 +869,13 @@ void Session::io_section(Ar& ar, std::string_view name) {
   if (name == "result") {
     // The deliveries, the accumulators and the open contacts; report()
     // derives everything else.
-    ar.seq(delivered_latency_, [](auto& a, double& v) { a.f64(v); });
-    ar.seq(delivered_sat_, [this](auto& a, int& sat) {
-      a.i32(sat);
-      a.check_index(sat, num_sats_);
-    });
-    ar.seq(delivered_urgent_, [](auto& a, std::uint8_t& urgent) {
-      a.u8(urgent);
-      a.check_index(urgent, 2);
-    });
+    ar.column(delivered_latency_);
+    ar.column(delivered_sat_);
+    ar.column(delivered_urgent_);
+    for (const int sat : delivered_sat_) ar.check_index(sat, num_sats_);
+    for (const std::uint8_t urgent : delivered_urgent_) {
+      ar.check_index(urgent, 2);
+    }
     ar.check_size(delivered_sat_.size(), delivered_latency_.size());
     ar.check_size(delivered_urgent_.size(), delivered_latency_.size());
     ar.obj(res_.ack_delay_minutes);
@@ -996,9 +993,16 @@ std::unique_ptr<Session> Session::restore(
     std::vector<groundseg::GroundStation> stations,
     const weather::WeatherProvider* actual_weather,
     const SimulationOptions& opts) {
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string data = buffer.str();
+  // One buffer, filled in large blocks: read() keeps pulling from the
+  // stream until a block is full or the stream ends.
+  std::string data;
+  constexpr std::size_t kBlock = std::size_t{1} << 20;
+  while (in) {
+    const std::size_t at = data.size();
+    data.resize(at + kBlock);
+    in.read(data.data() + at, kBlock);
+    data.resize(at + static_cast<std::size_t>(in.gcount()));
+  }
   auto session = std::unique_ptr<Session>(
       new Session(std::move(sats), std::move(stations), actual_weather,
                   opts, /*publish=*/false));

@@ -142,8 +142,8 @@ void io(Ar& ar, MetricSnapshot& m) {
   ar.u8(kind);
   if constexpr (Ar::kReading) m.kind = kind;
   ar.f64(m.value);
-  ar.seq(m.upper_bounds, [](auto& a, double& b) { a.f64(b); });
-  ar.seq(m.cells, [](auto& a, std::uint64_t& c) { a.u64(c); });
+  ar.column(m.upper_bounds);
+  ar.column(m.cells);
   ar.f64(m.sum);
 }
 

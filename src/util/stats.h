@@ -46,7 +46,7 @@ class SampleSet {
   template <class Ar>
   friend void io(Ar& ar, SampleSet& s) {
     ar.b(s.sorted_);
-    ar.seq(s.samples_, [](auto& a, double& v) { a.f64(v); });
+    ar.column(s.samples_);
   }
 
  private:

@@ -10,9 +10,11 @@
 // tests pin the checkpoint validator: truncations, corrupt bytes,
 // oversized length prefixes, out-of-range indices, bytes in the empty
 // geometry/matcher sections and scenario mismatches must all be rejected
-// with std::invalid_argument.
+// with std::invalid_argument.  A restore fed by short stream reads must
+// still re-snapshot byte for byte.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -20,6 +22,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -380,6 +383,45 @@ TEST(SessionCheckpoint, EdgeOfHorizonSnapshots) {
   EXPECT_EQ(summary_bytes(from_end->report()), done_summary);
 }
 
+/// Hands out its bytes at most 7 per underflow(), as a pipe or socket
+/// delivers partial reads.
+class TrickleBuf : public std::streambuf {
+ public:
+  explicit TrickleBuf(std::string data) : data_(std::move(data)) {}
+
+ protected:
+  int_type underflow() override {
+    if (at_ == data_.size()) return traits_type::eof();
+    const std::size_t n = std::min<std::size_t>(7, data_.size() - at_);
+    char* p = data_.data() + at_;
+    setg(p, p, p + n);
+    at_ += n;
+    return traits_type::to_int_type(*p);
+  }
+
+ private:
+  std::string data_;
+  std::size_t at_ = 0;
+};
+
+// Restore must gather the whole checkpoint however the stream splits it.
+TEST(SessionCheckpoint, RestoreFromShortReadsIsByteIdentical) {
+  for (const Scenario& s : {golden_scenario(), tenant_churn_scenario()}) {
+    Session session(s.sats, s.stations, nullptr, s.opts);
+    session.run_until_hours(1.0);
+    std::ostringstream cp;
+    session.snapshot(cp);
+    const std::string bytes = cp.str();
+    TrickleBuf trickle(bytes);
+    std::istream in(&trickle);
+    std::unique_ptr<Session> restored =
+        Session::restore(in, s.sats, s.stations, nullptr, s.opts);
+    std::ostringstream again;
+    restored->snapshot(again);
+    EXPECT_TRUE(again.str() == bytes) << "re-snapshots differently";
+  }
+}
+
 // --- Negative space: the validator must reject every malformed or
 // mismatched checkpoint with std::invalid_argument -------------------------
 
@@ -610,6 +652,25 @@ TEST(SessionCheckpointIndices, DeliverySatelliteIsRangeChecked) {
       return true;
     });
   }
+}
+
+// The urgent flag is a 0/1 byte; any other value is rejected, as the
+// satellite column's indices are.
+TEST(SessionCheckpointIndices, DeliveryUrgentFlagIsRangeChecked) {
+  const Scenario s = golden_scenario();
+  const std::string bytes = snapshot_at_one_hour(s);
+  // The first delivery's flag: after the latency column (a count and one
+  // f64 per delivery), the satellite column (a count and one i32 per
+  // delivery) and the urgent column's count.
+  expect_patch_rejected(s, bytes, "result", [](std::string* body) {
+    BinaryReader r(*body);
+    const std::uint64_t deliveries = read_u64(r);
+    if (deliveries == 0) return false;
+    const std::size_t at = 8 + 8 * deliveries + 8 + 4 * deliveries + 8;
+    if (at >= body->size()) return false;
+    (*body)[at] = '\x02';
+    return true;
+  });
 }
 
 /// Offset of the first edge of the first non-empty planned step.
