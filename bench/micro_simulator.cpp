@@ -10,12 +10,14 @@
 // the serial numbers (bench/baseline.json).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <fstream>
 #include <string>
 
 #include "bench/bench_flags.h"
 #include "src/core/dgs.h"
 #include "src/core/lookahead.h"
+#include "src/obs/events.h"
 #include "src/obs/trace.h"
 
 namespace {
@@ -84,6 +86,27 @@ void BM_PlanThreeHourHorizon(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PlanThreeHourHorizon)->Unit(benchmark::kMillisecond);
+
+// A storm session's replans over 120 one-minute steps, one-hour windows
+// starting where Session starts them, through one PlanGeometry: overlapping
+// windows reuse the geometry of instants an earlier window swept.  The
+// table is fresh each iteration, so every iteration does the same work.
+void BM_PlanReplanSequence(benchmark::State& state) {
+  PaperScale& ps = fixture();
+  core::LatencyValue phi;
+  const obs::StepClock clock(kEpoch, 60.0);
+  constexpr int kOrigins[] = {0,  5,  9,  16, 20, 27, 33, 40, 41, 48,
+                              55, 60, 66, 71, 77, 85, 90, 99, 105};
+  for (auto _ : state) {
+    core::PlanGeometry table(60);
+    for (const int origin : kOrigins) {
+      benchmark::DoNotOptimize(core::plan_horizon(
+          ps.engine, ps.queues, phi, clock.step_start(origin),
+          std::min(60, 120 - origin), 60.0, {}, &table));
+    }
+  }
+}
+BENCHMARK(BM_PlanReplanSequence)->Unit(benchmark::kMillisecond);
 
 void BM_SimulateOneHourPaperScale(benchmark::State& state) {
   PaperScale& ps = fixture();

@@ -1,6 +1,7 @@
 #include "src/core/lookahead.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "src/obs/trace.h"
 #include "src/util/check.h"
@@ -15,12 +16,74 @@ double PassBlock::capacity_bytes(double step_seconds) const {
   return bytes;
 }
 
+PlanGeometry::PlanGeometry(int slots) {
+  DGS_ENSURE(slots > 0, "slots=" << slots);
+  slots_.resize(static_cast<std::size_t>(slots));
+}
+
+PlanGeometry::Slot& PlanGeometry::slot_of(const util::Epoch& when,
+                                          double step_seconds) {
+  if (lookups_ == 0) anchor_ = when;
+  // Placement only (the key decides reuse), so any rounding will do.
+  const double i = std::round(when.seconds_since(anchor_) / step_seconds);
+  const auto n = static_cast<std::int64_t>(slots_.size());
+  std::int64_t k = std::abs(i) < 1e15 ? static_cast<std::int64_t>(i) % n : 0;
+  if (k < 0) k += n;
+  return slots_[static_cast<std::size_t>(k)];
+}
+
+std::vector<ContactEdge> PlanGeometry::contacts(
+    const VisibilityEngine& engine, const util::Epoch& when,
+    double step_seconds, std::span<const double> forecast_lead_s,
+    std::span<const char> station_down) {
+  DGS_ENSURE(step_seconds > 0.0, "step_seconds=" << step_seconds);
+  if (engine_ == nullptr) engine_ = &engine;
+  DGS_ENSURE(engine_ == &engine, "a PlanGeometry serves one engine");
+  DGS_TRACE_SPAN("vis.contacts");
+
+  Slot& slot = slot_of(when, step_seconds);
+  const util::Epoch::Bits key = when.bits();
+  ++lookups_;
+  if (slot.filled && slot.key == key) {
+    ++hits_;
+    engine.count_geometry(slot.work);
+  } else {
+    const StepGeometry& geo = engine.geometry(when);
+    slot.filled = true;
+    slot.key = key;
+    slot.work = geo.work;
+    // Sized exactly, so a slot holds at most its largest instant.
+    std::size_t total = 0;
+    for (const std::vector<VisibleSat>& list : geo.per_station) {
+      total += list.size();
+    }
+    slot.visible.clear();
+    slot.visible.reserve(total);
+    slot.offsets.assign(1, 0);
+    for (const std::vector<VisibleSat>& list : geo.per_station) {
+      slot.visible.insert(slot.visible.end(), list.begin(), list.end());
+      slot.offsets.push_back(static_cast<std::uint32_t>(slot.visible.size()));
+    }
+  }
+
+  const std::span<const VisibleSat> all(slot.visible);
+  lists_.resize(slot.offsets.size() - 1);
+  for (std::size_t g = 0; g < lists_.size(); ++g) {
+    lists_[g] = all.subspan(slot.offsets[g],
+                            slot.offsets[g + 1] - slot.offsets[g]);
+  }
+  return engine.edges(when, lists_, forecast_lead_s, station_down);
+}
+
 std::vector<PassBlock> find_pass_blocks(
     const VisibilityEngine& engine, const util::Epoch& start, int steps,
-    double step_seconds, std::span<const char> station_down) {
+    double step_seconds, std::span<const char> station_down,
+    PlanGeometry* geometry) {
   DGS_ENSURE(steps > 0 && step_seconds > 0.0,
              "steps=" << steps << ", step_seconds=" << step_seconds);
   DGS_TRACE_SPAN("plan.blocks");
+  PlanGeometry cold;
+  PlanGeometry& table = geometry != nullptr ? *geometry : cold;
 
   std::vector<PassBlock> blocks;
   // Per (sat, station): latest block index, -1 if none (DESIGN.md §9).
@@ -35,7 +98,7 @@ std::vector<PassBlock> find_pass_blocks(
     const util::Epoch t = start.plus_seconds(k * step_seconds);
     std::fill(leads.begin(), leads.end(), k * step_seconds);
     const std::vector<ContactEdge> edges =
-        engine.contacts(t, leads, station_down);
+        table.contacts(engine, t, step_seconds, leads, station_down);
 
     for (const ContactEdge& e : edges) {
       int& slot = latest[static_cast<std::size_t>(e.sat) * num_stations +
@@ -60,11 +123,12 @@ HorizonPlan plan_horizon(const VisibilityEngine& engine,
                          const std::vector<OnboardQueue>& queues,
                          const ValueFunction& value, const util::Epoch& start,
                          int steps, double step_seconds,
-                         std::span<const char> station_down) {
+                         std::span<const char> station_down,
+                         PlanGeometry* geometry) {
   DGS_ENSURE_EQ(static_cast<int>(queues.size()), engine.num_sats());
   DGS_TRACE_SPAN("plan.horizon");
-  std::vector<PassBlock> blocks =
-      find_pass_blocks(engine, start, steps, step_seconds, station_down);
+  std::vector<PassBlock> blocks = find_pass_blocks(
+      engine, start, steps, step_seconds, station_down, geometry);
 
   // Score blocks against the queue snapshot at the block's mid-time.
   // Per-block values are computed in parallel (pure const reads of the

@@ -236,6 +236,9 @@ Session::Session(std::vector<groundseg::SatelliteConfig> sats,
           ? std::max(1, static_cast<int>(std::llround(
                             opts_.lookahead_hours * 3600.0 / dt_)))
           : 0;
+  if (plan_window_steps_ > 0) {
+    plan_geometry_ = PlanGeometry(plan_window_steps_);
+  }
   if (publish) publish_metrics();
 }
 
@@ -352,7 +355,7 @@ void Session::step() {
             std::min<std::int64_t>(plan_window_steps_, steps_ - step));
         plan_ = plan_horizon(*engine_, queues_,
                              scheduler_->value_function(), now, window, dt_,
-                             down_span);
+                             down_span, &plan_geometry_);
         plan_origin_ = step;
       }
       assigned = plan_.per_step[step - plan_origin_];
@@ -379,7 +382,7 @@ void Session::step() {
           plan_ = plan_horizon(*engine_, queues_,
                                scheduler_->value_function(),
                                clock_.step_start(step + 1), window, dt_,
-                               down_span);
+                               down_span, &plan_geometry_);
           plan_origin_ = step + 1;
           res_.replans += 1;
           if (events != nullptr) {

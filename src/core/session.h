@@ -187,6 +187,9 @@ class Session {
   std::optional<TenantArbiter> arbiter_;
   LiveMetrics live_;
   obs::EventLog* events_ = nullptr;
+  /// Planner instants' geometry, reused across windows.  Not checkpointed:
+  /// reuse is exact, so a restored session starting cold is identical.
+  PlanGeometry plan_geometry_;
 
   // --- Mutable per-run state (everything snapshot() serializes) ------------
   /// Per satellite, ascending by station.

@@ -1,6 +1,7 @@
 #include "src/core/visibility.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -189,6 +190,8 @@ void VisibilityEngine::sweep_indexed(StepGeometry& out) const {
   // identical precise elevation test on survivors.  The cull only ever
   // removes pairs the precise test would reject (DESIGN.md §14), so the
   // lists match the brute-force sweep bit for bit.
+  std::atomic<std::int64_t> total_candidates{0};
+  std::atomic<std::int64_t> total_precise{0};
   const auto sweep = [&](std::int64_t begin, std::int64_t end) {
     std::int64_t candidates = 0;
     std::int64_t precise = 0;
@@ -261,45 +264,57 @@ void VisibilityEngine::sweep_indexed(StepGeometry& out) const {
                   return a.sat < b.sat;
                 });
     }
-    // Whole-chunk integer adds: exact for any shard assignment.
-    if (cull_candidates_ != nullptr && candidates > 0) {
-      cull_candidates_->inc(static_cast<double>(candidates));
-    }
-    if (cull_precise_ != nullptr && precise > 0) {
-      cull_precise_->inc(static_cast<double>(precise));
-    }
+    // Whole-chunk integer adds: exact in any order.
+    total_candidates.fetch_add(candidates, std::memory_order_relaxed);
+    total_precise.fetch_add(precise, std::memory_order_relaxed);
   };
   if (pool_ != nullptr) {
     pool_->parallel_for(num_stations, sweep);
   } else {
     sweep(0, num_stations);
   }
+  out.work.cull_candidates = total_candidates.load();
+  out.work.cull_precise = total_precise.load();
 }
 
-void VisibilityEngine::compute_step_geometry(const util::Epoch& when,
-                                             StepGeometry& out) const {
+const StepGeometry& VisibilityEngine::geometry(
+    const util::Epoch& when) const {
   DGS_TRACE_SPAN("vis.geometry");
+  StepGeometry& out = scratch_geometry_;
   out.sat_ecef.resize(static_cast<std::size_t>(batch_.size()));
   out.per_station.resize(stations_->size());
+  out.work = GeometryWork{};
 
   // Propagate every satellite once for this instant: batched SGP4 in SoA
   // layout, one shared GMST rotation, chunk-tiled over the pool.
   // Per-index writes keep the result thread-count independent.
   batch_.positions_ecef(when, out.sat_ecef, pool_);
-  if (propagations_ != nullptr && batch_.size() > 0) {
-    propagations_->inc(static_cast<double>(batch_.size()));
-  }
+  out.work.propagations = batch_.size();
 
   if (spatial_index_) {
     sweep_indexed(out);
   } else {
     sweep_brute(out);
   }
+  count_geometry(out.work);
+  return out;
 }
 
-std::vector<ContactEdge> VisibilityEngine::contacts(
-    const util::Epoch& when, std::span<const double> forecast_lead_s,
-    std::span<const char> station_down) const {
+void VisibilityEngine::count_geometry(const GeometryWork& work) const {
+  // Integer adds from the driver thread: exact however they are split.
+  if (propagations_ != nullptr && work.propagations > 0) {
+    propagations_->inc(static_cast<double>(work.propagations));
+  }
+  if (cull_candidates_ != nullptr && work.cull_candidates > 0) {
+    cull_candidates_->inc(static_cast<double>(work.cull_candidates));
+  }
+  if (cull_precise_ != nullptr && work.cull_precise > 0) {
+    cull_precise_->inc(static_cast<double>(work.cull_precise));
+  }
+}
+
+void VisibilityEngine::check_query(std::span<const double> forecast_lead_s,
+                                   std::span<const char> station_down) const {
   DGS_ENSURE(forecast_lead_s.empty() ||
                  forecast_lead_s.size() == sats_->size(),
              "forecast_lead_s size=" << forecast_lead_s.size()
@@ -307,12 +322,25 @@ std::vector<ContactEdge> VisibilityEngine::contacts(
   DGS_ENSURE(station_down.empty() || station_down.size() == stations_->size(),
              "station_down size=" << station_down.size() << " stations="
                                   << stations_->size());
-  DGS_TRACE_SPAN("vis.contacts");
+}
 
-  // The geometry reuses the engine scratch, so the per-step vectors keep
-  // their capacity across calls.
-  compute_step_geometry(when, scratch_geometry_);
-  const StepGeometry& geo = scratch_geometry_;
+std::vector<ContactEdge> VisibilityEngine::contacts(
+    const util::Epoch& when, std::span<const double> forecast_lead_s,
+    std::span<const char> station_down) const {
+  check_query(forecast_lead_s, station_down);
+  DGS_TRACE_SPAN("vis.contacts");
+  const StepGeometry& geo = geometry(when);
+  list_scratch_.assign(geo.per_station.begin(), geo.per_station.end());
+  return edges(when, list_scratch_, forecast_lead_s, station_down);
+}
+
+std::vector<ContactEdge> VisibilityEngine::edges(
+    const util::Epoch& when,
+    std::span<const std::span<const VisibleSat>> visible,
+    std::span<const double> forecast_lead_s,
+    std::span<const char> station_down) const {
+  check_query(forecast_lead_s, station_down);
+  DGS_ENSURE_EQ(visible.size(), stations_->size());
 
   // Weather sampling and link budgets depend on the forecast lead and the
   // outage mask, so they are evaluated per call.  Each station produces its
@@ -337,7 +365,7 @@ std::vector<ContactEdge> VisibilityEngine::contacts(
       double memo_lead = std::numeric_limits<double>::quiet_NaN();
       weather::WeatherSample memo_wx;
 
-      for (const VisibleSat& v : geo.per_station[g]) {
+      for (const VisibleSat& v : visible[g]) {
         const auto s = static_cast<std::size_t>(v.sat);
         weather::WeatherSample wx;  // defaults to clear sky
         if (wx_ != nullptr) {

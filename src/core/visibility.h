@@ -18,14 +18,19 @@
 //     pairs — and therefore every produced edge — are bit-identical to
 //     the brute-force sweep.
 //
-// Every query propagates its epoch afresh into a scratch StepGeometry the
-// engine reuses across calls, which is where the allocation savings at
-// constellation scale come from.  No step geometry is memoized: per-instant
-// scheduling queries each step once, and a look-ahead replan re-propagates
-// its window; one query splits about evenly between SGP4, the sweep's
-// per-station loop, weather and link budgets (DESIGN.md §9).
+// A query has two stages, which contacts() runs back to back: geometry()
+// propagates the epoch afresh into a scratch StepGeometry the engine
+// reuses across calls (which is where the allocation savings at
+// constellation scale come from), and edges() samples weather and
+// evaluates link budgets over its visibility lists.  The engine memoizes
+// no geometry: per-instant scheduling queries each step once, while the
+// look-ahead planner keeps a window's lists in a core::PlanGeometry and
+// reuses them when a replan reaches an instant with the same epoch bits.
+// One query splits about evenly between SGP4, the sweep's per-station
+// loop, weather and link budgets (DESIGN.md §9).
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -48,12 +53,21 @@ struct VisibleSat {
   double range_km = 0.0;
 };
 
+/// The work one geometry computation does, as the dgs_vis_propagations,
+/// _cull_candidates and _cull_precise counters count it.
+struct GeometryWork {
+  std::int64_t propagations = 0;
+  std::int64_t cull_candidates = 0;
+  std::int64_t cull_precise = 0;
+};
+
 /// Weather-independent geometry of one scheduling step.
 struct StepGeometry {
   std::vector<util::Vec3> sat_ecef;  ///< Per satellite, index-aligned.
   /// Per station: satellites above the mask (owner constraints applied),
   /// in ascending satellite order.
   std::vector<std::vector<VisibleSat>> per_station;
+  GeometryWork work;  ///< What computing it cost.
 };
 
 /// One feasible downlink opportunity at an instant.
@@ -93,8 +107,31 @@ class VisibilityEngine {
   /// currently unavailable (failure injection); empty means all up.
   /// Edges that cannot close are omitted.  Output (values and order) is
   /// independent of the thread pool and spatial-index configuration.
+  /// The same as edges(when, <geometry(when) lists>, ...).
   std::vector<ContactEdge> contacts(
       const util::Epoch& when, std::span<const double> forecast_lead_s = {},
+      std::span<const char> station_down = {}) const;
+
+  /// Stage one of contacts(): propagates every satellite to `when`, sweeps
+  /// every station's mask and counts the work, parallel over satellites,
+  /// then stations, when a pool is set.  Returns the engine's scratch,
+  /// valid until the next query.  The result depends on nothing but the
+  /// exact bits of `when` (util::Epoch::bits).
+  const StepGeometry& geometry(const util::Epoch& when) const;
+
+  /// Adds `work` to the dgs_vis_* counters.  geometry() counts what it
+  /// computes; a caller that reuses a geometry counts it again here, so
+  /// the counters count per-query work either way (DESIGN.md §10).
+  void count_geometry(const GeometryWork& work) const;
+
+  /// Stage two of contacts(): forecast weather and link budgets at `when`
+  /// over `visible`, one list per station in ascending satellite order,
+  /// as geometry(when) lists them.  Same leads, mask and output contract
+  /// as contacts().
+  std::vector<ContactEdge> edges(
+      const util::Epoch& when,
+      std::span<const std::span<const VisibleSat>> visible,
+      std::span<const double> forecast_lead_s = {},
       std::span<const char> station_down = {}) const;
 
   /// Geometry-only visibility (no link budget): elevation above the mask.
@@ -147,16 +184,15 @@ class VisibilityEngine {
     int sat = 0;
   };
 
-  /// Fills `out` with the weather-independent geometry of `when`:
-  /// propagates every satellite and sweeps every station's mask.
-  /// Parallelized over satellites, then stations, when a pool is set.
-  void compute_step_geometry(const util::Epoch& when,
-                             StepGeometry& out) const;
+  /// Throws unless the leads and the down mask are empty or full size.
+  void check_query(std::span<const double> forecast_lead_s,
+                   std::span<const char> station_down) const;
   /// The all-pairs sweep (spatial index off, and the cross-validation
   /// reference): every station tests every allowed satellite.
   void sweep_brute(StepGeometry& out) const;
   /// The indexed sweep: latitude-band scatter + conservative cone cull,
-  /// then the identical precise elevation test on survivors.
+  /// then the identical precise elevation test on survivors.  Records
+  /// the funnel in `out.work`.
   void sweep_indexed(StepGeometry& out) const;
 
   const std::vector<groundseg::SatelliteConfig>* sats_;
@@ -175,10 +211,13 @@ class VisibilityEngine {
   /// Satellites per latitude band, sorted by (longitude, id).
   mutable std::vector<std::vector<BandSat>> band_scratch_;
   mutable std::vector<std::vector<ContactEdge>> edge_scratch_;
+  /// contacts()' views of the scratch geometry's per-station lists.
+  mutable std::vector<std::span<const VisibleSat>> list_scratch_;
   obs::Registry* metrics_ = nullptr;              ///< Borrowed; may be null.
-  /// Cached registry handles (null when metrics_ is null).  Incremented
-  /// from worker threads in whole-chunk integer steps, which the shard
-  /// fold sums deterministically (DESIGN.md §10).
+  /// Cached registry handles (null when metrics_ is null).  The budget
+  /// and edge counters are incremented from worker threads in whole-chunk
+  /// integer steps, which the shard fold sums deterministically (DESIGN.md
+  /// §10); the geometry counters once per query, from the driver thread.
   obs::Counter* propagations_ = nullptr;
   obs::Counter* link_budgets_ = nullptr;
   obs::Counter* contact_edges_ = nullptr;

@@ -6,6 +6,7 @@
 // the day-scale horizons the simulator runs.
 #pragma once
 
+#include <bit>
 #include <compare>
 #include <cstdint>
 #include <string>
@@ -65,6 +66,19 @@ class Epoch {
   DateTime utc() const { return calendar_from_jd(jd()); }
   /// ISO-8601-like "YYYY-MM-DDThh:mm:ssZ" string (seconds truncated).
   std::string to_string() const;
+
+  /// The exact internal split as raw bits.  Epochs with equal bits give
+  /// bit-identical propagation; operator== compares jd() instead, which
+  /// also equates splits that only round to the same sum.
+  struct Bits {
+    std::uint64_t whole = 0;
+    std::uint64_t frac = 0;
+    friend bool operator==(const Bits&, const Bits&) = default;
+  };
+  Bits bits() const {
+    return {std::bit_cast<std::uint64_t>(jd_whole_),
+            std::bit_cast<std::uint64_t>(jd_frac_)};
+  }
 
   friend bool operator==(const Epoch& a, const Epoch& b) {
     return a.jd() == b.jd();

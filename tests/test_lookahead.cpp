@@ -1,5 +1,6 @@
-// Look-ahead (time-expanded) planner: pass-block construction, conflict-free
-// allocation, and end-to-end behaviour through the simulator.
+// Look-ahead (time-expanded) planner: pass-block construction, step
+// geometry reuse across replans, conflict-free allocation, and end-to-end
+// behaviour through the simulator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,10 +8,13 @@
 #include <set>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "src/core/lookahead.h"
 #include "src/core/simulator.h"
+#include "src/obs/events.h"
+#include "src/obs/metrics.h"
 #include "src/weather/synthetic.h"
 
 namespace dgs::core {
@@ -80,6 +84,23 @@ std::vector<PassBlock> reference_pass_blocks(
   return blocks;
 }
 
+/// Same edges in the same order, every field equal bit for bit.
+void expect_same_edges(const std::vector<ContactEdge>& a,
+                       const std::vector<ContactEdge>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    const ContactEdge& x = a[k];
+    const ContactEdge& y = b[k];
+    EXPECT_EQ(x.sat, y.sat);
+    EXPECT_EQ(x.station, y.station);
+    EXPECT_EQ(x.elevation_rad, y.elevation_rad);
+    EXPECT_EQ(x.range_km, y.range_km);
+    EXPECT_EQ(x.predicted_rate_bps, y.predicted_rate_bps);
+    EXPECT_EQ(x.modcod, y.modcod);
+    EXPECT_EQ(x.weight, y.weight);
+  }
+}
+
 /// Same blocks in the same order, every edge equal bit for bit.
 void expect_same_blocks(const std::vector<PassBlock>& a,
                         const std::vector<PassBlock>& b) {
@@ -89,19 +110,17 @@ void expect_same_blocks(const std::vector<PassBlock>& a,
     EXPECT_EQ(a[i].sat, b[i].sat);
     EXPECT_EQ(a[i].station, b[i].station);
     EXPECT_EQ(a[i].first_step, b[i].first_step);
-    ASSERT_EQ(a[i].steps.size(), b[i].steps.size());
-    for (std::size_t k = 0; k < a[i].steps.size(); ++k) {
-      const ContactEdge& x = a[i].steps[k];
-      const ContactEdge& y = b[i].steps[k];
-      EXPECT_EQ(x.sat, y.sat);
-      EXPECT_EQ(x.station, y.station);
-      EXPECT_EQ(x.elevation_rad, y.elevation_rad);
-      EXPECT_EQ(x.range_km, y.range_km);
-      EXPECT_EQ(x.predicted_rate_bps, y.predicted_rate_bps);
-      EXPECT_EQ(x.modcod, y.modcod);
-      EXPECT_EQ(x.weight, y.weight);
-    }
+    expect_same_edges(a[i].steps, b[i].steps);
   }
+}
+
+/// Every dgs_vis_* counter in `registry`, by name.
+std::map<std::string, double> vis_counters(const obs::Registry& registry) {
+  std::map<std::string, double> out;
+  for (const obs::MetricSnapshot& m : registry.snapshot()) {
+    if (m.name.starts_with("dgs_vis_")) out[m.name] = m.value;
+  }
+  return out;
 }
 
 /// Largest number of blocks any one (sat, station) pair has in `blocks`.
@@ -214,6 +233,88 @@ TEST_F(LookaheadTest, FusionIsIndependentOfThreadPool) {
                      find_pass_blocks(serial, kEpoch, 180, 60.0));
 }
 
+// Window origins of a storm session's replans over 120 one-minute steps:
+// each window starts at clock.step_start(origin), as Session forms it.
+constexpr int kReplanOrigins[] = {0,  5,  9,  16, 20, 27, 33, 40, 41, 48,
+                                  55, 60, 66, 71, 77, 85, 90, 99, 105};
+constexpr int kSessionSteps = 120;
+constexpr int kWindowSteps = 60;
+
+// One PlanGeometry driven through the replan sequence must give what cold
+// per-call windows give: every block and edge bit for bit, and every
+// dgs_vis_* counter, under clear sky and weather, with and without a
+// station down, at 1 and 4 lanes.
+TEST_F(LookaheadTest, PlanGeometryReplansMatchColdWindows) {
+  const weather::SyntheticWeatherProvider wx(13, kEpoch, 4.0);
+  const obs::StepClock clock(kEpoch, 60.0);
+  for (const bool weather : {false, true}) {
+    for (const int lanes : {1, 4}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (weather ? "weather" : "clear sky") << ", " << lanes
+                   << " lanes");
+      util::ThreadPool pool(
+          util::ParallelConfig{.num_threads = lanes, .chunk_size = 2});
+      obs::Registry cold_metrics;
+      obs::Registry warm_metrics;
+      VisibilityEngine cold(sats_, stations_, weather ? &wx : nullptr);
+      VisibilityEngine warm(sats_, stations_, weather ? &wx : nullptr);
+      cold.set_thread_pool(&pool);
+      warm.set_thread_pool(&pool);
+      cold.set_metrics(&cold_metrics);
+      warm.set_metrics(&warm_metrics);
+      PlanGeometry table(kWindowSteps);
+      for (std::size_t w = 0; w < std::size(kReplanOrigins); ++w) {
+        const int origin = kReplanOrigins[w];
+        SCOPED_TRACE(::testing::Message() << "origin " << origin);
+        const int steps = std::min(kWindowSteps, kSessionSteps - origin);
+        // Every other window plans around a station down, a different one
+        // each time: the mask is no part of the reused geometry.
+        std::vector<char> down;
+        if (w % 2 == 1) {
+          down.assign(stations_.size(), 0);
+          down[static_cast<std::size_t>(origin) % down.size()] = 1;
+        }
+        const util::Epoch start = clock.step_start(origin);
+        expect_same_blocks(
+            find_pass_blocks(warm, start, steps, 60.0, down, &table),
+            find_pass_blocks(cold, start, steps, 60.0, down));
+      }
+      EXPECT_GT(table.hits(), 0);
+      EXPECT_LT(table.hits(), table.lookups());
+      const std::map<std::string, double> counters = vis_counters(cold_metrics);
+      EXPECT_EQ(counters.size(), 5u);
+      EXPECT_GT(counters.at("dgs_vis_cull_candidates_total"), 0.0);
+      EXPECT_EQ(vis_counters(warm_metrics), counters);
+    }
+  }
+}
+
+// step_start(1) + 22 min and step_start(23) compare equal as epochs but
+// differ in their bits, and so in their geometry: the table must store
+// one, miss the other, and answer each with its own epoch's edges.
+TEST_F(LookaheadTest, PlanGeometryKeysOnEpochBitsNotOperatorEquals) {
+  const obs::StepClock clock(kEpoch, 60.0);
+  const util::Epoch replan = clock.step_start(1).plus_seconds(1320.0);
+  const util::Epoch grid = clock.step_start(23);
+  ASSERT_TRUE(replan == grid);
+  ASSERT_FALSE(replan.bits() == grid.bits());
+  const weather::SyntheticWeatherProvider wx(13, kEpoch, 4.0);
+  const VisibilityEngine engine(sats_, stations_, &wx);
+  const std::vector<util::Vec3> replan_ecef = engine.geometry(replan).sat_ecef;
+  ASSERT_NE(engine.geometry(grid).sat_ecef, replan_ecef);
+
+  PlanGeometry table(kWindowSteps);
+  const auto lookup = [&](const util::Epoch& t) {
+    return table.contacts(engine, t, 60.0, {}, {});
+  };
+  expect_same_edges(lookup(replan), engine.contacts(replan));
+  expect_same_edges(lookup(grid), engine.contacts(grid));
+  EXPECT_EQ(table.hits(), 0);
+  expect_same_edges(lookup(grid), engine.contacts(grid));
+  EXPECT_EQ(table.hits(), 1);
+  EXPECT_EQ(table.lookups(), 3);
+}
+
 TEST_F(LookaheadTest, PlanRespectsMatchingConstraints) {
   std::vector<OnboardQueue> queues(sats_.size());
   for (auto& q : queues) q.generate(50.0 * kGb, kEpoch.plus_seconds(-3600));
@@ -278,6 +379,15 @@ TEST_F(LookaheadTest, RejectsBadArguments) {
                std::invalid_argument);
   std::vector<OnboardQueue> wrong(3);
   EXPECT_THROW(plan_horizon(engine_, wrong, phi, kEpoch, 10, 60.0),
+               std::invalid_argument);
+  EXPECT_THROW(PlanGeometry(0), std::invalid_argument);
+  PlanGeometry table(4);
+  EXPECT_THROW(table.contacts(engine_, kEpoch, 0.0, {}, {}),
+               std::invalid_argument);
+  table.contacts(engine_, kEpoch, 60.0, {}, {});
+  // Another engine's instants could share this one's epoch bits.
+  const VisibilityEngine other(sats_, stations_, nullptr);
+  EXPECT_THROW(table.contacts(other, kEpoch, 60.0, {}, {}),
                std::invalid_argument);
 }
 

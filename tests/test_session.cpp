@@ -4,14 +4,14 @@
 // snapshots, restores under thread counts 1 and 4, and requires every
 // output surface — summary JSON, Prometheus exposition, event JSONL — to
 // be byte-identical to the uninterrupted run; a per-instant tenant/churn
-// run is restored every 10 steps under the same requirement.  Checked-in
-// v3 fixtures pin the on-disk format: each restores and re-snapshots to
-// the same bytes, and the v1 and v2 fixtures are rejected.  Negative-space
-// tests pin the checkpoint validator: truncations, corrupt bytes,
-// oversized length prefixes, out-of-range indices, bytes in the empty
-// geometry/matcher sections and scenario mismatches must all be rejected
-// with std::invalid_argument.  A restore fed by short stream reads must
-// still re-snapshot byte for byte.
+// run and the storm look-ahead run are restored every 10 steps under the
+// same requirement.  Checked-in v3 fixtures pin the on-disk format: each
+// restores and re-snapshots to the same bytes, and the v1 and v2
+// fixtures are rejected.  Negative-space tests pin the checkpoint
+// validator: truncations, corrupt bytes, oversized length prefixes,
+// out-of-range indices, bytes in the empty geometry/matcher sections and
+// scenario mismatches must all be rejected with std::invalid_argument.  A
+// restore fed by short stream reads must still re-snapshot byte for byte.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -253,6 +253,22 @@ TEST(SessionCheckpoint, PerInstantRestoreEveryTenStepsIsByteIdentical) {
   EXPECT_EQ(resumed.events, baseline.events);
   // Without a registry the checkpoint carries no metrics, and the summary
   // and event log still resume exactly.
+  const RunOutputs unscraped = run_restoring_every_ten_steps(s, false);
+  EXPECT_EQ(unscraped.summary, baseline.summary);
+  EXPECT_EQ(unscraped.events, baseline.events);
+}
+
+// The look-ahead planner reuses step geometry across windows through a
+// table the checkpoint does not carry: every leg of a run restored at
+// each 10th step starts it cold, and must still produce the uninterrupted
+// run's outputs, dgs_vis_* counters included.
+TEST(SessionCheckpoint, LookaheadRestoreEveryTenStepsIsByteIdentical) {
+  const Scenario s = golden_scenario();
+  const RunOutputs baseline = run_uninterrupted(s, 1);
+  const RunOutputs resumed = run_restoring_every_ten_steps(s, true);
+  EXPECT_EQ(resumed.summary, baseline.summary);
+  EXPECT_EQ(resumed.prometheus, baseline.prometheus);
+  EXPECT_EQ(resumed.events, baseline.events);
   const RunOutputs unscraped = run_restoring_every_ten_steps(s, false);
   EXPECT_EQ(unscraped.summary, baseline.summary);
   EXPECT_EQ(unscraped.events, baseline.events);
