@@ -32,7 +32,8 @@ int main() {
     bids.set_default_bid(1, bid);
 
     core::SimulationOptions opts = day_sim();
-    opts.edge_value_modifier = bids.as_modifier();
+    opts.value_scale =
+        bids.value_scale(static_cast<int>(setup.dgs25.size()));
     const core::SimulationResult r =
         core::Simulator(setup.sats, setup.dgs25, &wx, opts).run();
 

@@ -30,12 +30,9 @@
 #include "src/groundseg/io.h"        // IWYU pragma: export
 #include "src/groundseg/network_gen.h"  // IWYU pragma: export
 #include "src/link/budget.h"         // IWYU pragma: export
-#include "src/link/doppler.h"        // IWYU pragma: export
 #include "src/link/dvbs2_framing.h"  // IWYU pragma: export
 #include "src/link/ttc.h"            // IWYU pragma: export
-#include "src/orbit/groundtrack.h"   // IWYU pragma: export
 #include "src/orbit/passes.h"        // IWYU pragma: export
-#include "src/orbit/sun.h"           // IWYU pragma: export
 #include "src/util/angles.h"         // IWYU pragma: export
 #include "src/util/stats.h"          // IWYU pragma: export
 #include "src/weather/synthetic.h"   // IWYU pragma: export

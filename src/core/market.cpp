@@ -34,10 +34,16 @@ double BidMatrix::multiplier(int sat, int station) const {
   return 1.0;
 }
 
-EdgeValueModifier BidMatrix::as_modifier() const {
-  return [this](int sat, int station, double base) {
-    return base * multiplier(sat, station);
-  };
+std::vector<double> BidMatrix::value_scale(int num_stations) const {
+  DGS_ENSURE_GT(num_stations, 0);
+  std::vector<double> table;
+  table.reserve(operator_of_.size() * static_cast<std::size_t>(num_stations));
+  for (std::size_t s = 0; s < operator_of_.size(); ++s) {
+    for (int g = 0; g < num_stations; ++g) {
+      table.push_back(multiplier(static_cast<int>(s), g));
+    }
+  }
+  return table;
 }
 
 TenantArbiter::TenantArbiter(std::vector<TenantSpec> tenants, int num_sats)

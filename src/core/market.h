@@ -2,22 +2,20 @@
 // the value function can be assigned by bidding for priority access";
 // §3.3: adoption "hinges on appropriate economic incentives").
 //
-// Operators place per-station bid multipliers; the scheduler scales an
-// edge's base value (from Phi) by the bid the satellite's operator holds
-// at that station.  Higher bids buy more station time — bought, not taken:
-// the stable matching still rules out defection.
+// Operators place per-station bid multipliers; BidMatrix flattens them into
+// the satellite x station SimulationOptions::value_scale table, and the
+// scheduler scales an edge's base value (from Phi) by the bid the
+// satellite's operator holds at that station.  Higher bids buy more
+// station time — bought, not taken: the stable matching still rules out
+// defection.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
 namespace dgs::core {
-
-/// Scales the scheduler's edge values: (sat, station, base) -> value.
-using EdgeValueModifier = std::function<double(int, int, double)>;
 
 class BidMatrix {
  public:
@@ -35,9 +33,9 @@ class BidMatrix {
   int operator_of(int sat) const { return operator_of_.at(sat); }
   std::size_t num_satellites() const { return operator_of_.size(); }
 
-  /// The scheduler hook.  The returned callable captures `this`; the
-  /// matrix must outlive the scheduler run.
-  EdgeValueModifier as_modifier() const;
+  /// The SimulationOptions::value_scale table: multiplier(sat, station)
+  /// row-major over satellites x `num_stations` stations.
+  std::vector<double> value_scale(int num_stations) const;
 
  private:
   std::vector<int> operator_of_;

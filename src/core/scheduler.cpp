@@ -11,6 +11,11 @@ Scheduler::Scheduler(const VisibilityEngine* engine,
       value_(make_value_function(config.value)) {
   DGS_ENSURE(engine_ != nullptr, "null visibility engine");
   DGS_ENSURE_GT(config.quantum_seconds, 0.0);
+  if (config.value_scale != nullptr) {
+    DGS_ENSURE_EQ(config.value_scale->size(),
+                  static_cast<std::size_t>(engine_->num_sats()) *
+                      static_cast<std::size_t>(engine_->num_stations()));
+  }
   if (obs::Registry* metrics = engine_->metrics(); metrics != nullptr) {
     instants_ = metrics->counter("dgs_sched_instants_total",
                                  "schedule_instant invocations");
@@ -32,9 +37,8 @@ std::vector<ContactEdge> Scheduler::schedule_instant(
       engine_->contacts(when, forecast_lead_s, station_down);
 
   // Weight edges by the value of the data each could move this quantum.
-  // Per-index writes keep the parallel path bit-identical to serial; a
-  // user-supplied edge_value_modifier may be stateful (e.g. bidding), so
-  // its presence forces the serial path.
+  // Per-index writes keep the parallel path bit-identical to serial.
+  const auto num_stations = static_cast<std::size_t>(engine_->num_stations());
   std::vector<Edge> edges(contacts.size());
   const auto weigh = [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t i = begin; i < end; ++i) {
@@ -46,14 +50,17 @@ std::vector<ContactEdge> Scheduler::schedule_instant(
         c.weight *=
             (*config_.sat_value_scale)[static_cast<std::size_t>(c.sat)];
       }
-      if (config_.edge_value_modifier) {
-        c.weight = config_.edge_value_modifier(c.sat, c.station, c.weight);
+      if (config_.value_scale != nullptr) {
+        const std::size_t cell = static_cast<std::size_t>(c.sat) *
+                                     num_stations +
+                                 static_cast<std::size_t>(c.station);
+        c.weight *= (*config_.value_scale)[cell];
       }
       edges[static_cast<std::size_t>(i)] = Edge{c.sat, c.station, c.weight};
     }
   };
   util::ThreadPool* pool = engine_->thread_pool();
-  if (pool != nullptr && !config_.edge_value_modifier) {
+  if (pool != nullptr) {
     pool->parallel_for(static_cast<std::int64_t>(contacts.size()), weigh);
   } else {
     weigh(0, static_cast<std::int64_t>(contacts.size()));

@@ -19,17 +19,18 @@ struct SchedulerConfig {
   ValueKind value = ValueKind::kLatency;
   /// Length of one scheduling quantum; converts edge rate to edge bytes.
   double quantum_seconds = 60.0;
-  /// Optional hook scaling each edge's value after Phi — bidding (see
-  /// BidMatrix::as_modifier), geographic SLAs, operator policy.
-  EdgeValueModifier edge_value_modifier;
-  /// Optional per-satellite value multipliers applied between Phi and
-  /// edge_value_modifier: the tenant fair-share arbiter (TenantArbiter)
-  /// points this at its scale vector.  Borrowed; the driver thread may
-  /// rewrite the contents between instants, but they are fixed during one
-  /// schedule_instant call and read per-index, so — unlike the stateful
-  /// edge_value_modifier — the parallel weigh path stays bit-identical to
+  /// Optional per-satellite value multipliers applied after Phi: the
+  /// tenant fair-share arbiter (TenantArbiter) points this at its scale
+  /// vector.  Borrowed; the driver thread may rewrite the contents between
+  /// instants, but they are fixed during one schedule_instant call and
+  /// read per-index, so the parallel weigh path stays bit-identical to
   /// serial.  Size must be >= the engine's satellite count.
   const std::vector<double>* sat_value_scale = nullptr;
+  /// Optional per-edge multipliers applied after sat_value_scale:
+  /// SimulationOptions::value_scale (bidding, BidMatrix::value_scale),
+  /// row-major satellites x stations.  Borrowed and read-only; size must
+  /// be the engine's satellite count times its station count.
+  const std::vector<double>* value_scale = nullptr;
 };
 
 class Scheduler {

@@ -71,6 +71,11 @@ void put_options(BinaryWriter& w, const SimulationOptions& o) {
     w.u64(t.satellites.size());
     for (const int s : t.satellites) w.i32(s);
   }
+  // Appended only when set, so every run without bids keeps its CRC.
+  if (!o.value_scale.empty()) {
+    w.u64(o.value_scale.size());
+    for (const double m : o.value_scale) w.f64(m);
+  }
 }
 
 }  // namespace
@@ -144,9 +149,11 @@ Session::Session(std::vector<groundseg::SatelliteConfig> sats,
   sched_cfg.matcher = opts_.matcher;
   sched_cfg.value = opts_.value;
   sched_cfg.quantum_seconds = dt_;
-  sched_cfg.edge_value_modifier = opts_.edge_value_modifier;
   if (arbiter_.has_value()) {
     sched_cfg.sat_value_scale = &arbiter_->sat_scale();
+  }
+  if (!opts_.value_scale.empty()) {
+    sched_cfg.value_scale = &opts_.value_scale;
   }
   scheduler_ = std::make_unique<Scheduler>(engine_.get(), sched_cfg);
 
@@ -258,22 +265,12 @@ double Session::realized_rate_bps(const ContactEdge& e,
     wx = actual_wx_->actual(gs.location.latitude_rad,
                             gs.location.longitude_rad, when);
   }
-  link::PathConditions path;
-  path.range_km = e.range_km;
-  path.elevation_rad = e.elevation_rad;
-  path.site_latitude_rad = gs.location.latitude_rad;
-  path.site_altitude_km = gs.location.altitude_km;
-  path.rain_rate_mm_h = wx.rain_rate_mm_h;
-  path.cloud_liquid_kg_m2 = wx.cloud_liquid_kg_m2;
-
   // The satellite transmits at the *scheduled* MODCOD (receive-only
   // stations cannot request a change mid-pass).  The transfer succeeds iff
-  // the actual Es/N0 still meets that MODCOD's requirement.  Beamforming
-  // stations pay the same power-split penalty the scheduler assumed.
-  link::ReceiveSystem rx = gs.receiver;
-  if (gs.beam_count > 1) rx.aperture_efficiency /= gs.beam_count;
-  const link::LinkBudget actual =
-      link::evaluate_link(sats_[e.sat].radio, rx, path);
+  // the actual Es/N0 still meets that MODCOD's requirement; the budget is
+  // the scheduler's own, evaluated under the actual weather.
+  const link::LinkBudget actual = contact_link_budget(
+      sats_[e.sat], gs, e.range_km, e.elevation_rad, wx);
   if (e.modcod == nullptr) return 0.0;
   if (actual.esn0_db < e.modcod->required_esn0_db) return 0.0;
   return link::bitrate_bps(*e.modcod, sats_[e.sat].radio.symbol_rate_hz) *

@@ -103,9 +103,9 @@ class Session {
   /// CRC32 over the canonical encoding of every option that affects the
   /// simulated trajectory.  Excluded on purpose: `parallel` (any thread
   /// count produces identical results — restoring under a different count
-  /// is the point), the metrics/events sinks, and edge_value_modifier
-  /// (opaque callable; runs using it cannot assert checkpoint identity
-  /// on it).
+  /// is the point) and the metrics/events sinks.  `value_scale` is
+  /// appended only when non-empty, so runs without bids keep the CRC they
+  /// had before the table existed.
   std::uint32_t options_crc32() const;
 
  private:

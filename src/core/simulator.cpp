@@ -202,6 +202,30 @@ std::optional<OptionsError> SimulationOptions::validate(
                "must be in [0, 1) (got " + num(pu) + ")");
   }
 
+  // Priority-access bids (DESIGN.md §16): a satellite x station table.
+  if (!value_scale.empty()) {
+    if (lookahead_hours > 0.0) {
+      return err("value_scale",
+                 "bid multipliers require per-instant scheduling "
+                 "(lookahead_hours must be 0)");
+    }
+    for (std::size_t i = 0; i < value_scale.size(); ++i) {
+      const double m = value_scale[i];
+      if (!(m > 0.0) || !std::isfinite(m)) {
+        return err("value_scale[" + num(static_cast<double>(i)) + "]",
+                   "must be finite and > 0 (got " + num(m) + ")");
+      }
+    }
+    if (num_satellites >= 0 && num_stations >= 0 &&
+        value_scale.size() != static_cast<std::size_t>(num_satellites) *
+                                  static_cast<std::size_t>(num_stations)) {
+      return err("value_scale",
+                 "holds " + num(static_cast<double>(value_scale.size())) +
+                     " multipliers; expected satellites x stations = " +
+                     num(num_satellites) + " x " + num(num_stations));
+    }
+  }
+
   // Multi-tenant service mode (DESIGN.md §16).  The tenant slices must
   // partition the fleet: disjoint always; covering whenever the fleet
   // size is known.

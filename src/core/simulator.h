@@ -70,9 +70,6 @@ struct SimulationOptions {
   /// tier first; capture-to-cloud latencies land in
   /// SimulationResult::cloud_latency_minutes.  0 = infinite backhaul.
   double station_backhaul_bps = 0.0;
-  /// Optional bidding/policy hook; forwarded to the scheduler (see
-  /// BidMatrix).  The callable must outlive the run.
-  EdgeValueModifier edge_value_modifier;
   /// Antenna retarget + carrier re-lock time [s].  When a station serves a
   /// different satellite than in the previous step (or comes back from
   /// idle), the first `slew_seconds` of the quantum move no data.  The
@@ -110,6 +107,17 @@ struct SimulationOptions {
   /// and covering the whole fleet; incompatible with lookahead_hours > 0
   /// (the arbiter is defined for per-instant scheduling only).
   std::vector<TenantSpec> tenants;
+  /// Priority-access bids (paper §3.1, DESIGN.md §16): per-edge value
+  /// multipliers, row-major satellites x stations, with station indices
+  /// over the list after station_subset filtering (like fault-plan
+  /// indices).  The scheduler multiplies an edge's value by
+  /// value_scale[sat * num_stations + station] after Phi and any tenant
+  /// scale; BidMatrix::value_scale builds the table.  Empty (the default)
+  /// means every multiplier is 1.  Validation: every entry finite and
+  /// > 0, size satellites x stations when both are known; incompatible
+  /// with lookahead_hours > 0 (the planner scores pass blocks with Phi
+  /// alone).
+  std::vector<double> value_scale;
 
   /// Validates every field (and their combinations) in one documented
   /// place, replacing the scattered run-time checks the constructor used
@@ -120,7 +128,8 @@ struct SimulationOptions {
   /// GroundStation::ids for station_subset membership checks; empty skips
   /// the membership check (uniqueness/sign are always enforced).
   /// `num_satellites` bounds tenant satellite indices and enables the
-  /// fleet-coverage check; -1 skips both.
+  /// fleet-coverage check; -1 skips both.  The value_scale size check
+  /// needs both `num_satellites` and `num_stations`.
   std::optional<OptionsError> validate(
       int num_stations = -1, std::span<const int> station_ids = {},
       int num_satellites = -1) const;

@@ -49,6 +49,22 @@ orbit::Sgp4Batch make_batch(
 
 }  // namespace
 
+link::LinkBudget contact_link_budget(const groundseg::SatelliteConfig& sat,
+                                     const groundseg::GroundStation& gs,
+                                     double range_km, double elevation_rad,
+                                     const weather::WeatherSample& wx) {
+  link::PathConditions path;
+  path.range_km = range_km;
+  path.elevation_rad = elevation_rad;
+  path.site_latitude_rad = gs.location.latitude_rad;
+  path.site_altitude_km = gs.location.altitude_km;
+  path.rain_rate_mm_h = wx.rain_rate_mm_h;
+  path.cloud_liquid_kg_m2 = wx.cloud_liquid_kg_m2;
+  link::ReceiveSystem rx = gs.receiver;
+  if (gs.beam_count > 1) rx.aperture_efficiency /= gs.beam_count;
+  return link::evaluate_link(sat.radio, rx, path);
+}
+
 VisibilityEngine::VisibilityEngine(
     const std::vector<groundseg::SatelliteConfig>& sats,
     const std::vector<groundseg::GroundStation>& stations,
@@ -385,23 +401,8 @@ std::vector<ContactEdge> VisibilityEngine::edges(
           wx = memo_wx;
         }
 
-        link::PathConditions path;
-        path.range_km = v.range_km;
-        path.elevation_rad = v.elevation_rad;
-        path.site_latitude_rad = gs.location.latitude_rad;
-        path.site_altitude_km = gs.location.altitude_km;
-        path.rain_rate_mm_h = wx.rain_rate_mm_h;
-        path.cloud_liquid_kg_m2 = wx.cloud_liquid_kg_m2;
-
-        // Beamforming stations split aperture power across their beams;
-        // model the conservative full-split penalty by scaling the
-        // aperture efficiency down by the beam count.
-        link::ReceiveSystem rx = gs.receiver;
-        if (gs.beam_count > 1) {
-          rx.aperture_efficiency /= gs.beam_count;
-        }
-        const link::LinkBudget b =
-            link::evaluate_link((*sats_)[s].radio, rx, path);
+        const link::LinkBudget b = contact_link_budget(
+            (*sats_)[s], gs, v.range_km, v.elevation_rad, wx);
         ++budgets_evaluated;
         if (!b.closes()) continue;
         ++edges_produced;

@@ -93,6 +93,17 @@ void io(Ar& ar, ContactEdge& e) {
   ar.f64(e.weight);
 }
 
+/// The link budget of one satellite -> station contact at (range,
+/// elevation) under weather `wx`.  Beamforming stations split aperture
+/// power across their beams; the conservative full-split penalty scales
+/// the aperture efficiency down by the beam count.  The predicted budget
+/// (VisibilityEngine, forecast weather) and the realized one (Session,
+/// actual weather) both come from here, so the two cannot drift apart.
+link::LinkBudget contact_link_budget(const groundseg::SatelliteConfig& sat,
+                                     const groundseg::GroundStation& gs,
+                                     double range_km, double elevation_rad,
+                                     const weather::WeatherSample& wx);
+
 class VisibilityEngine {
  public:
   /// `forecast_weather` drives the *predicted* budgets; pass nullptr to

@@ -6,7 +6,8 @@ Three layers:
     positive, suppressed, and baselined behaviour;
   - mutation rehearsals copy a real source file into a temp root, inject
     a violation (rand() into fault_plan.cpp, an unordered_map loop into
-    run_artifact.cpp), and require dgslint to fail — proof the linter
+    run_artifact.cpp, a std::function member into SimulationOptions), and
+    require dgslint to fail — proof the linter
     would catch a real regression, not just the fixtures;
   - CLI-contract tests pin exit codes, --verify-baseline, and the
     GitHub-annotation output format.
@@ -98,6 +99,14 @@ class FixtureCorpusTest(unittest.TestCase):
         self.assertEqual(
             len(self.by_rule("R6", "src/util/r6_guarded.h")), 0)
 
+    def test_r7_callable_option_members(self):
+        found = self.by_rule("R7", "src/core/r7_callable_options.h")
+        # std::function, function pointer, callable alias and a vector
+        # of callables; the method and the suppressed alias stay silent.
+        self.assertEqual([f["line"] for f in found], [11, 12, 14, 15])
+        self.assertEqual(
+            len(self.by_rule("R7", "src/core/r7_plain_options.h")), 0)
+
     def test_sup_malformed_suppressions_are_unsuppressable(self):
         sup = self.by_rule("SUP", "src/util/sup_cases.cpp")
         self.assertEqual(len(sup), 3)
@@ -127,7 +136,8 @@ class MutationRehearsalTest(unittest.TestCase):
         return code, json.loads(out)["findings"]
 
     def test_unmutated_copies_are_clean(self):
-        for rel in ("src/faults/fault_plan.cpp", "src/core/run_artifact.cpp"):
+        for rel in ("src/faults/fault_plan.cpp", "src/core/run_artifact.cpp",
+                    "src/core/simulator.h"):
             code, findings = self._scan_mutated(rel, lambda t: t)
             self.assertEqual(code, 0, findings)
 
@@ -151,6 +161,16 @@ class MutationRehearsalTest(unittest.TestCase):
             "src/core/run_artifact.cpp", lambda t: t + injected)
         self.assertEqual(code, 1)
         self.assertTrue(any(f["rule"] == "R2" for f in findings), findings)
+
+    def test_callable_option_member_fails(self):
+        code, findings = self._scan_mutated(
+            "src/core/simulator.h",
+            lambda t: t.replace(
+                "  std::vector<double> value_scale;",
+                "  std::vector<double> value_scale;\n"
+                "  std::function<double(int, int, double)> hook;", 1))
+        self.assertEqual(code, 1)
+        self.assertTrue(any(f["rule"] == "R7" for f in findings), findings)
 
     def test_bad_metric_name_in_session_fails(self):
         code, findings = self._scan_mutated(
@@ -198,7 +218,7 @@ class CliContractTest(unittest.TestCase):
     def test_list_rules(self):
         code, out, _ = run_dgslint("--list-rules")
         self.assertEqual(code, 0)
-        for rule in ("R1", "R2", "R3", "R4", "R5", "R6", "SUP"):
+        for rule in ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "SUP"):
             self.assertIn(rule, out)
 
 

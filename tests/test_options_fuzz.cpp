@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -70,6 +71,8 @@ const std::set<std::string>& known_fields() {
       "tenants[*].sla_latency_minutes",
       "tenants[*].satellites",
       "tenants[*].satellites[*]",
+      "value_scale",
+      "value_scale[*]",
   };
   return kFields;
 }
@@ -166,6 +169,10 @@ bool repair(SimulationOptions& o, const std::string& field) {
     o.tenants.at(static_cast<std::size_t>(i)).satellites = {100 + i};
   } else if (norm == "tenants[*].satellites[*]") {
     o.tenants.at(static_cast<std::size_t>(i)).satellites = {200 + i};
+  } else if (norm == "value_scale") {
+    o.value_scale.clear();
+  } else if (norm == "value_scale[*]") {
+    o.value_scale.at(static_cast<std::size_t>(i)) = 1.0;
   } else {
     return false;
   }
@@ -229,6 +236,18 @@ const std::vector<Corruption>& corruptions() {
         t.satellites = {static_cast<int>(o.tenants.size())};
         t.weight = rng.next() % 2 == 0 ? 0.0 : bad_negative(rng);
         o.tenants.push_back(std::move(t));
+      },
+      [](SimulationOptions& o, faults::Pcg32& rng) {
+        // A non-finite or non-positive bid multiplier.
+        const double bad[] = {0.0, -1.0,
+                              std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()};
+        o.value_scale.push_back(bad[rng.next() % 4]);
+      },
+      [](SimulationOptions& o, faults::Pcg32&) {
+        // A valid table under look-ahead: the whole-field error.
+        o.value_scale.push_back(2.0);
+        o.lookahead_hours = 1.0;
       },
       [](SimulationOptions& o, faults::Pcg32& rng) {
         o.faults.outages.push_back(

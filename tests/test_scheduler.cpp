@@ -170,5 +170,38 @@ TEST_F(SchedulerTest, MatcherKindIsHonored) {
   EXPECT_GE(values[1], values[2] - 1e-9);  // optimal >= greedy
 }
 
+// The value_scale table multiplies each edge's Phi value by its
+// (satellite, station) entry, bit for bit, and a table of the wrong shape
+// is refused at construction.
+TEST_F(SchedulerTest, ValueScaleMultipliesEachEdgeAfterPhi) {
+  const auto queues = loaded_queues(50.0);
+  const std::size_t num_stations = stations_.size();
+  std::vector<double> table(sats_.size() * num_stations);
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    table[i] = 0.5 + 0.25 * static_cast<double>(i % 7);
+  }
+  SchedulerConfig cfg;
+  cfg.value_scale = &table;
+  const Scheduler sched(&engine_, cfg);
+  int checked = 0;
+  for (double m = 0.0; m < 360.0; m += 15.0) {
+    const util::Epoch t = kEpoch.plus_seconds(m * 60.0);
+    for (const ContactEdge& e : sched.schedule_instant(t, queues)) {
+      const double base = sched.value_function().edge_value(
+          queues[e.sat], t,
+          e.predicted_rate_bps * cfg.quantum_seconds / 8.0);
+      const auto sat = static_cast<std::size_t>(e.sat);
+      const auto station = static_cast<std::size_t>(e.station);
+      EXPECT_EQ(e.weight, base * table[sat * num_stations + station]);
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0);
+
+  std::vector<double> short_table(table.size() - 1, 1.0);
+  cfg.value_scale = &short_table;
+  EXPECT_THROW(Scheduler(&engine_, cfg), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace dgs::core

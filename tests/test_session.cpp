@@ -343,6 +343,48 @@ TEST(SessionCheckpointFixture, TenantsChurnV3RoundTripsByteForByte) {
                              "checkpoint_v3_tenants_churn_1h.ckpt");
 }
 
+// SimulationOptions::value_scale is hashed into options_crc32 only when it
+// is set: both v3 fixtures carry the CRC their scenario has today (no
+// table), different tables hash apart, and restoring under another table
+// is refused by the options check.
+TEST(SessionCheckpointFixture, ValueScaleIsHashedOnlyWhenSet) {
+  const std::pair<Scenario, std::string> fixtures[] = {
+      {golden_scenario(), "checkpoint_v3_storm_lookahead_1h.ckpt"},
+      {tenant_churn_scenario(), "checkpoint_v3_tenants_churn_1h.ckpt"},
+  };
+  for (const auto& [s, name] : fixtures) {
+    const std::string bytes = read_fixture(name);
+    CheckpointView view;
+    ASSERT_FALSE(read_checkpoint(bytes, &view).has_value()) << name;
+    EXPECT_EQ(view.header.options_crc32,
+              Session(s.sats, s.stations, nullptr, s.opts).options_crc32())
+        << name;
+  }
+
+  const Scenario s = tenant_churn_scenario();
+  SimulationOptions ones = s.opts;
+  ones.value_scale.assign(s.sats.size() * s.stations.size(), 1.0);
+  SimulationOptions bids = ones;
+  bids.value_scale[5] = 2.0;
+  Session plain(s.sats, s.stations, nullptr, s.opts);
+  Session with_ones(s.sats, s.stations, nullptr, ones);
+  const Session with_bids(s.sats, s.stations, nullptr, bids);
+  EXPECT_NE(with_ones.options_crc32(), plain.options_crc32());
+  EXPECT_NE(with_bids.options_crc32(), with_ones.options_crc32());
+
+  with_ones.run_until_hours(1.0);
+  std::stringstream cp;
+  with_ones.snapshot(cp);
+  try {
+    Session::restore(cp, s.sats, s.stations, nullptr, bids);
+    ADD_FAILURE() << "restored under a different value_scale";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("options_crc32 does not match"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 /// Restoring both fixtures of format `version` ("v1", "v2") must throw
 /// std::invalid_argument naming that version.
 void expect_fixtures_rejected(const std::string& version) {

@@ -29,6 +29,10 @@ Rules (see DESIGN.md §13 for the full table and rationale):
   R6  public headers are self-contained: every src/**/*.h carries
       #pragma once (the compile-level check is the CMake
       dgs_header_selfcontained target, which builds one TU per header).
+  R7  options are plain data: no std::function, function pointer or
+      other callable member in SimulationOptions or SchedulerConfig —
+      anything that shapes a trajectory must be validated, hashed into
+      options_crc32 and carried by checkpoints.
   SUP suppression-comment hygiene: every `dgslint: allow(...)` names
       known rules and carries a `-- reason`.
 
@@ -110,6 +114,7 @@ RULE_TITLES = {
     "R4": "ad-hoc error channel in src/",
     "R5": "metric/summary-key hygiene",
     "R6": "header self-containment",
+    "R7": "callable member in an options struct",
     "SUP": "malformed dgslint suppression",
 }
 
@@ -403,6 +408,98 @@ def check_r6(f, ctx):
                       "each header standalone)")
 
 
+# R7: the option structs whose members must all be plain data.
+R7_STRUCTS = ("SimulationOptions", "SchedulerConfig")
+R7_STRUCT_RE = re.compile(
+    r"\b(?:struct|class)\s+(%s)\b[^;{]*\{" % "|".join(R7_STRUCTS))
+CALLABLE_TEMPLATE_RE = re.compile(
+    r"\bstd::(?:function|move_only_function|copyable_function|function_ref)"
+    r"\s*<")
+# `using Name = std::function<...>` / `using Name = R (*)(...)` and
+# `typedef R (*Name)(...)`: aliases that name a callable type.
+CALLABLE_USING_RE = re.compile(
+    r"\busing\s+(\w+)\s*=\s*(?:[^;]*?\bstd::(?:function|move_only_function|"
+    r"copyable_function|function_ref)\s*<|[^;(]*\(\s*(?:\w+::)*\*\s*\)\s*\()")
+CALLABLE_TYPEDEF_RE = re.compile(
+    r"\btypedef\b[^;]*\(\s*(?:\w+::)*\*\s*(\w+)\s*\)\s*\(")
+FUNCTION_POINTER_MEMBER_RE = re.compile(r"\(\s*(?:\w+::)*\*\s*\w+\s*\)\s*\(")
+
+
+def callable_aliases(files):
+    """Names every scanned file declares as an alias of a callable type."""
+    names = set()
+    for f in files:
+        names.update(m.group(1) for m in CALLABLE_USING_RE.finditer(f.code))
+        names.update(m.group(1) for m in CALLABLE_TYPEDEF_RE.finditer(f.code))
+    return names
+
+
+def _struct_members(code, open_brace):
+    """Yields (offset, text) of each top-level declaration in the struct
+    body opening at `open_brace`; nested brace contents are emptied and an
+    inline function body ends its declaration."""
+    depth, start, flat = 0, open_brace + 1, []
+    for i in range(open_brace + 1, len(code)):
+        c = code[i]
+        if c == "{":
+            depth += 1
+            if depth == 1:
+                flat.append(c)
+            continue
+        if c == "}":
+            if depth == 0:
+                break
+            depth -= 1
+            if depth == 0:
+                flat.append(c)
+                if "(" in "".join(flat):  # an inline function body
+                    yield start, "".join(flat)
+                    flat, start = [], i + 1
+            continue
+        if depth > 0:
+            continue
+        if c == ";":
+            yield start, "".join(flat)
+            flat, start = [], i + 1
+        else:
+            flat.append(c)
+
+
+def _is_callable_member(stmt, aliases):
+    stmt = re.sub(r"^\s*(?:(?:public|private|protected)\s*:\s*)+", "", stmt)
+    if FUNCTION_POINTER_MEMBER_RE.search(stmt):
+        return True
+    # Drop default initializers, then template arguments: what remains of
+    # a member function declaration still has its parameter list.
+    decl = re.split(r"=", stmt, maxsplit=1)[0]
+    flat = decl
+    while True:
+        nested = re.sub(r"<[^<>]*>", "", flat)
+        if nested == flat:
+            break
+        flat = nested
+    if "(" in flat or re.match(r"\s*(?:using|typedef|friend|template)\b",
+                               flat):
+        return False
+    if CALLABLE_TEMPLATE_RE.search(decl):
+        return True
+    return any(re.search(r"\b%s\b" % re.escape(a), flat) for a in aliases)
+
+
+def check_r7(f, ctx):
+    aliases = ctx.get("callable_aliases", set())
+    for m in R7_STRUCT_RE.finditer(f.code):
+        for offset, stmt in _struct_members(f.code, m.end() - 1):
+            if _is_callable_member(stmt, aliases):
+                lead = len(stmt) - len(stmt.lstrip())
+                yield Finding(
+                    "R7", f.relpath, f.line_of(offset + lead),
+                    "callable member in %s — options are plain data "
+                    "(validated, hashed into options_crc32, carried by "
+                    "checkpoints); express the policy as a table"
+                    % m.group(1))
+
+
 def check_sup(f, ctx):
     del ctx
     for line, rules in sorted(f.suppressions.items()):
@@ -415,7 +512,7 @@ def check_sup(f, ctx):
 
 
 CHECKERS = (check_r1, check_r2, check_r3, check_r4, check_r5, check_r6,
-            check_sup)
+            check_r7, check_sup)
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +592,14 @@ def verify_baseline(root, entries):
 
 
 def scan(root, only_paths=None):
-    ctx = {"summary_keys": load_summary_keys(root)}
-    findings = []
+    files = []
     for path, rel in iter_source_files(root, only_paths):
         with open(path, encoding="utf-8") as fh:
-            f = SourceFile(path, rel, fh.read())
+            files.append(SourceFile(path, rel, fh.read()))
+    ctx = {"summary_keys": load_summary_keys(root),
+           "callable_aliases": callable_aliases(files)}
+    findings = []
+    for f in files:
         for checker in CHECKERS:
             for finding in checker(f, ctx):
                 # SUP findings are themselves unsuppressable.
