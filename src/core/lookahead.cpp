@@ -146,11 +146,8 @@ HorizonPlan plan_horizon(const VisibilityEngine& engine,
                            b.capacity_bytes(step_seconds));
     }
   };
-  if (util::ThreadPool* pool = engine.thread_pool(); pool != nullptr) {
-    pool->parallel_for(static_cast<std::int64_t>(blocks.size()), score);
-  } else {
-    score(0, static_cast<std::int64_t>(blocks.size()));
-  }
+  util::parallel_for(engine.thread_pool(),
+                     static_cast<std::int64_t>(blocks.size()), score);
 
   struct Scored {
     int block_index;

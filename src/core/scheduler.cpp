@@ -59,12 +59,8 @@ std::vector<ContactEdge> Scheduler::schedule_instant(
       edges[static_cast<std::size_t>(i)] = Edge{c.sat, c.station, c.weight};
     }
   };
-  util::ThreadPool* pool = engine_->thread_pool();
-  if (pool != nullptr) {
-    pool->parallel_for(static_cast<std::int64_t>(contacts.size()), weigh);
-  } else {
-    weigh(0, static_cast<std::int64_t>(contacts.size()));
-  }
+  util::parallel_for(engine_->thread_pool(),
+                     static_cast<std::int64_t>(contacts.size()), weigh);
 
   // Beamforming stations (beam_count > 1) turn the problem into a
   // capacitated matching; node-duplicate for the optimal matcher.

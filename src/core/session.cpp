@@ -94,36 +94,11 @@ Session::Session(std::vector<groundseg::SatelliteConfig> sats,
     : sats_(std::move(sats)), stations_(std::move(stations)),
       actual_wx_(actual_weather), opts_(opts),
       clock_(opts.start, opts.step_seconds) {
-  DGS_ENSURE(!sats_.empty() && !stations_.empty(),
-             "sats=" << sats_.size() << " stations=" << stations_.size());
-  // Apply the station-subset restriction before anything else: membership
-  // is checked against the *input* station ids, while everything
-  // downstream (fault-plan indices, the visibility engine, metrics) sees
-  // only the filtered list, in input order.
-  std::vector<int> station_ids;
-  station_ids.reserve(stations_.size());
-  for (const groundseg::GroundStation& gs : stations_) {
-    station_ids.push_back(gs.id);
-  }
-  if (!opts_.station_subset.empty()) {
-    std::vector<groundseg::GroundStation> kept;
-    kept.reserve(opts_.station_subset.size());
-    for (groundseg::GroundStation& gs : stations_) {
-      if (std::find(opts_.station_subset.begin(),
-                    opts_.station_subset.end(),
-                    gs.id) != opts_.station_subset.end()) {
-        kept.push_back(std::move(gs));
-      }
-    }
-    stations_ = std::move(kept);
-  }
-  if (const auto e = opts_.validate(static_cast<int>(stations_.size()),
-                                    station_ids,
-                                    static_cast<int>(sats_.size()))) {
-    // dgslint: allow(R4) -- renders OptionsError; format is test-pinned
-    throw std::invalid_argument("SimulationOptions." + e->field + ": " +
-                                e->message);
-  }
+  // Apply the station-subset restriction before anything else: the
+  // visibility engine, fault-plan indices and metrics see only the
+  // filtered list, in input order.
+  stations_ = select_stations(std::move(stations_), opts_,
+                              static_cast<int>(sats_.size()));
 
   num_sats_ = static_cast<int>(sats_.size());
   num_stations_ = static_cast<int>(stations_.size());

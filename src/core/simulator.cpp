@@ -314,39 +314,46 @@ std::optional<OptionsError> SimulationOptions::validate(
   return std::nullopt;
 }
 
+std::vector<groundseg::GroundStation> select_stations(
+    std::vector<groundseg::GroundStation> stations,
+    const SimulationOptions& opts, int num_sats) {
+  DGS_ENSURE(num_sats > 0 && !stations.empty(),
+             "sats=" << num_sats << " stations=" << stations.size());
+  std::vector<int> station_ids;
+  station_ids.reserve(stations.size());
+  for (const groundseg::GroundStation& gs : stations) {
+    station_ids.push_back(gs.id);
+  }
+  if (!opts.station_subset.empty()) {
+    std::vector<groundseg::GroundStation> kept;
+    kept.reserve(opts.station_subset.size());
+    for (groundseg::GroundStation& gs : stations) {
+      if (std::find(opts.station_subset.begin(), opts.station_subset.end(),
+                    gs.id) != opts.station_subset.end()) {
+        kept.push_back(std::move(gs));
+      }
+    }
+    stations = std::move(kept);
+  }
+  if (const auto e = opts.validate(static_cast<int>(stations.size()),
+                                   station_ids, num_sats)) {
+    // dgslint: allow(R4) -- renders OptionsError; format is test-pinned
+    throw std::invalid_argument("SimulationOptions." + e->field + ": " +
+                                e->message);
+  }
+  return stations;
+}
+
 Simulator::Simulator(std::vector<groundseg::SatelliteConfig> sats,
                      std::vector<groundseg::GroundStation> stations,
                      const weather::WeatherProvider* actual_weather,
                      const SimulationOptions& opts)
     : sats_(std::move(sats)), stations_(std::move(stations)),
       actual_wx_(actual_weather), opts_(opts) {
-  // Session repeats the full validation at construction; running it here
-  // too preserves the long-standing contract that an invalid Simulator
-  // throws at *construction*, not at run().
-  DGS_ENSURE(!sats_.empty() && !stations_.empty(),
-             "sats=" << sats_.size() << " stations=" << stations_.size());
-  std::vector<int> station_ids;
-  station_ids.reserve(stations_.size());
-  for (const groundseg::GroundStation& gs : stations_) {
-    station_ids.push_back(gs.id);
-  }
-  int num_filtered = static_cast<int>(stations_.size());
-  if (!opts_.station_subset.empty()) {
-    num_filtered = 0;
-    for (const groundseg::GroundStation& gs : stations_) {
-      if (std::find(opts_.station_subset.begin(),
-                    opts_.station_subset.end(),
-                    gs.id) != opts_.station_subset.end()) {
-        num_filtered += 1;
-      }
-    }
-  }
-  if (const auto e = opts_.validate(num_filtered, station_ids,
-                                    static_cast<int>(sats_.size()))) {
-    // dgslint: allow(R4) -- renders OptionsError; format is test-pinned
-    throw std::invalid_argument("SimulationOptions." + e->field + ": " +
-                                e->message);
-  }
+  // Session repeats the validation at construction; running it here too
+  // keeps the contract that an invalid Simulator throws at construction,
+  // not at run().
+  select_stations(stations_, opts_, static_cast<int>(sats_.size()));
 }
 
 SimulationResult Simulator::run() {

@@ -250,6 +250,17 @@ struct SimulationResult {
   }
 };
 
+/// The stations a run sees: `stations` restricted to `opts.station_subset`
+/// (every one when it is empty), in input order.  Subset membership is
+/// checked against the input ids; fault-plan indices and everything
+/// downstream see only the filtered list.  Throws std::invalid_argument
+/// "SimulationOptions.<field>: <message>" when `opts` is invalid for this
+/// network, and a DGS_ENSURE failure when either input is empty.  Session
+/// and Simulator both validate through it.
+std::vector<groundseg::GroundStation> select_stations(
+    std::vector<groundseg::GroundStation> stations,
+    const SimulationOptions& opts, int num_sats);
+
 /// Run-to-completion convenience wrapper over core::Session (session.h),
 /// which owns all mutable per-run state and additionally supports
 /// stepping, mid-run reports, and snapshot/restore checkpointing.

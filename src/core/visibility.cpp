@@ -154,11 +154,7 @@ void VisibilityEngine::sweep_brute(StepGeometry& out) const {
       }
     }
   };
-  if (pool_ != nullptr) {
-    pool_->parallel_for(num_stations, sweep);
-  } else {
-    sweep(0, num_stations);
-  }
+  util::parallel_for(pool_, num_stations, sweep);
 }
 
 void VisibilityEngine::sweep_indexed(StepGeometry& out) const {
@@ -284,11 +280,7 @@ void VisibilityEngine::sweep_indexed(StepGeometry& out) const {
     total_candidates.fetch_add(candidates, std::memory_order_relaxed);
     total_precise.fetch_add(precise, std::memory_order_relaxed);
   };
-  if (pool_ != nullptr) {
-    pool_->parallel_for(num_stations, sweep);
-  } else {
-    sweep(0, num_stations);
-  }
+  util::parallel_for(pool_, num_stations, sweep);
   out.work.cull_candidates = total_candidates.load();
   out.work.cull_precise = total_precise.load();
 }
@@ -359,10 +351,48 @@ std::vector<ContactEdge> VisibilityEngine::edges(
   DGS_ENSURE_EQ(visible.size(), stations_->size());
 
   // Weather sampling and link budgets depend on the forecast lead and the
-  // outage mask, so they are evaluated per call.  Each station produces its
-  // own edge list (a scratch slot that keeps its capacity across calls);
-  // concatenating them in station order reproduces the serial
-  // station-major, satellite-minor order.
+  // outage mask, so they are evaluated per call, in two passes.
+  //
+  // Pass 1, on this (the driver) thread: one sample per visible pair of
+  // every up station, in station order, so the provider is only ever
+  // called from one thread (provider.h).  Station g's samples start at
+  // sample_offset_[g].  The station's last (lead, sample) is memoized:
+  // satellites sharing a lead share the forecast, as every satellite does
+  // within a look-ahead horizon step.  Leads <= 0 all mean the actual
+  // weather, keyed as 0.  A NaN lead never matches, so it still reaches
+  // forecast() and throws.  Without a provider every sample is clear sky.
+  sample_scratch_.clear();
+  sample_offset_.resize(stations_->size());
+  for (std::size_t g = 0; g < stations_->size(); ++g) {
+    sample_offset_[g] = sample_scratch_.size();
+    if (!station_down.empty() && station_down[g]) continue;
+    const groundseg::GroundStation& gs = (*stations_)[g];
+    double memo_lead = std::numeric_limits<double>::quiet_NaN();
+    weather::WeatherSample wx;
+    for (const VisibleSat& v : visible[g]) {
+      if (wx_ != nullptr) {
+        const auto s = static_cast<std::size_t>(v.sat);
+        const double lead = forecast_lead_s.empty() ? 0.0 : forecast_lead_s[s];
+        const double key = lead <= 0.0 ? 0.0 : lead;
+        if (!(key == memo_lead)) {
+          if (lead <= 0.0) {
+            wx = wx_->actual(gs.location.latitude_rad,
+                             gs.location.longitude_rad, when);
+          } else {
+            wx = wx_->forecast(gs.location.latitude_rad,
+                               gs.location.longitude_rad, when, lead);
+          }
+          memo_lead = key;
+        }
+      }
+      sample_scratch_.push_back(wx);
+    }
+  }
+
+  // Pass 2, on the pool: link budgets over the samples.  Each station
+  // produces its own edge list (a scratch slot that keeps its capacity
+  // across calls); concatenating them in station order reproduces the
+  // serial station-major, satellite-minor order.
   edge_scratch_.resize(stations_->size());
   for (std::vector<ContactEdge>& v : edge_scratch_) v.clear();
   std::vector<std::vector<ContactEdge>>& per_station = edge_scratch_;
@@ -373,36 +403,12 @@ std::vector<ContactEdge> VisibilityEngine::edges(
       const auto g = static_cast<std::size_t>(gi);
       if (!station_down.empty() && station_down[g]) continue;
       const groundseg::GroundStation& gs = (*stations_)[g];
-
-      // The station's last (lead, sample): satellites sharing a lead share
-      // the forecast, as every satellite does within a look-ahead horizon
-      // step.  Leads <= 0 all mean the actual weather, keyed as 0.  A NaN
-      // lead never matches, so it still reaches forecast() and throws.
-      double memo_lead = std::numeric_limits<double>::quiet_NaN();
-      weather::WeatherSample memo_wx;
-
+      const weather::WeatherSample* wx =
+          sample_scratch_.data() + sample_offset_[g];
       for (const VisibleSat& v : visible[g]) {
-        const auto s = static_cast<std::size_t>(v.sat);
-        weather::WeatherSample wx;  // defaults to clear sky
-        if (wx_ != nullptr) {
-          const double lead =
-              forecast_lead_s.empty() ? 0.0 : forecast_lead_s[s];
-          const double key = lead <= 0.0 ? 0.0 : lead;
-          if (!(key == memo_lead)) {
-            if (lead <= 0.0) {
-              memo_wx = wx_->actual(gs.location.latitude_rad,
-                                    gs.location.longitude_rad, when);
-            } else {
-              memo_wx = wx_->forecast(gs.location.latitude_rad,
-                                      gs.location.longitude_rad, when, lead);
-            }
-            memo_lead = key;
-          }
-          wx = memo_wx;
-        }
-
-        const link::LinkBudget b = contact_link_budget(
-            (*sats_)[s], gs, v.range_km, v.elevation_rad, wx);
+        const link::LinkBudget b =
+            contact_link_budget((*sats_)[static_cast<std::size_t>(v.sat)],
+                                gs, v.range_km, v.elevation_rad, *wx++);
         ++budgets_evaluated;
         if (!b.closes()) continue;
         ++edges_produced;
@@ -426,12 +432,8 @@ std::vector<ContactEdge> VisibilityEngine::edges(
       contact_edges_->inc(static_cast<double>(edges_produced));
     }
   };
-  if (pool_ != nullptr) {
-    pool_->parallel_for(static_cast<std::int64_t>(stations_->size()),
-                        budgets);
-  } else {
-    budgets(0, static_cast<std::int64_t>(stations_->size()));
-  }
+  util::parallel_for(pool_, static_cast<std::int64_t>(stations_->size()),
+                     budgets);
 
   std::size_t total = 0;
   for (const std::vector<ContactEdge>& v : per_station) total += v.size();

@@ -22,7 +22,8 @@
 // propagates the epoch afresh into a scratch StepGeometry the engine
 // reuses across calls (which is where the allocation savings at
 // constellation scale come from), and edges() samples weather and
-// evaluates link budgets over its visibility lists.  The engine memoizes
+// evaluates link budgets over its visibility lists (weather on the calling
+// thread, budgets on the pool, DESIGN.md §9).  The engine memoizes
 // no geometry: per-instant scheduling queries each step once, while the
 // look-ahead planner keeps a window's lists in a core::PlanGeometry and
 // reuses them when a replan reaches an instant with the same epoch bits.
@@ -138,7 +139,8 @@ class VisibilityEngine {
   /// Stage two of contacts(): forecast weather and link budgets at `when`
   /// over `visible`, one list per station in ascending satellite order,
   /// as geometry(when) lists them.  Same leads, mask and output contract
-  /// as contacts().
+  /// as contacts().  The provider is called from this thread only, in
+  /// station order; the budgets run on the pool when one is set.
   std::vector<ContactEdge> edges(
       const util::Epoch& when,
       std::span<const std::span<const VisibleSat>> visible,
@@ -221,6 +223,10 @@ class VisibilityEngine {
   mutable std::vector<double> radius_scratch_;  ///< Geocentric radii.
   /// Satellites per latitude band, sorted by (longitude, id).
   mutable std::vector<std::vector<BandSat>> band_scratch_;
+  /// edges()' weather samples, one per visible pair of each up station,
+  /// filled on the driver thread; station g's start at sample_offset_[g].
+  mutable std::vector<weather::WeatherSample> sample_scratch_;
+  mutable std::vector<std::size_t> sample_offset_;
   mutable std::vector<std::vector<ContactEdge>> edge_scratch_;
   /// contacts()' views of the scratch geometry's per-station lists.
   mutable std::vector<std::span<const VisibleSat>> list_scratch_;

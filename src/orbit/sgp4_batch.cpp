@@ -49,11 +49,7 @@ void Sgp4Batch::positions_teme(const util::Epoch& when,
       out[i] = st.position_km;
     }
   };
-  if (pool != nullptr) {
-    pool->parallel_for(size(), body);
-  } else {
-    body(0, size());
-  }
+  util::parallel_for(pool, size(), body);
 }
 
 void Sgp4Batch::positions_ecef(const util::Epoch& when,
@@ -73,11 +69,7 @@ void Sgp4Batch::positions_ecef(const util::Epoch& when,
       out[i] = {c * r.x + sn * r.y, -sn * r.x + c * r.y, r.z};
     }
   };
-  if (pool != nullptr) {
-    pool->parallel_for(size(), body);
-  } else {
-    body(0, size());
-  }
+  util::parallel_for(pool, size(), body);
 }
 
 }  // namespace dgs::orbit

@@ -14,6 +14,15 @@ namespace {
 // same worker, or a caller re-locking the region mutex it already holds,
 // would deadlock.
 thread_local bool tls_in_parallel_region = false;
+
+// Same chunk-aligned invocations as the parallel path, so per-chunk
+// consumers (reduce_ordered) see identical ranges at any thread count.
+void run_serial(std::int64_t n, std::int64_t chunk,
+                const ThreadPool::RangeBody& body) {
+  for (std::int64_t begin = 0; begin < n; begin += chunk) {
+    body(begin, std::min<std::int64_t>(n, begin + chunk));
+  }
+}
 }  // namespace
 
 ThreadPool::ThreadPool(const ParallelConfig& config) {
@@ -39,14 +48,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-void ThreadPool::run_serial(std::int64_t n, const RangeBody& body) {
-  // Same chunk-aligned invocations as the parallel path, so per-chunk
-  // consumers (reduce_ordered) see identical ranges at any thread count.
-  for (std::int64_t begin = 0; begin < n; begin += chunk_) {
-    body(begin, std::min<std::int64_t>(n, begin + chunk_));
-  }
-}
-
 void ThreadPool::run_chunks(const RangeBody& body, std::int64_t n) {
   for (;;) {
     const std::int64_t c = next_chunk_.fetch_add(1, std::memory_order_relaxed);
@@ -66,7 +67,7 @@ void ThreadPool::run_chunks(const RangeBody& body, std::int64_t n) {
 void ThreadPool::parallel_for(std::int64_t n, const RangeBody& body) {
   if (n <= 0) return;
   if (workers_.empty() || tls_in_parallel_region || n <= chunk_) {
-    run_serial(n, body);
+    run_serial(n, chunk_, body);
     return;
   }
 
@@ -117,6 +118,15 @@ void ThreadPool::worker_loop() {
     run_chunks(*body, n);
     lk.lock();
     if (--remaining_ == 0) done_cv_.notify_one();
+  }
+}
+
+void parallel_for(ThreadPool* pool, std::int64_t n,
+                  const ThreadPool::RangeBody& body) {
+  if (pool != nullptr) {
+    pool->parallel_for(n, body);
+  } else {
+    run_serial(n, ParallelConfig{}.chunk_size, body);
   }
 }
 

@@ -17,7 +17,8 @@
 //     from a worker or the caller lane) runs inline on that thread —
 //     never deadlocks, same chunking;
 //   * with num_threads == 1 the pool spawns no workers and parallel_for
-//     degenerates to the serial chunked loop.
+//     degenerates to the serial chunked loop, which is also what the free
+//     parallel_for runs when it has no pool.
 #pragma once
 
 #include <algorithm>
@@ -111,7 +112,6 @@ class ThreadPool {
   /// Pulls chunks off the shared counter until the job is exhausted (or a
   /// chunk failed).  Runs on workers and on the calling thread alike.
   void run_chunks(const RangeBody& body, std::int64_t n);
-  void run_serial(std::int64_t n, const RangeBody& body);
 
   std::int64_t chunk_ = 16;
 
@@ -132,5 +132,11 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
 };
+
+/// `pool->parallel_for(n, body)`, or, when `pool` is null, the serial
+/// chunked loop a 1-lane pool runs, in ParallelConfig's default chunks:
+/// code that borrows an optional pool runs the same loop either way.
+void parallel_for(ThreadPool* pool, std::int64_t n,
+                  const ThreadPool::RangeBody& body);
 
 }  // namespace dgs::util

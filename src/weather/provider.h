@@ -17,6 +17,10 @@ struct WeatherSample {
   double cloud_liquid_kg_m2 = 0.0;   ///< Columnar cloud liquid water.
 };
 
+/// A provider is called from one thread at a time, like the query methods
+/// of the core::VisibilityEngine that calls it, so an implementation may
+/// keep unsynchronized per-instant state (SyntheticWeatherProvider's storm
+/// field).  Callers read a null provider as clear sky everywhere.
 class WeatherProvider {
  public:
   virtual ~WeatherProvider() = default;
@@ -33,15 +37,6 @@ class WeatherProvider {
                                  double lead_seconds) const {
     (void)lead_seconds;
     return actual(latitude_rad, longitude_rad, when);
-  }
-};
-
-/// Trivial provider: permanently clear sky everywhere.  Used as the
-/// weather-blind ablation and in tests.
-class ClearSkyProvider final : public WeatherProvider {
- public:
-  WeatherSample actual(double, double, const util::Epoch&) const override {
-    return {};
   }
 };
 

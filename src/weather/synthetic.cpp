@@ -93,36 +93,6 @@ SyntheticWeatherProvider::SyntheticWeatherProvider(
   }
 }
 
-/// The storm field at one instant.  Each cell holds one live storm's
-/// drifted centre and the per-instant constants of its distance and
-/// intensity terms; `bands[b]` lists, in ascending storm order, the cells
-/// whose 3.5-sigma shield can reach a query point whose latitude falls in
-/// band b.  Sampling walks one band: every storm it skips would have failed
-/// the distance test, and the rest are summed in storm order with the
-/// arithmetic of a scan over all storms, so samples are bit-identical to
-/// that scan (tests/test_weather.cpp keeps it as the oracle).
-struct SyntheticWeatherProvider::Field {
-  struct Cell {
-    double c_lat, c_lon;   ///< Drifted centre.
-    double cos_c_lat;      ///< cos(c_lat), hoisted out of the haversine.
-    double c_lon_wrapped;  ///< c_lon reduced to [-pi, pi].
-    double lon_reach_rad;  ///< Shield's longitude half-width (inf: pole).
-    double reach_km;       ///< 3.5 cloud sigma: the shield's extent.
-    double rain_reach_km;  ///< 2.5 rain sigma.
-    double rain_denom;     ///< 2 rain_sigma^2.
-    double cloud_denom;    ///< 2 cloud_sigma^2.
-    double rain_amp;       ///< Peak rain x envelope.
-    double cloud_amp;      ///< Peak cloud x envelope.
-  };
-
-  double t_s = std::numeric_limits<double>::quiet_NaN();
-  std::vector<Cell> cells;
-  std::vector<std::vector<std::uint32_t>> bands;
-
-  void build(const std::vector<Storm>& storms, double t);
-  WeatherSample sample(double lat, double lon) const;
-};
-
 void SyntheticWeatherProvider::Field::build(const std::vector<Storm>& storms,
                                             double t) {
   t_s = t;
@@ -227,29 +197,10 @@ WeatherSample SyntheticWeatherProvider::Field::sample(double lat,
   return out;
 }
 
-std::shared_ptr<const SyntheticWeatherProvider::Field>
-SyntheticWeatherProvider::field_at(double t_s) const {
-  std::lock_guard<std::mutex> lock(field_mu_);
-  if (field_ == nullptr || !(field_->t_s == t_s)) {
-    // Rebuild in place, keeping the buffers, unless another caller is
-    // still sampling the previous instant.
-    if (field_ == nullptr || field_.use_count() > 1) {
-      field_ = std::make_shared<Field>();
-    }
-    field_->build(storms_, t_s);
-  }
-  return field_;
-}
-
 WeatherSample SyntheticWeatherProvider::sample_at(double lat, double lon,
                                                   double t_s) const {
-  std::shared_ptr<const Field> field = field_at(t_s);
-  const WeatherSample out = field->sample(lat, lon);
-  // Drop the reference under the lock: a later field_at() that sees
-  // use_count() == 1 then happens after this caller's last read.
-  const std::lock_guard<std::mutex> lock(field_mu_);
-  field.reset();
-  return out;
+  if (!(field_.t_s == t_s)) field_.build(storms_, t_s);
+  return field_.sample(lat, lon);
 }
 
 WeatherSample SyntheticWeatherProvider::actual(double latitude_rad,

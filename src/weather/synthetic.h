@@ -11,12 +11,12 @@
 //
 // Every sample at one instant sees the same storm field, so the provider
 // builds it once per distinct instant (drifted centres, envelopes, latitude
-// bands) and reuses it until the instant changes (DESIGN.md §9).
+// bands) and rebuilds it in place when the instant changes (DESIGN.md §9).
+// Like every provider, it is called from one thread at a time.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
+#include <limits>
 #include <vector>
 
 #include "src/weather/provider.h"
@@ -67,22 +67,47 @@ class SyntheticWeatherProvider final : public WeatherProvider {
     double cloud_kg_m2;            ///< Peak cloud liquid of the shield.
   };
 
-  /// The storms alive at one instant, bucketed by latitude (synthetic.cpp).
-  struct Field;
+  /// The storm field at one instant.  Each cell holds one live storm's
+  /// drifted centre and the per-instant constants of its distance and
+  /// intensity terms; `bands[b]` lists, in ascending storm order, the
+  /// cells whose 3.5-sigma shield can reach a query point whose latitude
+  /// falls in band b.  Sampling walks one band: every storm it skips would
+  /// have failed the distance test, and the rest are summed in storm order
+  /// with the arithmetic of a scan over all storms, so samples are
+  /// bit-identical to that scan (tests/test_weather.cpp keeps it as the
+  /// oracle).
+  struct Field {
+    struct Cell {
+      double c_lat, c_lon;   ///< Drifted centre.
+      double cos_c_lat;      ///< cos(c_lat), hoisted out of the haversine.
+      double c_lon_wrapped;  ///< c_lon reduced to [-pi, pi].
+      double lon_reach_rad;  ///< Shield's longitude half-width (inf: pole).
+      double reach_km;       ///< 3.5 cloud sigma: the shield's extent.
+      double rain_reach_km;  ///< 2.5 rain sigma.
+      double rain_denom;     ///< 2 rain_sigma^2.
+      double cloud_denom;    ///< 2 cloud_sigma^2.
+      double rain_amp;       ///< Peak rain x envelope.
+      double cloud_amp;      ///< Peak cloud x envelope.
+    };
+
+    double t_s = std::numeric_limits<double>::quiet_NaN();
+    std::vector<Cell> cells;
+    std::vector<std::vector<std::uint32_t>> bands;
+
+    void build(const std::vector<Storm>& storms, double t);
+    WeatherSample sample(double lat, double lon) const;
+  };
 
   WeatherSample sample_at(double lat, double lon, double t_s) const;
-  std::shared_ptr<const Field> field_at(double t_s) const;
 
   util::Epoch start_;
   double horizon_s_;
   SyntheticWeatherOptions opts_;
   std::uint64_t seed_;
   std::vector<Storm> storms_;
-
-  /// The field of the last instant sampled.  Callers take and drop their
-  /// reference under the lock, so a field nobody holds is rebuilt in place.
-  mutable std::mutex field_mu_;
-  mutable std::shared_ptr<Field> field_;
+  /// The field of the last instant sampled, rebuilt in place (keeping its
+  /// buffers) when the instant changes.
+  mutable Field field_;
 };
 
 }  // namespace dgs::weather

@@ -6,8 +6,8 @@ Three layers:
     positive, suppressed, and baselined behaviour;
   - mutation rehearsals copy a real source file into a temp root, inject
     a violation (rand() into fault_plan.cpp, an unordered_map loop into
-    run_artifact.cpp, a std::function member into SimulationOptions), and
-    require dgslint to fail — proof the linter
+    run_artifact.cpp, a std::function member into SimulationOptions, a
+    mutex into the weather provider), and require dgslint to fail — proof the linter
     would catch a real regression, not just the fixtures;
   - CLI-contract tests pin exit codes, --verify-baseline, and the
     GitHub-annotation output format.
@@ -107,6 +107,15 @@ class FixtureCorpusTest(unittest.TestCase):
         self.assertEqual(
             len(self.by_rule("R7", "src/core/r7_plain_options.h")), 0)
 
+    def test_r8_locks_outside_pool_and_obs(self):
+        found = self.by_rule("R8", "src/weather/r8_locks.h")
+        # mutex, shared_mutex, recursive_mutex, condition_variable, and a
+        # lock_guard<std::mutex> (two on one line); the suppressed
+        # timed_mutex stays silent.
+        self.assertEqual([f["line"] for f in found], [9, 10, 11, 12, 15, 15])
+        self.assertEqual(
+            len(self.by_rule("R8", "src/core/r8_lock_free.cpp")), 0)
+
     def test_sup_malformed_suppressions_are_unsuppressable(self):
         sup = self.by_rule("SUP", "src/util/sup_cases.cpp")
         self.assertEqual(len(sup), 3)
@@ -136,8 +145,10 @@ class MutationRehearsalTest(unittest.TestCase):
         return code, json.loads(out)["findings"]
 
     def test_unmutated_copies_are_clean(self):
+        # The pool and obs keep their locks (R8 exempts them).
         for rel in ("src/faults/fault_plan.cpp", "src/core/run_artifact.cpp",
-                    "src/core/simulator.h"):
+                    "src/core/simulator.h", "src/weather/synthetic.h",
+                    "src/util/thread_pool.cpp", "src/obs/trace.cpp"):
             code, findings = self._scan_mutated(rel, lambda t: t)
             self.assertEqual(code, 0, findings)
 
@@ -171,6 +182,15 @@ class MutationRehearsalTest(unittest.TestCase):
                 "  std::function<double(int, int, double)> hook;", 1))
         self.assertEqual(code, 1)
         self.assertTrue(any(f["rule"] == "R7" for f in findings), findings)
+
+    def test_mutex_in_weather_provider_fails(self):
+        code, findings = self._scan_mutated(
+            "src/weather/synthetic.h",
+            lambda t: t.replace(
+                "  mutable Field field_;",
+                "  mutable Field field_;\n  mutable std::mutex field_mu_;", 1))
+        self.assertEqual(code, 1)
+        self.assertEqual([f["rule"] for f in findings], ["R8"], findings)
 
     def test_bad_metric_name_in_session_fails(self):
         code, findings = self._scan_mutated(
@@ -218,7 +238,7 @@ class CliContractTest(unittest.TestCase):
     def test_list_rules(self):
         code, out, _ = run_dgslint("--list-rules")
         self.assertEqual(code, 0)
-        for rule in ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "SUP"):
+        for rule in ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "SUP"):
             self.assertIn(rule, out)
 
 

@@ -45,24 +45,28 @@ TEST(ThreadPool, EveryIndexRunsExactlyOnce) {
 }
 
 TEST(ThreadPool, ChunksAreAlignedAndTileTheRange) {
+  // A 4-lane pool, and no pool at all: util::parallel_for then runs the
+  // serial loop in ParallelConfig's default chunk, which is 16 too.
   ThreadPool pool(ParallelConfig{.num_threads = 4, .chunk_size = 16});
-  const std::int64_t n = 205;  // deliberately not a multiple of 16
-  std::mutex mu;
-  std::vector<std::pair<std::int64_t, std::int64_t>> ranges;
-  pool.parallel_for(n, [&](std::int64_t b, std::int64_t e) {
-    std::lock_guard<std::mutex> lk(mu);
-    ranges.emplace_back(b, e);
-  });
-  std::sort(ranges.begin(), ranges.end());
-  ASSERT_EQ(ranges.size(), 13u);  // ceil(205 / 16)
-  std::int64_t expect_begin = 0;
-  for (const auto& [b, e] : ranges) {
-    EXPECT_EQ(b, expect_begin);
-    EXPECT_EQ(b % 16, 0);
-    EXPECT_EQ(e, std::min<std::int64_t>(n, b + 16));
-    expect_begin = e;
+  for (ThreadPool* p : {&pool, static_cast<ThreadPool*>(nullptr)}) {
+    const std::int64_t n = 205;  // deliberately not a multiple of 16
+    std::mutex mu;
+    std::vector<std::pair<std::int64_t, std::int64_t>> ranges;
+    dgs::util::parallel_for(p, n, [&](std::int64_t b, std::int64_t e) {
+      std::lock_guard<std::mutex> lk(mu);
+      ranges.emplace_back(b, e);
+    });
+    std::sort(ranges.begin(), ranges.end());
+    ASSERT_EQ(ranges.size(), 13u);  // ceil(205 / 16)
+    std::int64_t expect_begin = 0;
+    for (const auto& [b, e] : ranges) {
+      EXPECT_EQ(b, expect_begin);
+      EXPECT_EQ(b % 16, 0);
+      EXPECT_EQ(e, std::min<std::int64_t>(n, b + 16));
+      expect_begin = e;
+    }
+    EXPECT_EQ(expect_begin, n);
   }
-  EXPECT_EQ(expect_begin, n);
 }
 
 TEST(ThreadPool, ExceptionPropagatesToCaller) {

@@ -4,10 +4,13 @@
 
 #include <atomic>
 #include <cmath>
+#include <mutex>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
+#include "src/core/lookahead.h"
 #include "src/core/visibility.h"
 #include "src/orbit/passes.h"
 #include "src/util/angles.h"
@@ -310,6 +313,115 @@ TEST_F(ForecastMemoFixture, OneForecastPerStationAndLead) {
     EXPECT_EQ(counting.take_calls(), seeing) << "step " << k;
   }
   EXPECT_GT(checked_pairs, 100);  // the counts are not vacuous
+}
+
+/// Pass-through provider that records every call: the calling thread, the
+/// point, the lead (-1 for actual()) and the sample returned.
+class ThreadRecordingWeather final : public weather::WeatherProvider {
+ public:
+  using ThreadId = decltype(std::this_thread::get_id());
+  struct Call {
+    ThreadId thread;
+    double lat = 0.0;
+    double lon = 0.0;
+    double lead = 0.0;
+    weather::WeatherSample sample;
+  };
+
+  explicit ThreadRecordingWeather(const weather::WeatherProvider* inner)
+      : inner_(inner) {}
+
+  weather::WeatherSample actual(double lat, double lon,
+                                const util::Epoch& when) const override {
+    return record(lat, lon, -1.0,
+                  [&] { return inner_->actual(lat, lon, when); });
+  }
+  weather::WeatherSample forecast(double lat, double lon,
+                                  const util::Epoch& when,
+                                  double lead_seconds) const override {
+    return record(lat, lon, lead_seconds, [&] {
+      return inner_->forecast(lat, lon, when, lead_seconds);
+    });
+  }
+
+  std::vector<Call> take_calls() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return std::exchange(calls_, {});
+  }
+
+ private:
+  template <class Sample>
+  weather::WeatherSample record(double lat, double lon, double lead,
+                                Sample&& sample) const {
+    // Serialized, so that a provider called from pool lanes (the fault
+    // this fake detects) is recorded rather than raced on.
+    const std::lock_guard<std::mutex> lock(mu_);
+    const weather::WeatherSample s = sample();
+    calls_.push_back(Call{std::this_thread::get_id(), lat, lon, lead, s});
+    return s;
+  }
+
+  const weather::WeatherProvider* inner_;
+  mutable std::mutex mu_;
+  mutable std::vector<Call> calls_;
+};
+
+TEST_F(ForecastMemoFixture, WeatherIsSampledOnTheCallingThreadOnly) {
+  // A 4-lane engine and a 1-lane one, each behind its own recorder, with
+  // per-satellite leads (some zero: actual weather) and a down mask, both
+  // through contacts() and through a PlanGeometry table.
+  ThreadRecordingWeather lanes_wx(&wx);
+  ThreadRecordingWeather serial_wx(&wx);
+  VisibilityEngine lanes(sats, stations, &lanes_wx);
+  VisibilityEngine serial(sats, stations, &serial_wx);
+  util::ThreadPool four(
+      util::ParallelConfig{.num_threads = 4, .chunk_size = 2});
+  util::ThreadPool one(
+      util::ParallelConfig{.num_threads = 1, .chunk_size = 2});
+  lanes.set_thread_pool(&four);
+  serial.set_thread_pool(&one);
+  std::vector<double> leads(sats.size());
+  for (std::size_t s = 0; s < sats.size(); ++s) {
+    leads[s] = s % 4 == 0 ? 0.0 : 300.0 * static_cast<double>(s % 5 + 1);
+  }
+  std::vector<char> down(stations.size(), 0);
+  for (std::size_t g = 0; g < stations.size(); g += 3) down[g] = 1;
+  std::set<std::pair<double, double>> up_sites;
+  for (std::size_t g = 0; g < stations.size(); ++g) {
+    if (down[g] == 0) {
+      up_sites.emplace(stations[g].location.latitude_rad,
+                       stations[g].location.longitude_rad);
+    }
+  }
+
+  const auto test_thread = std::this_thread::get_id();
+  PlanGeometry lanes_table(4);
+  PlanGeometry serial_table(4);
+  std::size_t checked = 0;
+  for (int k = 0; k < 12; ++k) {
+    const util::Epoch t = kEpoch.plus_seconds(k * 300.0);
+    expect_same_edges(lanes.contacts(t, leads, down),
+                      serial.contacts(t, leads, down));
+    expect_same_edges(lanes_table.contacts(lanes, t, 300.0, leads, down),
+                      serial_table.contacts(serial, t, 300.0, leads, down));
+    const std::vector<ThreadRecordingWeather::Call> got =
+        lanes_wx.take_calls();
+    const std::vector<ThreadRecordingWeather::Call> want =
+        serial_wx.take_calls();
+    ASSERT_EQ(got.size(), want.size()) << "step " << k;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].thread, test_thread) << "step " << k << " call " << i;
+      EXPECT_EQ(got[i].lat, want[i].lat);
+      EXPECT_EQ(got[i].lon, want[i].lon);
+      EXPECT_EQ(got[i].lead, want[i].lead);
+      EXPECT_EQ(got[i].sample.rain_rate_mm_h, want[i].sample.rain_rate_mm_h);
+      EXPECT_EQ(got[i].sample.cloud_liquid_kg_m2,
+                want[i].sample.cloud_liquid_kg_m2);
+      EXPECT_EQ(up_sites.count({got[i].lat, got[i].lon}), 1u);
+    }
+    checked += got.size();
+  }
+  EXPECT_GT(checked, 100u);  // the comparison is not vacuous
 }
 
 TEST_F(ForecastMemoFixture, NanLeadStillReachesForecast) {

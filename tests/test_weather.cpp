@@ -12,7 +12,6 @@
 
 #include "src/util/angles.h"
 #include "src/util/rng.h"
-#include "src/util/thread_pool.h"
 #include "src/weather/climatology.h"
 #include "src/weather/synthetic.h"
 
@@ -378,41 +377,6 @@ TEST_F(SyntheticWeatherTest, FieldMatchesScanWhenInstantsAlternate) {
   }
 }
 
-TEST_F(SyntheticWeatherTest, ConcurrentLanesMatchSerialAcrossTwoInstants) {
-  // Four lanes sample two alternating instants at once: callers hold the
-  // field of one instant while another lane needs the other, which
-  // exercises both the in-place rebuild and the fresh allocation.  Run
-  // under the TSan preset, this is the field slot's race check.
-  const util::Epoch instants[] = {start_.plus_seconds(3.0 * 3600.0),
-                                  start_.plus_seconds(3.0 * 3600.0 + 60.0)};
-  constexpr std::int64_t kQueries = 2000;
-  const auto query = [&](std::int64_t i) {
-    const double lat = deg2rad(-75.0 + static_cast<double>(i % 151));
-    const double lon = deg2rad(-180.0 + static_cast<double>((i * 37) % 360));
-    const util::Epoch& when = instants[(i / 3) % 2];
-    return i % 2 == 0 ? wx_.actual(lat, lon, when)
-                      : wx_.forecast(lat, lon, when, 1800.0);
-  };
-  std::vector<WeatherSample> serial(kQueries);
-  for (std::int64_t i = 0; i < kQueries; ++i) {
-    serial[static_cast<std::size_t>(i)] = query(i);
-  }
-  util::ThreadPool pool(
-      util::ParallelConfig{.num_threads = 4, .chunk_size = 1});
-  for (int round = 0; round < 3; ++round) {
-    std::vector<WeatherSample> lanes(kQueries);
-    pool.parallel_for(kQueries, [&](std::int64_t begin, std::int64_t end) {
-      for (std::int64_t i = begin; i < end; ++i) {
-        lanes[static_cast<std::size_t>(i)] = query(i);
-      }
-    });
-    for (std::int64_t i = 0; i < kQueries; ++i) {
-      expect_same(lanes[static_cast<std::size_t>(i)],
-                  serial[static_cast<std::size_t>(i)]);
-    }
-  }
-}
-
 TEST(SyntheticWeather, RejectsBadConstruction) {
   const util::Epoch start(util::DateTime{2020, 1, 1, 0, 0, 0.0});
   EXPECT_THROW(SyntheticWeatherProvider(1, start, 0.0), std::invalid_argument);
@@ -440,14 +404,6 @@ TEST(Climatology, HemisphericSymmetry) {
     EXPECT_DOUBLE_EQ(background_cloud_kg_m2(deg2rad(lat)),
                      background_cloud_kg_m2(deg2rad(-lat)));
   }
-}
-
-TEST(ClearSky, AlwaysZero) {
-  ClearSkyProvider clear;
-  const util::Epoch t(util::DateTime{2020, 6, 1, 0, 0, 0.0});
-  const auto s = clear.actual(0.5, -1.0, t);
-  EXPECT_DOUBLE_EQ(s.rain_rate_mm_h, 0.0);
-  EXPECT_DOUBLE_EQ(s.cloud_liquid_kg_m2, 0.0);
 }
 
 }  // namespace

@@ -33,6 +33,11 @@ Rules (see DESIGN.md §13 for the full table and rationale):
       other callable member in SimulationOptions or SchedulerConfig —
       anything that shapes a trajectory must be validated, hashed into
       options_crc32 and carried by checkpoints.
+  R8  no locks in src/: no std::mutex (any kind), lock guard or
+      std::condition_variable outside src/util/thread_pool.* and
+      src/obs/ — pool lanes write per-index or per-chunk slots, and
+      shared state (the weather provider) is called from the driver
+      thread only.
   SUP suppression-comment hygiene: every `dgslint: allow(...)` names
       known rules and carries a `-- reason`.
 
@@ -76,6 +81,8 @@ WHITELIST = {
     "R3": ("src/util/thread_pool.h", "src/util/thread_pool.cpp"),
     # The contract layer itself must throw/abort to implement DGS_ENSURE.
     "R4": ("src/util/check.h", "src/util/check.cpp"),
+    # The pool's fork-join handshake is the one lock on the step path.
+    "R8": ("src/util/thread_pool.h", "src/util/thread_pool.cpp"),
 }
 
 # R4 applies to src/ only: tests legitimately throw to exercise error
@@ -115,6 +122,7 @@ RULE_TITLES = {
     "R5": "metric/summary-key hygiene",
     "R6": "header self-containment",
     "R7": "callable member in an options struct",
+    "R8": "lock outside the pool and obs",
     "SUP": "malformed dgslint suppression",
 }
 
@@ -500,6 +508,27 @@ def check_r7(f, ctx):
                     % m.group(1))
 
 
+# R8: locks belong to the pool's handshake and to obs's registration and
+# trace buffers (exporters read them beside the step path); src/ only.
+R8_SCOPE = "src/"
+R8_EXEMPT_DIRS = ("src/obs/",)
+R8_RE = re.compile(
+    r"\bstd::(?:(?:recursive_|shared_)?(?:timed_)?mutex|lock_guard|"
+    r"unique_lock|scoped_lock|shared_lock|condition_variable(?:_any)?)\b")
+
+
+def check_r8(f, ctx):
+    del ctx
+    if (not f.relpath.startswith(R8_SCOPE) or
+            f.relpath.startswith(R8_EXEMPT_DIRS)):
+        return
+    for m in R8_RE.finditer(f.code):
+        yield Finding(
+            "R8", f.relpath, f.line_of(m.start()),
+            "%s outside the pool and obs — call shared state from the "
+            "driver thread, or give each lane its own slot" % m.group(0))
+
+
 def check_sup(f, ctx):
     del ctx
     for line, rules in sorted(f.suppressions.items()):
@@ -512,7 +541,7 @@ def check_sup(f, ctx):
 
 
 CHECKERS = (check_r1, check_r2, check_r3, check_r4, check_r5, check_r6,
-            check_r7, check_sup)
+            check_r7, check_r8, check_sup)
 
 
 # ---------------------------------------------------------------------------
