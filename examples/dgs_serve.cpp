@@ -13,7 +13,7 @@
 //
 //   step [n]             advance n >= 0 quanta (default 1)
 //   advance <hours>      step until the sim clock reaches <hours> >= 0
-//   checkpoint <file>    write a dgs.checkpoint.v3 snapshot
+//   checkpoint <file>    write a dgs.checkpoint.v4 snapshot
 //   restore <file>       replace the session from a snapshot
 //   report <file|->      write the summary JSON (- = stdout)
 //   metrics <file|->     write the Prometheus exposition (- = stdout)
@@ -24,7 +24,7 @@
 // last tenant).  --restore resumes from a checkpoint before the first
 // command is read: the remaining steps reproduce an uninterrupted run
 // byte for byte, at any --threads value, with or without --events-out on
-// either side.  Checkpoints of the older v1 and v2 formats are rejected.
+// either side.  Checkpoints of the older v1, v2 and v3 formats are rejected.
 //
 // A malformed command line (unknown verb, missing or non-numeric
 // argument, extra tokens) gets one `error ...` reply and leaves the
@@ -67,7 +67,7 @@ int usage() {
                "checkpoint <file> |\n"
                "  restore <file> | report <file|-> | metrics <file|-> | "
                "quit\n"
-               "checkpoints are dgs.checkpoint.v3; v1 and v2 files are "
+               "checkpoints are dgs.checkpoint.v4; v1, v2 and v3 files are "
                "rejected\n",
                examples::common_flags_usage());
   return 2;

@@ -1,8 +1,8 @@
-// dgs.checkpoint.v3: the snapshot/restore container for core::Session
-// (DESIGN.md §16).  v3 stores each run fact once and writes the
-// `geometry` and `matcher` sections empty (the state they held is gone);
-// a file with another magic line (a v1 or v2 checkpoint included) is
-// rejected.
+// dgs.checkpoint.v4: the snapshot/restore container for core::Session
+// (DESIGN.md §16).  v4 stores each run fact once, writes the `geometry`
+// and `matcher` sections empty (the state they held is gone) and keeps
+// every delay as a whole-step age in LEB128 columns; a file with another
+// magic line (a v1, v2 or v3 checkpoint included) is rejected.
 //
 // Layout: a magic line naming the container format, a u64 little-endian
 // header length, a single-line restricted-JSON header (schema table:
@@ -26,8 +26,8 @@
 // field vocabulary — u8/i32/i64/u64/f64/str/b (bool as u8), count() for
 // length prefixes, expect() for values the reader must find equal to its
 // own, check_index()/check_size() for indices and sizes a resumed run
-// indexes vectors with, column() for a vector of plain numbers, and
-// seq()/map()/obj() for nesting.  The reader
+// indexes vectors with, column() for a vector of plain numbers, leb128()
+// for a vector of mostly small u32s, and seq()/map()/obj() for nesting.  The reader
 // bounds every count by the bytes left before it allocates and checks
 // every expect(), index and size, so malformed input throws
 // std::invalid_argument rather than exhausting memory or indexing out of
@@ -54,7 +54,7 @@
 
 namespace dgs::core {
 
-inline constexpr std::string_view kCheckpointMagic = "dgs.checkpoint.v3\n";
+inline constexpr std::string_view kCheckpointMagic = "dgs.checkpoint.v4\n";
 
 namespace checkpoint_detail {
 
@@ -157,6 +157,20 @@ class BinaryWriter {
       for (const T v : c) put(v);
     }
   }
+  /// count() then each value as unsigned LEB128: seven bits a byte, low
+  /// bits first, the high bit set on every byte but the last.  A value
+  /// below 128 takes one byte, a u32 at most five.
+  void leb128(std::vector<std::uint32_t>& c) {
+    count(c.size(), 1);
+    const std::size_t at = data_.size();
+    data_.resize(at + 5 * c.size());
+    char* p = data_.data() + at;
+    for (std::uint32_t v : c) {
+      for (; v >= 0x80; v >>= 7) *p++ = static_cast<char>(v | 0x80);
+      *p++ = static_cast<char>(v);
+    }
+    data_.resize(static_cast<std::size_t>(p - data_.data()));
+  }
   /// count() then every entry, in key order, through `f(ar, key, value)`.
   template <class M, class F>
   void map(M& m, F f) {
@@ -203,9 +217,12 @@ class BinaryReader {
   void i32(std::int32_t& v) { v = little_endian<std::int32_t>(); }
   void i64(std::int64_t& v) { v = little_endian<std::int64_t>(); }
   void f64(double& v) { v = little_endian<double>(); }
+  /// Only the bytes b() writes, 0 and 1, so that a flag re-encodes to the
+  /// byte it was read from.
   void b(bool& v) {
     std::uint8_t raw = 0;
     u8(raw);
+    DGS_ENSURE(raw <= 1, "checkpoint flag byte " << int{raw});
     v = raw != 0;
   }
   void str(std::string& s) {
@@ -270,6 +287,28 @@ class BinaryReader {
       i_ += c.size() * sizeof(T);
     } else {
       for (T& v : c) v = little_endian<T>();
+    }
+  }
+  /// count() bounds the length (a value takes at least one byte) before
+  /// `c` is sized.  Each value must be the shortest LEB128 form of a u32:
+  /// a sixth byte, bits above 2^32 - 1 and a trailing zero byte are
+  /// rejected, so every accepted column re-encodes to the same bytes.
+  void leb128(std::vector<std::uint32_t>& c) {
+    c.resize(count(0, 1));
+    for (std::uint32_t& v : c) {
+      v = 0;
+      for (int shift = 0;; shift += 7) {
+        need(1);
+        const auto byte = static_cast<std::uint8_t>(data_[i_++]);
+        DGS_ENSURE(shift < 28 || byte <= 0x0f,
+                   "checkpoint LEB128 value exceeds 32 bits");
+        v |= static_cast<std::uint32_t>(byte & 0x7f) << shift;
+        if (byte < 0x80) {
+          DGS_ENSURE(byte != 0 || shift == 0,
+                     "checkpoint LEB128 value has an overlong encoding");
+          break;
+        }
+      }
     }
   }
   template <class M, class F>

@@ -338,7 +338,8 @@ std::optional<ArtifactError> check_tenants_object(const JsonValue& v,
     const std::string row_where = where + "." + key;
     // Keys are "t_%03d" in declaration order (the netdesign "k_%03d"
     // convention, since the restricted subset has no arrays).
-    char expected[8];
+    // "t_" + any long long + NUL.
+    char expected[24];
     std::snprintf(expected, sizeof(expected), "t_%03lld", index);
     if (key != expected) {
       return err(row_where, std::string("expected key \"") + expected +

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <istream>
 #include <ostream>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -103,6 +104,8 @@ Session::Session(std::vector<groundseg::SatelliteConfig> sats,
   num_sats_ = static_cast<int>(sats_.size());
   num_stations_ = static_cast<int>(stations_.size());
   dt_ = opts_.step_seconds;
+  backlog_epoch_ =
+      opts_.start.plus_seconds(-opts_.initial_backlog_age_hours * 3600.0);
   steps_ = static_cast<std::int64_t>(
       std::llround(opts_.duration_hours * 3600.0 / dt_));
   events_ = opts_.events;
@@ -193,10 +196,8 @@ Session::Session(std::vector<groundseg::SatelliteConfig> sats,
 
   // Steady-state warm start: pre-existing backlog captured in the past.
   if (opts_.initial_backlog_bytes > 0.0) {
-    const util::Epoch captured =
-        opts_.start.plus_seconds(-opts_.initial_backlog_age_hours * 3600.0);
     for (int s = 0; s < num_sats_; ++s) {
-      queues_[s].generate(opts_.initial_backlog_bytes, captured);
+      queues_[s].generate(opts_.initial_backlog_bytes, backlog_epoch_);
       res_.per_satellite[s].generated_bytes += opts_.initial_backlog_bytes;
       res_.total_generated_bytes += opts_.initial_backlog_bytes;
     }
@@ -252,6 +253,33 @@ double Session::realized_rate_bps(const ContactEdge& e,
          sats_[e.sat].radio.channels;
 }
 
+util::Epoch Session::start_epoch(std::int64_t c) const {
+  return c == -1 ? backlog_epoch_ : clock_.step_start(c);
+}
+
+std::int64_t Session::capture_step(const util::Epoch& capture) const {
+  if (opts_.initial_backlog_bytes > 0.0 &&
+      capture.bits() == backlog_epoch_.bits()) {
+    return -1;
+  }
+  return std::llround(capture.seconds_since(opts_.start) / dt_);
+}
+
+util::Epoch Session::upload_epoch(std::int64_t step) const {
+  return clock_.step_start(step).plus_seconds(dt_);
+}
+
+void Session::record_delay(StepAges& ledger, std::int64_t c,
+                           const util::Epoch& end, double minutes) {
+  ledger.add(static_cast<std::uint32_t>(step_ - c));
+  // Exactness audit: report() rebuilds this entry's minutes from its two
+  // steps; a start epoch off the step grid would surface here.
+  DGS_DCHECK(end.seconds_since(start_epoch(c)) / 60.0 == minutes,
+             "step " << step_ << ": a delay of " << minutes
+                     << " min from step " << c
+                     << " is not rebuilt bit for bit");
+}
+
 void Session::step() {
   DGS_ENSURE(!done(), "Session::step past the end of the horizon (step "
                           << step_ << " of " << steps_ << ")");
@@ -263,6 +291,9 @@ void Session::step() {
   // this step emits, so the two artifacts join without drift.
   const util::Epoch now = clock_.step_start(step);
   if (events != nullptr) events->begin_step(step, clock_.end_hours(step));
+  delivered_.begin_step();
+  cloud_.begin_step();
+  acks_.begin_step();
 
   // 0. Fault state for this step: refresh the station down mask and
   // emit up/down transitions.  `new_outage` feeds the look-ahead
@@ -439,8 +470,9 @@ void Session::step() {
       const double sent = queues_[e.sat].transmit(
           link_bytes, now,
           [&](double latency_s, const DataChunk& chunk) {
-            delivered_latency_.push_back(latency_s / 60.0);
-            delivered_sat_.push_back(e.sat);
+            record_delay(delivered_, capture_step(chunk.capture), now,
+                         latency_s / 60.0);
+            delivered_sat_.push_back(static_cast<std::uint32_t>(e.sat));
             delivered_urgent_.push_back(chunk.priority > 1.0 ? 1 : 0);
             if (live_.latency_minutes != nullptr) {
               live_.latency_minutes->observe(latency_s / 60.0);
@@ -491,7 +523,8 @@ void Session::step() {
           int ack_batches = 0;
           const double requeued = queues_[e.sat].acknowledge_all(
               now, [&](double delay_s, double bytes) {
-                res_.ack_delay_minutes.add(delay_s / 60.0);
+                record_delay(acks_, step - std::llround(delay_s / dt_), now,
+                             delay_s / 60.0);
                 acked_bytes += bytes;
                 ack_batches += 1;
               });
@@ -521,7 +554,7 @@ void Session::step() {
   // 5. Station backhaul: edge queues upload toward the cloud.
   if (!edge_queues_.empty()) {
     DGS_TRACE_SPAN("sim.backhaul");
-    const util::Epoch upload_t = now.plus_seconds(dt_);
+    const util::Epoch upload_t = upload_epoch(step);
     double step_uploaded = 0.0;
     std::int64_t degraded_stations = 0;
     for (int g = 0; g < num_stations_; ++g) {
@@ -540,8 +573,9 @@ void Session::step() {
       }
       step_uploaded += edge_queues_[static_cast<std::size_t>(g)].drain(
           dt_, upload_t,
-          [&](double latency_s, const backend::EdgeItem&) {
-            res_.cloud_latency_minutes.add(latency_s / 60.0);
+          [&](double latency_s, const backend::EdgeItem& item) {
+            record_delay(cloud_, capture_step(item.capture), upload_t,
+                         latency_s / 60.0);
           },
           mult);
     }
@@ -695,7 +729,7 @@ void Session::publish_metrics() {
   // One ack-delay sample per acknowledged batch.
   counter("dgs_sim_ack_batches_total",
           "Delivery batches acknowledged via collated reports",
-          static_cast<double>(res_.ack_delay_minutes.size()));
+          static_cast<double>(acks_.size()));
   counter("dgs_sim_plan_uploads_total",
           "Fresh plans uploaded at transmit-capable contacts",
           count(plan_uploads));
@@ -774,17 +808,44 @@ SimulationResult Session::report() const {
       step_ > 0 ? static_cast<double>(res_.assignments) /
                       static_cast<double>(step_ * num_stations_)
                 : 0.0;
-  // The latency splits, replayed from the delivery record in delivery
-  // order (SampleSet::mean() sums in insertion order).  Without urgent
-  // chunks, the usual case, every chunk is bulk.
-  out.latency_minutes.add_all(delivered_latency_);
+  // Every delay, rebuilt from its ledger's step ages with the expression
+  // step() measured it with, so each is the same double.  at[c + 1] is
+  // where a delay starting at step c starts; deliveries and acks end at
+  // their step's start, cloud arrivals at its upload epoch.
+  std::vector<util::Epoch> at(static_cast<std::size_t>(step_) + 1);
+  for (std::int64_t c = -1; c < step_; ++c) at[c + 1] = start_epoch(c);
+  const std::span<const util::Epoch> step_starts =
+      std::span<const util::Epoch>(at).subspan(1);
+  const auto minutes = [&at](const StepAges& ledger,
+                             std::span<const util::Epoch> end) {
+    std::vector<double> v(ledger.size());
+    std::size_t i = 0;
+    ledger.for_each([&](std::int64_t d, std::int64_t c) {
+      v[i++] = end[static_cast<std::size_t>(d)].seconds_since(
+                   at[static_cast<std::size_t>(c + 1)]) /
+               60.0;
+    });
+    return v;
+  };
+  std::vector<util::Epoch> uploads;
+  if (cloud_.size() > 0) {
+    uploads.resize(static_cast<std::size_t>(step_));
+    for (std::int64_t d = 0; d < step_; ++d) uploads[d] = upload_epoch(d);
+  }
+  out.cloud_latency_minutes = util::SampleSet(minutes(cloud_, uploads));
+  out.ack_delay_minutes = util::SampleSet(minutes(acks_, step_starts));
+
+  // The latency splits, in delivery order (SampleSet::mean() sums in
+  // insertion order).  Without urgent chunks, the usual case, every chunk
+  // is bulk.  `latency` moves into the all-chunks split at the end.
+  std::vector<double> latency = minutes(delivered_, step_starts);
   if (std::ranges::count(delivered_urgent_, 1) == 0) {
-    out.bulk_latency_minutes = out.latency_minutes;
+    out.bulk_latency_minutes = util::SampleSet(latency);
   } else {
-    for (std::size_t i = 0; i < delivered_latency_.size(); ++i) {
+    for (std::size_t i = 0; i < latency.size(); ++i) {
       (delivered_urgent_[i] != 0 ? out.urgent_latency_minutes
                                  : out.bulk_latency_minutes)
-          .add(delivered_latency_[i]);
+          .add(latency[i]);
     }
   }
   const int tenants = arbiter_.has_value() ? arbiter_->num_tenants() : 0;
@@ -793,13 +854,14 @@ SimulationResult Session::report() const {
   std::vector<std::vector<double>> by_tenant(out.per_tenant.size());
   if (tenants > 0) {
     std::vector<std::size_t> n(by_tenant.size(), 0);
-    for (const int sat : delivered_sat_) {
-      n[static_cast<std::size_t>(arbiter_->tenant_of(sat))] += 1;
-    }
+    const auto tenant_of = [this](std::uint32_t sat) {
+      return static_cast<std::size_t>(
+          arbiter_->tenant_of(static_cast<int>(sat)));
+    };
+    for (const std::uint32_t sat : delivered_sat_) n[tenant_of(sat)] += 1;
     for (std::size_t t = 0; t < n.size(); ++t) by_tenant[t].reserve(n[t]);
-    for (std::size_t i = 0; i < delivered_latency_.size(); ++i) {
-      const int t = arbiter_->tenant_of(delivered_sat_[i]);
-      by_tenant[static_cast<std::size_t>(t)].push_back(delivered_latency_[i]);
+    for (std::size_t i = 0; i < latency.size(); ++i) {
+      by_tenant[tenant_of(delivered_sat_[i])].push_back(latency[i]);
     }
   }
   for (int t = 0; t < tenants; ++t) {
@@ -817,7 +879,7 @@ SimulationResult Session::report() const {
     to.assignments = arbiter_->assignments(t);
     to.entitlement = arbiter_->entitlement(t);
     to.share = arbiter_->share(t);
-    const std::vector<double>& lat = by_tenant[static_cast<std::size_t>(t)];
+    std::vector<double>& lat = by_tenant[static_cast<std::size_t>(t)];
     if (!lat.empty()) {
       const double sla = spec.sla_latency_minutes;
       const auto within = std::count_if(
@@ -826,8 +888,9 @@ SimulationResult Session::report() const {
       to.sla_attainment =
           static_cast<double>(within) / static_cast<double>(lat.size());
     }
-    to.latency_minutes.add_all(lat);
+    to.latency_minutes = util::SampleSet(std::move(lat));
   }
+  out.latency_minutes = util::SampleSet(std::move(latency));
   return out;
 }
 
@@ -842,19 +905,24 @@ std::uint32_t Session::options_crc32() const {
 template <class Ar>
 void Session::io_section(Ar& ar, std::string_view name) {
   if (name == "result") {
-    // The deliveries, the accumulators and the open contacts; report()
-    // derives everything else.
-    ar.column(delivered_latency_);
-    ar.column(delivered_sat_);
+    // The delay ledgers, the accumulators and the open contacts; report()
+    // derives everything else.  Only chunks of an initial backlog start
+    // at step -1; an ack measures from the step its batch was sent.
+    const std::int64_t first_capture =
+        opts_.initial_backlog_bytes > 0.0 ? -1 : 0;
+    delivered_.io(ar, step_, first_capture);
+    ar.leb128(delivered_sat_);
     ar.column(delivered_urgent_);
-    for (const int sat : delivered_sat_) ar.check_index(sat, num_sats_);
+    for (const std::uint32_t sat : delivered_sat_) {
+      ar.check_index(sat, num_sats_);
+    }
     for (const std::uint8_t urgent : delivered_urgent_) {
       ar.check_index(urgent, 2);
     }
-    ar.check_size(delivered_sat_.size(), delivered_latency_.size());
-    ar.check_size(delivered_urgent_.size(), delivered_latency_.size());
-    ar.obj(res_.ack_delay_minutes);
-    ar.obj(res_.cloud_latency_minutes);
+    ar.check_size(delivered_sat_.size(), delivered_.size());
+    ar.check_size(delivered_urgent_.size(), delivered_.size());
+    cloud_.io(ar, step_, first_capture);
+    acks_.io(ar, step_, 0);
     ar.seq(res_.timeseries);
     ar.expect(num_sats_);
     for (SatelliteOutcome& o : res_.per_satellite) ar.obj(o);
@@ -978,14 +1046,17 @@ std::unique_ptr<Session> Session::restore(
     in.read(data.data() + at, kBlock);
     data.resize(at + static_cast<std::size_t>(in.gcount()));
   }
+  const bool registry_was_empty =
+      opts.metrics != nullptr && opts.metrics->series_count() == 0;
   auto session = std::unique_ptr<Session>(
       new Session(std::move(sats), std::move(stations), actual_weather,
                   opts, /*publish=*/false));
-  session->apply_checkpoint(data);
+  session->apply_checkpoint(data, registry_was_empty);
   return session;
 }
 
-void Session::apply_checkpoint(std::string_view data) {
+void Session::apply_checkpoint(std::string_view data,
+                               bool registry_was_empty) {
   CheckpointView view;
   if (const auto e = read_checkpoint(data, &view)) {
     // dgslint: allow(R4) -- renders ArtifactError for the caller/CLI
@@ -1021,6 +1092,17 @@ void Session::apply_checkpoint(std::string_view data) {
                "trailing bytes in checkpoint section '" << name << "'");
   }
   publish_metrics();
+  // The published families were just set again from their ledgers, so a
+  // metrics section that disagrees with them, or names a series this
+  // session never registers, is corrupt.  The check needs a registry that
+  // held nothing else: one shared with a live session may carry more.
+  if (registry_was_empty && view.section("metrics").starts_with('\x01')) {
+    BinaryWriter w;
+    io_section(w, "metrics");
+    DGS_ENSURE(w.data() == view.section("metrics"),
+               "checkpoint section 'metrics' disagrees with the restored "
+               "ledgers");
+  }
 }
 
 }  // namespace dgs::core

@@ -9,7 +9,7 @@
 //   * step() advances exactly one scheduling quantum;
 //   * report() renders a full SimulationResult at ANY point mid-run;
 //   * snapshot()/restore() round-trip the whole session through the
-//     versioned `dgs.checkpoint.v3` artifact (checkpoint.h) such that a
+//     versioned `dgs.checkpoint.v4` artifact (checkpoint.h) such that a
 //     restored run's remaining steps — Report, Prometheus exposition, and
 //     event JSONL — are byte-identical to an uninterrupted run, at any
 //     thread count.  Both directions run through one serializer,
@@ -19,7 +19,8 @@
 //     TenantArbiter) with per-tenant accounting and metrics.
 //
 // Each run fact is kept in one ledger (DESIGN.md §10, §16): `res_`, one
-// record per delivered chunk, the queues' and the arbiter's books.
+// record per delivered chunk, the cloud and ack delay ledgers (each delay
+// a whole-step age, step_ages.h), the queues' and the arbiter's books.
 // report() derives every other figure, and publish_metrics() sets the
 // Prometheus families from those ledgers after every step.
 //
@@ -37,6 +38,7 @@
 #include "src/backend/station_edge.h"
 #include "src/core/lookahead.h"
 #include "src/core/simulator.h"
+#include "src/core/step_ages.h"
 #include "src/link/dvbs2_framing.h"
 #include "src/obs/events.h"
 
@@ -84,7 +86,7 @@ class Session {
   /// does not perturb the run.
   SimulationResult report() const;
 
-  /// Writes a complete `dgs.checkpoint.v3` snapshot of the session.
+  /// Writes a complete `dgs.checkpoint.v4` snapshot of the session.
   void snapshot(std::ostream& out) const;
 
   /// Reconstructs a session from a snapshot.  The scenario inputs must
@@ -154,9 +156,25 @@ class Session {
   double station_queued_bytes() const;
   double realized_rate_bps(const ContactEdge& e,
                            const util::Epoch& when) const;
+  /// The epoch a delay starting at step `c` starts at: step c's start, or
+  /// the initial-backlog epoch for c = -1.
+  util::Epoch start_epoch(std::int64_t c) const;
+  /// The inverse of start_epoch() for a capture epoch.
+  std::int64_t capture_step(const util::Epoch& capture) const;
+  /// When data uploaded from the station edges during `step` reaches the
+  /// cloud: the end of the step.
+  util::Epoch upload_epoch(std::int64_t step) const;
+  /// Records in `ledger` a delay of `minutes` that started at step `c` and
+  /// ended at `end`, recorded at the current step.  With DCHECKs on, the
+  /// minutes report() derives from the entry must equal `minutes`.
+  void record_delay(StepAges& ledger, std::int64_t c, const util::Epoch& end,
+                    double minutes);
   /// Applies a validated checkpoint buffer to this (freshly constructed)
   /// session.  Throws std::invalid_argument on any mismatch.
-  void apply_checkpoint(std::string_view data);
+  /// `registry_was_empty`: opts_.metrics held no series before this
+  /// session was constructed, so the restored registry must re-snapshot
+  /// to the checkpoint's metrics section exactly.
+  void apply_checkpoint(std::string_view data, bool registry_was_empty);
   /// The one serializer of checkpoint section `name`: writes it through a
   /// BinaryWriter (snapshot) or reads it back through a BinaryReader
   /// (apply_checkpoint).
@@ -176,6 +194,8 @@ class Session {
   double dt_ = 0.0;
   std::int64_t steps_ = 0;
   int plan_window_steps_ = 0;
+  /// The initial backlog's capture epoch, step -1 of the delay ledgers.
+  util::Epoch backlog_epoch_;
   bool station_faults_ = false;
   bool backhaul_faults_ = false;
 
@@ -205,13 +225,15 @@ class Session {
   HorizonPlan plan_;
   std::int64_t plan_origin_ = -1;
   // Every delivered chunk, once, in delivery order (one column per field):
-  // report() rebuilds the latency splits from them, and insertion order
+  // report() rebuilds the latency splits from them, and record order
   // keeps SampleSet::mean() bit-identical.
-  std::vector<double> delivered_latency_;  ///< Minutes.
-  std::vector<int> delivered_sat_;
+  StepAges delivered_;                  ///< Capture to ground.
+  std::vector<std::uint32_t> delivered_sat_;
   std::vector<std::uint8_t> delivered_urgent_;  ///< Priority > 1.
-  SimulationResult res_;                ///< Accumulators; the latency
-                                        ///< splits and derived fields are
+  StepAges cloud_;                      ///< Capture to cloud, per item.
+  StepAges acks_;                       ///< Sent to acked, per batch.
+  SimulationResult res_;                ///< Accumulators; the delay
+                                        ///< samples and derived fields are
                                         ///< filled by report().
   std::int64_t step_ = 0;
   bool finalized_ = false;

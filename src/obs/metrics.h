@@ -122,7 +122,7 @@ class Histogram {
 };
 
 /// One registered metric's folded state, captured by Registry::snapshot()
-/// for the dgs.checkpoint.v3 artifact and replayed by Registry::restore().
+/// for the dgs.checkpoint.v4 artifact and replayed by Registry::restore().
 struct MetricSnapshot {
   std::string name;
   std::string help;

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace dgs::util {
@@ -16,6 +17,11 @@ double percentile(std::span<const double> sorted_samples, double pct);
 /// Sorting is deferred and cached; adding samples invalidates the cache.
 class SampleSet {
  public:
+  SampleSet() = default;
+  /// The samples, in insertion order.
+  explicit SampleSet(std::vector<double> samples)
+      : samples_(std::move(samples)), sorted_(samples_.size() <= 1) {}
+
   void add(double v);
   void add_all(std::span<const double> vs);
 
@@ -37,17 +43,6 @@ class SampleSet {
 
   /// Sorted view of the samples.
   const std::vector<double>& sorted() const;
-
-  /// Checkpoint serialization (core/checkpoint.h): the sort-cache flag and
-  /// the samples in their current (insertion, unless sorted() has been
-  /// queried) order.  mean() sums in this order, so restoring it exactly
-  /// keeps every later query bit-identical to an uninterrupted
-  /// accumulation.
-  template <class Ar>
-  friend void io(Ar& ar, SampleSet& s) {
-    ar.b(s.sorted_);
-    ar.column(s.samples_);
-  }
 
  private:
   mutable std::vector<double> samples_;

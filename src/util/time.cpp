@@ -106,12 +106,6 @@ void Epoch::normalize() {
   jd_frac_ -= shift;
 }
 
-double Epoch::seconds_since(const Epoch& earlier) const {
-  const double dwhole = jd_whole_ - earlier.jd_whole_;
-  const double dfrac = jd_frac_ - earlier.jd_frac_;
-  return (dwhole + dfrac) * kSecondsPerDay;
-}
-
 Epoch Epoch::plus_seconds(double s) const {
   Epoch e = *this;
   e.jd_frac_ += s / kSecondsPerDay;

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <string>
 
+#include "src/util/constants.h"
+
 namespace dgs::util {
 
 /// A broken-down civil UTC date/time.
@@ -51,7 +53,12 @@ class Epoch {
   double jd() const { return jd_whole_ + jd_frac_; }
 
   /// Seconds elapsed from `earlier` to this epoch (negative if this < earlier).
-  double seconds_since(const Epoch& earlier) const;
+  /// Inline: report() rebuilds every stored delay with it.
+  double seconds_since(const Epoch& earlier) const {
+    const double dwhole = jd_whole_ - earlier.jd_whole_;
+    const double dfrac = jd_frac_ - earlier.jd_frac_;
+    return (dwhole + dfrac) * kSecondsPerDay;
+  }
   /// Minutes elapsed from `earlier` to this epoch.
   double minutes_since(const Epoch& earlier) const {
     return seconds_since(earlier) / 60.0;

@@ -1,8 +1,9 @@
-// The dgs.checkpoint.v3 archive vocabulary (src/core/checkpoint.h) at the
+// The dgs.checkpoint.v4 archive vocabulary (src/core/checkpoint.h) at the
 // byte level: the exact little-endian bytes each scalar field writes, the
 // column() bulk call writing exactly what seq() with per-element scalars
-// writes, and the reader rejecting an oversized or truncated column before
-// it allocates.  Session-level round trips live in test_session.cpp.
+// writes, the reader rejecting an oversized or truncated column before
+// it allocates, and the LEB128 column's pinned bytes and its rejection of
+// every form the writer never writes.  Session-level round trips live in test_session.cpp.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -218,6 +219,103 @@ TEST(BinaryReaderColumn, TruncatedColumnIsRejected) {
   r.column(v);
   EXPECT_EQ(v.size(), 10u);
   EXPECT_TRUE(r.done());
+}
+
+// --- leb128(): a count, then 1-5 bytes per u32 ---------------------------
+
+std::string leb128_bytes(std::vector<std::uint32_t> v) {
+  BinaryWriter w;
+  w.leb128(v);
+  return w.take();
+}
+
+TEST(BinaryWriterLeb128, PinnedBytes) {
+  const std::pair<std::uint32_t, const char*> cases[] = {
+      {0, "00"},
+      {127, "7f"},
+      {128, "8001"},
+      {16383, "ff7f"},
+      {16384, "808001"},
+      {std::numeric_limits<std::uint32_t>::max(), "ffffffff0f"},
+  };
+  for (const auto& [value, bytes] : cases) {
+    EXPECT_EQ(hex(leb128_bytes({value})),
+              std::string("0100000000000000") + bytes)
+        << value;
+  }
+  EXPECT_EQ(hex(leb128_bytes({})), "0000000000000000");
+  EXPECT_EQ(hex(leb128_bytes({1, 300, 0})),
+            "0300000000000000"
+            "01ac0200");
+}
+
+TEST(BinaryReaderLeb128, ReadsBackWhatTheWriterWrote) {
+  std::vector<std::uint32_t> want = {0, 1, 127, 128, 255, 16383, 16384,
+                                     (1u << 21) - 1, 1u << 21, 1u << 28,
+                                     std::numeric_limits<std::uint32_t>::max()};
+  for (std::uint32_t v = 0; v < 70000; v += 97) want.push_back(v);
+  const std::string bytes = leb128_bytes(want);
+  BinaryReader r(bytes);
+  std::vector<std::uint32_t> got = {7, 7};  // Replaced, not appended to.
+  r.leb128(got);
+  EXPECT_EQ(got, want);
+  EXPECT_TRUE(r.done());
+}
+
+/// A one-value LEB128 column holding exactly `value_bytes`.
+std::string one_value(const std::string& value_bytes) {
+  BinaryWriter w;
+  w.u64(1);
+  return w.take() + value_bytes;
+}
+
+void expect_leb128_rejected(const std::string& bytes) {
+  BinaryReader r(bytes);
+  std::vector<std::uint32_t> v;
+  EXPECT_THROW(r.leb128(v), std::invalid_argument) << hex(bytes);
+}
+
+TEST(BinaryReaderLeb128, NonCanonicalFormsAreRejected) {
+  // Overlong: 0 and 1 padded with a continuation byte.
+  expect_leb128_rejected(one_value(std::string("\x80\x00", 2)));
+  expect_leb128_rejected(one_value(std::string("\x81\x80\x00", 3)));
+  // A sixth byte.
+  expect_leb128_rejected(one_value("\xff\xff\xff\xff\x8f\x01"));
+  // Bits above 2^32 - 1 in the fifth byte.
+  expect_leb128_rejected(one_value("\xff\xff\xff\xff\x1f"));
+  expect_leb128_rejected(one_value(std::string("\x80\x80\x80\x80\x10", 5)));
+  // The shortest forms of the same values are accepted.
+  for (const std::string& ok :
+       {std::string(1, '\0'), std::string("\x01"),
+        std::string("\xff\xff\xff\xff\x0f")}) {
+    const std::string bytes = one_value(ok);
+    BinaryReader r(bytes);
+    std::vector<std::uint32_t> v;
+    r.leb128(v);
+    EXPECT_TRUE(r.done());
+  }
+}
+
+TEST(BinaryReaderLeb128, TruncatedTailIsRejected) {
+  // The last value's continuation byte promises one more byte.
+  expect_leb128_rejected(one_value("\x80"));
+  expect_leb128_rejected(one_value("\xff\xff\xff\xff"));
+  // Two values promised, one present.
+  BinaryWriter w;
+  w.u64(2);
+  expect_leb128_rejected(w.take() + "\x05");
+}
+
+TEST(BinaryReaderLeb128, OversizedCountIsRejectedBeforeAllocating) {
+  for (const std::uint64_t count :
+       {std::uint64_t{65}, std::uint64_t{1} << 40,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    const std::string bytes = column_with_count(count, 64);
+    BinaryReader r(bytes);
+    std::vector<std::uint32_t> v;
+    EXPECT_THROW(r.leb128(v), std::invalid_argument) << count;
+    EXPECT_EQ(v.capacity(), 0u);
+  }
 }
 
 }  // namespace

@@ -5,12 +5,14 @@
 // output surface — summary JSON, Prometheus exposition, event JSONL — to
 // be byte-identical to the uninterrupted run; a per-instant tenant/churn
 // run and the storm look-ahead run are restored every 10 steps under the
-// same requirement.  Checked-in v3 fixtures pin the on-disk format: each
-// restores and re-snapshots to the same bytes, and the v1 and v2
+// same requirement.  Checked-in v4 fixtures pin the on-disk format: each
+// restores and re-snapshots to the same bytes, and the v1, v2 and v3
 // fixtures are rejected.  Negative-space tests pin the checkpoint
 // validator: truncations, corrupt bytes, oversized length prefixes,
-// out-of-range indices, bytes in the empty geometry/matcher sections and
-// scenario mismatches must all be rejected with std::invalid_argument.  A
+// out-of-range indices and delay-ledger steps, bytes in the empty
+// geometry/matcher sections and scenario mismatches must all be rejected
+// with std::invalid_argument.  test_checkpoint_fuzz.cpp mutates the v4
+// fixtures at random under the same contract.  A
 // restore fed by short stream reads must still re-snapshot byte for byte.
 #include <gtest/gtest.h>
 
@@ -303,12 +305,12 @@ TEST(SessionCheckpoint, CacheEventsResumeFromACheckpointWithoutEventLog) {
   EXPECT_EQ(resumed_events.str(), suffix);
 }
 
-// dgs.checkpoint.v3 fixtures written at 1 h, with a registry and an event
+// dgs.checkpoint.v4 fixtures written at 1 h, with a registry and an event
 // log attached.  Restore recomputes no physics, so re-snapshotting must
 // reproduce the file exactly on any platform; it fails as soon as either
-// the writer or the reader leaves v3.  The v1 and v2 fixtures of the same
-// scenarios stay checked in to pin that an older format is refused, not
-// misread.
+// the writer or the reader leaves v4.  The v1, v2 and v3 fixtures of the
+// same scenarios stay checked in to pin that an older format is refused,
+// not misread.
 std::string read_fixture(const std::string& name) {
   std::ifstream in(std::string(DGS_TEST_FIXTURE_DIR) + "/" + name,
                    std::ios::binary);
@@ -333,24 +335,24 @@ void expect_fixture_round_trips(const Scenario& s, const std::string& name) {
   EXPECT_TRUE(again.str() == bytes) << name << " re-snapshots differently";
 }
 
-TEST(SessionCheckpointFixture, StormLookaheadV3RoundTripsByteForByte) {
+TEST(SessionCheckpointFixture, StormLookaheadV4RoundTripsByteForByte) {
   expect_fixture_round_trips(golden_scenario(),
-                             "checkpoint_v3_storm_lookahead_1h.ckpt");
+                             "checkpoint_v4_storm_lookahead_1h.ckpt");
 }
 
-TEST(SessionCheckpointFixture, TenantsChurnV3RoundTripsByteForByte) {
+TEST(SessionCheckpointFixture, TenantsChurnV4RoundTripsByteForByte) {
   expect_fixture_round_trips(tenant_churn_scenario(),
-                             "checkpoint_v3_tenants_churn_1h.ckpt");
+                             "checkpoint_v4_tenants_churn_1h.ckpt");
 }
 
 // SimulationOptions::value_scale is hashed into options_crc32 only when it
-// is set: both v3 fixtures carry the CRC their scenario has today (no
+// is set: both v4 fixtures carry the CRC their scenario has today (no
 // table), different tables hash apart, and restoring under another table
 // is refused by the options check.
 TEST(SessionCheckpointFixture, ValueScaleIsHashedOnlyWhenSet) {
   const std::pair<Scenario, std::string> fixtures[] = {
-      {golden_scenario(), "checkpoint_v3_storm_lookahead_1h.ckpt"},
-      {tenant_churn_scenario(), "checkpoint_v3_tenants_churn_1h.ckpt"},
+      {golden_scenario(), "checkpoint_v4_storm_lookahead_1h.ckpt"},
+      {tenant_churn_scenario(), "checkpoint_v4_tenants_churn_1h.ckpt"},
   };
   for (const auto& [s, name] : fixtures) {
     const std::string bytes = read_fixture(name);
@@ -385,8 +387,8 @@ TEST(SessionCheckpointFixture, ValueScaleIsHashedOnlyWhenSet) {
   }
 }
 
-/// Restoring both fixtures of format `version` ("v1", "v2") must throw
-/// std::invalid_argument naming that version.
+/// Restoring both fixtures of format `version` ("v1", "v2", "v3") must
+/// throw std::invalid_argument naming that version.
 void expect_fixtures_rejected(const std::string& version) {
   const std::pair<Scenario, std::string> fixtures[] = {
       {golden_scenario(),
@@ -415,6 +417,10 @@ TEST(SessionCheckpointFixture, V1FixturesAreRejectedNamingTheVersion) {
 
 TEST(SessionCheckpointFixture, V2FixturesAreRejectedNamingTheVersion) {
   expect_fixtures_rejected("v2");
+}
+
+TEST(SessionCheckpointFixture, V3FixturesAreRejectedNamingTheVersion) {
+  expect_fixtures_rejected("v3");
 }
 
 // An immediate snapshot (step 0) restores to the full run, and a
@@ -577,11 +583,11 @@ TEST_F(SessionCheckpointNegative, ScenarioMismatchesAreRejected) {
 TEST(SessionCheckpointCounts, OversizedCountsAreRejectedInEverySection) {
   const Scenario s = tenant_churn_scenario();
   const std::string bytes =
-      read_fixture("checkpoint_v3_tenants_churn_1h.ckpt");
+      read_fixture("checkpoint_v4_tenants_churn_1h.ckpt");
   CheckpointView view;
   ASSERT_FALSE(read_checkpoint(bytes, &view).has_value());
   const std::pair<const char*, std::size_t> first_counts[] = {
-      // The delivery latencies.
+      // The delivery ages (a LEB128 column).
       {"result", 0},
       // Satellite 0's chunks, after the fleet size.
       {"queues", 8},
@@ -692,21 +698,60 @@ void expect_patch_rejected(const Scenario& s, const std::string& bytes,
       << section;
 }
 
-// Satellite and station indices are checked from both ends.
+// Satellite and station indices are checked from both ends.  The
+// delivery satellites are unsigned LEB128, so their low end is the
+// largest u32.
 constexpr std::int32_t kBadSat[] = {-1, 8};
 constexpr std::int32_t kBadStation[] = {-1, 12};
+constexpr std::uint32_t kBadDeliverySat[] = {8, 0xFFFFFFFFu};
+
+/// The v4 `result` section up to the delivery satellites: the delivery
+/// ledger, read back without its checks, and where the section goes on.
+struct ResultHead {
+  StepAges delivered;
+  std::string rest;
+};
+
+ResultHead split_result(const std::string& body) {
+  BinaryReader r(body);
+  ResultHead head;
+  r.leb128(head.delivered.age);
+  r.leb128(head.delivered.per_step);
+  head.rest = body.substr(offset_of(body, r));
+  return head;
+}
+
+std::string join_result(ResultHead head) {
+  BinaryWriter w;
+  w.leb128(head.delivered.age);
+  w.leb128(head.delivered.per_step);
+  return w.take() + head.rest;
+}
+
+/// The step that recorded the first delivery (-1 with none).
+std::int64_t first_delivery_step(const StepAges& ledger) {
+  const auto it = std::ranges::find_if(
+      ledger.per_step, [](std::uint32_t n) { return n > 0; });
+  return it == ledger.per_step.end() ? -1 : it - ledger.per_step.begin();
+}
 
 TEST(SessionCheckpointIndices, DeliverySatelliteIsRangeChecked) {
   const Scenario s = golden_scenario();
   const std::string bytes = snapshot_at_one_hour(s);
-  for (const std::int32_t bad : kBadSat) {
-    // The first delivery's satellite: after the latency column (a count
-    // and one f64 per delivery) and the satellite column's count.
+  for (const std::uint32_t bad : kBadDeliverySat) {
+    // The first delivery's satellite: the first value of the satellite
+    // column, after the delivery ledger and that column's count.
     expect_patch_rejected(s, bytes, "result", [&](std::string* body) {
-      BinaryReader r(*body);
-      const std::uint64_t deliveries = read_u64(r);
-      if (deliveries == 0) return false;
-      put_i32(body, 8 + 8 * deliveries + 8, bad);
+      ResultHead head = split_result(*body);
+      if (head.delivered.size() == 0) return false;
+      std::vector<std::uint32_t> sats;
+      BinaryReader r(head.rest);
+      r.leb128(sats);
+      sats[0] = bad;
+      BinaryWriter w;
+      w.leb128(sats);
+      head.rest = w.take() + head.rest.substr(offset_of(head.rest, r));
+      *body = join_result(std::move(head));
       return true;
     });
   }
@@ -717,18 +762,100 @@ TEST(SessionCheckpointIndices, DeliverySatelliteIsRangeChecked) {
 TEST(SessionCheckpointIndices, DeliveryUrgentFlagIsRangeChecked) {
   const Scenario s = golden_scenario();
   const std::string bytes = snapshot_at_one_hour(s);
-  // The first delivery's flag: after the latency column (a count and one
-  // f64 per delivery), the satellite column (a count and one i32 per
-  // delivery) and the urgent column's count.
+  // The first delivery's flag: after the delivery ledger, the satellite
+  // column and the urgent column's count.
   expect_patch_rejected(s, bytes, "result", [](std::string* body) {
-    BinaryReader r(*body);
-    const std::uint64_t deliveries = read_u64(r);
-    if (deliveries == 0) return false;
-    const std::size_t at = 8 + 8 * deliveries + 8 + 4 * deliveries + 8;
-    if (at >= body->size()) return false;
-    (*body)[at] = '\x02';
+    ResultHead head = split_result(*body);
+    if (head.delivered.size() == 0) return false;
+    BinaryReader r(head.rest);
+    std::vector<std::uint32_t> sats;
+    r.leb128(sats);
+    const std::size_t at = offset_of(head.rest, r) + 8;
+    if (at >= head.rest.size()) return false;
+    head.rest[at] = '\x02';
+    *body = join_result(std::move(head));
     return true;
   });
+}
+
+// The delivery ledger's steps: every delivery starts at a step at or
+// after 0, or at -1 (the initial-backlog epoch) when the scenario has a
+// backlog; the per-step counts cover every step taken, once, and add up
+// to the entries.  The cloud and ack ledgers share the same reader.
+Scenario backlog_scenario() {
+  Scenario s = golden_scenario();
+  s.opts.initial_backlog_bytes = 2e9;
+  s.opts.initial_backlog_age_hours = 3.25;
+  return s;
+}
+
+/// Rewrites the first delivery's age to start it at step `start`.
+bool start_first_delivery_at(std::string* body, std::int64_t start) {
+  ResultHead head = split_result(*body);
+  const std::int64_t d = first_delivery_step(head.delivered);
+  if (d < 0) return false;
+  head.delivered.age[0] = static_cast<std::uint32_t>(d - start);
+  *body = join_result(std::move(head));
+  return true;
+}
+
+TEST(SessionCheckpointIndices, CaptureStepBelowTheBacklogIsRejected) {
+  const Scenario s = backlog_scenario();
+  const std::string bytes = snapshot_at_one_hour(s);
+  // Step -1 is the backlog's epoch, so the snapshot itself restores.
+  std::istringstream in(bytes);
+  EXPECT_NO_THROW(Session::restore(in, s.sats, s.stations, nullptr, s.opts));
+  expect_patch_rejected(s, bytes, "result", [](std::string* body) {
+    return start_first_delivery_at(body, -2);
+  });
+}
+
+TEST(SessionCheckpointIndices, BacklogStepWithoutABacklogIsRejected) {
+  const Scenario s = golden_scenario();
+  ASSERT_EQ(s.opts.initial_backlog_bytes, 0.0);
+  expect_patch_rejected(s, snapshot_at_one_hour(s), "result",
+                        [](std::string* body) {
+                          return start_first_delivery_at(body, -1);
+                        });
+}
+
+TEST(SessionCheckpointIndices, PerStepCountsMustAddUpToTheEntries) {
+  const Scenario s = golden_scenario();
+  const std::string bytes = snapshot_at_one_hour(s);
+  for (const int delta : {-1, 1}) {
+    expect_patch_rejected(s, bytes, "result", [delta](std::string* body) {
+      ResultHead head = split_result(*body);
+      const std::int64_t d = first_delivery_step(head.delivered);
+      if (d < 0) return false;
+      head.delivered.per_step[static_cast<std::size_t>(d)] +=
+          static_cast<std::uint32_t>(delta);
+      *body = join_result(std::move(head));
+      return true;
+    });
+  }
+}
+
+TEST(SessionCheckpointIndices, PerStepCountsCoverEveryStepTaken) {
+  const Scenario s = golden_scenario();
+  const std::string bytes = snapshot_at_one_hour(s);
+  for (const bool extra : {true, false}) {
+    expect_patch_rejected(s, bytes, "result", [extra](std::string* body) {
+      ResultHead head = split_result(*body);
+      std::vector<std::uint32_t>& per_step = head.delivered.per_step;
+      if (per_step.empty()) return false;
+      if (extra) {
+        per_step.push_back(0);
+      } else {
+        // Fold the last step's entries into the one before.
+        const std::uint32_t last = per_step.back();
+        per_step.pop_back();
+        if (per_step.empty()) return false;
+        per_step.back() += last;
+      }
+      *body = join_result(std::move(head));
+      return true;
+    });
+  }
 }
 
 /// Offset of the first edge of the first non-empty planned step.

@@ -100,7 +100,8 @@ TEST(ThreadPool, ReduceOrderedIsBitIdenticalAcrossThreadCounts) {
   // implementation that reduces in completion order.
   const std::int64_t n = 10000;
   const auto term = [](std::int64_t i) {
-    return std::sin(static_cast<double>(i)) * 1e-3 + 1.0 / (1.0 + i);
+    return std::sin(static_cast<double>(i)) * 1e-3 +
+           1.0 / (1.0 + static_cast<double>(i));
   };
   const auto run = [&](int threads) {
     ThreadPool pool(
