@@ -40,19 +40,43 @@ void BM_CloudAttenuation(benchmark::State& state) {
 }
 BENCHMARK(BM_CloudAttenuation);
 
-void BM_FullLinkBudget(benchmark::State& state) {
+/// The path both budget benchmarks evaluate: a rainy, cloudy mid-latitude
+/// contact at 27 deg.
+dgs::link::PathConditions budget_path() {
   dgs::link::PathConditions path;
   path.range_km = 1200.0;
   path.elevation_rad = deg2rad(27.0);
   path.site_latitude_rad = deg2rad(45.0);
   path.rain_rate_mm_h = 4.0;
   path.cloud_liquid_kg_m2 = 0.8;
+  return path;
+}
+
+/// The reference formula, as cold callers (and perfbench's
+/// link.budget_ns_per_call) run it.
+void BM_FullLinkBudget(benchmark::State& state) {
+  const dgs::link::PathConditions path = budget_path();
   for (auto _ : state) {
     benchmark::DoNotOptimize(dgs::link::evaluate_link(
         dgs::link::RadioSpec{}, dgs::link::ReceiveSystem{}, path));
   }
 }
 BENCHMARK(BM_FullLinkBudget);
+
+/// The same budget through the kernel the VisibilityEngine runs per edge.
+void BM_LinkKernel(benchmark::State& state) {
+  const dgs::link::PathConditions path = budget_path();
+  const dgs::link::LinkKernel kernel(dgs::link::RadioSpec{});
+  const dgs::link::LinkSite site = kernel.site(
+      dgs::link::ReceiveSystem{}, path.site_latitude_rad,
+      path.site_altitude_km);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        kernel.evaluate(site, path.range_km, path.elevation_rad,
+                        path.rain_rate_mm_h, path.cloud_liquid_kg_m2));
+  }
+}
+BENCHMARK(BM_LinkKernel);
 
 void BM_WeatherQuery(benchmark::State& state) {
   const dgs::util::Epoch start(dgs::util::DateTime{2020, 11, 4, 0, 0, 0.0});

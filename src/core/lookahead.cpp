@@ -8,14 +8,6 @@
 
 namespace dgs::core {
 
-double PassBlock::capacity_bytes(double step_seconds) const {
-  double bytes = 0.0;
-  for (const ContactEdge& e : steps) {
-    bytes += e.predicted_rate_bps * step_seconds / 8.0;
-  }
-  return bytes;
-}
-
 PlanGeometry::PlanGeometry(int slots) {
   DGS_ENSURE(slots > 0, "slots=" << slots);
   slots_.resize(static_cast<std::size_t>(slots));
@@ -75,21 +67,26 @@ std::vector<ContactEdge> PlanGeometry::contacts(
   return engine.edges(when, lists_, forecast_lead_s, station_down);
 }
 
-std::vector<PassBlock> find_pass_blocks(
-    const VisibilityEngine& engine, const util::Epoch& start, int steps,
-    double step_seconds, std::span<const char> station_down,
-    PlanGeometry* geometry) {
+PassBlocks find_pass_blocks(const VisibilityEngine& engine,
+                            const util::Epoch& start, int steps,
+                            double step_seconds,
+                            std::span<const char> station_down,
+                            PlanGeometry* geometry) {
   DGS_ENSURE(steps > 0 && step_seconds > 0.0,
              "steps=" << steps << ", step_seconds=" << step_seconds);
   DGS_TRACE_SPAN("plan.blocks");
   PlanGeometry cold;
   PlanGeometry& table = geometry != nullptr ? *geometry : cold;
 
-  std::vector<PassBlock> blocks;
+  PassBlocks out;
+  out.edges.reserve(static_cast<std::size_t>(steps));
+  out.next.reserve(static_cast<std::size_t>(steps));
   // Per (sat, station): latest block index, -1 if none (DESIGN.md §9).
   const auto num_stations = static_cast<std::size_t>(engine.num_stations());
   std::vector<int> latest(
       static_cast<std::size_t>(engine.num_sats()) * num_stations, -1);
+  // Per block: its edge at the latest step it reached.
+  std::vector<std::uint32_t> tail;
 
   // The plan is computed at `start`; looking `k` steps ahead means relying
   // on a forecast with lead k*dt.
@@ -97,26 +94,35 @@ std::vector<PassBlock> find_pass_blocks(
   for (int k = 0; k < steps; ++k) {
     const util::Epoch t = start.plus_seconds(k * step_seconds);
     std::fill(leads.begin(), leads.end(), k * step_seconds);
-    const std::vector<ContactEdge> edges =
-        table.contacts(engine, t, step_seconds, leads, station_down);
+    const std::vector<ContactEdge>& edges = out.edges.emplace_back(
+        table.contacts(engine, t, step_seconds, leads, station_down));
+    out.next.emplace_back(edges.size(), PassBlocks::kEnd);
 
-    for (const ContactEdge& e : edges) {
+    for (std::uint32_t i = 0; i < edges.size(); ++i) {
+      const ContactEdge& e = edges[i];
       int& slot = latest[static_cast<std::size_t>(e.sat) * num_stations +
                          static_cast<std::size_t>(e.station)];
-      if (slot >= 0 && blocks[slot].last_step() == k - 1) {
-        blocks[slot].steps.push_back(e);
+      if (slot >= 0 &&
+          out.blocks[static_cast<std::size_t>(slot)].last_step() == k - 1) {
+        std::uint32_t& at = tail[static_cast<std::size_t>(slot)];
+        out.next[static_cast<std::size_t>(k) - 1][at] = i;
+        at = i;
       } else {
         PassBlock b;
         b.sat = e.sat;
         b.station = e.station;
         b.first_step = k;
-        b.steps.push_back(e);
-        blocks.push_back(std::move(b));
-        slot = static_cast<int>(blocks.size()) - 1;
+        b.first_edge = i;
+        out.blocks.push_back(b);
+        tail.push_back(i);
+        slot = static_cast<int>(out.blocks.size()) - 1;
       }
+      PassBlock& b = out.blocks[static_cast<std::size_t>(slot)];
+      ++b.length;
+      b.capacity_bytes += e.predicted_rate_bps * step_seconds / 8.0;
     }
   }
-  return blocks;
+  return out;
 }
 
 HorizonPlan plan_horizon(const VisibilityEngine& engine,
@@ -127,8 +133,10 @@ HorizonPlan plan_horizon(const VisibilityEngine& engine,
                          PlanGeometry* geometry) {
   DGS_ENSURE_EQ(static_cast<int>(queues.size()), engine.num_sats());
   DGS_TRACE_SPAN("plan.horizon");
-  std::vector<PassBlock> blocks = find_pass_blocks(
-      engine, start, steps, step_seconds, station_down, geometry);
+  const PassBlocks found = find_pass_blocks(engine, start, steps,
+                                            step_seconds, station_down,
+                                            geometry);
+  const std::vector<PassBlock>& blocks = found.blocks;
 
   // Score blocks against the queue snapshot at the block's mid-time.
   // Per-block values are computed in parallel (pure const reads of the
@@ -139,11 +147,10 @@ HorizonPlan plan_horizon(const VisibilityEngine& engine,
     for (std::int64_t i = begin; i < end; ++i) {
       const PassBlock& b = blocks[static_cast<std::size_t>(i)];
       const double mid_s =
-          (b.first_step + static_cast<double>(b.steps.size()) / 2.0) *
+          (b.first_step + static_cast<double>(b.length) / 2.0) *
           step_seconds;
-      block_value[static_cast<std::size_t>(i)] =
-          value.edge_value(queues[b.sat], start.plus_seconds(mid_s),
-                           b.capacity_bytes(step_seconds));
+      block_value[static_cast<std::size_t>(i)] = value.edge_value(
+          queues[b.sat], start.plus_seconds(mid_s), b.capacity_bytes);
     }
   };
   util::parallel_for(engine.thread_pool(),
@@ -159,7 +166,7 @@ HorizonPlan plan_horizon(const VisibilityEngine& engine,
     const double v = block_value[static_cast<std::size_t>(i)];
     if (v <= 0.0) continue;
     const PassBlock& b = blocks[i];
-    scored.push_back(Scored{i, v / static_cast<double>(b.steps.size())});
+    scored.push_back(Scored{i, v / static_cast<double>(b.length)});
   }
   std::sort(scored.begin(), scored.end(), [&](const Scored& a,
                                               const Scored& b) {
@@ -184,10 +191,12 @@ HorizonPlan plan_horizon(const VisibilityEngine& engine,
       conflict = sat_busy[b.sat][k] || gs_busy[b.station][k];
     }
     if (conflict) continue;
+    std::uint32_t e = b.first_edge;
     for (int k = b.first_step; k <= b.last_step(); ++k) {
       sat_busy[b.sat][k] = 1;
       gs_busy[b.station][k] = 1;
-      plan.per_step[k].push_back(b.steps[k - b.first_step]);
+      plan.per_step[k].push_back(found.edges[k][e]);
+      e = found.next[k][e];
     }
   }
   return plan;

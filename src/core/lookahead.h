@@ -21,18 +21,37 @@
 namespace dgs::core {
 
 /// A maximal contiguous run of visibility between one satellite-station
-/// pair, with the per-step link predictions retained for execution.
+/// pair.  Its per-step link predictions, retained for execution, are a
+/// chain through the window's edges (PassBlocks).
 struct PassBlock {
   int sat = 0;
   int station = 0;
-  int first_step = 0;                 ///< Window step index of the first edge.
-  std::vector<ContactEdge> steps;     ///< One edge per step, contiguous.
+  int first_step = 0;             ///< Window step index of the first edge.
+  int length = 0;                 ///< Steps, one edge each.
+  std::uint32_t first_edge = 0;   ///< Its index in edges[first_step].
+  /// Volume the block can move [bytes] at the predicted rates: the sum of
+  /// rate * step_seconds / 8 over its edges, added in step order.
+  double capacity_bytes = 0.0;
 
-  int last_step() const {
-    return first_step + static_cast<int>(steps.size()) - 1;
-  }
-  /// Volume the block can move [bytes] at the predicted rates.
-  double capacity_bytes(double step_seconds) const;
+  int last_step() const { return first_step + length - 1; }
+};
+
+/// One window's pass blocks.  Each instant's edges are stored once, as
+/// contacts() returns them.  A block's edges are edges[first_step]
+/// [first_edge], then at each next step k + 1 the edge next[k][j] names
+/// for the edge j it reached at step k, `length` edges ending at kEnd
+/// (DESIGN.md §9).
+struct PassBlocks {
+  static constexpr std::uint32_t kEnd = 0xffffffffu;
+
+  std::vector<PassBlock> blocks;  ///< In opening order.
+  /// Per window step: that instant's edges, in contacts() order.
+  std::vector<std::vector<ContactEdge>> edges;
+  /// Per window step and edge: its block's edge at the next step, kEnd
+  /// after the last.
+  std::vector<std::vector<std::uint32_t>> next;
+
+  std::size_t size() const { return blocks.size(); }
 };
 
 /// Weather-independent geometry of planning instants, reused across the
@@ -97,7 +116,7 @@ class PlanGeometry {
 /// Blocks come in opening order: by first step, then contacts() order.
 /// `geometry` (optional) reuses instants across calls; without one a
 /// cold single-slot table serves the call, with identical output.
-std::vector<PassBlock> find_pass_blocks(
+PassBlocks find_pass_blocks(
     const VisibilityEngine& engine, const util::Epoch& start, int steps,
     double step_seconds, std::span<const char> station_down = {},
     PlanGeometry* geometry = nullptr);

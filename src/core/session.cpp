@@ -245,8 +245,8 @@ double Session::realized_rate_bps(const ContactEdge& e,
   // stations cannot request a change mid-pass).  The transfer succeeds iff
   // the actual Es/N0 still meets that MODCOD's requirement; the budget is
   // the scheduler's own, evaluated under the actual weather.
-  const link::LinkBudget actual = contact_link_budget(
-      sats_[e.sat], gs, e.range_km, e.elevation_rad, wx);
+  const link::LinkBudget actual =
+      engine_->link_budget(e.sat, e.station, e.range_km, e.elevation_rad, wx);
   if (e.modcod == nullptr) return 0.0;
   if (actual.esn0_db < e.modcod->required_esn0_db) return 0.0;
   return link::bitrate_bps(*e.modcod, sats_[e.sat].radio.symbol_rate_hz) *

@@ -49,22 +49,6 @@ orbit::Sgp4Batch make_batch(
 
 }  // namespace
 
-link::LinkBudget contact_link_budget(const groundseg::SatelliteConfig& sat,
-                                     const groundseg::GroundStation& gs,
-                                     double range_km, double elevation_rad,
-                                     const weather::WeatherSample& wx) {
-  link::PathConditions path;
-  path.range_km = range_km;
-  path.elevation_rad = elevation_rad;
-  path.site_latitude_rad = gs.location.latitude_rad;
-  path.site_altitude_km = gs.location.altitude_km;
-  path.rain_rate_mm_h = wx.rain_rate_mm_h;
-  path.cloud_liquid_kg_m2 = wx.cloud_liquid_kg_m2;
-  link::ReceiveSystem rx = gs.receiver;
-  if (gs.beam_count > 1) rx.aperture_efficiency /= gs.beam_count;
-  return link::evaluate_link(sat.radio, rx, path);
-}
-
 VisibilityEngine::VisibilityEngine(
     const std::vector<groundseg::SatelliteConfig>& sats,
     const std::vector<groundseg::GroundStation>& stations,
@@ -87,6 +71,41 @@ VisibilityEngine::VisibilityEngine(
     g.cos_el_cull = std::cos(g.el_cull_rad);
     geom_.push_back(g);
   }
+
+  // One kernel per distinct radio: fleets share a handful of radios.
+  radio_of_.reserve(sats.size());
+  std::vector<const link::RadioSpec*> radios;
+  for (const groundseg::SatelliteConfig& sc : sats) {
+    std::size_t r = 0;
+    while (r < radios.size() && !(*radios[r] == sc.radio)) ++r;
+    if (r == radios.size()) {
+      radios.push_back(&sc.radio);
+      kernels_.emplace_back(sc.radio);
+    }
+    radio_of_.push_back(static_cast<std::uint32_t>(r));
+  }
+  sites_.reserve(kernels_.size() * stations.size());
+  for (const link::LinkKernel& kernel : kernels_) {
+    for (const groundseg::GroundStation& gs : stations) {
+      // Beamforming stations split aperture power across their beams; the
+      // conservative full-split penalty scales the aperture efficiency
+      // down by the beam count.
+      link::ReceiveSystem rx = gs.receiver;
+      if (gs.beam_count > 1) rx.aperture_efficiency /= gs.beam_count;
+      sites_.push_back(kernel.site(rx, gs.location.latitude_rad,
+                                   gs.location.altitude_km));
+    }
+  }
+}
+
+link::LinkBudget VisibilityEngine::link_budget(
+    int sat, int station, double range_km, double elevation_rad,
+    const weather::WeatherSample& wx) const {
+  const std::uint32_t r = radio_of_[static_cast<std::size_t>(sat)];
+  const link::LinkSite& site =
+      sites_[r * stations_->size() + static_cast<std::size_t>(station)];
+  return kernels_[r].evaluate(site, range_km, elevation_rad,
+                              wx.rain_rate_mm_h, wx.cloud_liquid_kg_m2);
 }
 
 void VisibilityEngine::set_metrics(obs::Registry* registry) {
@@ -402,13 +421,12 @@ std::vector<ContactEdge> VisibilityEngine::edges(
     for (std::int64_t gi = begin; gi < end; ++gi) {
       const auto g = static_cast<std::size_t>(gi);
       if (!station_down.empty() && station_down[g]) continue;
-      const groundseg::GroundStation& gs = (*stations_)[g];
       const weather::WeatherSample* wx =
           sample_scratch_.data() + sample_offset_[g];
       for (const VisibleSat& v : visible[g]) {
         const link::LinkBudget b =
-            contact_link_budget((*sats_)[static_cast<std::size_t>(v.sat)],
-                                gs, v.range_km, v.elevation_rad, *wx++);
+            link_budget(v.sat, static_cast<int>(g), v.range_km,
+                        v.elevation_rad, *wx++);
         ++budgets_evaluated;
         if (!b.closes()) continue;
         ++edges_produced;

@@ -94,21 +94,12 @@ void io(Ar& ar, ContactEdge& e) {
   ar.f64(e.weight);
 }
 
-/// The link budget of one satellite -> station contact at (range,
-/// elevation) under weather `wx`.  Beamforming stations split aperture
-/// power across their beams; the conservative full-split penalty scales
-/// the aperture efficiency down by the beam count.  The predicted budget
-/// (VisibilityEngine, forecast weather) and the realized one (Session,
-/// actual weather) both come from here, so the two cannot drift apart.
-link::LinkBudget contact_link_budget(const groundseg::SatelliteConfig& sat,
-                                     const groundseg::GroundStation& gs,
-                                     double range_km, double elevation_rad,
-                                     const weather::WeatherSample& wx);
-
 class VisibilityEngine {
  public:
   /// `forecast_weather` drives the *predicted* budgets; pass nullptr to
-  /// schedule assuming clear sky (the weather-blind ablation).
+  /// schedule assuming clear sky (the weather-blind ablation).  Builds
+  /// the link kernels, so a radio or receiver the link model rejects
+  /// (link::LinkKernel) throws std::invalid_argument here.
   VisibilityEngine(const std::vector<groundseg::SatelliteConfig>& sats,
                    const std::vector<groundseg::GroundStation>& stations,
                    const weather::WeatherProvider* forecast_weather);
@@ -146,6 +137,16 @@ class VisibilityEngine {
       std::span<const std::span<const VisibleSat>> visible,
       std::span<const double> forecast_lead_s = {},
       std::span<const char> station_down = {}) const;
+
+  /// The link budget of satellite `sat` -> station `station` at (range,
+  /// elevation) under weather `wx`: evaluate_link with the station's
+  /// receiver (its aperture efficiency split across its beams), through
+  /// the engine's kernel for the pair's radio and station.  The predicted
+  /// budget (edges(), forecast weather) and the realized one (Session,
+  /// actual weather) both come from here, so the two cannot drift apart.
+  link::LinkBudget link_budget(int sat, int station, double range_km,
+                               double elevation_rad,
+                               const weather::WeatherSample& wx) const;
 
   /// Geometry-only visibility (no link budget): elevation above the mask.
   bool visible(int sat, int station, const util::Epoch& when) const;
@@ -212,6 +213,13 @@ class VisibilityEngine {
   const std::vector<groundseg::GroundStation>* stations_;
   const weather::WeatherProvider* wx_;  ///< May be null (clear-sky planning).
   orbit::Sgp4Batch batch_;              ///< SoA propagator for the fleet.
+  /// Per satellite, its radio's index among the fleet's distinct radios.
+  std::vector<std::uint32_t> radio_of_;
+  /// One link kernel per distinct radio, and its terms at every station:
+  /// radio r's site for station g is sites_[r * num_stations + g].  Built
+  /// once, at construction.
+  std::vector<link::LinkKernel> kernels_;
+  std::vector<link::LinkSite> sites_;
   std::vector<StationGeom> geom_;
   util::ThreadPool* pool_ = nullptr;              ///< Borrowed; may be null.
   bool spatial_index_ = true;

@@ -1,7 +1,6 @@
 #include "src/link/antenna.h"
 
 #include <cmath>
-#include <limits>
 
 #include "src/util/check.h"
 #include "src/util/constants.h"
@@ -29,28 +28,10 @@ double system_noise_temp_k(const ReceiveSystem& rx, double atmos_loss_db) {
 
 double g_over_t_db(const ReceiveSystem& rx, double freq_hz,
                    double atmos_loss_db) {
-  // Dish gain depends only on (diameter, frequency, efficiency), and a
-  // network reuses a handful of receiver configurations across millions
-  // of edge evaluations, so a single-entry memo skips the identical
-  // recomputation.  Same expression on the same inputs — the cached
-  // value is bit-identical to an uncached call.  NaN sentinels can never
-  // compare equal, so the first call always computes.
-  thread_local double memo_diameter_m =
-      std::numeric_limits<double>::quiet_NaN();
-  thread_local double memo_freq_hz = std::numeric_limits<double>::quiet_NaN();
-  thread_local double memo_efficiency =
-      std::numeric_limits<double>::quiet_NaN();
-  thread_local double memo_gain_dbi = 0.0;
-  if (rx.dish_diameter_m != memo_diameter_m || freq_hz != memo_freq_hz ||
-      rx.aperture_efficiency != memo_efficiency) {
-    memo_gain_dbi =
-        dish_gain_dbi(rx.dish_diameter_m, freq_hz, rx.aperture_efficiency);
-    memo_diameter_m = rx.dish_diameter_m;
-    memo_freq_hz = freq_hz;
-    memo_efficiency = rx.aperture_efficiency;
-  }
+  const double gain =
+      dish_gain_dbi(rx.dish_diameter_m, freq_hz, rx.aperture_efficiency);
   const double t = system_noise_temp_k(rx, atmos_loss_db);
-  return memo_gain_dbi - 10.0 * std::log10(t);
+  return gain - 10.0 * std::log10(t);
 }
 
 }  // namespace dgs::link

@@ -11,7 +11,7 @@ namespace {
 
 // EN 302 307 table 13 (normal FECFRAME, ideal demodulator).  Sorted by
 // required Es/N0; spectral efficiencies include LDPC+BCH overhead.
-constexpr ModCod kModCods[] = {
+constexpr ModCod kModCods[kNumModCods] = {
     {"QPSK 1/4", Modulation::kQpsk, 1.0 / 4, 0.490243, -2.35},
     {"QPSK 1/3", Modulation::kQpsk, 1.0 / 3, 0.656448, -1.24},
     {"QPSK 2/5", Modulation::kQpsk, 2.0 / 5, 0.789412, -0.30},
@@ -65,37 +65,38 @@ std::span<const ModCod> dvbs2_modcods() {
   return kModCods;
 }
 
+const ModCod* best_modcod_of_prefix(std::size_t n) {
+  DGS_ENSURE_LE(n, kNumModCods);
+  // The table is not strictly efficiency-sorted (some 8PSK entries need
+  // more SNR than lower-order MODCODs with higher efficiency), so the best
+  // of a prefix is precomputed once, with the same first-wins tie-breaking
+  // as a linear max scan.
+  static const std::array<const ModCod*, kNumModCods + 1> kPrefixBest = [] {
+    std::array<const ModCod*, kNumModCods + 1> best{};
+    const ModCod* run = nullptr;
+    for (std::size_t i = 0; i < kNumModCods; ++i) {
+      if (run == nullptr ||
+          kModCods[i].spectral_efficiency > run->spectral_efficiency) {
+        run = &kModCods[i];
+      }
+      best[i + 1] = run;
+    }
+    return best;
+  }();
+  return kPrefixBest[n];
+}
+
 const ModCod* select_modcod(double esn0_db, double margin_db) {
   DGS_ENSURE_GE(margin_db, 0.0);
   // The table is Es/N0-sorted, so the feasible entries form a prefix
-  // (float addition of the same margin preserves the ordering).  It is
-  // not strictly efficiency-sorted (some 8PSK entries need more SNR than
-  // lower-order MODCODs with higher efficiency), so the answer is the
-  // best entry over that prefix — precomputed once below with the same
-  // first-wins tie-breaking as a linear max scan, hence the identical
-  // pointer.  This runs once per candidate contact edge, so O(log n)
-  // instead of O(n) matters at constellation scale.
-  static const std::array<const ModCod*, std::size(kModCods)> kPrefixBest =
-      [] {
-        std::array<const ModCod*, std::size(kModCods)> best{};
-        const ModCod* run = nullptr;
-        for (std::size_t i = 0; i < std::size(kModCods); ++i) {
-          if (run == nullptr ||
-              kModCods[i].spectral_efficiency > run->spectral_efficiency) {
-            run = &kModCods[i];
-          }
-          best[i] = run;
-        }
-        return best;
-      }();
+  // (float addition of the same margin preserves the ordering), found in
+  // O(log n): this runs for every link budget a cold caller evaluates.
   const ModCod* end_feasible = std::partition_point(
       std::begin(kModCods), std::end(kModCods), [&](const ModCod& mc) {
         return mc.required_esn0_db + margin_db <= esn0_db;
       });
-  if (end_feasible == std::begin(kModCods)) return nullptr;
-  return kPrefixBest[static_cast<std::size_t>(end_feasible -
-                                              std::begin(kModCods)) -
-                     1];
+  return best_modcod_of_prefix(
+      static_cast<std::size_t>(end_feasible - std::begin(kModCods)));
 }
 
 double bitrate_bps(const ModCod& mc, double symbol_rate_hz) {

@@ -6,6 +6,7 @@
 // [dB] for quasi-error-free operation (EN 302 307 table 13).
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <string_view>
 
@@ -21,8 +22,16 @@ struct ModCod {
   double required_esn0_db;        ///< Ideal AWGN Es/N0 for QEF.
 };
 
+/// The number of normal-frame MODCODs.
+inline constexpr std::size_t kNumModCods = 28;
+
 /// All 28 normal-frame MODCODs, sorted by ascending required Es/N0.
 std::span<const ModCod> dvbs2_modcods();
+
+/// The highest-throughput MODCOD among the `n` (<= kNumModCods) with the
+/// lowest required Es/N0, the first on ties; nullptr when n == 0.  When
+/// exactly those `n` close a link, this is select_modcod's answer.
+const ModCod* best_modcod_of_prefix(std::size_t n);
 
 /// Highest-throughput MODCOD whose required Es/N0 (plus `margin_db`)
 /// is at or below `esn0_db`.  Returns nullptr if even the most robust

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "src/util/angles.h"
 #include "src/util/check.h"
@@ -36,19 +35,9 @@ double gaseous_zenith_attenuation_db(double freq_ghz) {
 
 double gaseous_attenuation_db(double freq_ghz, double elevation_rad) {
   DGS_ENSURE_GT(elevation_rad, 0.0);
-  // The zenith value depends only on frequency — a per-radio constant
-  // recomputed for every edge of a contact sweep.  Single-entry memo;
-  // same function on the same input, so the cached value is
-  // bit-identical.  The NaN sentinel never compares equal.
-  thread_local double memo_freq_ghz =
-      std::numeric_limits<double>::quiet_NaN();
-  thread_local double memo_zenith_db = 0.0;
-  if (freq_ghz != memo_freq_ghz) {
-    memo_zenith_db = gaseous_zenith_attenuation_db(freq_ghz);
-    memo_freq_ghz = freq_ghz;
-  }
+  const double zenith_db = gaseous_zenith_attenuation_db(freq_ghz);
   const double el = std::max(elevation_rad, util::deg2rad(5.0));
-  return memo_zenith_db / std::sin(el);
+  return zenith_db / std::sin(el);
 }
 
 }  // namespace dgs::link

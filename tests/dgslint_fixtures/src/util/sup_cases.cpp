@@ -6,7 +6,7 @@ int sup_missing_reason() {
 }
 
 int sup_unknown_rule() {
-  return rand();  // dgslint: allow(R9) -- no such rule
+  return rand();  // dgslint: allow(R99) -- no such rule
 }
 
 int sup_self_allow() {

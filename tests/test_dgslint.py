@@ -7,7 +7,8 @@ Three layers:
   - mutation rehearsals copy a real source file into a temp root, inject
     a violation (rand() into fault_plan.cpp, an unordered_map loop into
     run_artifact.cpp, a std::function member into SimulationOptions, a
-    mutex into the weather provider), and require dgslint to fail — proof the linter
+    mutex into the weather provider, a thread_local memo into the link
+    budget), and require dgslint to fail — proof the linter
     would catch a real regression, not just the fixtures;
   - CLI-contract tests pin exit codes, --verify-baseline, and the
     GitHub-annotation output format.
@@ -116,6 +117,14 @@ class FixtureCorpusTest(unittest.TestCase):
         self.assertEqual(
             len(self.by_rule("R8", "src/core/r8_lock_free.cpp")), 0)
 
+    def test_r9_thread_local_outside_pool_and_obs(self):
+        found = self.by_rule("R9", "src/link/r9_memo.cpp")
+        # A plain and a static thread_local; the suppressed one and the
+        # word in a comment, a string or an identifier stay silent.
+        self.assertEqual([f["line"] for f in found], [5, 6])
+        # obs's trace buffer is whitelisted.
+        self.assertEqual(len(self.by_rule("R9", "src/obs/trace.cpp")), 0)
+
     def test_sup_malformed_suppressions_are_unsuppressable(self):
         sup = self.by_rule("SUP", "src/util/sup_cases.cpp")
         self.assertEqual(len(sup), 3)
@@ -145,10 +154,12 @@ class MutationRehearsalTest(unittest.TestCase):
         return code, json.loads(out)["findings"]
 
     def test_unmutated_copies_are_clean(self):
-        # The pool and obs keep their locks (R8 exempts them).
+        # The pool and obs keep their locks (R8 exempts them) and their
+        # per-thread state (R9 whitelists it).
         for rel in ("src/faults/fault_plan.cpp", "src/core/run_artifact.cpp",
                     "src/core/simulator.h", "src/weather/synthetic.h",
-                    "src/util/thread_pool.cpp", "src/obs/trace.cpp"):
+                    "src/util/thread_pool.cpp", "src/obs/trace.cpp",
+                    "src/obs/metrics.cpp", "src/link/budget.cpp"):
             code, findings = self._scan_mutated(rel, lambda t: t)
             self.assertEqual(code, 0, findings)
 
@@ -191,6 +202,23 @@ class MutationRehearsalTest(unittest.TestCase):
                 "  mutable Field field_;\n  mutable std::mutex field_mu_;", 1))
         self.assertEqual(code, 1)
         self.assertEqual([f["rule"] for f in findings], ["R8"], findings)
+
+    def test_thread_local_memo_in_link_budget_fails(self):
+        injected = (
+            "\nnamespace dgs::link {\n"
+            "double memo_symbol_rate_db(double hz) {\n"
+            "  thread_local double memo_hz = 0.0;\n"
+            "  thread_local double memo_db = 0.0;\n"
+            "  if (hz != memo_hz) { memo_db = 10.0 * std::log10(hz); "
+            "memo_hz = hz; }\n"
+            "  return memo_db;\n"
+            "}\n"
+            "}  // namespace dgs::link\n")
+        code, findings = self._scan_mutated(
+            "src/link/budget.cpp", lambda t: t + injected)
+        self.assertEqual(code, 1)
+        self.assertEqual([f["rule"] for f in findings], ["R9", "R9"],
+                         findings)
 
     def test_bad_metric_name_in_session_fails(self):
         code, findings = self._scan_mutated(
@@ -238,7 +266,8 @@ class CliContractTest(unittest.TestCase):
     def test_list_rules(self):
         code, out, _ = run_dgslint("--list-rules")
         self.assertEqual(code, 0)
-        for rule in ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "SUP"):
+        for rule in ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9",
+                     "SUP"):
             self.assertIn(rule, out)
 
 

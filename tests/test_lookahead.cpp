@@ -43,13 +43,26 @@ class LookaheadTest : public ::testing::Test {
   VisibilityEngine engine_;
 };
 
+/// A pass block with its own edge vector: the shape the reference fusion
+/// builds, and what a PassBlocks chain unrolls to.
+struct RefBlock {
+  int sat = 0;
+  int station = 0;
+  int first_step = 0;
+  std::vector<ContactEdge> steps;  ///< One edge per step, contiguous.
+
+  int last_step() const {
+    return first_step + static_cast<int>(steps.size()) - 1;
+  }
+};
+
 /// Pass-block fusion through a std::map of the pairs open at the previous
 /// step, rebuilt every step: the oracle find_pass_blocks must reproduce
 /// exactly (same blocks, same order, same edges).
-std::vector<PassBlock> reference_pass_blocks(
+std::vector<RefBlock> reference_pass_blocks(
     const VisibilityEngine& engine, const util::Epoch& start, int steps,
     double step_seconds, std::span<const char> station_down = {}) {
-  std::vector<PassBlock> blocks;
+  std::vector<RefBlock> blocks;
   // Open block per (sat, station) pair, indexed into `blocks`.
   std::map<std::pair<int, int>, int> open;
 
@@ -70,7 +83,7 @@ std::vector<PassBlock> reference_pass_blocks(
         blocks[it->second].steps.push_back(e);
         still_open[key] = it->second;
       } else {
-        PassBlock b;
+        RefBlock b;
         b.sat = e.sat;
         b.station = e.station;
         b.first_step = k;
@@ -82,6 +95,27 @@ std::vector<PassBlock> reference_pass_blocks(
     open = std::move(still_open);
   }
   return blocks;
+}
+
+/// The edges of `b`, walked along its chain to the end marker.
+std::vector<ContactEdge> chain_of(const PassBlocks& blocks,
+                                  const PassBlock& b) {
+  std::vector<ContactEdge> edges;
+  auto k = static_cast<std::size_t>(b.first_step);
+  for (std::uint32_t i = b.first_edge; i != PassBlocks::kEnd;
+       i = blocks.next.at(k++).at(i)) {
+    edges.push_back(blocks.edges.at(k).at(i));
+  }
+  return edges;
+}
+
+/// Every block of `blocks` with its chain unrolled into a vector.
+std::vector<RefBlock> unrolled(const PassBlocks& blocks) {
+  std::vector<RefBlock> out;
+  for (const PassBlock& b : blocks.blocks) {
+    out.push_back(RefBlock{b.sat, b.station, b.first_step, chain_of(blocks, b)});
+  }
+  return out;
 }
 
 /// Same edges in the same order, every field equal bit for bit.
@@ -101,17 +135,41 @@ void expect_same_edges(const std::vector<ContactEdge>& a,
   }
 }
 
-/// Same blocks in the same order, every edge equal bit for bit.
-void expect_same_blocks(const std::vector<PassBlock>& a,
-                        const std::vector<PassBlock>& b) {
+/// `a` holds the blocks of `b` in the same order: the same fields, each
+/// chain the block's edges bit for bit, and each capacity equal to the
+/// step-order sum of rate * dt / 8 over them.  Every edge of the window
+/// lies on exactly one chain.
+void expect_same_blocks(const PassBlocks& a, const std::vector<RefBlock>& b,
+                        double step_seconds = 60.0) {
   ASSERT_EQ(a.size(), b.size());
+  ASSERT_EQ(a.next.size(), a.edges.size());
+  std::size_t swept = 0;
+  for (std::size_t k = 0; k < a.edges.size(); ++k) {
+    ASSERT_EQ(a.next[k].size(), a.edges[k].size());
+    swept += a.edges[k].size();
+  }
+  std::size_t chained = 0;
   for (std::size_t i = 0; i < a.size(); ++i) {
     SCOPED_TRACE(::testing::Message() << "block " << i);
-    EXPECT_EQ(a[i].sat, b[i].sat);
-    EXPECT_EQ(a[i].station, b[i].station);
-    EXPECT_EQ(a[i].first_step, b[i].first_step);
-    expect_same_edges(a[i].steps, b[i].steps);
+    const PassBlock& x = a.blocks[i];
+    EXPECT_EQ(x.sat, b[i].sat);
+    EXPECT_EQ(x.station, b[i].station);
+    EXPECT_EQ(x.first_step, b[i].first_step);
+    EXPECT_EQ(x.length, static_cast<int>(b[i].steps.size()));
+    const std::vector<ContactEdge> chain = chain_of(a, x);
+    expect_same_edges(chain, b[i].steps);
+    chained += chain.size();
+    double bytes = 0.0;
+    for (const ContactEdge& e : b[i].steps) {
+      bytes += e.predicted_rate_bps * step_seconds / 8.0;
+    }
+    EXPECT_EQ(x.capacity_bytes, bytes);
   }
+  EXPECT_EQ(chained, swept);
+}
+
+void expect_same_blocks(const PassBlocks& a, const PassBlocks& b) {
+  expect_same_blocks(a, unrolled(b));
 }
 
 /// Every dgs_vis_* counter in `registry`, by name.
@@ -124,10 +182,10 @@ std::map<std::string, double> vis_counters(const obs::Registry& registry) {
 }
 
 /// Largest number of blocks any one (sat, station) pair has in `blocks`.
-int max_blocks_per_pair(const std::vector<PassBlock>& blocks) {
+int max_blocks_per_pair(const PassBlocks& blocks) {
   std::map<std::pair<int, int>, int> count;
   int most = 0;
-  for (const PassBlock& b : blocks) {
+  for (const PassBlock& b : blocks.blocks) {
     most = std::max(most, ++count[{b.sat, b.station}]);
   }
   return most;
@@ -135,27 +193,29 @@ int max_blocks_per_pair(const std::vector<PassBlock>& blocks) {
 
 TEST_F(LookaheadTest, BlocksAreContiguousAndConsistent) {
   const int steps = 120;
-  const auto blocks = find_pass_blocks(engine_, kEpoch, steps, 60.0);
-  ASSERT_FALSE(blocks.empty());
-  for (const PassBlock& b : blocks) {
+  const PassBlocks blocks = find_pass_blocks(engine_, kEpoch, steps, 60.0);
+  ASSERT_GT(blocks.size(), 0u);
+  for (const PassBlock& b : blocks.blocks) {
     EXPECT_GE(b.first_step, 0);
     EXPECT_LT(b.last_step(), steps);
-    EXPECT_FALSE(b.steps.empty());
-    for (const ContactEdge& e : b.steps) {
+    EXPECT_GT(b.length, 0);
+    const std::vector<ContactEdge> chain = chain_of(blocks, b);
+    EXPECT_EQ(chain.size(), static_cast<std::size_t>(b.length));
+    for (const ContactEdge& e : chain) {
       EXPECT_EQ(e.sat, b.sat);
       EXPECT_EQ(e.station, b.station);
       EXPECT_GT(e.predicted_rate_bps, 0.0);
     }
-    EXPECT_GT(b.capacity_bytes(60.0), 0.0);
+    EXPECT_GT(b.capacity_bytes, 0.0);
   }
 }
 
 TEST_F(LookaheadTest, BlocksCoverExactlyTheVisibleEdges) {
   // The union of block steps equals the per-instant contact sets.
   const int steps = 60;
-  const auto blocks = find_pass_blocks(engine_, kEpoch, steps, 60.0);
+  const PassBlocks blocks = find_pass_blocks(engine_, kEpoch, steps, 60.0);
   std::map<int, std::set<std::pair<int, int>>> from_blocks;
-  for (const PassBlock& b : blocks) {
+  for (const PassBlock& b : blocks.blocks) {
     for (int k = b.first_step; k <= b.last_step(); ++k) {
       EXPECT_TRUE(from_blocks[k].insert({b.sat, b.station}).second)
           << "duplicate pair in blocks at step " << k;
@@ -173,10 +233,10 @@ TEST_F(LookaheadTest, BlocksCoverExactlyTheVisibleEdges) {
 }
 
 TEST_F(LookaheadTest, PassBlockDurationsAreLeoTypical) {
-  const auto blocks = find_pass_blocks(engine_, kEpoch, 24 * 60, 60.0);
+  const PassBlocks blocks = find_pass_blocks(engine_, kEpoch, 24 * 60, 60.0);
   util::SampleSet durations_min;
-  for (const PassBlock& b : blocks) {
-    durations_min.add(static_cast<double>(b.steps.size()));
+  for (const PassBlock& b : blocks.blocks) {
+    durations_min.add(static_cast<double>(b.length));
   }
   // Above amateur masks, pass blocks run a few minutes; none exceed ~15.
   EXPECT_LE(durations_min.max(), 15.0);
@@ -186,7 +246,7 @@ TEST_F(LookaheadTest, PassBlockDurationsAreLeoTypical) {
 TEST_F(LookaheadTest, FusionMatchesMapReferenceClearSky) {
   for (const int steps : {60, 180}) {
     SCOPED_TRACE(::testing::Message() << steps << " steps");
-    const auto blocks = find_pass_blocks(engine_, kEpoch, steps, 60.0);
+    const PassBlocks blocks = find_pass_blocks(engine_, kEpoch, steps, 60.0);
     expect_same_blocks(blocks,
                        reference_pass_blocks(engine_, kEpoch, steps, 60.0));
     // Within three hours some pair is seen, lost and seen again, so the
@@ -214,11 +274,70 @@ TEST_F(LookaheadTest, FusionMatchesMapReferenceWithStationsDown) {
   for (std::size_t g = 0; g < down.size(); g += 3) down[g] = 1;
   for (const int steps : {60, 180}) {
     SCOPED_TRACE(::testing::Message() << steps << " steps");
-    const auto blocks = find_pass_blocks(engine, kEpoch, steps, 60.0, down);
+    const PassBlocks blocks =
+        find_pass_blocks(engine, kEpoch, steps, 60.0, down);
     expect_same_blocks(blocks,
                        reference_pass_blocks(engine, kEpoch, steps, 60.0,
                                              down));
-    for (const PassBlock& b : blocks) EXPECT_FALSE(down[b.station]);
+    for (const PassBlock& b : blocks.blocks) EXPECT_FALSE(down[b.station]);
+  }
+}
+
+// A pair seen, lost and seen again gets two blocks whose chains stay
+// apart: the first ends at kEnd after its last step, the second starts a
+// new chain that no edge links into.  A station down for the window
+// stores no edges at all.  Clear sky and weather, each with and without
+// a third of the stations down.
+TEST_F(LookaheadTest, ChainsEndAtEachPassAndSkipStationsDown) {
+  const weather::SyntheticWeatherProvider wx(13, kEpoch, 4.0);
+  std::vector<char> down(stations_.size(), 0);
+  for (std::size_t g = 1; g < down.size(); g += 3) down[g] = 1;
+  for (const bool weather : {false, true}) {
+    for (const bool with_down : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (weather ? "weather" : "clear sky")
+                   << (with_down ? ", stations down" : ""));
+      const VisibilityEngine engine(sats_, stations_,
+                                    weather ? &wx : nullptr);
+      const std::span<const char> mask =
+          with_down ? std::span<const char>(down) : std::span<const char>();
+      const PassBlocks blocks =
+          find_pass_blocks(engine, kEpoch, 180, 60.0, mask);
+      expect_same_blocks(blocks,
+                         reference_pass_blocks(engine, kEpoch, 180, 60.0,
+                                               mask));
+      // Edges linked into from the previous step.
+      std::set<std::pair<std::size_t, std::uint32_t>> linked;
+      for (std::size_t k = 0; k < blocks.next.size(); ++k) {
+        for (const std::uint32_t i : blocks.next[k]) {
+          if (i != PassBlocks::kEnd) linked.insert({k + 1, i});
+        }
+        for (const ContactEdge& e : blocks.edges[k]) {
+          EXPECT_FALSE(with_down && down[e.station]) << "step " << k;
+        }
+      }
+      std::map<std::pair<int, int>, const PassBlock*> previous;
+      int second_passes = 0;
+      for (const PassBlock& b : blocks.blocks) {
+        const auto first = static_cast<std::size_t>(b.first_step);
+        EXPECT_FALSE(linked.contains({first, b.first_edge}));
+        const PassBlock*& before = previous[{b.sat, b.station}];
+        if (before != nullptr) {
+          ++second_passes;
+          EXPECT_GT(b.first_step, before->last_step() + 1);
+          // The earlier pass's chain ends at its own last step.
+          std::uint32_t i = before->first_edge;
+          for (int k = before->first_step; k < before->last_step(); ++k) {
+            i = blocks.next[static_cast<std::size_t>(k)][i];
+          }
+          EXPECT_EQ(
+              blocks.next[static_cast<std::size_t>(before->last_step())][i],
+              PassBlocks::kEnd);
+        }
+        before = &b;
+      }
+      EXPECT_GT(second_passes, 0);
+    }
   }
 }
 

@@ -38,6 +38,10 @@ Rules (see DESIGN.md §13 for the full table and rationale):
       src/obs/ — pool lanes write per-index or per-chunk slots, and
       shared state (the weather provider) is called from the driver
       thread only.
+  R9  no thread_local in src/ outside src/util/thread_pool.cpp,
+      src/obs/metrics.cpp and src/obs/trace.cpp — per-thread memos are
+      hidden state; hoist a constant to where its inputs are fixed (the
+      VisibilityEngine's link kernels) instead.
   SUP suppression-comment hygiene: every `dgslint: allow(...)` names
       known rules and carries a `-- reason`.
 
@@ -83,6 +87,10 @@ WHITELIST = {
     "R4": ("src/util/check.h", "src/util/check.cpp"),
     # The pool's fork-join handshake is the one lock on the step path.
     "R8": ("src/util/thread_pool.h", "src/util/thread_pool.cpp"),
+    # The pool's in-region flag and obs's per-thread shard slot and trace
+    # buffer are the sanctioned per-thread state.
+    "R9": ("src/util/thread_pool.cpp", "src/obs/metrics.cpp",
+           "src/obs/trace.cpp"),
 }
 
 # R4 applies to src/ only: tests legitimately throw to exercise error
@@ -123,6 +131,7 @@ RULE_TITLES = {
     "R6": "header self-containment",
     "R7": "callable member in an options struct",
     "R8": "lock outside the pool and obs",
+    "R9": "thread_local outside the pool and obs",
     "SUP": "malformed dgslint suppression",
 }
 
@@ -529,6 +538,23 @@ def check_r8(f, ctx):
             "driver thread, or give each lane its own slot" % m.group(0))
 
 
+# R9: per-thread state belongs to the pool and obs (WHITELIST); src/ only.
+R9_SCOPE = "src/"
+R9_RE = re.compile(r"\bthread_local\b")
+
+
+def check_r9(f, ctx):
+    del ctx
+    if not f.relpath.startswith(R9_SCOPE):
+        return
+    for m in R9_RE.finditer(f.code):
+        yield Finding(
+            "R9", f.relpath, f.line_of(m.start()),
+            "thread_local outside the pool and obs — a per-thread memo is "
+            "hidden state; compute the value once where its inputs are "
+            "fixed and pass it in")
+
+
 def check_sup(f, ctx):
     del ctx
     for line, rules in sorted(f.suppressions.items()):
@@ -541,7 +567,7 @@ def check_sup(f, ctx):
 
 
 CHECKERS = (check_r1, check_r2, check_r3, check_r4, check_r5, check_r6,
-            check_r7, check_r8, check_sup)
+            check_r7, check_r8, check_r9, check_sup)
 
 
 # ---------------------------------------------------------------------------
