@@ -102,18 +102,15 @@ int main() {
     if (!pick_blind.empty()) {
       if (pick_blind[0].station == 0) ++blind_picked_wet;
       // Blind schedule transmits at the clear-sky MODCOD; it only sticks if
-      // the actual Es/N0 still clears it.  Re-evaluate with the storm.
+      // the actual Es/N0 still clears it.  Re-evaluate with the storm,
+      // through the same budget the engine predicts with (site altitude
+      // and beam split included).
       const auto& e = pick_blind[0];
       const auto& gs = stations[e.station];
-      auto wx = storm.actual(gs.location.latitude_rad,
-                             gs.location.longitude_rad, t);
-      link::PathConditions path;
-      path.range_km = e.range_km;
-      path.elevation_rad = e.elevation_rad;
-      path.site_latitude_rad = gs.location.latitude_rad;
-      path.rain_rate_mm_h = wx.rain_rate_mm_h;
-      path.cloud_liquid_kg_m2 = wx.cloud_liquid_kg_m2;
-      const auto actual = link::evaluate_link(sats[0].radio, gs.receiver, path);
+      const auto wx = storm.actual(gs.location.latitude_rad,
+                                   gs.location.longitude_rad, t);
+      const auto actual = blind.link_budget(e.sat, e.station, e.range_km,
+                                            e.elevation_rad, wx);
       if (e.modcod != nullptr &&
           actual.esn0_db >= e.modcod->required_esn0_db) {
         blind_bytes += e.predicted_rate_bps * 60.0 / 8.0;

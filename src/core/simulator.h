@@ -86,8 +86,8 @@ struct SimulationOptions {
   util::ParallelConfig parallel;
   /// Observability sinks (DESIGN.md §10); both are borrowed and must
   /// outlive the run.  Null (the default) disables that sink entirely.
-  /// Metric folds and the event log are deterministic for any thread
-  /// count; trace spans (a timing artifact) are enabled separately via
+  /// Metrics and the event log are deterministic for any thread count;
+  /// trace spans (a timing artifact) are enabled separately via
   /// obs::set_trace_enabled.
   obs::Registry* metrics = nullptr;
   obs::EventLog* events = nullptr;

@@ -416,8 +416,6 @@ std::vector<ContactEdge> VisibilityEngine::edges(
   for (std::vector<ContactEdge>& v : edge_scratch_) v.clear();
   std::vector<std::vector<ContactEdge>>& per_station = edge_scratch_;
   const auto budgets = [&](std::int64_t begin, std::int64_t end) {
-    std::int64_t budgets_evaluated = 0;
-    std::int64_t edges_produced = 0;
     for (std::int64_t gi = begin; gi < end; ++gi) {
       const auto g = static_cast<std::size_t>(gi);
       if (!station_down.empty() && station_down[g]) continue;
@@ -427,9 +425,7 @@ std::vector<ContactEdge> VisibilityEngine::edges(
         const link::LinkBudget b =
             link_budget(v.sat, static_cast<int>(g), v.range_km,
                         v.elevation_rad, *wx++);
-        ++budgets_evaluated;
         if (!b.closes()) continue;
-        ++edges_produced;
 
         ContactEdge e;
         e.sat = v.sat;
@@ -441,20 +437,20 @@ std::vector<ContactEdge> VisibilityEngine::edges(
         per_station[g].push_back(e);
       }
     }
-    // One whole-chunk integer add per counter: lock-free, and exact for
-    // any shard assignment (DESIGN.md §10 determinism rules).
-    if (link_budgets_ != nullptr && budgets_evaluated > 0) {
-      link_budgets_->inc(static_cast<double>(budgets_evaluated));
-    }
-    if (contact_edges_ != nullptr && edges_produced > 0) {
-      contact_edges_->inc(static_cast<double>(edges_produced));
-    }
   };
   util::parallel_for(pool_, static_cast<std::int64_t>(stations_->size()),
                      budgets);
 
+  // Counted here, on the driver thread, once the pool has joined
+  // (DESIGN.md §10): pass 2 evaluates one budget per pass-1 sample.
   std::size_t total = 0;
   for (const std::vector<ContactEdge>& v : per_station) total += v.size();
+  if (link_budgets_ != nullptr) {
+    link_budgets_->inc(static_cast<double>(sample_scratch_.size()));
+  }
+  if (contact_edges_ != nullptr) {
+    contact_edges_->inc(static_cast<double>(total));
+  }
   std::vector<ContactEdge> edges;
   edges.reserve(total);
   for (const std::vector<ContactEdge>& v : per_station) {

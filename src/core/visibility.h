@@ -239,10 +239,8 @@ class VisibilityEngine {
   /// contacts()' views of the scratch geometry's per-station lists.
   mutable std::vector<std::span<const VisibleSat>> list_scratch_;
   obs::Registry* metrics_ = nullptr;              ///< Borrowed; may be null.
-  /// Cached registry handles (null when metrics_ is null).  The budget
-  /// and edge counters are incremented from worker threads in whole-chunk
-  /// integer steps, which the shard fold sums deterministically (DESIGN.md
-  /// §10); the geometry counters once per query, from the driver thread.
+  /// Cached registry handles (null when metrics_ is null).  Each is added
+  /// to once per query, on the driver thread (DESIGN.md §10).
   obs::Counter* propagations_ = nullptr;
   obs::Counter* link_budgets_ = nullptr;
   obs::Counter* contact_edges_ = nullptr;

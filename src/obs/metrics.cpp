@@ -8,17 +8,6 @@
 
 namespace dgs::obs {
 
-namespace internal {
-
-int this_thread_shard() {
-  static std::atomic<int> next{0};
-  thread_local const int slot =
-      next.fetch_add(1, std::memory_order_relaxed) % kMetricShards;
-  return slot;
-}
-
-}  // namespace internal
-
 namespace {
 
 /// Shortest round-trip-exact rendering of a sample value ("17" stays "17",
@@ -37,12 +26,6 @@ std::string format_value(double v) {
 
 }  // namespace
 
-void Counter::reset_to(double v) {
-  for (Shard& s : shards_) s.cell.store(0.0, std::memory_order_relaxed);
-  shards_[static_cast<std::size_t>(internal::this_thread_shard())].cell.store(
-      v, std::memory_order_relaxed);
-}
-
 Histogram::Histogram(std::vector<double> upper_bounds)
     : bounds_(std::move(upper_bounds)) {
   DGS_ENSURE(!bounds_.empty(), "histogram needs at least one bucket bound");
@@ -51,74 +34,37 @@ Histogram::Histogram(std::vector<double> upper_bounds)
                "bounds must ascend: " << bounds_[i - 1] << " then "
                                       << bounds_[i]);
   }
-  for (Shard& s : shards_) {
-    s.cells = std::vector<std::atomic<std::uint64_t>>(bounds_.size() + 1);
-  }
+  cells_.assign(bounds_.size() + 1, 0);
 }
 
 void Histogram::observe(double v) {
+  internal::dcheck_driver_thread();
   // Lower-bound search over the (short) bound list; the overflow cell is
   // the implicit +Inf bucket.
   std::size_t b = 0;
   while (b < bounds_.size() && v > bounds_[b]) ++b;
-  Shard& s = shards_[static_cast<std::size_t>(internal::this_thread_shard())];
-  s.cells[b].fetch_add(1, std::memory_order_relaxed);
-  s.sum.fetch_add(v, std::memory_order_relaxed);
+  ++cells_[b];
+  sum_ += v;
 }
 
 std::uint64_t Histogram::cumulative_bucket(std::size_t i) const {
   DGS_ENSURE_LT(i, bounds_.size());
   std::uint64_t n = 0;
-  for (const Shard& s : shards_) {
-    for (std::size_t b = 0; b <= i; ++b) {
-      n += s.cells[b].load(std::memory_order_relaxed);
-    }
-  }
+  for (std::size_t b = 0; b <= i; ++b) n += cells_[b];
   return n;
 }
 
 std::uint64_t Histogram::count() const {
   std::uint64_t n = 0;
-  for (const Shard& s : shards_) {
-    for (const std::atomic<std::uint64_t>& c : s.cells) {
-      n += c.load(std::memory_order_relaxed);
-    }
-  }
+  for (const std::uint64_t c : cells_) n += c;
   return n;
 }
 
-double Histogram::sum() const {
-  double total = 0.0;
-  for (const Shard& s : shards_) {
-    total += s.sum.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-std::vector<std::uint64_t> Histogram::folded_cells() const {
-  std::vector<std::uint64_t> out(bounds_.size() + 1, 0);
-  for (const Shard& s : shards_) {
-    for (std::size_t b = 0; b < out.size(); ++b) {
-      out[b] += s.cells[b].load(std::memory_order_relaxed);
-    }
-  }
-  return out;
-}
-
 void Histogram::reset_to(std::span<const std::uint64_t> cells, double sum) {
-  DGS_ENSURE_EQ(cells.size(), bounds_.size() + 1);
-  for (Shard& s : shards_) {
-    for (std::atomic<std::uint64_t>& c : s.cells) {
-      c.store(0, std::memory_order_relaxed);
-    }
-    s.sum.store(0.0, std::memory_order_relaxed);
-  }
-  Shard& mine =
-      shards_[static_cast<std::size_t>(internal::this_thread_shard())];
-  for (std::size_t b = 0; b < cells.size(); ++b) {
-    mine.cells[b].store(cells[b], std::memory_order_relaxed);
-  }
-  mine.sum.store(sum, std::memory_order_relaxed);
+  internal::dcheck_driver_thread();
+  DGS_ENSURE_EQ(cells.size(), cells_.size());
+  cells_.assign(cells.begin(), cells.end());
+  sum_ = sum;
 }
 
 Registry::Entry& Registry::entry_for(const std::string& name, Kind kind,
@@ -137,14 +83,12 @@ Registry::Entry& Registry::entry_for(const std::string& name, Kind kind,
 }
 
 Counter* Registry::counter(const std::string& name, const std::string& help) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   Entry& e = entry_for(name, Kind::kCounter, help);
   if (!e.counter) e.counter = std::make_unique<Counter>();
   return e.counter.get();
 }
 
 Gauge* Registry::gauge(const std::string& name, const std::string& help) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   Entry& e = entry_for(name, Kind::kGauge, help);
   if (!e.gauge) e.gauge = std::make_unique<Gauge>();
   return e.gauge.get();
@@ -153,7 +97,6 @@ Gauge* Registry::gauge(const std::string& name, const std::string& help) {
 Histogram* Registry::histogram(const std::string& name,
                                const std::string& help,
                                std::vector<double> upper_bounds) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   Entry& e = entry_for(name, Kind::kHistogram, help);
   if (!e.histogram) {
     e.histogram = std::make_unique<Histogram>(std::move(upper_bounds));
@@ -162,7 +105,6 @@ Histogram* Registry::histogram(const std::string& name,
 }
 
 void Registry::write_prometheus(std::ostream& out) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& [name, e] : entries_) {
     out << "# HELP " << name << ' ' << e.help << '\n';
     switch (e.kind) {
@@ -192,7 +134,6 @@ void Registry::write_prometheus(std::ostream& out) const {
 }
 
 std::size_t Registry::series_count() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
   std::size_t n = 0;
   for (const auto& [name, e] : entries_) {
     (void)name;
@@ -204,7 +145,6 @@ std::size_t Registry::series_count() const {
 }
 
 std::vector<MetricSnapshot> Registry::snapshot() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
   std::vector<MetricSnapshot> out;
   out.reserve(entries_.size());
   for (const auto& [name, e] : entries_) {
@@ -223,7 +163,7 @@ std::vector<MetricSnapshot> Registry::snapshot() const {
       case Kind::kHistogram:
         m.kind = 2;
         m.upper_bounds = e.histogram->upper_bounds();
-        m.cells = e.histogram->folded_cells();
+        m.cells = e.histogram->cells();
         m.sum = e.histogram->sum();
         break;
     }

@@ -1,97 +1,79 @@
 // Metrics registry: counters, gauges, and fixed-bucket histograms with a
 // Prometheus-style text exposition writer.
 //
-// The hot path is lock-free: every Counter/Histogram keeps one cache-line-
-// aligned shard per thread slot (relaxed atomic adds, no false sharing), and
-// a scrape folds the shards in ascending slot order.  The fold is
-// deterministic under the DESIGN.md §9/§10 contract:
-//
-//   * counts incremented from inside parallel regions are exact small
-//     integers, whose double sum is associative — any shard assignment
-//     yields the same scraped value for any thread count;
-//   * non-integer accumulations (byte totals, latency sums) are only ever
-//     incremented from the simulation driver thread, so exactly one shard
-//     is nonzero and the fold order is irrelevant;
-//   * a value another ledger already holds is published with
-//     Counter::reset_to / Gauge::set from the driver thread, which leaves
-//     it in one shard as well.
+// Metrics are driver-thread state (DESIGN.md §10): every write happens on
+// the simulation driver thread, never inside a ThreadPool parallel_for
+// body, so each metric is a plain double (a histogram: one cell vector and
+// one sum) and a scrape reads it as it stands.  Work done in pool lanes is
+// counted on the driver once the pool joins, from the slots the lanes
+// filled.  Every write DGS_DCHECKs that it runs outside a parallel region;
+// the TSan lane catches the rest.
 //
 // Metric objects are owned by their Registry and have stable addresses for
-// the registry's lifetime; hot loops cache the pointers once and never take
-// the registry lock again.  Naming follows the Prometheus convention
-// documented in DESIGN.md §10: `dgs_<area>_<what>[_<unit>][_total]`.
+// the registry's lifetime; hot loops cache the pointers once.  Naming
+// follows the Prometheus convention documented in DESIGN.md §10:
+// `dgs_<area>_<what>[_<unit>][_total]`.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "src/util/check.h"
+#include "src/util/thread_pool.h"
+
 namespace dgs::obs {
 
-/// Number of per-thread shard slots; threads beyond this share slots
-/// (atomically — correctness is unaffected, only contention).
-inline constexpr int kMetricShards = 32;
-
 namespace internal {
-/// Stable per-thread shard slot in [0, kMetricShards): the first thread to
-/// ask (the simulation driver) gets slot 0, workers get 1, 2, ...
-int this_thread_shard();
+/// The one rule of the metrics layer: writes stay on the driver thread.
+inline void dcheck_driver_thread() {
+  DGS_DCHECK(!util::in_parallel_region(),
+             "metric written inside a parallel_for body; count the lanes' "
+             "work on the driver thread once the pool joins");
+}
 }  // namespace internal
 
-/// Monotonically increasing value (Prometheus counter).  `inc` is lock-free
-/// and safe from any thread; `value` folds shards in ascending slot order.
+/// Monotonically increasing value (Prometheus counter).
 class Counter {
  public:
   void inc(double v = 1.0) {
-    shards_[static_cast<std::size_t>(internal::this_thread_shard())].cell
-        .fetch_add(v, std::memory_order_relaxed);
+    internal::dcheck_driver_thread();
+    value_ += v;
   }
-  double value() const {
-    double sum = 0.0;
-    for (const Shard& s : shards_) {
-      sum += s.cell.load(std::memory_order_relaxed);
-    }
-    return sum;
-  }
+  double value() const { return value_; }
 
-  /// Checkpoint restore: replaces the folded value, placing it in the
-  /// *calling thread's* shard so a restored driver thread continues the
-  /// exact fetch_add sequence an uninterrupted run would have produced
-  /// (driver-thread doubles live in one shard; worker increments are
-  /// exact integers, so the fold stays bit-identical — DESIGN.md §16).
-  /// Also publishes a value kept in another ledger (DESIGN.md §10).
-  /// Not safe concurrently with inc().
-  void reset_to(double v);
+  /// Replaces the value: checkpoint restore (DESIGN.md §16), and
+  /// publishing a value kept in another ledger (DESIGN.md §10).
+  void reset_to(double v) {
+    internal::dcheck_driver_thread();
+    value_ = v;
+  }
 
  private:
-  struct alignas(64) Shard {
-    std::atomic<double> cell{0.0};
-  };
-  std::array<Shard, kMetricShards> shards_{};
+  double value_ = 0.0;
 };
 
-/// Last-write-wins instantaneous value (Prometheus gauge).  Written by the
-/// driver thread; readable from anywhere.
+/// Last-write-wins instantaneous value (Prometheus gauge).
 class Gauge {
  public:
-  void set(double v) { cell_.store(v, std::memory_order_relaxed); }
-  double value() const { return cell_.load(std::memory_order_relaxed); }
+  void set(double v) {
+    internal::dcheck_driver_thread();
+    value_ = v;
+  }
+  double value() const { return value_; }
 
  private:
-  std::atomic<double> cell_{0.0};
+  double value_ = 0.0;
 };
 
 /// Fixed-bucket histogram (Prometheus histogram: cumulative `le` buckets
 /// plus `_sum` and `_count`).  Bucket upper bounds are set at registration
-/// and immutable; `observe` is lock-free from any thread.
+/// and immutable.
 class Histogram {
  public:
   explicit Histogram(std::vector<double> upper_bounds);
@@ -100,36 +82,31 @@ class Histogram {
   /// Cumulative count of observations <= upper_bounds()[i].
   std::uint64_t cumulative_bucket(std::size_t i) const;
   std::uint64_t count() const;
-  double sum() const;
+  double sum() const { return sum_; }
   const std::vector<double>& upper_bounds() const { return bounds_; }
 
-  /// Non-cumulative per-bucket counts folded across shards; size is
-  /// upper_bounds().size() + 1 with the overflow (+Inf) cell last.
-  std::vector<std::uint64_t> folded_cells() const;
-  /// Checkpoint restore: replaces the folded state (cells as returned by
-  /// folded_cells(), plus the running sum) into the calling thread's
-  /// shard, zeroing the rest.  Same contract as Counter::reset_to.
+  /// Non-cumulative per-bucket counts; size is upper_bounds().size() + 1
+  /// with the overflow (+Inf) cell last.
+  const std::vector<std::uint64_t>& cells() const { return cells_; }
+  /// Checkpoint restore: replaces the cells (as returned by cells()) and
+  /// the running sum.
   void reset_to(std::span<const std::uint64_t> cells, double sum);
 
  private:
-  struct alignas(64) Shard {
-    /// One non-cumulative cell per bucket plus the overflow cell.
-    std::vector<std::atomic<std::uint64_t>> cells;
-    std::atomic<double> sum{0.0};
-  };
-  std::vector<double> bounds_;  ///< Strictly ascending, finite.
-  std::array<Shard, kMetricShards> shards_;
+  std::vector<double> bounds_;        ///< Strictly ascending, finite.
+  std::vector<std::uint64_t> cells_;  ///< One per bucket, overflow last.
+  double sum_ = 0.0;
 };
 
-/// One registered metric's folded state, captured by Registry::snapshot()
-/// for the dgs.checkpoint.v4 artifact and replayed by Registry::restore().
+/// One registered metric's state, captured by Registry::snapshot() for the
+/// dgs.checkpoint.v4 artifact and replayed by Registry::restore().
 struct MetricSnapshot {
   std::string name;
   std::string help;
   int kind = 0;  ///< 0 = counter, 1 = gauge, 2 = histogram.
-  double value = 0.0;                    ///< Counter/gauge folded value.
+  double value = 0.0;                    ///< Counter/gauge value.
   std::vector<double> upper_bounds;      ///< Histogram bucket bounds.
-  std::vector<std::uint64_t> cells;      ///< Histogram folded_cells().
+  std::vector<std::uint64_t> cells;      ///< Histogram cells().
   double sum = 0.0;                      ///< Histogram running sum.
 };
 
@@ -148,8 +125,8 @@ void io(Ar& ar, MetricSnapshot& m) {
 }
 
 /// Owns every metric of one run/process and renders the Prometheus text
-/// exposition.  Registration is mutex-guarded (cold); returned pointers are
-/// stable for the registry's lifetime and lock-free to update.
+/// exposition.  Registration, like every write, happens on the driver
+/// thread; returned pointers are stable for the registry's lifetime.
 /// Re-registering a name returns the existing instance (types must match).
 class Registry {
  public:
@@ -166,12 +143,11 @@ class Registry {
   /// gauge; buckets + sum + count per histogram).
   std::size_t series_count() const;
 
-  /// Every entry's folded state in ascending name order (checkpointing).
+  /// Every entry's state in ascending name order (checkpointing).
   std::vector<MetricSnapshot> snapshot() const;
   /// Re-applies a snapshot: entries are created when absent (matching the
   /// conditional registration of e.g. fault metrics) and reset to the
-  /// captured values via the reset_to contract.  Existing entries must
-  /// have the same kind.  Call from the driver thread only.
+  /// captured values.  Existing entries must have the same kind.
   void restore(std::span<const MetricSnapshot> metrics);
 
  private:
@@ -187,7 +163,6 @@ class Registry {
   Entry& entry_for(const std::string& name, Kind kind,
                    const std::string& help);
 
-  mutable std::mutex mutex_;
   std::map<std::string, Entry> entries_;  ///< Sorted for stable exposition.
 };
 

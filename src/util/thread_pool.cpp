@@ -121,6 +121,8 @@ void ThreadPool::worker_loop() {
   }
 }
 
+bool in_parallel_region() { return tls_in_parallel_region; }
+
 void parallel_for(ThreadPool* pool, std::int64_t n,
                   const ThreadPool::RangeBody& body) {
   if (pool != nullptr) {

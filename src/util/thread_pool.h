@@ -133,6 +133,12 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
+/// True while this thread runs inside a fork-join region: on every pool
+/// worker, and on the calling thread while it runs its share of a
+/// multi-lane parallel_for's chunks.  Read-only; the metrics layer checks
+/// it to keep its writes on the driver thread (DESIGN.md §10).
+bool in_parallel_region();
+
 /// `pool->parallel_for(n, body)`, or, when `pool` is null, the serial
 /// chunked loop a 1-lane pool runs, in ParallelConfig's default chunks:
 /// code that borrows an optional pool runs the same loop either way.

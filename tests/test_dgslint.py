@@ -7,8 +7,9 @@ Three layers:
   - mutation rehearsals copy a real source file into a temp root, inject
     a violation (rand() into fault_plan.cpp, an unordered_map loop into
     run_artifact.cpp, a std::function member into SimulationOptions, a
-    mutex into the weather provider, a thread_local memo into the link
-    budget), and require dgslint to fail — proof the linter
+    mutex into the weather provider or the metrics registry, a
+    thread_local memo into the link budget or a metrics shard slot), and
+    require dgslint to fail — proof the linter
     would catch a real regression, not just the fixtures;
   - CLI-contract tests pin exit codes, --verify-baseline, and the
     GitHub-annotation output format.
@@ -108,7 +109,7 @@ class FixtureCorpusTest(unittest.TestCase):
         self.assertEqual(
             len(self.by_rule("R7", "src/core/r7_plain_options.h")), 0)
 
-    def test_r8_locks_outside_pool_and_obs(self):
+    def test_r8_locks_outside_pool_and_trace(self):
         found = self.by_rule("R8", "src/weather/r8_locks.h")
         # mutex, shared_mutex, recursive_mutex, condition_variable, and a
         # lock_guard<std::mutex> (two on one line); the suppressed
@@ -116,14 +117,22 @@ class FixtureCorpusTest(unittest.TestCase):
         self.assertEqual([f["line"] for f in found], [9, 10, 11, 12, 15, 15])
         self.assertEqual(
             len(self.by_rule("R8", "src/core/r8_lock_free.cpp")), 0)
+        # The trace collector keeps its lock; the rest of obs does not.
+        self.assertEqual(len(self.by_rule("R8", "src/obs/trace.cpp")), 0)
+        self.assertEqual(
+            [f["line"] for f in self.by_rule("R8", "src/obs/metrics.cpp")],
+            [6])
 
-    def test_r9_thread_local_outside_pool_and_obs(self):
+    def test_r9_thread_local_outside_pool_and_trace(self):
         found = self.by_rule("R9", "src/link/r9_memo.cpp")
         # A plain and a static thread_local; the suppressed one and the
         # word in a comment, a string or an identifier stay silent.
         self.assertEqual([f["line"] for f in found], [5, 6])
-        # obs's trace buffer is whitelisted.
+        # The trace buffer is whitelisted; a metrics shard slot is not.
         self.assertEqual(len(self.by_rule("R9", "src/obs/trace.cpp")), 0)
+        self.assertEqual(
+            [f["line"] for f in self.by_rule("R9", "src/obs/metrics.cpp")],
+            [11])
 
     def test_sup_malformed_suppressions_are_unsuppressable(self):
         sup = self.by_rule("SUP", "src/util/sup_cases.cpp")
@@ -154,8 +163,8 @@ class MutationRehearsalTest(unittest.TestCase):
         return code, json.loads(out)["findings"]
 
     def test_unmutated_copies_are_clean(self):
-        # The pool and obs keep their locks (R8 exempts them) and their
-        # per-thread state (R9 whitelists it).
+        # The pool and the trace collector keep their locks (R8) and their
+        # per-thread state (R9); the metrics registry has neither.
         for rel in ("src/faults/fault_plan.cpp", "src/core/run_artifact.cpp",
                     "src/core/simulator.h", "src/weather/synthetic.h",
                     "src/util/thread_pool.cpp", "src/obs/trace.cpp",
@@ -202,6 +211,21 @@ class MutationRehearsalTest(unittest.TestCase):
                 "  mutable Field field_;\n  mutable std::mutex field_mu_;", 1))
         self.assertEqual(code, 1)
         self.assertEqual([f["rule"] for f in findings], ["R8"], findings)
+
+    def test_lock_and_shard_slot_in_metrics_fail(self):
+        injected = (
+            "\nnamespace dgs::obs {\n"
+            "std::mutex injected_registry_mu;\n"
+            "int injected_shard() {\n"
+            "  thread_local int slot = 0;\n"
+            "  return slot;\n"
+            "}\n"
+            "}  // namespace dgs::obs\n")
+        code, findings = self._scan_mutated(
+            "src/obs/metrics.cpp", lambda t: t + injected)
+        self.assertEqual(code, 1)
+        self.assertEqual([f["rule"] for f in findings], ["R8", "R9"],
+                         findings)
 
     def test_thread_local_memo_in_link_budget_fails(self):
         injected = (

@@ -2,6 +2,7 @@
 // scoped trace spans, and the structured event log.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -12,6 +13,7 @@
 #include "src/obs/events.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/util/thread_pool.h"
 #include "tests/json_lite.h"
 
 namespace dgs::obs {
@@ -29,25 +31,20 @@ TEST(Counter, StartsAtZeroAndAccumulates) {
   EXPECT_EQ(c.value(), 3.5);
 }
 
-TEST(Counter, ConcurrentIntegerIncrementsFoldExactly) {
-  // The determinism contract: integer counts summed across shards are
-  // associative, so the fold is exact for any thread/shard assignment.
-  Counter c;
-  constexpr int kThreads = 8;
-  constexpr int kIters = 20000;
-  // dgslint: allow(R3) -- deliberately hammers shards with raw threads
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    // dgslint: allow(R3) -- deliberately hammers shards with raw threads
-    threads.emplace_back([&c] {
-      for (int i = 0; i < kIters; ++i) c.inc();
-    });
-  }
-  // dgslint: allow(R3) -- deliberately hammers shards with raw threads
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(c.value(), static_cast<double>(kThreads) * kIters);
+#ifdef DGS_ENABLE_DCHECKS
+TEST(MetricsDeathTest, CounterWriteInsideParallelForTrips) {
+  // Metrics are driver-thread state (DESIGN.md §10): a write from a pool
+  // lane aborts instead of racing on the counter.
+  EXPECT_DEATH(
+      {
+        Counter c;
+        util::ThreadPool pool(
+            util::ParallelConfig{.num_threads = 2, .chunk_size = 1});
+        pool.parallel_for(8, [&c](std::int64_t, std::int64_t) { c.inc(); });
+      },
+      "metric written inside a parallel_for body");
 }
+#endif
 
 TEST(Gauge, LastWriteWins) {
   Gauge g;

@@ -110,7 +110,7 @@ TEST(Report, SummaryJsonKeysAreStable) {
         "total_delivered_tb", "total_dropped_tb", "delivered_fraction",
         "assignments", "failed_assignments", "wasted_transmission_tb",
         "requeued_tb", "slew_events", "mean_station_utilization", "steps"}) {
-    EXPECT_NE(json.find("\"" + std::string(key) + "\":"),
+    EXPECT_NE(json.find(dgs::testing::json_key_needle(key)),
               std::string::npos)
         << key;
   }

@@ -424,6 +424,70 @@ TEST_F(ForecastMemoFixture, WeatherIsSampledOnTheCallingThreadOnly) {
   EXPECT_GT(checked, 100u);  // the comparison is not vacuous
 }
 
+/// A downpour over the northern hemisphere and clear sky elsewhere, so
+/// some budgets close and some do not.
+class NorthernDownpour final : public weather::WeatherProvider {
+ public:
+  weather::WeatherSample actual(double lat, double,
+                                const util::Epoch&) const override {
+    weather::WeatherSample s;
+    if (lat > 0.0) {
+      s.rain_rate_mm_h = 150.0;
+      s.cloud_liquid_kg_m2 = 3.0;
+    }
+    return s;
+  }
+};
+
+TEST_F(ForecastMemoFixture, BudgetAndEdgeCountersCountEachQueryOnce) {
+  // One contacts() query evaluates one budget per weather sample (a
+  // visible pair of an up station) and adds its returned edges, counted on
+  // the driver thread at any lane count.
+  const NorthernDownpour downpour;
+  std::vector<char> down(stations.size(), 0);
+  for (std::size_t g = 0; g < stations.size(); g += 3) down[g] = 1;
+  for (const int lanes : {1, 4}) {
+    obs::Registry registry;
+    VisibilityEngine engine(sats, stations, &downpour);
+    util::ThreadPool pool(
+        util::ParallelConfig{.num_threads = lanes, .chunk_size = 2});
+    engine.set_thread_pool(&pool);
+    engine.set_metrics(&registry);
+    const obs::Counter* budgets =
+        registry.counter("dgs_vis_link_budgets_total", "");
+    const obs::Counter* edges =
+        registry.counter("dgs_vis_contact_edges_total", "");
+    double total_samples = 0.0;
+    double total_edges = 0.0;
+    for (int k = 0; k < 12; ++k) {
+      const util::Epoch t = kEpoch.plus_seconds(k * 300.0);
+      double samples = 0.0;
+      for (int g = 0; g < engine.num_stations(); ++g) {
+        if (down[static_cast<std::size_t>(g)] != 0) continue;
+        for (int s = 0; s < engine.num_sats(); ++s) {
+          if (stations[static_cast<std::size_t>(g)].constraints.allows(
+                  static_cast<std::size_t>(s)) &&
+              engine.visible(s, g, t)) {
+            samples += 1.0;
+          }
+        }
+      }
+      const double budgets_before = budgets->value();
+      const double edges_before = edges->value();
+      const auto got = static_cast<double>(engine.contacts(t, {}, down).size());
+      EXPECT_EQ(budgets->value() - budgets_before, samples)
+          << lanes << " lanes, step " << k;
+      EXPECT_EQ(edges->value() - edges_before, got)
+          << lanes << " lanes, step " << k;
+      total_samples += samples;
+      total_edges += got;
+    }
+    // Not vacuous, and the two counters count different things.
+    EXPECT_GT(total_edges, 50.0);
+    EXPECT_LT(total_edges, total_samples);
+  }
+}
+
 TEST_F(ForecastMemoFixture, NanLeadStillReachesForecast) {
   VisibilityEngine engine(sats, stations, &wx);
   std::vector<double> leads(sats.size(), std::nan(""));

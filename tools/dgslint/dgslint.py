@@ -35,13 +35,13 @@ Rules (see DESIGN.md §13 for the full table and rationale):
       options_crc32 and carried by checkpoints.
   R8  no locks in src/: no std::mutex (any kind), lock guard or
       std::condition_variable outside src/util/thread_pool.* and
-      src/obs/ — pool lanes write per-index or per-chunk slots, and
-      shared state (the weather provider) is called from the driver
-      thread only.
-  R9  no thread_local in src/ outside src/util/thread_pool.cpp,
-      src/obs/metrics.cpp and src/obs/trace.cpp — per-thread memos are
-      hidden state; hoist a constant to where its inputs are fixed (the
-      VisibilityEngine's link kernels) instead.
+      src/obs/trace.cpp — pool lanes write per-index or per-chunk slots,
+      and shared state (the weather provider, the metrics) is touched
+      from the driver thread only.
+  R9  no thread_local in src/ outside src/util/thread_pool.cpp and
+      src/obs/trace.cpp — per-thread memos are hidden state; hoist a
+      constant to where its inputs are fixed (the VisibilityEngine's link
+      kernels) instead.
   SUP suppression-comment hygiene: every `dgslint: allow(...)` names
       known rules and carries a `-- reason`.
 
@@ -85,12 +85,13 @@ WHITELIST = {
     "R3": ("src/util/thread_pool.h", "src/util/thread_pool.cpp"),
     # The contract layer itself must throw/abort to implement DGS_ENSURE.
     "R4": ("src/util/check.h", "src/util/check.cpp"),
-    # The pool's fork-join handshake is the one lock on the step path.
-    "R8": ("src/util/thread_pool.h", "src/util/thread_pool.cpp"),
-    # The pool's in-region flag and obs's per-thread shard slot and trace
-    # buffer are the sanctioned per-thread state.
-    "R9": ("src/util/thread_pool.cpp", "src/obs/metrics.cpp",
+    # The pool's fork-join handshake is the one lock on the step path; the
+    # trace collector locks its per-thread buffers against an exporter.
+    "R8": ("src/util/thread_pool.h", "src/util/thread_pool.cpp",
            "src/obs/trace.cpp"),
+    # The pool's in-region flag and the trace collector's per-thread buffer
+    # are the sanctioned per-thread state.
+    "R9": ("src/util/thread_pool.cpp", "src/obs/trace.cpp"),
 }
 
 # R4 applies to src/ only: tests legitimately throw to exercise error
@@ -130,8 +131,8 @@ RULE_TITLES = {
     "R5": "metric/summary-key hygiene",
     "R6": "header self-containment",
     "R7": "callable member in an options struct",
-    "R8": "lock outside the pool and obs",
-    "R9": "thread_local outside the pool and obs",
+    "R8": "lock outside the pool and the trace collector",
+    "R9": "thread_local outside the pool and the trace collector",
     "SUP": "malformed dgslint suppression",
 }
 
@@ -517,10 +518,9 @@ def check_r7(f, ctx):
                     % m.group(1))
 
 
-# R8: locks belong to the pool's handshake and to obs's registration and
-# trace buffers (exporters read them beside the step path); src/ only.
+# R8: locks belong to the pool's handshake and the trace buffers
+# (WHITELIST); src/ only.
 R8_SCOPE = "src/"
-R8_EXEMPT_DIRS = ("src/obs/",)
 R8_RE = re.compile(
     r"\bstd::(?:(?:recursive_|shared_)?(?:timed_)?mutex|lock_guard|"
     r"unique_lock|scoped_lock|shared_lock|condition_variable(?:_any)?)\b")
@@ -528,17 +528,18 @@ R8_RE = re.compile(
 
 def check_r8(f, ctx):
     del ctx
-    if (not f.relpath.startswith(R8_SCOPE) or
-            f.relpath.startswith(R8_EXEMPT_DIRS)):
+    if not f.relpath.startswith(R8_SCOPE):
         return
     for m in R8_RE.finditer(f.code):
         yield Finding(
             "R8", f.relpath, f.line_of(m.start()),
-            "%s outside the pool and obs — call shared state from the "
-            "driver thread, or give each lane its own slot" % m.group(0))
+            "%s outside the pool and the trace collector — call shared "
+            "state from the driver thread, or give each lane its own slot"
+            % m.group(0))
 
 
-# R9: per-thread state belongs to the pool and obs (WHITELIST); src/ only.
+# R9: per-thread state belongs to the pool and the trace collector
+# (WHITELIST); src/ only.
 R9_SCOPE = "src/"
 R9_RE = re.compile(r"\bthread_local\b")
 
@@ -550,9 +551,9 @@ def check_r9(f, ctx):
     for m in R9_RE.finditer(f.code):
         yield Finding(
             "R9", f.relpath, f.line_of(m.start()),
-            "thread_local outside the pool and obs — a per-thread memo is "
-            "hidden state; compute the value once where its inputs are "
-            "fixed and pass it in")
+            "thread_local outside the pool and the trace collector — a "
+            "per-thread memo is hidden state; compute the value once where "
+            "its inputs are fixed and pass it in")
 
 
 def check_sup(f, ctx):
