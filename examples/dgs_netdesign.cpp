@@ -121,6 +121,13 @@ int main(int argc, char** argv) {
       step_seconds <= 0.0 || ks.empty() || threads < 0 || budget < 0.0) {
     return usage();
   }
+  if (net.pool_seed > core::kMaxArtifactInteger) {
+    // The front records the seed as a JSON number, exact only up to
+    // 2^53 - 1; reject a larger one before the sweep rather than after.
+    std::fprintf(stderr, "error: --pool-seed must be <= 2^53 - 1 = %llu\n",
+                 static_cast<unsigned long long>(core::kMaxArtifactInteger));
+    return 2;
+  }
   for (std::size_t i = 0; i < ks.size(); ++i) {
     if (ks[i] > net.pool_size || (i > 0 && ks[i] <= ks[i - 1])) {
       std::fprintf(stderr,

@@ -187,19 +187,15 @@ MetricAggregate aggregate_of(std::vector<double> values) {
 std::string render_aggregate(const CampaignOptions& o,
                              const CampaignResult& r) {
   std::ostringstream out;
-  out << "{\n  \"schema_version\": " << core::kRunArtifactSchemaVersion
-      << ",\n  \"artifact\": \"campaign_aggregate\",\n"
-      << render_campaign_identity(o) << ",\n  \"metrics\": {\n";
-  char buf[320];
+  out << "{\n  ";
+  core::write_artifact_header(out, "campaign_aggregate", ",\n  ");
+  out << ",\n" << render_campaign_identity(o) << ",\n  \""
+      << core::kAggregateMetricsKey << "\": {\n";
   for (std::size_t i = 0; i < r.metrics.size(); ++i) {
     const auto& [name, a] = r.metrics[i];
-    std::snprintf(buf, sizeof(buf),
-                  "    \"%s\": {\"mean\": %.6f, \"sd\": %.6f, "
-                  "\"ci95\": %.6f, \"p50\": %.6f, \"p99\": %.6f, "
-                  "\"min\": %.6f, \"max\": %.6f, \"count\": %lld}",
-                  name.c_str(), a.mean, a.sd, a.ci95, a.p50, a.p99, a.min,
-                  a.max, static_cast<long long>(a.count));
-    out << buf << (i + 1 < r.metrics.size() ? ",\n" : "\n");
+    out << "    \"" << name << "\": {";
+    core::write_fields(out, core::aggregate_metric_specs(), a, ", ");
+    out << (i + 1 < r.metrics.size() ? "},\n" : "}\n");
   }
   out << "  }\n}\n";
   return out.str();
@@ -314,6 +310,17 @@ std::optional<core::OptionsError> CampaignOptions::validate() const {
   if (!(step_seconds > 0.0)) return err("step_seconds", "must be > 0");
   if (num_satellites < 1) return err("num_satellites", "must be >= 1");
   if (num_stations < 1) return err("num_stations", "must be >= 1");
+  // The manifest records each seed as a JSON number, which a reader can
+  // only take back exactly up to 2^53 - 1.
+  for (const auto& [field, seed] : {std::pair{"campaign_seed", campaign_seed},
+                                    std::pair{"network_seed", network_seed},
+                                    std::pair{"weather_seed", weather_seed}}) {
+    if (seed > core::kMaxArtifactInteger) {
+      return err(field, "must be <= 2^53 - 1 = " +
+                            std::to_string(core::kMaxArtifactInteger) +
+                            " (got " + std::to_string(seed) + ")");
+    }
+  }
   if (out_dir.empty()) return err("out_dir", "must be non-empty");
   return std::nullopt;
 }
@@ -476,18 +483,15 @@ std::optional<core::ArtifactError> validate_campaign_dir(
   }
   // The aggregate must describe the same campaign as the manifest.
   const auto aggregate = core::parse_restricted_json(aggregate_text);
-  for (const char* key :
-       {"profile", "campaign_seed", "samples", "duration_hours",
-        "step_seconds", "num_satellites", "num_stations", "network_seed",
-        "weather_seed"}) {
-    const core::JsonValue* a = manifest->find(key);
-    const core::JsonValue* b = aggregate->find(key);
+  for (const auto& row : core::campaign_identity_specs()) {
+    const core::JsonValue* a = manifest->find(row.key);
+    const core::JsonValue* b = aggregate->find(row.key);
     const bool match =
         a->kind == b->kind &&
         (a->kind == core::JsonValue::Kind::kString ? a->text == b->text
                                                    : a->number == b->number);
     if (!match) {
-      return fail(dir + "/aggregate.json: aggregate." + key,
+      return fail(dir + "/aggregate.json: aggregate." + row.key,
                   "does not match the manifest");
     }
   }

@@ -1,6 +1,5 @@
 #include "src/campaign/manifest.h"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -8,31 +7,17 @@
 namespace dgs::campaign {
 
 std::string render_campaign_identity(const CampaignOptions& opts) {
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "  \"profile\": \"%s\",\n"
-                "  \"campaign_seed\": %llu,\n"
-                "  \"samples\": %d,\n"
-                "  \"duration_hours\": %.6f,\n"
-                "  \"step_seconds\": %.6f,\n"
-                "  \"num_satellites\": %d,\n"
-                "  \"num_stations\": %d,\n"
-                "  \"network_seed\": %llu,\n"
-                "  \"weather_seed\": %llu",
-                opts.profile.c_str(),
-                static_cast<unsigned long long>(opts.campaign_seed),
-                opts.samples, opts.duration_hours, opts.step_seconds,
-                opts.num_satellites, opts.num_stations,
-                static_cast<unsigned long long>(opts.network_seed),
-                static_cast<unsigned long long>(opts.weather_seed));
-  return buf;
+  std::ostringstream out;
+  out << "  ";
+  core::write_fields(out, core::campaign_identity_specs(), opts, ",\n  ");
+  return out.str();
 }
 
 std::string render_manifest(const CampaignOptions& opts) {
   std::ostringstream out;
-  out << "{\n  \"schema_version\": " << core::kRunArtifactSchemaVersion
-      << ",\n  \"artifact\": \"campaign_manifest\",\n"
-      << render_campaign_identity(opts) << "\n}\n";
+  out << "{\n  ";
+  core::write_artifact_header(out, "campaign_manifest", ",\n  ");
+  out << ",\n" << render_campaign_identity(opts) << "\n}\n";
   return out.str();
 }
 

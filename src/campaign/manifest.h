@@ -14,9 +14,9 @@
 
 namespace dgs::campaign {
 
-/// The identity members shared by the manifest and the aggregate
-/// (run_artifact.h kCampaignIdentity order), rendered as JSON lines with
-/// no trailing comma.
+/// The identity members shared by the manifest and the aggregate (the
+/// rows of core::campaign_identity_specs, in order), rendered as JSON
+/// lines with no trailing comma.
 std::string render_campaign_identity(const CampaignOptions& opts);
 
 /// The complete manifest document for these options.

@@ -1,7 +1,6 @@
 #include "src/core/checkpoint.h"
 
-#include <cinttypes>
-#include <cstdio>
+#include <sstream>
 
 #include "src/util/crc32.h"
 
@@ -19,21 +18,13 @@ std::span<const std::uint8_t> as_bytes(std::string_view s) {
 }  // namespace
 
 std::string render_checkpoint_header(const CheckpointHeader& h) {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"schema_version\": %d, \"artifact\": \"checkpoint\", "
-      "\"num_satellites\": %d, \"num_stations\": %d, \"steps\": %" PRId64
-      ", \"step_index\": %" PRId64
-      ", \"step_seconds\": %.6f, \"duration_hours\": %.6f, "
-      "\"finalized\": %s, \"options_crc32\": %" PRIu32
-      ", \"sections\": %zu, \"payload_bytes\": %" PRIu64
-      ", \"payload_crc32\": %" PRIu32 "}",
-      kRunArtifactSchemaVersion, h.num_satellites, h.num_stations, h.steps,
-      h.step_index, h.step_seconds, h.duration_hours,
-      h.finalized ? "true" : "false", h.options_crc32,
-      checkpoint_section_names().size(), h.payload_bytes, h.payload_crc32);
-  return std::string(buf);
+  std::ostringstream out;
+  out << '{';
+  write_artifact_header(out, "checkpoint", ", ");
+  out << ", ";
+  write_fields(out, checkpoint_header_specs(), h, ", ");
+  out << '}';
+  return out.str();
 }
 
 void write_checkpoint(
@@ -110,24 +101,8 @@ std::optional<ArtifactError> read_checkpoint(std::string_view data,
   }
   const std::string_view header_json = data.substr(at, header_len);
   at += header_len;
-  if (auto e = validate_checkpoint_header_json(header_json)) return e;
-
-  // Re-parse into the struct; the validator already pinned shape+ranges.
-  const JsonValue doc = *parse_restricted_json(header_json);
   CheckpointHeader h;
-  h.num_satellites = static_cast<int>(doc.find("num_satellites")->number);
-  h.num_stations = static_cast<int>(doc.find("num_stations")->number);
-  h.steps = static_cast<std::int64_t>(doc.find("steps")->number);
-  h.step_index = static_cast<std::int64_t>(doc.find("step_index")->number);
-  h.step_seconds = doc.find("step_seconds")->number;
-  h.duration_hours = doc.find("duration_hours")->number;
-  h.finalized = doc.find("finalized")->boolean;
-  h.options_crc32 =
-      static_cast<std::uint32_t>(doc.find("options_crc32")->number);
-  h.payload_bytes =
-      static_cast<std::uint64_t>(doc.find("payload_bytes")->number);
-  h.payload_crc32 =
-      static_cast<std::uint32_t>(doc.find("payload_crc32")->number);
+  if (auto e = validate_checkpoint_header_json(header_json, &h)) return e;
 
   const std::string_view payload = data.substr(at);
   if (payload.size() != h.payload_bytes) {

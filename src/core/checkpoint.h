@@ -5,7 +5,7 @@
 // magic line (a v1, v2 or v3 checkpoint included) is rejected.
 //
 // Layout: a magic line naming the container format, a u64 little-endian
-// header length, a single-line restricted-JSON header (schema table:
+// header length, a single-line restricted-JSON header (field table:
 // checkpoint_header_specs in run_artifact.h), then the payload — the
 // session's mutable state split into named sized sections
 // (checkpoint_section_names), each framed as
@@ -383,8 +383,8 @@ struct CheckpointHeader {
   std::uint32_t payload_crc32 = 0;   ///< Filled by write_checkpoint.
 };
 
-/// Renders the header as single-line restricted JSON in spec-table order
-/// (schema_version + "checkpoint" tag first).
+/// Renders the header as single-line restricted JSON: schema_version and
+/// the "checkpoint" tag, then the checkpoint_header_specs rows in order.
 std::string render_checkpoint_header(const CheckpointHeader& header);
 
 /// Writes a complete checkpoint: magic, header (payload size/CRC computed
@@ -404,9 +404,9 @@ struct CheckpointView {
 };
 
 /// Parses and fully validates a checkpoint buffer: magic, header schema
-/// (validate_checkpoint_header_json), payload size and CRC, and the exact
-/// section sequence.  Returns the first violation, or nullopt with `out`
-/// filled.
+/// (validate_checkpoint_header_json, which also fills the header), payload
+/// size and CRC, and the exact section sequence.  Returns the first
+/// violation, or nullopt with `out` filled.
 std::optional<ArtifactError> read_checkpoint(std::string_view data,
                                              CheckpointView* out);
 

@@ -4,9 +4,10 @@
 // raw curves.  This module emits (a) the per-step timeseries a plotting
 // pipeline consumes and (b) a JSON summary of the headline metrics.
 //
-// Both writers emit the versioned run-artifact schema defined in
-// run_artifact.h (they are implemented against its field tables in
-// run_artifact.cpp); validate with the checkers declared there.
+// Both writers emit the versioned run-artifact schema of run_artifact.h
+// and live in run_artifact.cpp: write_summary_json iterates the
+// summary's field table, the one the validator checks.  Validate with
+// the checkers declared there.
 #pragma once
 
 #include <iosfwd>
@@ -20,8 +21,8 @@ namespace dgs::core {
 void write_timeseries_csv(std::ostream& out, const SimulationResult& result);
 
 /// JSON object with the headline metrics (latency/backlog percentiles,
-/// totals, utilization) plus the leading schema_version key.  Flat,
-/// stable keys; no external dependency.
+/// totals, utilization, per-tenant rows) plus the leading schema_version
+/// key: the rows of run_artifact.cpp's summary table, in order.
 void write_summary_json(std::ostream& out, const SimulationResult& result);
 
 }  // namespace dgs::core

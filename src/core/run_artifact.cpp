@@ -4,9 +4,14 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <ostream>
+#include <type_traits>
 
+#include "src/campaign/campaign.h"
+#include "src/core/checkpoint.h"
 #include "src/core/report.h"
+#include "src/netdesign/pareto.h"
 #include "src/util/check.h"
 
 namespace dgs::core {
@@ -18,7 +23,8 @@ std::optional<ArtifactError> err(std::string where, std::string message) {
 
 /// True when `v` is an exact integer the double can represent losslessly.
 bool is_integral(double v) {
-  return std::nearbyint(v) == v && std::abs(v) < 9.007199254740992e15;
+  return std::nearbyint(v) == v &&
+         std::abs(v) <= static_cast<double>(kMaxArtifactInteger);
 }
 
 // --- Restricted JSON parser ------------------------------------------------
@@ -167,121 +173,205 @@ bool parse_value(Cursor& c, JsonValue* out, int depth, ArtifactError* e) {
   }
 }
 
-// --- Summary schema table --------------------------------------------------
+// --- Field tables ------------------------------------------------------------
+//
+// One table per artifact object; each row's getter reads the value the
+// writer emits off the struct being serialized.  member<&S::m> reads a
+// plain data member; assign<&S::m> stores one back (checkpoint header).
 
-using enum SummaryFieldKind;
+template <class P>
+struct MemberOf;
+template <class S, class T>
+struct MemberOf<T S::*> {
+  using Struct = S;
+  using Type = T;
+};
+template <auto M>
+using StructOf = typename MemberOf<decltype(M)>::Struct;
 
-constexpr SummaryFieldSpec kSummaryFields[] = {
-    {"schema_version", kInt},
-    {"latency_minutes", kStats},
-    {"urgent_latency_minutes", kStats},
-    {"backlog_gb", kStats},
-    {"ack_delay_minutes", kStats},
-    {"cloud_latency_minutes", kStats},
-    {"total_generated_tb", kReal},
-    {"total_delivered_tb", kReal},
-    {"total_dropped_tb", kReal},
-    {"delivered_fraction", kReal},
-    {"assignments", kInt},
-    {"failed_assignments", kInt},
-    {"wasted_transmission_tb", kReal},
-    {"requeued_tb", kReal},
-    {"slew_events", kInt},
-    {"outage_lost_tb", kReal},
-    {"ack_retries", kInt},
-    {"replans", kInt},
-    {"plan_upload_failures", kInt},
-    {"mean_station_utilization", kReal},
-    {"steps", kInt},
-    {"tenants", kTenants},
+template <auto M>
+FieldValue member(const StructOf<M>& s) {
+  return FieldValue(s.*M);
+}
+
+template <auto M>
+void assign(StructOf<M>& s, const JsonValue& v) {
+  using T = typename MemberOf<decltype(M)>::Type;
+  if constexpr (std::is_same_v<T, bool>) {
+    s.*M = v.boolean;
+  } else if constexpr (std::is_floating_point_v<T>) {
+    s.*M = v.number;
+  } else {
+    // The validator bounded the value to an exact integer below 2^53.
+    s.*M = static_cast<T>(static_cast<long long>(v.number));
+  }
+}
+
+using enum FieldKind;
+using util::SampleSet;
+using R = SimulationResult;
+using H = CheckpointHeader;
+using campaign::CampaignOptions;
+using campaign::MetricAggregate;
+using netdesign::FrontIdentity;
+using netdesign::FrontPoint;
+
+/// Opens every artifact but the summary; the struct is the artifact tag.
+constexpr FieldSpec<std::string_view> kArtifactHeader[] = {
+    {"schema_version", kInt,
+     [](const std::string_view&) {
+       return FieldValue(kRunArtifactSchemaVersion);
+     }},
+    {"artifact", kString,
+     [](const std::string_view& tag) { return FieldValue(std::string(tag)); }},
 };
 
-constexpr const char* kStatsMembers[] = {"median", "p90", "p99", "mean",
-                                         "count"};
-
-using enum TenantFieldKind;
-
-constexpr TenantFieldSpec kTenantFields[] = {
-    {"name", kTString},
-    {"weight", kTReal},
-    {"num_satellites", kTInt},
-    {"delivered_tb", kTReal},
-    {"entitlement", kTReal},
-    {"share", kTReal},
-    {"sla_latency_minutes", kTReal},
-    {"sla_attainment", kTReal},
-    {"latency_minutes", kTStats},
+constexpr FieldSpec<SampleSet> kStatsFields[] = {
+    {"median", kReal3,
+     [](const SampleSet& s) { return FieldValue(s.percentile(50.0)); }},
+    {"p90", kReal3,
+     [](const SampleSet& s) { return FieldValue(s.percentile(90.0)); }},
+    {"p99", kReal3,
+     [](const SampleSet& s) { return FieldValue(s.percentile(99.0)); }},
+    {"mean", kReal3, [](const SampleSet& s) { return FieldValue(s.mean()); }},
+    {"count", kInt, [](const SampleSet& s) { return FieldValue(s.size()); }},
 };
 
-constexpr const char* kAggregateMetricMembers[] = {
-    "mean", "sd", "ci95", "p50", "p99", "min", "max", "count"};
-
-// Netdesign front schema tables (see netdesign_identity_specs /
-// netdesign_point_specs in the header).  Writer: src/netdesign/pareto.cpp
-// iterates exactly these tables, so writer and validator cannot drift.
-using enum NetdesignFieldKind;
-
-constexpr NetdesignFieldSpec kNetdesignIdentity[] = {
-    {"pool_size", kNInt},
-    {"pool_seed", kNInt},
-    {"num_satellites", kNInt},
-    {"network_seed", kNInt},
-    {"weather_seed", kNInt},
-    {"duration_hours", kNReal},
-    {"step_seconds", kNReal},
+constexpr FieldSpec<TenantOutcome> kTenantFields[] = {
+    {"name", kString, member<&TenantOutcome::name>},
+    {"weight", kReal, member<&TenantOutcome::weight>},
+    {"num_satellites", kInt, member<&TenantOutcome::num_satellites>},
+    {"delivered_tb", kReal,
+     [](const TenantOutcome& t) {
+       return FieldValue(t.delivered_bytes / 1e12);
+     }},
+    {"entitlement", kReal, member<&TenantOutcome::entitlement>},
+    {"share", kReal, member<&TenantOutcome::share>},
+    {"sla_latency_minutes", kReal, member<&TenantOutcome::sla_latency_minutes>},
+    {"sla_attainment", kReal, member<&TenantOutcome::sla_attainment>},
+    {"latency_minutes", kStats, member<&TenantOutcome::latency_minutes>},
 };
 
-constexpr NetdesignFieldSpec kNetdesignPoint[] = {
-    {"stations", kNInt},
-    {"cost", kNReal},
-    {"objective_gb", kNReal},
-    {"latency_p50_min", kNReal},
-    {"latency_p90_min", kNReal},
-    {"backlog_end_gb", kNReal},
-    {"delivered_fraction", kNReal},
-    {"dominated", kNBool},
-    {"station_ids", kNString},
+constexpr FieldSpec<R> kSummaryFields[] = {
+    {"schema_version", kInt,
+     [](const R&) { return FieldValue(kRunArtifactSchemaVersion); }},
+    {"latency_minutes", kStats, member<&R::latency_minutes>},
+    {"urgent_latency_minutes", kStats, member<&R::urgent_latency_minutes>},
+    {"backlog_gb", kStats, member<&R::backlog_gb>},
+    {"ack_delay_minutes", kStats, member<&R::ack_delay_minutes>},
+    {"cloud_latency_minutes", kStats, member<&R::cloud_latency_minutes>},
+    {"total_generated_tb", kReal,
+     [](const R& r) { return FieldValue(r.total_generated_bytes / 1e12); }},
+    {"total_delivered_tb", kReal,
+     [](const R& r) { return FieldValue(r.total_delivered_bytes / 1e12); }},
+    {"total_dropped_tb", kReal,
+     [](const R& r) { return FieldValue(r.total_dropped_bytes / 1e12); }},
+    {"delivered_fraction", kReal,
+     [](const R& r) { return FieldValue(r.delivered_fraction()); }},
+    {"assignments", kInt, member<&R::assignments>},
+    {"failed_assignments", kInt, member<&R::failed_assignments>},
+    {"wasted_transmission_tb", kReal,
+     [](const R& r) { return FieldValue(r.wasted_transmission_bytes / 1e12); }},
+    {"requeued_tb", kReal,
+     [](const R& r) { return FieldValue(r.requeued_bytes / 1e12); }},
+    {"slew_events", kInt, member<&R::slew_events>},
+    {"outage_lost_tb", kReal,
+     [](const R& r) { return FieldValue(r.outage_lost_bytes / 1e12); }},
+    {"ack_retries", kInt, member<&R::ack_retries>},
+    {"replans", kInt, member<&R::replans>},
+    {"plan_upload_failures", kInt, member<&R::plan_upload_failures>},
+    {"mean_station_utilization", kReal, member<&R::mean_station_utilization>},
+    {"steps", kInt, member<&R::steps>},
+    {"tenants", kTenants, member<&R::per_tenant>},
 };
 
-// Checkpoint header identity (emitted after schema_version + the
-// "checkpoint" tag).  Writer: src/core/checkpoint.cpp iterates exactly this
-// table.
-constexpr NetdesignFieldSpec kCheckpointHeader[] = {
-    {"num_satellites", kNInt},
-    {"num_stations", kNInt},
-    {"steps", kNInt},
-    {"step_index", kNInt},
-    {"step_seconds", kNReal},
-    {"duration_hours", kNReal},
-    {"finalized", kNBool},
-    {"options_crc32", kNInt},
-    {"sections", kNInt},
-    {"payload_bytes", kNInt},
-    {"payload_crc32", kNInt},
+constexpr FieldSpec<CampaignOptions> kCampaignIdentity[] = {
+    {"profile", kString, member<&CampaignOptions::profile>},
+    {"campaign_seed", kInt, member<&CampaignOptions::campaign_seed>},
+    {"samples", kInt, member<&CampaignOptions::samples>},
+    {"duration_hours", kReal, member<&CampaignOptions::duration_hours>},
+    {"step_seconds", kReal, member<&CampaignOptions::step_seconds>},
+    {"num_satellites", kInt, member<&CampaignOptions::num_satellites>},
+    {"num_stations", kInt, member<&CampaignOptions::num_stations>},
+    {"network_seed", kInt, member<&CampaignOptions::network_seed>},
+    {"weather_seed", kInt, member<&CampaignOptions::weather_seed>},
+};
+
+constexpr FieldSpec<MetricAggregate> kAggregateMetric[] = {
+    {"mean", kReal, member<&MetricAggregate::mean>},
+    {"sd", kReal, member<&MetricAggregate::sd>},
+    {"ci95", kReal, member<&MetricAggregate::ci95>},
+    {"p50", kReal, member<&MetricAggregate::p50>},
+    {"p99", kReal, member<&MetricAggregate::p99>},
+    {"min", kReal, member<&MetricAggregate::min>},
+    {"max", kReal, member<&MetricAggregate::max>},
+    {"count", kInt, member<&MetricAggregate::count>},
+};
+
+constexpr FieldSpec<FrontIdentity> kNetdesignIdentity[] = {
+    {"pool_size", kInt, member<&FrontIdentity::pool_size>},
+    {"pool_seed", kInt, member<&FrontIdentity::pool_seed>},
+    {"num_satellites", kInt, member<&FrontIdentity::num_satellites>},
+    {"network_seed", kInt, member<&FrontIdentity::network_seed>},
+    {"weather_seed", kInt, member<&FrontIdentity::weather_seed>},
+    {"duration_hours", kReal, member<&FrontIdentity::duration_hours>},
+    {"step_seconds", kReal, member<&FrontIdentity::step_seconds>},
+};
+
+/// "3,17,42": the selected station ids, comma-joined.
+FieldValue joined_ids(const FrontPoint& p) {
+  std::string out;
+  for (std::size_t i = 0; i < p.station_ids.size(); ++i) {
+    if (i > 0) out += ',';
+    out += std::to_string(p.station_ids[i]);
+  }
+  return FieldValue(std::move(out));
+}
+
+constexpr FieldSpec<FrontPoint> kNetdesignPoint[] = {
+    {"stations", kInt,
+     [](const FrontPoint& p) { return FieldValue(p.station_ids.size()); }},
+    {"cost", kReal, member<&FrontPoint::cost>},
+    {"objective_gb", kReal, member<&FrontPoint::objective_gb>},
+    {"latency_p50_min", kReal,
+     [](const FrontPoint& p) { return FieldValue(p.eval.latency_p50_min); }},
+    {"latency_p90_min", kReal,
+     [](const FrontPoint& p) { return FieldValue(p.eval.latency_p90_min); }},
+    {"backlog_end_gb", kReal,
+     [](const FrontPoint& p) { return FieldValue(p.eval.backlog_end_gb); }},
+    {"delivered_fraction", kReal,
+     [](const FrontPoint& p) { return FieldValue(p.eval.delivered_fraction); }},
+    {"dominated", kBool, member<&FrontPoint::dominated>},
+    {"station_ids", kString, joined_ids},
 };
 
 constexpr const char* kCheckpointSections[] = {
     "result", "queues", "stations", "planner",
     "geometry", "matcher", "tenants", "metrics"};
 
-/// Campaign identity fields shared by the manifest and the aggregate
-/// (emitted after schema_version and the artifact tag, in this order).
-enum class CampaignFieldKind { kCInt, kCReal, kCString };
-struct CampaignFieldSpec {
-  const char* key;
-  CampaignFieldKind kind;
+constexpr FieldSpec<H> kCheckpointHeader[] = {
+    {"num_satellites", kInt, member<&H::num_satellites>,
+     assign<&H::num_satellites>},
+    {"num_stations", kInt, member<&H::num_stations>,
+     assign<&H::num_stations>},
+    {"steps", kInt, member<&H::steps>, assign<&H::steps>},
+    {"step_index", kInt, member<&H::step_index>, assign<&H::step_index>},
+    {"step_seconds", kReal, member<&H::step_seconds>,
+     assign<&H::step_seconds>},
+    {"duration_hours", kReal, member<&H::duration_hours>,
+     assign<&H::duration_hours>},
+    {"finalized", kBool, member<&H::finalized>, assign<&H::finalized>},
+    {"options_crc32", kInt, member<&H::options_crc32>,
+     assign<&H::options_crc32>},
+    {"sections", kInt,
+     [](const H&) { return FieldValue(std::size(kCheckpointSections)); }},
+    {"payload_bytes", kInt, member<&H::payload_bytes>,
+     assign<&H::payload_bytes>},
+    {"payload_crc32", kInt, member<&H::payload_crc32>,
+     assign<&H::payload_crc32>},
 };
-constexpr CampaignFieldSpec kCampaignIdentity[] = {
-    {"profile", CampaignFieldKind::kCString},
-    {"campaign_seed", CampaignFieldKind::kCInt},
-    {"samples", CampaignFieldKind::kCInt},
-    {"duration_hours", CampaignFieldKind::kCReal},
-    {"step_seconds", CampaignFieldKind::kCReal},
-    {"num_satellites", CampaignFieldKind::kCInt},
-    {"num_stations", CampaignFieldKind::kCInt},
-    {"network_seed", CampaignFieldKind::kCInt},
-    {"weather_seed", CampaignFieldKind::kCInt},
-};
+
+// --- Validation --------------------------------------------------------------
 
 std::optional<ArtifactError> check_number(const JsonValue& v,
                                           const std::string& where,
@@ -295,30 +385,66 @@ std::optional<ArtifactError> check_number(const JsonValue& v,
   return std::nullopt;
 }
 
+std::optional<ArtifactError> check_value(const JsonValue& v, FieldKind kind,
+                                         const std::string& where);
+
+/// The one member loop: checks `rows` against the members of `obj`, in
+/// order and kind.  With `at` null the object must hold exactly these
+/// members; a wrong count is reported at `where`, a misplaced key at the
+/// member found there.  Otherwise the rows start at member `*at` (after an
+/// artifact header) and more members may follow; a misplaced or missing
+/// key is reported at the key the row expects, and `*at` advances past the
+/// rows.
+template <class Rows>
+std::optional<ArtifactError> check_fields(const JsonValue& obj,
+                                          const Rows& rows,
+                                          const std::string& where,
+                                          std::size_t* at = nullptr) {
+  if (obj.kind != JsonValue::Kind::kObject) {
+    return err(where, "expected an object");
+  }
+  const auto& members = obj.members;
+  const std::size_t n = std::size(rows);
+  if (at == nullptr && members.size() != n) {
+    std::size_t p = 0;
+    while (p < n && p < members.size() && members[p].first == rows[p].key) {
+      ++p;
+    }
+    const std::string first_difference =
+        p < n ? rows[p].key : members[p].first;
+    return err(where, "expected exactly " + std::to_string(n) +
+                          " keys, got " + std::to_string(members.size()) +
+                          "; first difference at \"" + first_difference +
+                          "\"");
+  }
+  std::size_t i = at != nullptr ? *at : 0;
+  for (const auto& row : rows) {
+    if (i >= members.size() || members[i].first != row.key) {
+      const std::string found = i < members.size()
+                                    ? "\"" + members[i].first + "\""
+                                    : std::string("the end of the object");
+      return err(where + "." + (at != nullptr ? row.key : members[i].first),
+                 std::string("expected key \"") + row.key +
+                     "\" at this position, found " + found);
+    }
+    if (auto e = check_value(members[i].second, row.kind,
+                             where + "." + row.key)) {
+      return e;
+    }
+    ++i;
+  }
+  if (at != nullptr) *at = i;
+  return std::nullopt;
+}
+
 std::optional<ArtifactError> check_stats_object(const JsonValue& v,
                                                 const std::string& where) {
   if (v.kind == JsonValue::Kind::kNull) return std::nullopt;
   if (v.kind != JsonValue::Kind::kObject) {
     return err(where, "expected a percentile object or null");
   }
-  const auto keys = stats_member_keys();
-  if (v.members.size() != keys.size()) {
-    return err(where, "percentile object must have exactly " +
-                          std::to_string(keys.size()) + " members");
-  }
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    if (v.members[i].first != keys[i]) {
-      return err(where + "." + v.members[i].first,
-                 std::string("expected key \"") + keys[i] +
-                     "\" at this position");
-    }
-    if (auto e = check_number(v.members[i].second, where + "." + keys[i],
-                              keys[i] == std::string_view("count"))) {
-      return e;
-    }
-  }
-  const JsonValue* count = v.find("count");
-  if (count->number < 1.0) {
+  if (auto e = check_fields(v, kStatsFields, where)) return e;
+  if (v.find("count")->number < 1.0) {
     return err(where + ".count", "must be >= 1 (empty sets are null)");
   }
   return std::nullopt;
@@ -333,52 +459,15 @@ std::optional<ArtifactError> check_tenants_object(const JsonValue& v,
   if (v.members.empty()) {
     return err(where, "empty runs emit null, not an empty object");
   }
-  long long index = 0;
+  std::size_t index = 0;
   for (const auto& [key, row] : v.members) {
     const std::string row_where = where + "." + key;
-    // Keys are "t_%03d" in declaration order (the netdesign "k_%03d"
-    // convention, since the restricted subset has no arrays).
-    // "t_" + any long long + NUL.
-    char expected[24];
-    std::snprintf(expected, sizeof(expected), "t_%03lld", index);
+    const std::string expected = indexed_key('t', index++);
     if (key != expected) {
-      return err(row_where, std::string("expected key \"") + expected +
-                                "\" at this position");
+      return err(row_where,
+                 "expected key \"" + expected + "\" at this position");
     }
-    ++index;
-    if (row.kind != JsonValue::Kind::kObject) {
-      return err(row_where, "expected an object");
-    }
-    const auto specs = tenant_field_specs();
-    if (row.members.size() != specs.size()) {
-      return err(row_where, "expected exactly " +
-                                std::to_string(specs.size()) + " members");
-    }
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      const auto& [k, val] = row.members[i];
-      const std::string field = row_where + "." + specs[i].key;
-      if (k != specs[i].key) {
-        return err(row_where + "." + k,
-                   std::string("expected key \"") + specs[i].key +
-                       "\" at this position");
-      }
-      switch (specs[i].kind) {
-        case kTInt:
-          if (auto e = check_number(val, field, true)) return e;
-          break;
-        case kTReal:
-          if (auto e = check_number(val, field, false)) return e;
-          break;
-        case kTString:
-          if (val.kind != JsonValue::Kind::kString || val.text.empty()) {
-            return err(field, "expected a non-empty string");
-          }
-          break;
-        case kTStats:
-          if (auto e = check_stats_object(val, field)) return e;
-          break;
-      }
-    }
+    if (auto e = check_fields(row, kTenantFields, row_where)) return e;
     if (row.find("weight")->number <= 0.0) {
       return err(row_where + ".weight", "must be > 0");
     }
@@ -392,131 +481,65 @@ std::optional<ArtifactError> check_tenants_object(const JsonValue& v,
   return std::nullopt;
 }
 
+std::optional<ArtifactError> check_value(const JsonValue& v, FieldKind kind,
+                                         const std::string& where) {
+  switch (kind) {
+    case kInt:
+      return check_number(v, where, true);
+    case kReal:
+    case kReal3:
+      return check_number(v, where, false);
+    case kBool:
+      if (v.kind != JsonValue::Kind::kBool) {
+        return err(where, "expected true or false");
+      }
+      return std::nullopt;
+    case kString:
+      if (v.kind != JsonValue::Kind::kString || v.text.empty()) {
+        return err(where, "expected a non-empty string");
+      }
+      return std::nullopt;
+    case kStats:
+      return check_stats_object(v, where);
+    case kTenants:
+      return check_tenants_object(v, where);
+  }
+  return std::nullopt;
+}
+
 /// Shared header check: first member schema_version == current, second
 /// member the artifact tag.  Fills `*next` with the index of the first
 /// member after the header.
 std::optional<ArtifactError> check_artifact_header(
     const JsonValue& root, const std::string& where,
     std::string_view expected_tag, std::size_t* next) {
+  const std::string version_where = where + "." + kArtifactHeader[0].key;
+  const std::string tag_where = where + "." + kArtifactHeader[1].key;
   if (root.kind != JsonValue::Kind::kObject) {
     return err(where, "expected a JSON object");
   }
   if (root.members.size() < 2 ||
-      root.members[0].first != "schema_version") {
-    return err(where + ".schema_version", "must be the first key");
+      root.members[0].first != kArtifactHeader[0].key) {
+    return err(version_where, "must be the first key");
   }
   const JsonValue& version = root.members[0].second;
-  if (auto e = check_number(version, where + ".schema_version", true)) {
-    return e;
-  }
+  if (auto e = check_number(version, version_where, true)) return e;
   if (static_cast<int>(version.number) != kRunArtifactSchemaVersion) {
-    return err(where + ".schema_version",
+    return err(version_where,
                "expected version " +
                    std::to_string(kRunArtifactSchemaVersion) + ", got " +
                    std::to_string(static_cast<int>(version.number)));
   }
-  if (root.members[1].first != "artifact" ||
+  if (root.members[1].first != kArtifactHeader[1].key ||
       root.members[1].second.kind != JsonValue::Kind::kString) {
-    return err(where + ".artifact",
-               "must be the second key, with a string value");
+    return err(tag_where, "must be the second key, with a string value");
   }
   if (root.members[1].second.text != expected_tag) {
-    return err(where + ".artifact",
-               "expected \"" + std::string(expected_tag) + "\", got \"" +
-                   root.members[1].second.text + "\"");
+    return err(tag_where, "expected \"" + std::string(expected_tag) +
+                              "\", got \"" + root.members[1].second.text +
+                              "\"");
   }
   *next = 2;
-  return std::nullopt;
-}
-
-std::optional<ArtifactError> check_campaign_identity(
-    const JsonValue& root, const std::string& where, std::size_t* at) {
-  for (const CampaignFieldSpec& f : kCampaignIdentity) {
-    if (*at >= root.members.size() || root.members[*at].first != f.key) {
-      return err(where + "." + f.key, "missing or out of order");
-    }
-    const JsonValue& v = root.members[*at].second;
-    const std::string field = where + "." + f.key;
-    switch (f.kind) {
-      case CampaignFieldKind::kCInt:
-        if (auto e = check_number(v, field, true)) return e;
-        break;
-      case CampaignFieldKind::kCReal:
-        if (auto e = check_number(v, field, false)) return e;
-        break;
-      case CampaignFieldKind::kCString:
-        if (v.kind != JsonValue::Kind::kString || v.text.empty()) {
-          return err(field, "expected a non-empty string");
-        }
-        break;
-    }
-    ++*at;
-  }
-  return std::nullopt;
-}
-
-// --- Summary writer value mapping -----------------------------------------
-
-long long int_field(const SimulationResult& r, std::string_view key) {
-  if (key == "schema_version") return kRunArtifactSchemaVersion;
-  if (key == "assignments") return r.assignments;
-  if (key == "failed_assignments") return r.failed_assignments;
-  if (key == "slew_events") return r.slew_events;
-  if (key == "ack_retries") return r.ack_retries;
-  if (key == "replans") return r.replans;
-  if (key == "plan_upload_failures") return r.plan_upload_failures;
-  if (key == "steps") return r.steps;
-  DGS_CHECK(false, "unmapped integer summary field");
-  return 0;
-}
-
-double real_field(const SimulationResult& r, std::string_view key) {
-  if (key == "total_generated_tb") return r.total_generated_bytes / 1e12;
-  if (key == "total_delivered_tb") return r.total_delivered_bytes / 1e12;
-  if (key == "total_dropped_tb") return r.total_dropped_bytes / 1e12;
-  if (key == "delivered_fraction") return r.delivered_fraction();
-  if (key == "wasted_transmission_tb") {
-    return r.wasted_transmission_bytes / 1e12;
-  }
-  if (key == "requeued_tb") return r.requeued_bytes / 1e12;
-  if (key == "outage_lost_tb") return r.outage_lost_bytes / 1e12;
-  if (key == "mean_station_utilization") return r.mean_station_utilization;
-  DGS_CHECK(false, "unmapped real summary field");
-  return 0.0;
-}
-
-const util::SampleSet& stats_field(const SimulationResult& r,
-                                   std::string_view key) {
-  if (key == "latency_minutes") return r.latency_minutes;
-  if (key == "urgent_latency_minutes") return r.urgent_latency_minutes;
-  if (key == "backlog_gb") return r.backlog_gb;
-  if (key == "ack_delay_minutes") return r.ack_delay_minutes;
-  DGS_CHECK(key == "cloud_latency_minutes",
-            "unmapped percentile summary field");
-  return r.cloud_latency_minutes;
-}
-
-// --- Netdesign front helpers -----------------------------------------------
-
-std::optional<ArtifactError> check_netdesign_field(const JsonValue& v,
-                                                   const std::string& where,
-                                                   NetdesignFieldKind kind) {
-  switch (kind) {
-    case kNInt:
-      return check_number(v, where, true);
-    case kNReal:
-      return check_number(v, where, false);
-    case kNBool:
-      if (v.kind != JsonValue::Kind::kBool) {
-        return err(where, "expected true or false");
-      }
-      return std::nullopt;
-    case kNString:
-      if (v.kind != JsonValue::Kind::kString || v.text.empty()) {
-        return err(where, "expected a non-empty string");
-      }
-      return std::nullopt;
-  }
   return std::nullopt;
 }
 
@@ -547,26 +570,7 @@ int station_ids_count(const std::string& text) {
 
 std::optional<ArtifactError> check_netdesign_point(const JsonValue& p,
                                                    const std::string& where) {
-  if (p.kind != JsonValue::Kind::kObject) {
-    return err(where, "expected an object");
-  }
-  const auto specs = netdesign_point_specs();
-  if (p.members.size() != specs.size()) {
-    return err(where, "expected exactly " + std::to_string(specs.size()) +
-                          " members");
-  }
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (p.members[i].first != specs[i].key) {
-      return err(where + "." + p.members[i].first,
-                 std::string("expected key \"") + specs[i].key +
-                     "\" at this position");
-    }
-    if (auto e = check_netdesign_field(p.members[i].second,
-                                       where + "." + specs[i].key,
-                                       specs[i].kind)) {
-      return e;
-    }
-  }
+  if (auto e = check_fields(p, kNetdesignPoint, where)) return e;
   const double stations = p.find("stations")->number;
   if (stations < 1.0) {
     return err(where + ".stations", "must be >= 1");
@@ -586,6 +590,22 @@ std::optional<ArtifactError> check_netdesign_point(const JsonValue& p,
                    std::to_string(static_cast<int>(stations)));
   }
   return std::nullopt;
+}
+
+/// Parses `text` and checks its artifact header and identity rows,
+/// leaving `*at` at the first member after them.
+template <class Rows>
+std::optional<ArtifactError> check_document(std::string_view text,
+                                            const std::string& where,
+                                            std::string_view tag,
+                                            const Rows& identity,
+                                            std::optional<JsonValue>* doc,
+                                            std::size_t* at) {
+  ArtifactError parse_err;
+  *doc = parse_restricted_json(text, &parse_err);
+  if (!*doc) return err(where, parse_err.where + ": " + parse_err.message);
+  if (auto e = check_artifact_header(**doc, where, tag, at)) return e;
+  return check_fields(**doc, identity, where, at);
 }
 
 }  // namespace
@@ -610,34 +630,28 @@ std::optional<JsonValue> parse_restricted_json(std::string_view text,
   return v;
 }
 
-std::span<const SummaryFieldSpec> summary_field_specs() {
-  return kSummaryFields;
+std::span<const FieldSpec<CampaignOptions>> campaign_identity_specs() {
+  return kCampaignIdentity;
 }
 
-std::span<const char* const> stats_member_keys() { return kStatsMembers; }
-
-std::span<const TenantFieldSpec> tenant_field_specs() {
-  return kTenantFields;
+std::span<const FieldSpec<MetricAggregate>> aggregate_metric_specs() {
+  return kAggregateMetric;
 }
 
-std::span<const NetdesignFieldSpec> checkpoint_header_specs() {
+std::span<const FieldSpec<FrontIdentity>> netdesign_identity_specs() {
+  return kNetdesignIdentity;
+}
+
+std::span<const FieldSpec<FrontPoint>> netdesign_point_specs() {
+  return kNetdesignPoint;
+}
+
+std::span<const FieldSpec<H>> checkpoint_header_specs() {
   return kCheckpointHeader;
 }
 
 std::span<const char* const> checkpoint_section_names() {
   return kCheckpointSections;
-}
-
-std::span<const char* const> aggregate_metric_member_keys() {
-  return kAggregateMetricMembers;
-}
-
-std::span<const NetdesignFieldSpec> netdesign_identity_specs() {
-  return kNetdesignIdentity;
-}
-
-std::span<const NetdesignFieldSpec> netdesign_point_specs() {
-  return kNetdesignPoint;
 }
 
 std::string_view timeseries_csv_header() {
@@ -649,37 +663,7 @@ std::optional<ArtifactError> validate_summary_json(std::string_view text) {
   ArtifactError parse_err;
   const auto doc = parse_restricted_json(text, &parse_err);
   if (!doc) return err("summary", parse_err.where + ": " + parse_err.message);
-  if (doc->kind != JsonValue::Kind::kObject) {
-    return err("summary", "expected a JSON object");
-  }
-  const auto specs = summary_field_specs();
-  if (doc->members.size() != specs.size()) {
-    return err("summary", "expected exactly " +
-                              std::to_string(specs.size()) + " keys, got " +
-                              std::to_string(doc->members.size()));
-  }
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const auto& [key, value] = doc->members[i];
-    const std::string where = "summary." + key;
-    if (key != specs[i].key) {
-      return err(where, std::string("expected key \"") + specs[i].key +
-                            "\" at this position");
-    }
-    switch (specs[i].kind) {
-      case kInt:
-        if (auto e = check_number(value, where, true)) return e;
-        break;
-      case kReal:
-        if (auto e = check_number(value, where, false)) return e;
-        break;
-      case kStats:
-        if (auto e = check_stats_object(value, where)) return e;
-        break;
-      case kTenants:
-        if (auto e = check_tenants_object(value, where)) return e;
-        break;
-    }
-  }
+  if (auto e = check_fields(*doc, kSummaryFields, "summary")) return e;
   const int version = static_cast<int>(doc->members[0].second.number);
   if (version != kRunArtifactSchemaVersion) {
     return err("summary.schema_version",
@@ -803,17 +787,12 @@ std::optional<ArtifactError> parse_summary_json(std::string_view text,
 
 std::optional<ArtifactError> validate_campaign_manifest_json(
     std::string_view text) {
-  ArtifactError parse_err;
-  const auto doc = parse_restricted_json(text, &parse_err);
-  if (!doc) {
-    return err("manifest", parse_err.where + ": " + parse_err.message);
-  }
+  std::optional<JsonValue> doc;
   std::size_t at = 0;
-  if (auto e = check_artifact_header(*doc, "manifest", "campaign_manifest",
-                                     &at)) {
+  if (auto e = check_document(text, "manifest", "campaign_manifest",
+                              kCampaignIdentity, &doc, &at)) {
     return e;
   }
-  if (auto e = check_campaign_identity(*doc, "manifest", &at)) return e;
   if (at != doc->members.size()) {
     return err("manifest." + doc->members[at].first, "unknown trailing key");
   }
@@ -822,46 +801,25 @@ std::optional<ArtifactError> validate_campaign_manifest_json(
 
 std::optional<ArtifactError> validate_campaign_aggregate_json(
     std::string_view text) {
-  ArtifactError parse_err;
-  const auto doc = parse_restricted_json(text, &parse_err);
-  if (!doc) {
-    return err("aggregate", parse_err.where + ": " + parse_err.message);
-  }
+  std::optional<JsonValue> doc;
   std::size_t at = 0;
-  if (auto e = check_artifact_header(*doc, "aggregate",
-                                     "campaign_aggregate", &at)) {
+  if (auto e = check_document(text, "aggregate", "campaign_aggregate",
+                              kCampaignIdentity, &doc, &at)) {
     return e;
   }
-  if (auto e = check_campaign_identity(*doc, "aggregate", &at)) return e;
-  if (at + 1 != doc->members.size() || doc->members[at].first != "metrics") {
-    return err("aggregate.metrics", "must be the final key");
+  const std::string metrics_where =
+      std::string("aggregate.") + kAggregateMetricsKey;
+  if (at + 1 != doc->members.size() ||
+      doc->members[at].first != kAggregateMetricsKey) {
+    return err(metrics_where, "must be the final key");
   }
   const JsonValue& metrics = doc->members[at].second;
   if (metrics.kind != JsonValue::Kind::kObject || metrics.members.empty()) {
-    return err("aggregate.metrics", "expected a non-empty object");
+    return err(metrics_where, "expected a non-empty object");
   }
   for (const auto& [name, m] : metrics.members) {
-    const std::string where = "aggregate.metrics." + name;
-    if (m.kind != JsonValue::Kind::kObject) {
-      return err(where, "expected an object");
-    }
-    const auto keys = aggregate_metric_member_keys();
-    if (m.members.size() != keys.size()) {
-      return err(where, "expected exactly " + std::to_string(keys.size()) +
-                            " members");
-    }
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      if (m.members[i].first != keys[i]) {
-        return err(where + "." + m.members[i].first,
-                   std::string("expected key \"") + keys[i] +
-                       "\" at this position");
-      }
-      if (auto e =
-              check_number(m.members[i].second, where + "." + keys[i],
-                           keys[i] == std::string_view("count"))) {
-        return e;
-      }
-    }
+    const std::string where = metrics_where + "." + name;
+    if (auto e = check_fields(m, kAggregateMetric, where)) return e;
     if (m.find("count")->number < 1.0) {
       return err(where + ".count", "must be >= 1");
     }
@@ -871,37 +829,24 @@ std::optional<ArtifactError> validate_campaign_aggregate_json(
 
 std::optional<ArtifactError> validate_netdesign_front_json(
     std::string_view text) {
-  ArtifactError parse_err;
-  const auto doc = parse_restricted_json(text, &parse_err);
-  if (!doc) {
-    return err("front", parse_err.where + ": " + parse_err.message);
-  }
+  std::optional<JsonValue> doc;
   std::size_t at = 0;
-  if (auto e = check_artifact_header(*doc, "front", "netdesign_front",
-                                     &at)) {
+  if (auto e = check_document(text, "front", "netdesign_front",
+                              kNetdesignIdentity, &doc, &at)) {
     return e;
   }
-  for (const NetdesignFieldSpec& f : netdesign_identity_specs()) {
-    if (at >= doc->members.size() || doc->members[at].first != f.key) {
-      return err(std::string("front.") + f.key, "missing or out of order");
-    }
-    if (auto e = check_netdesign_field(doc->members[at].second,
-                                       std::string("front.") + f.key,
-                                       f.kind)) {
-      return e;
-    }
-    ++at;
-  }
-  if (at + 1 != doc->members.size() || doc->members[at].first != "points") {
-    return err("front.points", "must be the final key");
+  const std::string points_where = std::string("front.") + kFrontPointsKey;
+  if (at + 1 != doc->members.size() ||
+      doc->members[at].first != kFrontPointsKey) {
+    return err(points_where, "must be the final key");
   }
   const JsonValue& points = doc->members[at].second;
   if (points.kind != JsonValue::Kind::kObject || points.members.empty()) {
-    return err("front.points", "expected a non-empty object");
+    return err(points_where, "expected a non-empty object");
   }
   long long prev_k = 0;
   for (const auto& [key, point] : points.members) {
-    const std::string where = "front.points." + key;
+    const std::string where = points_where + "." + key;
     if (key.size() < 5 || key.compare(0, 2, "k_") != 0) {
       return err(where, "point keys must look like \"k_004\"");
     }
@@ -926,28 +871,12 @@ std::optional<ArtifactError> validate_netdesign_front_json(
 }
 
 std::optional<ArtifactError> validate_checkpoint_header_json(
-    std::string_view text) {
-  ArtifactError parse_err;
-  const auto doc = parse_restricted_json(text, &parse_err);
-  if (!doc) {
-    return err("checkpoint", parse_err.where + ": " + parse_err.message);
-  }
+    std::string_view text, CheckpointHeader* out) {
+  std::optional<JsonValue> doc;
   std::size_t at = 0;
-  if (auto e = check_artifact_header(*doc, "checkpoint", "checkpoint",
-                                     &at)) {
+  if (auto e = check_document(text, "checkpoint", "checkpoint",
+                              kCheckpointHeader, &doc, &at)) {
     return e;
-  }
-  for (const NetdesignFieldSpec& f : checkpoint_header_specs()) {
-    if (at >= doc->members.size() || doc->members[at].first != f.key) {
-      return err(std::string("checkpoint.") + f.key,
-                 "missing or out of order");
-    }
-    if (auto e = check_netdesign_field(doc->members[at].second,
-                                       std::string("checkpoint.") + f.key,
-                                       f.kind)) {
-      return e;
-    }
-    ++at;
   }
   if (at != doc->members.size()) {
     return err("checkpoint." + doc->members[at].first,
@@ -977,16 +906,87 @@ std::optional<ArtifactError> validate_checkpoint_header_json(
   if (field("payload_bytes") < 0.0) {
     return err("checkpoint.payload_bytes", "must be >= 0");
   }
-  const auto names = checkpoint_section_names();
-  if (field("sections") != static_cast<double>(names.size())) {
+  const std::size_t sections = std::size(kCheckpointSections);
+  if (field("sections") != static_cast<double>(sections)) {
     return err("checkpoint.sections",
-               "expected " + std::to_string(names.size()) + " sections");
+               "expected " + std::to_string(sections) + " sections");
+  }
+  if (out != nullptr) {
+    // The header rows sit right after the two artifact-header members.
+    std::size_t i = std::size(kArtifactHeader);
+    for (const FieldSpec<H>& row : kCheckpointHeader) {
+      if (row.set != nullptr) row.set(*out, doc->members[i].second);
+      ++i;
+    }
   }
   return std::nullopt;
 }
 
-// --- Writers (declared in report.h; the schema table above is the
-// contract they emit) -------------------------------------------------------
+// --- Writers -----------------------------------------------------------------
+
+void write_field(std::ostream& out, const char* key, FieldKind kind,
+                 const FieldValue& value) {
+  out << '"' << key << "\": ";
+  // Wide enough for any double in %.6f.
+  char buf[320];
+  switch (kind) {
+    case kInt:
+      std::snprintf(buf, sizeof(buf), "%lld", value.integer);
+      out << buf;
+      return;
+    case kReal:
+      std::snprintf(buf, sizeof(buf), "%.6f", value.real);
+      out << buf;
+      return;
+    case kReal3:
+      std::snprintf(buf, sizeof(buf), "%.3f", value.real);
+      out << buf;
+      return;
+    case kBool:
+      out << (value.flag ? "true" : "false");
+      return;
+    case kString:
+      // Unescaped: every string member (tenant and profile names, station
+      // id lists, artifact tags) is validated to need no JSON escaping.
+      out << '"' << value.text << '"';
+      return;
+    case kStats:
+      if (value.stats->empty()) {
+        out << "null";
+      } else {
+        out << '{';
+        write_fields(out, kStatsFields, *value.stats, ", ");
+        out << '}';
+      }
+      return;
+    case kTenants: {
+      const std::vector<TenantOutcome>& tenants = *value.tenants;
+      if (tenants.empty()) {
+        out << "null";
+        return;
+      }
+      out << '{';
+      for (std::size_t t = 0; t < tenants.size(); ++t) {
+        out << (t > 0 ? ", \"" : "\"") << indexed_key('t', t) << "\": {";
+        write_fields(out, kTenantFields, tenants[t], ", ");
+        out << '}';
+      }
+      out << '}';
+      return;
+    }
+  }
+}
+
+void write_artifact_header(std::ostream& out, std::string_view tag,
+                           std::string_view sep) {
+  write_fields(out, kArtifactHeader, tag, sep);
+}
+
+std::string indexed_key(char prefix, std::size_t index) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%c_%03zu", prefix, index);
+  return buf;
+}
 
 void write_timeseries_csv(std::ostream& out, const SimulationResult& result) {
   out << timeseries_csv_header() << "\n";
@@ -999,105 +999,10 @@ void write_timeseries_csv(std::ostream& out, const SimulationResult& result) {
   }
 }
 
-namespace {
-
-/// One tenant row of the summary "tenants" object, iterating
-/// tenant_field_specs so the writer and validator share the key list.
-/// Tenant names are emitted unescaped: validation restricts them to
-/// [a-z][a-z0-9_]*, which needs no JSON escaping.
-void write_tenant_object(std::ostream& out, const TenantOutcome& t) {
-  char buf[192];
-  const auto specs = tenant_field_specs();
-  out << "{";
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const TenantFieldSpec& f = specs[i];
-    const std::string_view key = f.key;
-    if (key == "name") {
-      std::snprintf(buf, sizeof(buf), "\"%s\": \"%s\"", f.key,
-                    t.name.c_str());
-    } else if (key == "num_satellites") {
-      std::snprintf(buf, sizeof(buf), "\"%s\": %lld", f.key,
-                    static_cast<long long>(t.num_satellites));
-    } else if (key == "latency_minutes") {
-      const util::SampleSet& s = t.latency_minutes;
-      if (s.empty()) {
-        std::snprintf(buf, sizeof(buf), "\"%s\": null", f.key);
-      } else {
-        std::snprintf(buf, sizeof(buf),
-                      "\"%s\": {\"median\": %.3f, \"p90\": %.3f, "
-                      "\"p99\": %.3f, \"mean\": %.3f, \"count\": %zu}",
-                      f.key, s.percentile(50.0), s.percentile(90.0),
-                      s.percentile(99.0), s.mean(), s.size());
-      }
-    } else {
-      double v = 0.0;
-      if (key == "weight") v = t.weight;
-      else if (key == "delivered_tb") v = t.delivered_bytes / 1e12;
-      else if (key == "entitlement") v = t.entitlement;
-      else if (key == "share") v = t.share;
-      else if (key == "sla_latency_minutes") v = t.sla_latency_minutes;
-      else if (key == "sla_attainment") v = t.sla_attainment;
-      else DGS_CHECK(false, "unmapped tenant summary field");
-      std::snprintf(buf, sizeof(buf), "\"%s\": %.6f", f.key, v);
-    }
-    out << buf << (i + 1 < specs.size() ? ", " : "");
-  }
-  out << "}";
-}
-
-}  // namespace
-
 void write_summary_json(std::ostream& out, const SimulationResult& result) {
-  out << "{\n";
-  char buf[192];
-  const auto specs = summary_field_specs();
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const SummaryFieldSpec& f = specs[i];
-    switch (f.kind) {
-      case kInt:
-        std::snprintf(buf, sizeof(buf), "  \"%s\": %lld", f.key,
-                      int_field(result, f.key));
-        out << buf;
-        break;
-      case kReal:
-        std::snprintf(buf, sizeof(buf), "  \"%s\": %.6f", f.key,
-                      real_field(result, f.key));
-        out << buf;
-        break;
-      case kStats: {
-        const util::SampleSet& s = stats_field(result, f.key);
-        if (s.empty()) {
-          std::snprintf(buf, sizeof(buf), "  \"%s\": null", f.key);
-        } else {
-          std::snprintf(buf, sizeof(buf),
-                        "  \"%s\": {\"median\": %.3f, \"p90\": %.3f, "
-                        "\"p99\": %.3f, \"mean\": %.3f, \"count\": %zu}",
-                        f.key, s.percentile(50.0), s.percentile(90.0),
-                        s.percentile(99.0), s.mean(), s.size());
-        }
-        out << buf;
-        break;
-      }
-      case kTenants: {
-        out << "  \"" << f.key << "\": ";
-        if (result.per_tenant.empty()) {
-          out << "null";
-        } else {
-          out << "{";
-          for (std::size_t t = 0; t < result.per_tenant.size(); ++t) {
-            std::snprintf(buf, sizeof(buf), "\"t_%03zu\": ", t);
-            out << buf;
-            write_tenant_object(out, result.per_tenant[t]);
-            if (t + 1 < result.per_tenant.size()) out << ", ";
-          }
-          out << "}";
-        }
-        break;
-      }
-    }
-    out << (i + 1 < specs.size() ? ",\n" : "\n");
-  }
-  out << "}\n";
+  out << "{\n  ";
+  write_fields(out, kSummaryFields, result, ",\n  ");
+  out << "\n}\n";
 }
 
 }  // namespace dgs::core

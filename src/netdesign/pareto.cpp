@@ -1,7 +1,6 @@
 #include "src/netdesign/pareto.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <ostream>
 #include <string>
 
@@ -21,40 +20,6 @@ double selection_cost(const std::vector<CandidateSite>& pool,
     cost += pool[static_cast<std::size_t>(c)].install_cost;
   }
   return cost;
-}
-
-long long identity_int(const FrontIdentity& id, std::string_view key) {
-  if (key == "pool_size") return id.pool_size;
-  if (key == "pool_seed") return id.pool_seed;
-  if (key == "num_satellites") return id.num_satellites;
-  if (key == "network_seed") return id.network_seed;
-  DGS_CHECK(key == "weather_seed", "unmapped integer identity field");
-  return id.weather_seed;
-}
-
-double identity_real(const FrontIdentity& id, std::string_view key) {
-  if (key == "duration_hours") return id.duration_hours;
-  DGS_CHECK(key == "step_seconds", "unmapped real identity field");
-  return id.step_seconds;
-}
-
-double point_real(const FrontPoint& p, std::string_view key) {
-  if (key == "cost") return p.cost;
-  if (key == "objective_gb") return p.objective_gb;
-  if (key == "latency_p50_min") return p.eval.latency_p50_min;
-  if (key == "latency_p90_min") return p.eval.latency_p90_min;
-  if (key == "backlog_end_gb") return p.eval.backlog_end_gb;
-  DGS_CHECK(key == "delivered_fraction", "unmapped real point field");
-  return p.eval.delivered_fraction;
-}
-
-std::string joined_ids(const std::vector<int>& ids) {
-  std::string out;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (i > 0) out += ',';
-    out += std::to_string(ids[i]);
-  }
-  return out;
 }
 
 }  // namespace
@@ -202,58 +167,18 @@ void write_netdesign_front(std::ostream& out, const FrontIdentity& identity,
                "front points must be strictly ascending in station count");
   }
 
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                "{\n  \"schema_version\": %d,\n  \"artifact\": "
-                "\"netdesign_front\",\n",
-                core::kRunArtifactSchemaVersion);
-  out << buf;
-  for (const core::NetdesignFieldSpec& f : core::netdesign_identity_specs()) {
-    switch (f.kind) {
-      case core::NetdesignFieldKind::kNInt:
-        std::snprintf(buf, sizeof(buf), "  \"%s\": %lld,\n", f.key,
-                      identity_int(identity, f.key));
-        break;
-      case core::NetdesignFieldKind::kNReal:
-        std::snprintf(buf, sizeof(buf), "  \"%s\": %.6f,\n", f.key,
-                      identity_real(identity, f.key));
-        break;
-      default:
-        DGS_CHECK(false, "identity fields are numbers");
-    }
-    out << buf;
-  }
-  out << "  \"points\": {\n";
+  out << "{\n  ";
+  core::write_artifact_header(out, "netdesign_front", ",\n  ");
+  out << ",\n  ";
+  core::write_fields(out, core::netdesign_identity_specs(), identity,
+                     ",\n  ");
+  out << ",\n  \"" << core::kFrontPointsKey << "\": {\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const FrontPoint& p = points[i];
-    std::snprintf(buf, sizeof(buf), "    \"k_%03d\": {\n",
-                  static_cast<int>(p.station_ids.size()));
-    out << buf;
-    const auto specs = core::netdesign_point_specs();
-    for (std::size_t j = 0; j < specs.size(); ++j) {
-      const core::NetdesignFieldSpec& f = specs[j];
-      switch (f.kind) {
-        case core::NetdesignFieldKind::kNInt:
-          std::snprintf(buf, sizeof(buf), "      \"%s\": %lld", f.key,
-                        static_cast<long long>(p.station_ids.size()));
-          break;
-        case core::NetdesignFieldKind::kNReal:
-          std::snprintf(buf, sizeof(buf), "      \"%s\": %.6f", f.key,
-                        point_real(p, f.key));
-          break;
-        case core::NetdesignFieldKind::kNBool:
-          std::snprintf(buf, sizeof(buf), "      \"%s\": %s", f.key,
-                        p.dominated ? "true" : "false");
-          break;
-        case core::NetdesignFieldKind::kNString:
-          out << "      \"" << f.key << "\": \"" << joined_ids(p.station_ids)
-              << "\"";
-          buf[0] = '\0';
-          break;
-      }
-      out << buf << (j + 1 < specs.size() ? ",\n" : "\n");
-    }
-    out << (i + 1 < points.size() ? "    },\n" : "    }\n");
+    out << "    \"" << core::indexed_key('k', p.station_ids.size())
+        << "\": {\n      ";
+    core::write_fields(out, core::netdesign_point_specs(), p, ",\n      ");
+    out << (i + 1 < points.size() ? "\n    },\n" : "\n    }\n");
   }
   out << "  }\n}\n";
 }

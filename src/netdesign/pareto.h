@@ -82,9 +82,9 @@ struct FrontIdentity {
   double step_seconds = 0.0;
 };
 
-/// Writes the `dgs.netdesign.v1` front artifact.  Emission is driven by
-/// core::netdesign_identity_specs / netdesign_point_specs, so the writer
-/// and the validator share one schema table.
+/// Writes the `dgs.netdesign.v1` front artifact by iterating the field
+/// tables core::netdesign_identity_specs / netdesign_point_specs, the
+/// ones core::validate_netdesign_front_json checks.
 void write_netdesign_front(std::ostream& out, const FrontIdentity& identity,
                            const std::vector<FrontPoint>& points);
 

@@ -9,16 +9,25 @@ namespace dgs::util {
 namespace {
 // Set while a thread is executing inside a fork-join region: for the
 // lifetime of every worker thread, and on the calling thread while it runs
-// its share of chunks.  A parallel_for issued from such a thread (nested
-// submit) must run inline — a worker blocking on a job that needs that
-// same worker, or a caller re-locking the region mutex it already holds,
-// would deadlock.
+// chunks, on the pool or inline.  A parallel_for issued from such a thread
+// (nested submit) must run inline — a worker blocking on a job that needs
+// that same worker, or a caller re-locking the region mutex it already
+// holds, would deadlock.
 thread_local bool tls_in_parallel_region = false;
 
 // Same chunk-aligned invocations as the parallel path, so per-chunk
 // consumers (reduce_ordered) see identical ranges at any thread count.
+// The body runs inside a region at every lane count, so the metrics
+// layer's driver-thread check sees a 1-lane run too; the caller's flag is
+// restored afterwards (also when the body throws), so an inline nested
+// call leaves its enclosing region marked.
 void run_serial(std::int64_t n, std::int64_t chunk,
                 const ThreadPool::RangeBody& body) {
+  struct RegionMark {
+    bool outer = tls_in_parallel_region;
+    RegionMark() { tls_in_parallel_region = true; }
+    ~RegionMark() { tls_in_parallel_region = outer; }
+  } mark;
   for (std::int64_t begin = 0; begin < n; begin += chunk) {
     body(begin, std::min<std::int64_t>(n, begin + chunk));
   }

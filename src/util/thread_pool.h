@@ -134,9 +134,10 @@ class ThreadPool {
 };
 
 /// True while this thread runs inside a fork-join region: on every pool
-/// worker, and on the calling thread while it runs its share of a
-/// multi-lane parallel_for's chunks.  Read-only; the metrics layer checks
-/// it to keep its writes on the driver thread (DESIGN.md §10).
+/// worker, and on the calling thread while it runs chunks of a
+/// parallel_for at any lane count, inline runs included.  Read-only; the
+/// metrics layer checks it to keep its writes on the driver thread
+/// (DESIGN.md §10).
 bool in_parallel_region();
 
 /// `pool->parallel_for(n, body)`, or, when `pool` is null, the serial

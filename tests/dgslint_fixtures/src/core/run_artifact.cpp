@@ -1,15 +1,18 @@
-// dgslint fixture: a miniature SummaryFieldSpec table so the R5
-// summary-key cross-check has something to parse under this root.
-struct SummaryFieldSpec {
+// dgslint fixture: a miniature kSummaryFields table so the R5 summary-key
+// cross-check has something to parse under this root.
+enum class FieldKind { kInt, kReal, kStats };
+using enum FieldKind;
+struct Result {};
+template <class S>
+struct FieldSpec {
   const char* key;
-  int kind;
+  FieldKind kind;
+  int (*get)(const S&);
 };
-constexpr int kInt = 0;
-constexpr int kReal = 1;
-constexpr int kStats = 2;
+int zero(const Result&) { return 0; }
 
-constexpr SummaryFieldSpec kSummaryFields[] = {
-    {"schema_version", kInt},
-    {"delivered_fraction", kReal},
-    {"latency_minutes", kStats},
+constexpr FieldSpec<Result> kSummaryFields[] = {
+    {"schema_version", kInt, zero},
+    {"delivered_fraction", kReal, zero},
+    {"latency_minutes", kStats, [](const Result&) { return 1; }},
 };

@@ -6,12 +6,14 @@
 //   - resume and worker count never change a byte of the aggregate.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/campaign/campaign.h"
@@ -224,6 +226,41 @@ TEST(Campaign, OptionsValidateCatchesBadFields) {
   o = small_opts("x");
   o.out_dir.clear();
   EXPECT_EQ(o.validate()->field, "out_dir");
+}
+
+TEST(Campaign, SeedsPastTheExactJsonRangeAreRejectedBeforeAnyWork) {
+  // 2^53 - 1 is the largest seed a JSON number carries exactly: it runs,
+  // and the directory it writes passes our own validator.
+  constexpr std::uint64_t kMaxSeed = core::kMaxArtifactInteger;
+  CampaignOptions o = small_opts(temp_root("camp_max_seed"));
+  o.samples = 1;
+  o.duration_hours = 0.1;
+  o.num_satellites = 3;
+  o.num_stations = 4;
+  o.campaign_seed = o.network_seed = o.weather_seed = kMaxSeed;
+  ASSERT_FALSE(o.validate().has_value());
+  run_campaign(o);
+  const auto e = validate_campaign_dir(o.out_dir);
+  EXPECT_FALSE(e.has_value()) << e->where << ": " << e->message;
+  EXPECT_NE(slurp(manifest_path(o)).find(
+                "\"campaign_seed\": 9007199254740991,"),
+            std::string::npos);
+
+  // 2^53 is not, for any of the three seeds: validate() names the field
+  // and run_campaign() throws before it creates the directory.
+  for (const auto& [field, seed] :
+       {std::pair{"campaign_seed", &CampaignOptions::campaign_seed},
+        std::pair{"network_seed", &CampaignOptions::network_seed},
+        std::pair{"weather_seed", &CampaignOptions::weather_seed}}) {
+    CampaignOptions bad = o;
+    bad.out_dir = temp_root("camp_inexact_seed");
+    bad.*seed = kMaxSeed + 1;
+    const auto err = bad.validate();
+    ASSERT_TRUE(err.has_value()) << field;
+    EXPECT_EQ(err->field, field);
+    EXPECT_THROW(run_campaign(bad), std::runtime_error);
+    EXPECT_FALSE(fs::exists(bad.out_dir)) << field;
+  }
 }
 
 TEST(Campaign, MetricsArtifactsAreOptional) {

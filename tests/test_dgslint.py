@@ -8,7 +8,8 @@ Three layers:
     a violation (rand() into fault_plan.cpp, an unordered_map loop into
     run_artifact.cpp, a std::function member into SimulationOptions, a
     mutex into the weather provider or the metrics registry, a
-    thread_local memo into the link budget or a metrics shard slot), and
+    thread_local memo into the link budget or a metrics shard slot, an
+    unknown kind or a renamed table in the summary's field table), and
     require dgslint to fail — proof the linter
     would catch a real regression, not just the fixtures;
   - CLI-contract tests pin exit codes, --verify-baseline, and the
@@ -251,6 +252,42 @@ class MutationRehearsalTest(unittest.TestCase):
                                 "sim_assignments_total", 1))
         self.assertEqual(code, 1)
         self.assertTrue(any(f["rule"] == "R5" for f in findings), findings)
+
+
+    def test_renamed_summary_kind_fails(self):
+        # A row whose kind the table parser does not know used to drop out
+        # of the summary key set without a word.
+        code, findings = self._scan_mutated(
+            "src/core/run_artifact.cpp",
+            lambda t: t.replace("kTenants", "kTenantRows"))
+        self.assertEqual(code, 1)
+        self.assertEqual([f["rule"] for f in findings], ["R5"], findings)
+        self.assertIn("'tenants' has kind 'kTenantRows'",
+                      findings[0]["message"])
+
+    def test_unparseable_summary_table_fails(self):
+        # A table that parses to no keys used to switch the summary-key
+        # check off altogether.
+        code, findings = self._scan_mutated(
+            "src/core/run_artifact.cpp",
+            lambda t: t.replace("kSummaryFields", "kSummaryRows"))
+        self.assertEqual(code, 1)
+        self.assertEqual([f["rule"] for f in findings], ["R5"], findings)
+        self.assertIn("no kSummaryFields table", findings[0]["message"])
+
+
+class SummaryTableTest(unittest.TestCase):
+    def test_real_table_yields_every_summary_key(self):
+        sys.path.insert(0, os.path.dirname(DGSLINT))
+        try:
+            import dgslint  # pylint: disable=import-outside-toplevel
+        finally:
+            sys.path.pop(0)
+        keys = dgslint.load_summary_keys(REPO_ROOT)
+        self.assertEqual(len(keys), 22, sorted(keys))
+        for key in ("schema_version", "latency_minutes", "steps",
+                    "tenants"):
+            self.assertIn(key, keys)
 
 
 class CliContractTest(unittest.TestCase):

@@ -289,6 +289,31 @@ TEST(NetdesignPipeline, FrontValidatesAndMutationsAreRejected) {
                   .has_value());
 }
 
+TEST(NetdesignPipeline, FrontHoldsPoolSeedsUpToTwoToThe53MinusOne) {
+  // dgs_netdesign rejects --pool-seed 2^53 before the sweep (ctest
+  // dgs_netdesign_rejects_inexact_pool_seed); one below it round-trips.
+  FrontIdentity id;
+  id.pool_size = 1;
+  id.pool_seed = static_cast<long long>(core::kMaxArtifactInteger);
+  id.num_satellites = 1;
+  id.duration_hours = 1.0;
+  id.step_seconds = 60.0;
+  FrontPoint point;
+  point.station_ids = {3};
+  std::ostringstream out;
+  write_netdesign_front(out, id, {point});
+  EXPECT_NE(out.str().find("\"pool_seed\": 9007199254740991,"),
+            std::string::npos);
+  EXPECT_FALSE(core::validate_netdesign_front_json(out.str()).has_value());
+
+  id.pool_seed += 1;
+  std::ostringstream past;
+  write_netdesign_front(past, id, {point});
+  const auto err = core::validate_netdesign_front_json(past.str());
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(err->where, "front.pool_seed");
+}
+
 TEST(NetdesignPipeline, SubsetEvaluatorMatchesManuallyFilteredRun) {
   const Scenario sc;
   // Running via SimulationOptions::station_subset must equal running the

@@ -44,6 +44,41 @@ TEST(MetricsDeathTest, CounterWriteInsideParallelForTrips) {
       },
       "metric written inside a parallel_for body");
 }
+
+// The inline paths are regions too, so a 1-lane run (most of the suite and
+// every gated benchmark) trips the same check.
+TEST(MetricsDeathTest, CounterWriteInsideOneLanePoolTrips) {
+  EXPECT_DEATH(
+      {
+        Counter c;
+        util::ThreadPool pool(
+            util::ParallelConfig{.num_threads = 1, .chunk_size = 1});
+        pool.parallel_for(8, [&c](std::int64_t, std::int64_t) { c.inc(); });
+      },
+      "metric written inside a parallel_for body");
+}
+
+TEST(MetricsDeathTest, CounterWriteInsideNullPoolLoopTrips) {
+  EXPECT_DEATH(
+      {
+        Counter c;
+        util::parallel_for(nullptr, 8,
+                           [&c](std::int64_t, std::int64_t) { c.inc(); });
+      },
+      "metric written inside a parallel_for body");
+}
+
+TEST(MetricsDeathTest, CounterWriteInsideOneChunkRegionTrips) {
+  // n <= chunk_size runs inline on the caller even with two lanes.
+  EXPECT_DEATH(
+      {
+        Counter c;
+        util::ThreadPool pool(
+            util::ParallelConfig{.num_threads = 2, .chunk_size = 64});
+        pool.parallel_for(8, [&c](std::int64_t, std::int64_t) { c.inc(); });
+      },
+      "metric written inside a parallel_for body");
+}
 #endif
 
 TEST(Gauge, LastWriteWins) {

@@ -2,14 +2,28 @@
 // timeseries / events validators, and the campaign manifest / aggregate
 // validators.  The positive paths are covered end to end by
 // test_report.cpp and test_campaign.cpp; this file pins the *negative*
-// space — every way an artifact can drift must be named precisely.
+// space — every way an artifact can drift must be named precisely — and,
+// per row of every artifact table, that deleting, moving or mistyping a
+// member is reported at that member.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "src/campaign/campaign.h"
+#include "src/campaign/manifest.h"
+#include "src/core/checkpoint.h"
 #include "src/core/report.h"
 #include "src/core/run_artifact.h"
+#include "src/netdesign/pareto.h"
 
 namespace dgs::core {
 namespace {
@@ -115,6 +129,9 @@ TEST(SummaryValidator, RejectsReorderedKeys) {
 }
 
 TEST(SummaryValidator, RejectsWrongFieldKinds) {
+  // Per-member deletions, swaps and scalar kinds of every artifact object
+  // are also walked row by row in
+  // ArtifactTables.EveryRowIsLocatedWhenDeletedMovedOrMistyped.
   // Integer field holding a fraction.
   const auto non_integer = validate_summary_json(
       replaced(empty_summary(), "\"steps\": 0", "\"steps\": 0.5"));
@@ -258,7 +275,8 @@ TEST(CampaignValidators, RejectHeaderViolations) {
 }
 
 TEST(CampaignValidators, RejectIdentityAndMetricViolations) {
-  // Identity fields are ordered and typed.
+  // Identity fields are ordered and typed; every member is also walked row
+  // by row in ArtifactTables.EveryRowIsLocatedWhenDeletedMovedOrMistyped.
   EXPECT_TRUE(validate_campaign_manifest_json(
                   replaced(valid_manifest(), "\"profile\": \"storm\"",
                            "\"profile\": \"\""))
@@ -285,6 +303,347 @@ TEST(CampaignValidators, RejectIdentityAndMetricViolations) {
                            "\"metrics\": {\"backlog_mean_gb\"",
                            "\"metrics\": {}, \"x\": {\"backlog_mean_gb\""))
                   .has_value());
+}
+
+
+// --- Every row of every artifact table --------------------------------------
+//
+// A test-local tree over a writer's output that keeps each scalar's source
+// text, so a member's kind is read off the writer's own formatting
+// ("0.500000" is a real, "3" an integer, "null" a nullable object) and a
+// mutated tree re-serializes everything outside the mutation unchanged.
+
+struct Node {
+  std::string scalar;  ///< Source text of a scalar; empty for an object.
+  std::vector<std::pair<std::string, Node>> members;
+
+  bool is_object() const { return scalar.empty(); }
+};
+
+std::size_t skip_ws(const std::string& t, std::size_t i) {
+  while (i < t.size() && std::isspace(static_cast<unsigned char>(t[i]))) ++i;
+  return i;
+}
+
+/// Parses the writers' output (objects, plain strings and bare scalars).
+Node parse_node(const std::string& t, std::size_t* i) {
+  *i = skip_ws(t, *i);
+  Node n;
+  if (t[*i] == '{') {
+    *i = skip_ws(t, *i + 1);
+    if (t[*i] == '}') {
+      ++*i;
+      return n;
+    }
+    while (true) {
+      *i = skip_ws(t, *i);
+      const std::size_t close = t.find('"', *i + 1);
+      std::string key = t.substr(*i + 1, close - *i - 1);
+      *i = skip_ws(t, close + 1) + 1;  // past ':'
+      Node child = parse_node(t, i);
+      n.members.emplace_back(std::move(key), std::move(child));
+      *i = skip_ws(t, *i);
+      if (t[(*i)++] == '}') return n;  // else ','
+    }
+  }
+  const std::size_t start = *i;
+  if (t[*i] == '"') {
+    *i = t.find('"', *i + 1) + 1;
+  } else {
+    while (*i < t.size() && t[*i] != ',' && t[*i] != '}' &&
+           !std::isspace(static_cast<unsigned char>(t[*i]))) {
+      ++*i;
+    }
+  }
+  n.scalar = t.substr(start, *i - start);
+  return n;
+}
+
+Node parse_tree(const std::string& text) {
+  std::size_t i = 0;
+  return parse_node(text, &i);
+}
+
+std::string dump(const Node& n) {
+  if (!n.is_object()) return n.scalar;
+  std::string out = "{";
+  for (std::size_t i = 0; i < n.members.size(); ++i) {
+    out += (i > 0 ? ", \"" : "\"") + n.members[i].first + "\": " +
+           dump(n.members[i].second);
+  }
+  return out + "}";
+}
+
+/// Values of every JSON kind, as text ("{}" stands for an object).
+const char* const kProbes[] = {"1", "0.5", "true", "\"x\"", "null", "{}"};
+
+/// The probes a member written as `value` accepts as its kind; every other
+/// probe is a wrong kind for it.  An integer is a valid real, and null
+/// stands in for an empty percentile set or a single-tenant run.
+std::vector<std::string> accepted_probes(const Node& value) {
+  const std::string& v = value.scalar;
+  if (value.is_object() || v == "null") return {"null"};
+  if (v.front() == '"') return {"\"x\""};
+  if (v == "true" || v == "false") return {"true"};
+  if (v.find('.') != std::string::npos) return {"1", "0.5"};
+  return {"1"};
+}
+
+Node probe_node(const std::string& probe) {
+  return probe == "{}" ? Node{} : Node{probe, {}};
+}
+
+using Validator = std::function<std::optional<ArtifactError>(std::string)>;
+
+/// One object of a real writer's output, reached from the document root by
+/// `path`; `where` is how the validator names it.
+struct ArtifactObject {
+  std::string artifact;
+  std::string text;  ///< The whole document, as written.
+  Validator validate;
+  std::vector<std::string> path;
+  std::string where;
+};
+
+Node* object_at(Node* root, const std::vector<std::string>& path) {
+  Node* n = root;
+  for (const std::string& key : path) {
+    Node* next = nullptr;
+    for (auto& [k, child] : n->members) {
+      if (k == key) next = &child;
+    }
+    EXPECT_NE(next, nullptr) << key;
+    if (next == nullptr) return root;
+    n = next;
+  }
+  return n;
+}
+
+/// True when `e` locates member `key` of the object at `where`: at the
+/// member itself, or in that object with a message that quotes the key.
+bool names_member(const std::optional<ArtifactError>& e,
+                  const std::string& where, const std::string& key) {
+  if (!e) return false;
+  if (e->where == where + "." + key) return true;
+  const bool inside = e->where == where || e->where.starts_with(where + ".");
+  return inside && e->message.find("\"" + key + "\"") != std::string::npos;
+}
+
+std::string summary_text() {
+  SimulationResult r;
+  r.latency_minutes = util::SampleSet({3.0, 5.0, 12.0});
+  r.backlog_gb = util::SampleSet({0.25, 1.5});
+  r.steps = 60;
+  TenantOutcome t;
+  t.name = "alpha";
+  t.weight = 1.0;
+  t.num_satellites = 2;
+  t.entitlement = 1.0;
+  t.share = 1.0;
+  t.latency_minutes = util::SampleSet({4.0, 9.0});
+  r.per_tenant.push_back(t);
+  std::ostringstream out;
+  write_summary_json(out, r);
+  return out.str();
+}
+
+std::string aggregate_text() {
+  campaign::CampaignOptions o;
+  o.samples = 1;
+  o.workers = 1;
+  o.duration_hours = 0.1;
+  o.num_satellites = 3;
+  o.num_stations = 4;
+  o.out_dir = (std::filesystem::path(::testing::TempDir()) /
+               "artifact_tables_campaign")
+                  .string();
+  std::filesystem::remove_all(o.out_dir);
+  campaign::run_campaign(o);
+  std::ifstream in(campaign::aggregate_path(o));
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+std::string front_text() {
+  netdesign::FrontIdentity id;
+  id.pool_size = 20;
+  id.pool_seed = 7;
+  id.num_satellites = 6;
+  id.network_seed = 13;
+  id.weather_seed = 42;
+  id.duration_hours = 2.0;
+  id.step_seconds = 60.0;
+  std::vector<netdesign::FrontPoint> points(2);
+  points[0].cost = 30.5;
+  points[0].station_ids = {3, 17};
+  points[1].cost = 52.25;
+  points[1].dominated = true;
+  points[1].station_ids = {3, 8, 17};
+  std::ostringstream out;
+  netdesign::write_netdesign_front(out, id, points);
+  return out.str();
+}
+
+CheckpointHeader sample_header() {
+  CheckpointHeader h;
+  h.num_satellites = 12;
+  h.num_stations = 8;
+  h.steps = 120;
+  h.step_index = 60;
+  h.step_seconds = 60.0;
+  h.duration_hours = 2.0;
+  h.options_crc32 = 0xDEADBEEFu;
+  h.payload_bytes = 4096;
+  h.payload_crc32 = 0x12345678u;
+  return h;
+}
+
+std::vector<ArtifactObject> artifact_objects() {
+  const Validator summary = [](const std::string& t) {
+    return validate_summary_json(t);
+  };
+  const Validator manifest = [](const std::string& t) {
+    return validate_campaign_manifest_json(t);
+  };
+  const Validator aggregate = [](const std::string& t) {
+    return validate_campaign_aggregate_json(t);
+  };
+  const Validator front = [](const std::string& t) {
+    return validate_netdesign_front_json(t);
+  };
+  const Validator checkpoint = [](const std::string& t) {
+    return validate_checkpoint_header_json(t);
+  };
+  const std::string s = summary_text();
+  const std::string m = campaign::render_manifest(campaign::CampaignOptions{});
+  const std::string a = aggregate_text();
+  const std::string f = front_text();
+  const std::string c = render_checkpoint_header(sample_header());
+  const std::string metric = parse_tree(a).members.back().second
+                                 .members.front().first;
+  return {
+      {"summary", s, summary, {}, "summary"},
+      {"summary", s, summary, {"latency_minutes"},
+       "summary.latency_minutes"},
+      {"summary", s, summary, {"tenants", "t_000"}, "summary.tenants.t_000"},
+      {"summary", s, summary, {"tenants", "t_000", "latency_minutes"},
+       "summary.tenants.t_000.latency_minutes"},
+      {"manifest", m, manifest, {}, "manifest"},
+      {"aggregate", a, aggregate, {}, "aggregate"},
+      {"aggregate", a, aggregate, {"metrics", metric},
+       "aggregate.metrics." + metric},
+      {"front", f, front, {}, "front"},
+      {"front", f, front, {"points", "k_002"}, "front.points.k_002"},
+      {"checkpoint", c, checkpoint, {}, "checkpoint"},
+  };
+}
+
+TEST(ArtifactTables, EveryRowIsLocatedWhenDeletedMovedOrMistyped) {
+  int mutations = 0;
+  for (const ArtifactObject& obj : artifact_objects()) {
+    const Node root = parse_tree(obj.text);
+    // The tree round-trips: only the mutation below can fail validation.
+    ASSERT_FALSE(obj.validate(dump(root)).has_value()) << obj.where;
+    Node copy = root;
+    const std::size_t rows = object_at(&copy, obj.path)->members.size();
+    ASSERT_GT(rows, 1u) << obj.where;
+    for (std::size_t i = 0; i < rows; ++i) {
+      const std::string key = object_at(&copy, obj.path)->members[i].first;
+      const auto mutated = [&](const std::function<void(Node*)>& change) {
+        Node doc = root;
+        change(object_at(&doc, obj.path));
+        ++mutations;
+        return obj.validate(dump(doc));
+      };
+
+      const auto deleted = mutated([i](Node* o) {
+        o->members.erase(o->members.begin() + static_cast<long>(i));
+      });
+      EXPECT_TRUE(names_member(deleted, obj.where, key))
+          << "delete " << obj.where << "." << key << " -> "
+          << (deleted ? deleted->where + ": " + deleted->message : "valid");
+
+      const std::size_t other = i + 1 < rows ? i + 1 : i - 1;
+      const auto swapped = mutated([i, other](Node* o) {
+        std::swap(o->members[i], o->members[other]);
+      });
+      EXPECT_TRUE(names_member(swapped, obj.where, key))
+          << "swap " << obj.where << "." << key << " -> "
+          << (swapped ? swapped->where + ": " + swapped->message : "valid");
+
+      const Node& value = object_at(&copy, obj.path)->members[i].second;
+      const std::vector<std::string> accepted = accepted_probes(value);
+      for (const char* probe : kProbes) {
+        if (std::find(accepted.begin(), accepted.end(), probe) !=
+            accepted.end()) {
+          continue;
+        }
+        const auto wrong = mutated([i, probe](Node* o) {
+          o->members[i].second = probe_node(probe);
+        });
+        EXPECT_TRUE(wrong.has_value() &&
+                    wrong->where == obj.where + "." + key)
+            << obj.where << "." << key << " = " << probe << " -> "
+            << (wrong ? wrong->where + ": " + wrong->message : "valid");
+      }
+    }
+    // A member outside the table is rejected inside this object too.
+    const auto extra = [&] {
+      Node doc = root;
+      object_at(&doc, obj.path)->members.emplace_back("unexpected_key",
+                                                      Node{"1", {}});
+      return obj.validate(dump(doc));
+    }();
+    ASSERT_TRUE(extra.has_value()) << obj.where;
+    EXPECT_TRUE(extra->where == obj.where ||
+                extra->where.starts_with(obj.where + "."))
+        << obj.where << " + unexpected_key -> " << extra->where;
+  }
+  EXPECT_GT(mutations, 400);
+}
+
+bool same_header(const CheckpointHeader& a, const CheckpointHeader& b) {
+  return a.num_satellites == b.num_satellites &&
+         a.num_stations == b.num_stations && a.steps == b.steps &&
+         a.step_index == b.step_index && a.step_seconds == b.step_seconds &&
+         a.duration_hours == b.duration_hours && a.finalized == b.finalized &&
+         a.options_crc32 == b.options_crc32 &&
+         a.payload_bytes == b.payload_bytes &&
+         a.payload_crc32 == b.payload_crc32;
+}
+
+TEST(ArtifactTables, CheckpointHeaderReadsBackAtItsBoundaries) {
+  for (const std::uint32_t crc : {0u, 0xFFFFFFFFu}) {
+    for (const bool at_end : {false, true}) {
+      CheckpointHeader h = sample_header();
+      h.options_crc32 = crc;
+      h.payload_crc32 = crc;
+      h.step_index = at_end ? h.steps : 0;
+      h.finalized = at_end;
+      const std::string text = render_checkpoint_header(h);
+      CheckpointHeader back;
+      const auto e = validate_checkpoint_header_json(text, &back);
+      ASSERT_FALSE(e.has_value()) << text << ": " << e->message;
+      EXPECT_TRUE(same_header(h, back)) << text;
+
+      // The same header through the container: the writer fills in the
+      // payload size and CRC, and the reader fills the header once.
+      std::vector<std::pair<std::string, std::string>> sections;
+      for (const char* name : checkpoint_section_names()) {
+        sections.emplace_back(name, std::string(name));
+      }
+      std::ostringstream file;
+      write_checkpoint(file, h, sections);
+      const std::string data = file.str();
+      CheckpointView view;
+      ASSERT_FALSE(read_checkpoint(data, &view).has_value()) << text;
+      h.payload_bytes = view.header.payload_bytes;
+      h.payload_crc32 = view.header.payload_crc32;
+      EXPECT_TRUE(same_header(h, view.header)) << text;
+      EXPECT_EQ(view.section("planner"), "planner");
+    }
+  }
 }
 
 }  // namespace

@@ -18,6 +18,8 @@ namespace {
 
 using dgs::util::ParallelConfig;
 using dgs::util::ThreadPool;
+using dgs::util::in_parallel_region;
+using dgs::util::parallel_for;
 
 TEST(ThreadPool, SerialDefaultSpawnsNoWorkers) {
   ThreadPool pool(ParallelConfig{});
@@ -159,6 +161,29 @@ TEST(ThreadPool, NestedSubmitRunsInlineWithoutDeadlock) {
     });
   });
   EXPECT_EQ(inner_total.load(), 8 * 50);
+}
+
+TEST(ThreadPool, InlineRunsMarkTheRegionAndRestoreTheCallersFlag) {
+  ThreadPool pool(ParallelConfig{});  // no workers: every run is inline
+  EXPECT_FALSE(in_parallel_region());
+  bool inside = false;
+  bool after_nested = false;
+  pool.parallel_for(4, [&](std::int64_t, std::int64_t) {
+    inside = in_parallel_region();
+    // An inline nested call must not clear the enclosing region's flag.
+    parallel_for(nullptr, 1, [](std::int64_t, std::int64_t) {});
+    after_nested = in_parallel_region();
+  });
+  EXPECT_TRUE(inside);
+  EXPECT_TRUE(after_nested);
+  EXPECT_FALSE(in_parallel_region());
+  // A throwing body leaves the driver outside any region.
+  EXPECT_THROW(pool.parallel_for(1,
+                                 [](std::int64_t, std::int64_t) {
+                                   throw std::invalid_argument("boom");
+                                 }),
+               std::invalid_argument);
+  EXPECT_FALSE(in_parallel_region());
 }
 
 TEST(ThreadPool, ZeroAndNegativeSizesAreNoOps) {

@@ -25,7 +25,8 @@ Rules (see DESIGN.md §13 for the full table and rationale):
       are the only error channels.
   R5  metric/event/JSON-key hygiene: registered metric names match
       dgs_[a-z0-9_]+ and summary keys used in code appear in the
-      SummaryFieldSpec table of src/core/run_artifact.cpp.
+      kSummaryFields table of src/core/run_artifact.cpp, which must
+      parse (every row a known FieldKind, at least one row).
   R6  public headers are self-contained: every src/**/*.h carries
       #pragma once (the compile-level check is the CMake
       dgs_header_selfcontained target, which builds one TU per header).
@@ -392,8 +393,41 @@ def check_r4(f, ctx):
 METRIC_CALL_RE = re.compile(
     r"\b(?:counter|gauge|histogram)\s*\(\s*\"([^\"]*)\"")
 SUMMARY_KEY_USE_RE = re.compile(r"\.\s*(?:scalar|stats)\s*\(\s*\"([^\"]*)\"")
-SUMMARY_SPEC_RE = re.compile(r"\{\s*\"([A-Za-z0-9_]+)\"\s*,\s*k(?:Int|Real|"
-                             r"Stats|Tenants)\s*\}")
+# The summary's FieldSpec table: `kSummaryFields[] = { ... };`, one
+# `{"key", kKind, getter}` row per member.
+SUMMARY_TABLE_RE = re.compile(
+    r"\bkSummaryFields\s*\[\s*\]\s*=\s*\{(.*?)\n\};", re.S)
+SUMMARY_ROW_RE = re.compile(
+    r"\{\s*\"([A-Za-z0-9_]+)\"\s*,\s*(?:FieldKind::)?(\w+)")
+# The FieldKind enumerators of src/core/run_artifact.h.
+FIELD_KINDS = ("kInt", "kReal", "kReal3", "kBool", "kString", "kStats",
+               "kTenants")
+
+
+def parse_summary_table(text):
+    """Returns (keys, problems) for the kSummaryFields table in `text`.
+
+    A problem is an (offset, message) pair: no table, a row whose kind is
+    not a FieldKind, or a table with no rows.  Any of them would silently
+    empty the key set the summary-key check compares against.
+    """
+    table = SUMMARY_TABLE_RE.search(text)
+    if table is None:
+        return set(), [(0, "no kSummaryFields table found; the R5 "
+                           "summary-key check needs one")]
+    keys, problems = set(), []
+    for row in SUMMARY_ROW_RE.finditer(table.group(1)):
+        key, kind = row.groups()
+        if kind in FIELD_KINDS:
+            keys.add(key)
+        else:
+            problems.append((
+                table.start(1) + row.start(),
+                "summary row '%s' has kind '%s', which is not a FieldKind "
+                "(%s)" % (key, kind, ", ".join(FIELD_KINDS))))
+    if not keys and not problems:
+        problems.append((table.start(), "kSummaryFields parses to no keys"))
+    return keys, problems
 
 
 def check_r5(f, ctx):
@@ -403,6 +437,9 @@ def check_r5(f, ctx):
             yield Finding(
                 "R5", f.relpath, f.line_of(m.start()),
                 "metric name '%s' does not match dgs_[a-z0-9_]+" % name)
+    if f.relpath == SUMMARY_TABLE_FILE:
+        for offset, message in parse_summary_table(f.code_strings)[1]:
+            yield Finding("R5", f.relpath, f.line_of(offset), message)
     summary_keys = ctx.get("summary_keys")
     if summary_keys is None:
         return
@@ -411,7 +448,7 @@ def check_r5(f, ctx):
         if key not in summary_keys:
             yield Finding(
                 "R5", f.relpath, f.line_of(m.start()),
-                "summary key '%s' is not in the SummaryFieldSpec table "
+                "summary key '%s' is not in the kSummaryFields table "
                 "of %s" % (key, SUMMARY_TABLE_FILE))
 
 
@@ -599,18 +636,19 @@ def iter_source_files(root, only_paths=None):
 
 
 def load_summary_keys(root):
-    """Parses the SummaryFieldSpec table out of run_artifact.cpp.
+    """Parses the summary keys out of run_artifact.cpp's kSummaryFields.
 
     Returns None when the file is absent (fixture roots without an R5
     corpus) so the key check is skipped rather than failing spuriously.
+    A file whose table parses to no keys yields an empty set (every key
+    use is then flagged) and, through check_r5, a finding of its own.
     """
     path = os.path.join(root, SUMMARY_TABLE_FILE)
     if not os.path.isfile(path):
         return None
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    keys = {m.group(1) for m in SUMMARY_SPEC_RE.finditer(text)}
-    return keys or None
+        text = _strip(fh.read(), strip_strings=False)
+    return parse_summary_table(text)[0]
 
 
 def load_baseline(path):
