@@ -58,14 +58,15 @@ int main() {
       c.weight = phi.edge_value(queues[c.sat], t, c.predicted_rate_bps * 7.5);
       edges.push_back(core::Edge{c.sat, c.station, c.weight});
     }
-    const int ns = engine.num_sats(), ng = engine.num_stations();
-    const auto ms = core::stable_matching(edges, ns, ng);
-    const auto mo = core::optimal_matching(edges, ns, ng);
-    const auto mg = core::greedy_matching(edges, ns, ng);
+    const int ns = engine.num_sats();
+    const std::vector<int> caps(engine.num_stations(), 1);
+    const auto ms = core::stable_matching(edges, ns, caps);
+    const auto mo = core::optimal_matching(edges, ns, caps);
+    const auto mg = core::greedy_matching(edges, ns, caps);
     stable_value += core::matching_value(edges, ms);
     optimal_value += core::matching_value(edges, mo);
     greedy_value += core::matching_value(edges, mg);
-    if (!core::is_stable(edges, mo, ns, ng)) ++optimal_unstable;
+    if (!core::is_stable(edges, mo, ns, caps)) ++optimal_unstable;
     ++instants;
   }
   std::printf("  instants sampled: %d\n", instants);

@@ -36,8 +36,9 @@ std::vector<Edge> make_graph(int sats, int stations, double density,
 void BM_StableMatching(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   const auto edges = make_graph(k, k, 0.1, 42);
+  const std::vector<int> caps(k, 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dgs::core::stable_matching(edges, k, k));
+    benchmark::DoNotOptimize(dgs::core::stable_matching(edges, k, caps));
   }
   state.SetComplexityN(k);
 }
@@ -46,8 +47,9 @@ BENCHMARK(BM_StableMatching)->RangeMultiplier(2)->Range(32, 512)->Complexity();
 void BM_OptimalMatching(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   const auto edges = make_graph(k, k, 0.1, 42);
+  const std::vector<int> caps(k, 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dgs::core::optimal_matching(edges, k, k));
+    benchmark::DoNotOptimize(dgs::core::optimal_matching(edges, k, caps));
   }
   state.SetComplexityN(k);
 }
@@ -56,8 +58,9 @@ BENCHMARK(BM_OptimalMatching)->RangeMultiplier(2)->Range(32, 256)->Complexity();
 void BM_GreedyMatching(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   const auto edges = make_graph(k, k, 0.1, 42);
+  const std::vector<int> caps(k, 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dgs::core::greedy_matching(edges, k, k));
+    benchmark::DoNotOptimize(dgs::core::greedy_matching(edges, k, caps));
   }
   state.SetComplexityN(k);
 }
@@ -68,16 +71,18 @@ BENCHMARK(BM_GreedyMatching)->RangeMultiplier(2)->Range(32, 512)->Complexity();
 // stations).
 void BM_StableMatchingPaperScale(benchmark::State& state) {
   const auto edges = make_graph(259, 173, 0.04, 7);
+  const std::vector<int> caps(173, 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dgs::core::stable_matching(edges, 259, 173));
+    benchmark::DoNotOptimize(dgs::core::stable_matching(edges, 259, caps));
   }
 }
 BENCHMARK(BM_StableMatchingPaperScale);
 
 void BM_OptimalMatchingPaperScale(benchmark::State& state) {
   const auto edges = make_graph(259, 173, 0.04, 7);
+  const std::vector<int> caps(173, 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dgs::core::optimal_matching(edges, 259, 173));
+    benchmark::DoNotOptimize(dgs::core::optimal_matching(edges, 259, caps));
   }
 }
 BENCHMARK(BM_OptimalMatchingPaperScale);

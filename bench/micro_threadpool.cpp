@@ -1,11 +1,10 @@
-// ThreadPool micro-benchmarks: fork-join overhead, parallel_for speedup on
-// the real SGP4 propagation workload, and ordered-reduction cost.  The Arg
-// is the lane count, so `--benchmark_filter=Sgp4` sweeps the speedup curve
-// this PR's CI acceptance (≥2.5x at 8 lanes on a multi-core runner) reads.
+// ThreadPool micro-benchmarks: fork-join overhead and parallel_for speedup
+// on the real SGP4 propagation workload.  The Arg is the lane count, so
+// `--benchmark_filter=Sgp4` sweeps the speedup curve (≥2.5x at 8 lanes on
+// a multi-core runner).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
-#include <cmath>
 
 #include "src/groundseg/network_gen.h"
 #include "src/orbit/frames.h"
@@ -66,27 +65,6 @@ void BM_ParallelSgp4Constellation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ParallelSgp4Constellation)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-/// Ordered reduction over a transcendental-heavy map, the deterministic
-/// aggregation pattern the engine uses.
-void BM_ReduceOrdered(benchmark::State& state) {
-  util::ThreadPool pool(lanes(state, 256));
-  const std::int64_t n = 1 << 16;
-  for (auto _ : state) {
-    const double total = pool.reduce_ordered<double>(
-        n, 0.0,
-        [](std::int64_t b, std::int64_t e) {
-          double s = 0.0;
-          for (std::int64_t i = b; i < e; ++i) {
-            s += std::sin(static_cast<double>(i) * 1e-3);
-          }
-          return s;
-        },
-        [](double acc, double p) { return acc + p; });
-    benchmark::DoNotOptimize(total);
-  }
-}
-BENCHMARK(BM_ReduceOrdered)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 }  // namespace
 

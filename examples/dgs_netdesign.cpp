@@ -167,9 +167,27 @@ int main(int argc, char** argv) {
     sweep.refine = refine;
     const std::vector<netdesign::FrontPoint> front =
         netdesign::budget_sweep(table, pool, evaluator, sweep, metrics);
+    // Greedy picks stop when no further candidate adds value (or fits the
+    // budget); a K that stops at an earlier K's subset yields no point.
+    const char* within = budget > 0.0 ? " within --budget" : "";
     if (front.empty()) {
-      std::fprintf(stderr, "error: budget admits no stations\n");
+      std::fprintf(stderr,
+                   "error: no candidate station adds value%s over the %g h "
+                   "horizon\n",
+                   within, hours);
       return 1;
+    }
+    std::size_t next = 0;
+    for (int k : ks) {
+      if (next < front.size() && front[next].k == k) {
+        ++next;
+      } else if (next > 0) {
+        std::fprintf(stderr,
+                     "note: K=%d produced no point: only %zu station(s) add "
+                     "value%s, as at K=%d\n",
+                     k, front[next - 1].station_ids.size(), within,
+                     front[next - 1].k);
+      }
     }
 
     netdesign::FrontIdentity identity;

@@ -154,15 +154,9 @@ std::optional<ArtifactError> read_checkpoint(std::string_view data,
   if (p != payload.size()) {
     return err("checkpoint", "trailing bytes after the final section");
   }
-  if (out != nullptr) {
-    out->header = h;
-    out->sections = std::move(sections);
-  }
+  out->header = h;
+  out->sections = std::move(sections);
   return std::nullopt;
-}
-
-std::optional<ArtifactError> validate_checkpoint(std::string_view data) {
-  return read_checkpoint(data, nullptr);
 }
 
 }  // namespace dgs::core

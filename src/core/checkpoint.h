@@ -410,7 +410,4 @@ struct CheckpointView {
 std::optional<ArtifactError> read_checkpoint(std::string_view data,
                                              CheckpointView* out);
 
-/// Validation without keeping the view (CLI / test convenience).
-std::optional<ArtifactError> validate_checkpoint(std::string_view data);
-
 }  // namespace dgs::core

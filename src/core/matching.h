@@ -2,8 +2,13 @@
 //
 // At each scheduling instant the contact graph is bipartite: satellites on
 // one side, stations on the other, an edge where a downlink is feasible,
-// weighted by the value function.  Stations support point-to-point links
-// only, so the schedule is a matching.  Three algorithms are provided:
+// weighted by the value function.  Each satellite holds at most one link;
+// each station holds at most its capacity, one entry per station in
+// `capacities`.  Unit capacities are the paper's point-to-point case (the
+// schedule is a one-to-one matching); a beamforming station (§3.3) splits
+// its aperture across up to `beam_count` satellites, the caller folding the
+// per-beam gain penalty into the edge weights, which makes the schedule the
+// hospitals/residents variant.  Three algorithms, each over capacities:
 //
 //   * Gale-Shapley stable matching — the paper's choice: in a fragmented
 //     network no satellite-station pair can defect to a link both prefer.
@@ -29,78 +34,56 @@ struct Edge {
   double weight = 0.0;  ///< Value of serving this edge; <= 0 edges ignored.
 };
 
-/// Indices into the input edge vector, at most one per satellite and one
-/// per station.
+/// Indices into the input edge vector, at most one per satellite and at
+/// most `capacities[g]` on station g.
 using Matching = std::vector<int>;
 
-/// Gale-Shapley stable matching, satellites proposing.  O(E log E + E).
+// Every matcher takes `capacities.size()` as the station count and rejects
+// negative capacities and out-of-range edge endpoints.
+
+/// Gale-Shapley stable matching, satellites proposing: a station holds its
+/// `capacity` best proposals and trades its worst one up.  O(E log E + E)
+/// at unit capacities.  The result lists stations in ascending order, each
+/// station's edges in the order it took them.
 Matching stable_matching(const std::vector<Edge>& edges, int num_sats,
-                         int num_stations);
+                         const std::vector<int>& capacities);
 
 /// Maximum-total-weight matching via the Hungarian algorithm with
-/// potentials, O(K^3) for K = max(num_sats, num_stations).
+/// potentials, over one slot per unit of station capacity: O(K^3) for K =
+/// max(satellites, slots) among the nodes that carry a positive edge.
 Matching optimal_matching(const std::vector<Edge>& edges, int num_sats,
-                          int num_stations);
+                          const std::vector<int>& capacities);
 
-/// Greedy: repeatedly take the heaviest edge whose endpoints are free.
+/// Greedy: repeatedly take the heaviest edge whose satellite is free and
+/// whose station has capacity left.
 Matching greedy_matching(const std::vector<Edge>& edges, int num_sats,
-                         int num_stations);
+                         const std::vector<int>& capacities);
 
 /// Sum of weights of the selected edges.
 double matching_value(const std::vector<Edge>& edges, const Matching& m);
 
-/// True if no unmatched-but-feasible pair (s, g) exists where both s and g
-/// would strictly gain by abandoning their assignment for each other.
-/// (The stability property Gale-Shapley guarantees.)
+/// True if no unmatched-but-feasible pair (s, g) exists where s would
+/// strictly gain by switching to g and g has spare capacity or strictly
+/// prefers s to its worst held satellite.  (The weak stability Gale-Shapley
+/// guarantees.)
 bool is_stable(const std::vector<Edge>& edges, const Matching& m,
-               int num_sats, int num_stations);
+               int num_sats, const std::vector<int>& capacities);
 
 /// Full audit of a computed matching — the "Matching::validate()" contract
 /// the scheduler runs (under DGS_DCHECK) on every result.  Rejects edge
-/// indices out of range, non-positive selected weights, and double-booked
-/// satellites or stations; with `require_stable` additionally audits weak
-/// stability against the weight-derived Gale-Shapley preference order.
-/// Returns an empty string when valid, else a description of the first
-/// violation found.
+/// indices out of range, non-positive selected weights, double-booked
+/// satellites and stations over capacity; with `require_stable`
+/// additionally audits is_stable.  Returns an empty string when valid,
+/// else a description of the first violation found.
 std::string validate_matching(const std::vector<Edge>& edges,
                               const Matching& m, int num_sats,
-                              int num_stations, bool require_stable = true);
-
-/// Capacitated-market variant: stations may hold up to their capacity,
-/// satellites at most one link.
-std::string validate_b_matching(const std::vector<Edge>& edges,
-                                const Matching& m, int num_sats,
-                                const std::vector<int>& capacities,
-                                bool require_stable = true);
+                              const std::vector<int>& capacities,
+                              bool require_stable = true);
 
 enum class MatcherKind { kStable, kOptimal, kGreedy };
 std::string_view matcher_name(MatcherKind kind);
 
 Matching run_matcher(MatcherKind kind, const std::vector<Edge>& edges,
-                     int num_sats, int num_stations);
-
-// --- Beamforming extension (paper §3.3) -------------------------------------
-//
-// A beamforming ground station can split its aperture across up to
-// `capacity` satellites simultaneously (each beam at reduced gain; the
-// caller folds that penalty into the edge weights).  Scheduling becomes a
-// one-to-many matching: satellites still hold at most one link, stations
-// hold up to their capacity.  This is the hospitals/residents variant of
-// stable matching.
-
-/// Gale-Shapley with per-station capacities (`capacities.size() ==
-/// num_stations`, entries >= 0).  A station holds its `capacity` best
-/// proposals and trades up.  Stability: no satellite and station with free
-/// capacity (or a strictly worse held satellite) both prefer each other.
-Matching stable_b_matching(const std::vector<Edge>& edges, int num_sats,
-                           const std::vector<int>& capacities);
-
-/// Greedy descending-weight with per-station capacities.
-Matching greedy_b_matching(const std::vector<Edge>& edges, int num_sats,
-                           const std::vector<int>& capacities);
-
-/// Stability check for the capacitated market.
-bool is_stable_b_matching(const std::vector<Edge>& edges, const Matching& m,
-                          int num_sats, const std::vector<int>& capacities);
+                     int num_sats, const std::vector<int>& capacities);
 
 }  // namespace dgs::core

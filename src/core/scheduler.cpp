@@ -1,5 +1,7 @@
 #include "src/core/scheduler.h"
 
+#include <algorithm>
+
 #include "src/obs/trace.h"
 #include "src/util/check.h"
 
@@ -15,6 +17,11 @@ Scheduler::Scheduler(const VisibilityEngine* engine,
     DGS_ENSURE_EQ(config.value_scale->size(),
                   static_cast<std::size_t>(engine_->num_sats()) *
                       static_cast<std::size_t>(engine_->num_stations()));
+  }
+  // A beamforming station (beam_count > 1) holds up to beam_count links.
+  capacities_.reserve(static_cast<std::size_t>(engine_->num_stations()));
+  for (int g = 0; g < engine_->num_stations(); ++g) {
+    capacities_.push_back(std::max(1, engine_->station(g).beam_count));
   }
   if (obs::Registry* metrics = engine_->metrics(); metrics != nullptr) {
     instants_ = metrics->counter("dgs_sched_instants_total",
@@ -62,66 +69,18 @@ std::vector<ContactEdge> Scheduler::schedule_instant(
   util::parallel_for(engine_->thread_pool(),
                      static_cast<std::int64_t>(contacts.size()), weigh);
 
-  // Beamforming stations (beam_count > 1) turn the problem into a
-  // capacitated matching; node-duplicate for the optimal matcher.
-  bool any_beams = false;
-  std::vector<int> capacities(engine_->num_stations());
-  for (int g = 0; g < engine_->num_stations(); ++g) {
-    capacities[g] = std::max(1, engine_->station(g).beam_count);
-    any_beams |= capacities[g] > 1;
-  }
-
   DGS_TRACE_SPAN("sched.match");
-  Matching m;
-  if (!any_beams) {
-    m = run_matcher(config_.matcher, edges, engine_->num_sats(),
-                    engine_->num_stations());
-  } else {
-    switch (config_.matcher) {
-      case MatcherKind::kStable:
-        m = stable_b_matching(edges, engine_->num_sats(), capacities);
-        break;
-      case MatcherKind::kGreedy:
-        m = greedy_b_matching(edges, engine_->num_sats(), capacities);
-        break;
-      case MatcherKind::kOptimal: {
-        // Duplicate each station into `capacity` slots and solve the
-        // one-to-one problem; slots map back to the original station.
-        std::vector<int> slot_of_station(engine_->num_stations() + 1, 0);
-        for (int g = 0; g < engine_->num_stations(); ++g) {
-          slot_of_station[g + 1] = slot_of_station[g] + capacities[g];
-        }
-        std::vector<Edge> expanded;
-        std::vector<int> expanded_to_original;
-        expanded.reserve(edges.size() * 2);
-        for (std::size_t i = 0; i < edges.size(); ++i) {
-          for (int k = 0; k < capacities[edges[i].station]; ++k) {
-            expanded.push_back(Edge{edges[i].sat,
-                                    slot_of_station[edges[i].station] + k,
-                                    edges[i].weight});
-            expanded_to_original.push_back(static_cast<int>(i));
-          }
-        }
-        const Matching slots =
-            optimal_matching(expanded, engine_->num_sats(),
-                             slot_of_station[engine_->num_stations()]);
-        for (int ei : slots) m.push_back(expanded_to_original[ei]);
-        break;
-      }
-    }
-  }
+  const Matching m =
+      run_matcher(config_.matcher, edges, engine_->num_sats(), capacities_);
 
   // Invariant audit: the selected matching must be physically valid (no
   // double-booked satellite; stations within beam capacity) and — for the
   // Gale-Shapley matcher — stable.  Optimal/greedy matchings are valid but
   // intentionally not stable, so stability is only asserted for kStable.
 #ifdef DGS_ENABLE_DCHECKS
-  const bool audit_stability = config_.matcher == MatcherKind::kStable;
   const std::string audit =
-      any_beams ? validate_b_matching(edges, m, engine_->num_sats(),
-                                      capacities, audit_stability)
-                : validate_matching(edges, m, engine_->num_sats(),
-                                    engine_->num_stations(), audit_stability);
+      validate_matching(edges, m, engine_->num_sats(), capacities_,
+                        config_.matcher == MatcherKind::kStable);
   DGS_CHECK(audit.empty(), audit);
 #endif
 

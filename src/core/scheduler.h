@@ -59,6 +59,8 @@ class Scheduler {
   const VisibilityEngine* engine_;
   SchedulerConfig config_;
   std::unique_ptr<ValueFunction> value_;
+  /// Per-station matching capacity: max(1, beam_count).
+  std::vector<int> capacities_;
   /// Registry handles (null when the engine has no registry).
   obs::Counter* instants_ = nullptr;
   obs::Counter* matched_edges_ = nullptr;

@@ -32,18 +32,6 @@ double ThroughputValue::edge_value(const OnboardQueue& queue,
   return std::min(link_bytes, queue.queued_bytes()) / kGb;
 }
 
-BlendedValue::BlendedValue(double alpha) : alpha_(alpha) {
-  DGS_ENSURE(alpha >= 0.0 && alpha <= 1.0,
-             "alpha=" << alpha << " outside [0, 1]");
-}
-
-double BlendedValue::edge_value(const OnboardQueue& queue,
-                                const util::Epoch& now,
-                                double link_bytes) const {
-  return alpha_ * latency_.edge_value(queue, now, link_bytes) +
-         (1.0 - alpha_) * throughput_.edge_value(queue, now, link_bytes);
-}
-
 std::unique_ptr<ValueFunction> make_value_function(ValueKind kind) {
   switch (kind) {
     case ValueKind::kLatency:

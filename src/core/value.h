@@ -46,22 +46,6 @@ class ThroughputValue final : public ValueFunction {
   std::string_view name() const override { return "throughput"; }
 };
 
-/// Weighted blend: alpha * latency-value + (1-alpha) * throughput-value.
-/// Demonstrates the operator-tunable middle ground the paper sketches
-/// (geography/SLA weighting reduces to per-chunk multipliers on top).
-class BlendedValue final : public ValueFunction {
- public:
-  explicit BlendedValue(double alpha);
-  double edge_value(const OnboardQueue& queue, const util::Epoch& now,
-                    double link_bytes) const override;
-  std::string_view name() const override { return "blended"; }
-
- private:
-  double alpha_;
-  LatencyValue latency_;
-  ThroughputValue throughput_;
-};
-
 enum class ValueKind { kLatency, kThroughput };
 
 std::unique_ptr<ValueFunction> make_value_function(ValueKind kind);

@@ -102,6 +102,7 @@ std::vector<FrontPoint> budget_sweep(const ValueTable& table,
     std::vector<int> selected = greedy.selected;
     std::sort(selected.begin(), selected.end());
     FrontPoint point;
+    point.k = k;
     point.objective_gb = greedy.objective_gb;
     if (opts.refine) {
       LocalSearchOptions local = opts.local;

@@ -46,6 +46,7 @@ class SubsetEvaluator {
 /// One point of the front: the selection at station count K and its
 /// simulated performance.
 struct FrontPoint {
+  int k = 0;                  ///< The station count K swept for this point.
   double cost = 0.0;          ///< Sum of selected install costs.
   double objective_gb = 0.0;  ///< Greedy coverage objective (table tier).
   EvalPoint eval;             ///< Simulator tier (authoritative).

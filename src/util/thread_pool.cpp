@@ -16,7 +16,7 @@ namespace {
 thread_local bool tls_in_parallel_region = false;
 
 // Same chunk-aligned invocations as the parallel path, so per-chunk
-// consumers (reduce_ordered) see identical ranges at any thread count.
+// consumers see identical ranges at any thread count.
 // The body runs inside a region at every lane count, so the metrics
 // layer's driver-thread check sees a 1-lane run too; the caller's flag is
 // restored afterwards (also when the body throws), so an inline nested

@@ -3,8 +3,8 @@
 // The pool runs chunked index-range parallel-for jobs over a fixed set of
 // worker threads (the calling thread participates as one lane).  Chunk
 // boundaries depend only on `chunk_size`, never on the thread count or on
-// scheduling, so any algorithm that writes per-index outputs — or reduces
-// per-chunk partials in chunk order (`reduce_ordered`) — produces results
+// scheduling, so any algorithm that writes per-index outputs (or one
+// partial per chunk, folded in chunk order by the caller) produces results
 // bit-identical to a serial run.  See DESIGN.md §9 "Threading model".
 //
 // Guarantees:
@@ -72,40 +72,6 @@ class ThreadPool {
   /// threads (one fork-join region at a time); nested calls from worker
   /// threads run inline.
   void parallel_for(std::int64_t n, const RangeBody& body);
-
-  /// out[i] = fn(i) for i in [0, n).  Per-index writes, so the result is
-  /// identical for any thread count.
-  template <typename T, typename Fn>
-  std::vector<T> map(std::int64_t n, Fn&& fn) {
-    std::vector<T> out(static_cast<std::size_t>(n > 0 ? n : 0));
-    parallel_for(n, [&](std::int64_t begin, std::int64_t end) {
-      for (std::int64_t i = begin; i < end; ++i) {
-        out[static_cast<std::size_t>(i)] = fn(i);
-      }
-    });
-    return out;
-  }
-
-  /// Deterministic ordered reduction: computes one partial per chunk (in
-  /// parallel), then folds the partials in ascending chunk order on the
-  /// calling thread.  Because chunk boundaries are fixed by `chunk_size`,
-  /// the fold sequence — and therefore the result, bit for bit — is
-  /// independent of the thread count.
-  /// `map_chunk(begin, end) -> T`; `reduce(acc, partial) -> T`.
-  template <typename T, typename MapFn, typename ReduceFn>
-  T reduce_ordered(std::int64_t n, T init, MapFn&& map_chunk,
-                   ReduceFn&& reduce) {
-    if (n <= 0) return init;
-    const std::int64_t chunks = (n + chunk_ - 1) / chunk_;
-    std::vector<T> partials(static_cast<std::size_t>(chunks));
-    parallel_for(n, [&](std::int64_t begin, std::int64_t end) {
-      partials[static_cast<std::size_t>(begin / chunk_)] =
-          map_chunk(begin, end);
-    });
-    T acc = std::move(init);
-    for (T& p : partials) acc = reduce(std::move(acc), std::move(p));
-    return acc;
-  }
 
  private:
   void worker_loop();

@@ -1,5 +1,5 @@
 // Contract-macro semantics (src/util/check.h) and the negative paths of the
-// matching audits (validate_matching / validate_b_matching) that the
+// matching audit (validate_matching, over station capacities) that the
 // scheduler runs under DGS_DCHECK.
 #include <gtest/gtest.h>
 
@@ -117,39 +117,39 @@ TEST(CheckTest, DcheckCompiledOutSkipsEvaluation) {
 
 TEST(ValidateMatchingTest, AcceptsStableMatching) {
   const std::vector<Edge> edges = {{0, 0, 5.0}, {0, 1, 1.0}, {1, 1, 4.0}};
-  const Matching m = core::stable_matching(edges, 2, 2);
-  EXPECT_EQ(core::validate_matching(edges, m, 2, 2), "");
+  const Matching m = core::stable_matching(edges, 2, {1, 1});
+  EXPECT_EQ(core::validate_matching(edges, m, 2, {1, 1}), "");
 }
 
 TEST(ValidateMatchingTest, RejectsEdgeIndexOutOfRange) {
   const std::vector<Edge> edges = {{0, 0, 5.0}};
   EXPECT_TRUE(
-      Contains(core::validate_matching(edges, {3}, 1, 1), "edge index 3"));
+      Contains(core::validate_matching(edges, {3}, 1, {1}), "edge index 3"));
 }
 
 TEST(ValidateMatchingTest, RejectsEndpointOutOfRange) {
   const std::vector<Edge> edges = {{2, 0, 5.0}};
-  EXPECT_TRUE(Contains(core::validate_matching(edges, {0}, 2, 2),
+  EXPECT_TRUE(Contains(core::validate_matching(edges, {0}, 2, {1, 1}),
                        "endpoint out of range"));
 }
 
 TEST(ValidateMatchingTest, RejectsNonPositiveWeight) {
   const std::vector<Edge> edges = {{0, 0, 0.0}};
-  EXPECT_TRUE(Contains(core::validate_matching(edges, {0}, 1, 1),
+  EXPECT_TRUE(Contains(core::validate_matching(edges, {0}, 1, {1}),
                        "non-positive weight"));
 }
 
 TEST(ValidateMatchingTest, RejectsDoubleBookedStation) {
-  // Both satellites assigned to station 0.
+  // Both satellites assigned to station 0, which holds one link.
   const std::vector<Edge> edges = {{0, 0, 5.0}, {1, 0, 4.0}};
-  EXPECT_TRUE(Contains(core::validate_matching(edges, {0, 1}, 2, 1,
+  EXPECT_TRUE(Contains(core::validate_matching(edges, {0, 1}, 2, {1},
                                                /*require_stable=*/false),
-                       "station 0 double-booked"));
+                       "station 0 over capacity: holds 2 links, capacity 1"));
 }
 
 TEST(ValidateMatchingTest, RejectsDoubleBookedSatellite) {
   const std::vector<Edge> edges = {{0, 0, 5.0}, {0, 1, 4.0}};
-  EXPECT_TRUE(Contains(core::validate_matching(edges, {0, 1}, 1, 2,
+  EXPECT_TRUE(Contains(core::validate_matching(edges, {0, 1}, 1, {1, 1},
                                                /*require_stable=*/false),
                        "satellite 0 double-booked"));
 }
@@ -161,26 +161,26 @@ TEST(ValidateMatchingTest, RejectsUnstableMatching) {
       {0, 0, 9.0}, {0, 1, 1.0}, {1, 0, 1.0}, {1, 1, 2.0}};
   const Matching crossed = {1, 2};  // sat0<->gs1, sat1<->gs0
   EXPECT_TRUE(
-      Contains(core::validate_matching(edges, crossed, 2, 2), "unstable"));
+      Contains(core::validate_matching(edges, crossed, 2, {1, 1}), "unstable"));
   // The same assignment passes once stability is not required.
-  EXPECT_EQ(core::validate_matching(edges, crossed, 2, 2,
+  EXPECT_EQ(core::validate_matching(edges, crossed, 2, {1, 1},
                                     /*require_stable=*/false),
             "");
 }
 
-// --- validate_b_matching: capacity and stability ---------------------------
+// --- validate_matching at capacities above one ------------------------------
 
 TEST(ValidateBMatchingTest, AcceptsCapacitatedResult) {
   const std::vector<Edge> edges = {{0, 0, 5.0}, {1, 0, 4.0}, {2, 0, 3.0}};
   const std::vector<int> caps = {2};
-  const Matching m = core::stable_b_matching(edges, 3, caps);
-  EXPECT_EQ(core::validate_b_matching(edges, m, 3, caps), "");
+  const Matching m = core::stable_matching(edges, 3, caps);
+  EXPECT_EQ(core::validate_matching(edges, m, 3, caps), "");
 }
 
 TEST(ValidateBMatchingTest, RejectsOverCapacityStation) {
   const std::vector<Edge> edges = {{0, 0, 5.0}, {1, 0, 4.0}, {2, 0, 3.0}};
-  EXPECT_TRUE(Contains(core::validate_b_matching(edges, {0, 1, 2}, 3, {2},
-                                                 /*require_stable=*/false),
+  EXPECT_TRUE(Contains(core::validate_matching(edges, {0, 1, 2}, 3, {2},
+                                               /*require_stable=*/false),
                        "station 0 over capacity"));
 }
 
@@ -190,7 +190,7 @@ TEST(ValidateBMatchingTest, RejectsUnstableCapacitatedMatching) {
   const std::vector<Edge> edges = {{0, 0, 9.0}, {0, 1, 1.0}, {1, 0, 2.0}};
   const Matching m = {1, 2};  // sat0->gs1 (w=1), sat1->gs0 (w=2)
   EXPECT_TRUE(
-      Contains(core::validate_b_matching(edges, m, 2, {1, 1}), "unstable"));
+      Contains(core::validate_matching(edges, m, 2, {1, 1}), "unstable"));
 }
 
 }  // namespace

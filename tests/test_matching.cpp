@@ -10,6 +10,11 @@
 namespace dgs::core {
 namespace {
 
+/// Unit capacities: the one-to-one (point-to-point) market.
+std::vector<int> unit(int num_stations) {
+  return std::vector<int>(static_cast<std::size_t>(num_stations), 1);
+}
+
 std::vector<Edge> random_graph(util::Rng& rng, int sats, int stations,
                                double density) {
   std::vector<Edge> edges;
@@ -40,16 +45,16 @@ bool no_duplicate_endpoints(const std::vector<Edge>& edges,
 }
 
 TEST(Matching, EmptyGraph) {
-  EXPECT_TRUE(stable_matching({}, 5, 5).empty());
-  EXPECT_TRUE(optimal_matching({}, 5, 5).empty());
-  EXPECT_TRUE(greedy_matching({}, 5, 5).empty());
+  EXPECT_TRUE(stable_matching({}, 5, unit(5)).empty());
+  EXPECT_TRUE(optimal_matching({}, 5, unit(5)).empty());
+  EXPECT_TRUE(greedy_matching({}, 5, unit(5)).empty());
 }
 
 TEST(Matching, SingleEdge) {
   const std::vector<Edge> edges{{0, 0, 5.0}};
   for (auto kind :
        {MatcherKind::kStable, MatcherKind::kOptimal, MatcherKind::kGreedy}) {
-    const Matching m = run_matcher(kind, edges, 1, 1);
+    const Matching m = run_matcher(kind, edges, 1, unit(1));
     ASSERT_EQ(m.size(), 1u) << matcher_name(kind);
     EXPECT_EQ(m[0], 0);
   }
@@ -59,7 +64,7 @@ TEST(Matching, IgnoresNonPositiveWeights) {
   const std::vector<Edge> edges{{0, 0, 0.0}, {1, 1, -3.0}, {2, 2, 1.0}};
   for (auto kind :
        {MatcherKind::kStable, MatcherKind::kOptimal, MatcherKind::kGreedy}) {
-    const Matching m = run_matcher(kind, edges, 3, 3);
+    const Matching m = run_matcher(kind, edges, 3, unit(3));
     ASSERT_EQ(m.size(), 1u) << matcher_name(kind);
     EXPECT_EQ(edges[m[0]].sat, 2);
   }
@@ -67,9 +72,9 @@ TEST(Matching, IgnoresNonPositiveWeights) {
 
 TEST(Matching, RejectsOutOfRangeEndpoints) {
   const std::vector<Edge> edges{{5, 0, 1.0}};
-  EXPECT_THROW(stable_matching(edges, 3, 3), std::invalid_argument);
-  EXPECT_THROW(optimal_matching(edges, 3, 3), std::invalid_argument);
-  EXPECT_THROW(greedy_matching(edges, 3, 3), std::invalid_argument);
+  EXPECT_THROW(stable_matching(edges, 3, unit(3)), std::invalid_argument);
+  EXPECT_THROW(optimal_matching(edges, 3, unit(3)), std::invalid_argument);
+  EXPECT_THROW(greedy_matching(edges, 3, unit(3)), std::invalid_argument);
 }
 
 TEST(Matching, ContentionResolvedByWeight) {
@@ -79,7 +84,7 @@ TEST(Matching, ContentionResolvedByWeight) {
       {0, 0, 10.0}, {1, 0, 8.0}, {1, 1, 3.0}};
   for (auto kind :
        {MatcherKind::kStable, MatcherKind::kOptimal, MatcherKind::kGreedy}) {
-    const Matching m = run_matcher(kind, edges, 2, 2);
+    const Matching m = run_matcher(kind, edges, 2, unit(2));
     EXPECT_EQ(m.size(), 2u) << matcher_name(kind);
     EXPECT_NEAR(matching_value(edges, m), 13.0, 1e-12) << matcher_name(kind);
   }
@@ -92,12 +97,12 @@ TEST(Matching, StableSacrificesGlobalValueWhenNeeded) {
   // Optimal: s0-g1 + s1-g0 = 18.5.
   const std::vector<Edge> edges{
       {0, 0, 10.0}, {0, 1, 9.0}, {1, 0, 9.5}, {1, 1, 1.0}};
-  const Matching stable = stable_matching(edges, 2, 2);
-  const Matching optimal = optimal_matching(edges, 2, 2);
+  const Matching stable = stable_matching(edges, 2, unit(2));
+  const Matching optimal = optimal_matching(edges, 2, unit(2));
   EXPECT_NEAR(matching_value(edges, stable), 11.0, 1e-12);
   EXPECT_NEAR(matching_value(edges, optimal), 18.5, 1e-12);
-  EXPECT_TRUE(is_stable(edges, stable, 2, 2));
-  EXPECT_FALSE(is_stable(edges, optimal, 2, 2));
+  EXPECT_TRUE(is_stable(edges, stable, 2, unit(2)));
+  EXPECT_FALSE(is_stable(edges, optimal, 2, unit(2)));
 }
 
 TEST(Matching, OptimalBeatsOrTiesOthersOnRandomGraphs) {
@@ -107,11 +112,11 @@ TEST(Matching, OptimalBeatsOrTiesOthersOnRandomGraphs) {
     const int stations = static_cast<int>(rng.uniform_int(1, 12));
     const auto edges = random_graph(rng, sats, stations, 0.4);
     const double w_opt =
-        matching_value(edges, optimal_matching(edges, sats, stations));
+        matching_value(edges, optimal_matching(edges, sats, unit(stations)));
     const double w_stable =
-        matching_value(edges, stable_matching(edges, sats, stations));
+        matching_value(edges, stable_matching(edges, sats, unit(stations)));
     const double w_greedy =
-        matching_value(edges, greedy_matching(edges, sats, stations));
+        matching_value(edges, greedy_matching(edges, sats, unit(stations)));
     EXPECT_GE(w_opt, w_stable - 1e-9);
     EXPECT_GE(w_opt, w_greedy - 1e-9);
   }
@@ -123,8 +128,8 @@ TEST(Matching, StableMatchingsAreAlwaysStable) {
     const int sats = static_cast<int>(rng.uniform_int(1, 20));
     const int stations = static_cast<int>(rng.uniform_int(1, 20));
     const auto edges = random_graph(rng, sats, stations, 0.3);
-    const Matching m = stable_matching(edges, sats, stations);
-    EXPECT_TRUE(is_stable(edges, m, sats, stations)) << "trial " << trial;
+    const Matching m = stable_matching(edges, sats, unit(stations));
+    EXPECT_TRUE(is_stable(edges, m, sats, unit(stations))) << "trial " << trial;
     EXPECT_TRUE(no_duplicate_endpoints(edges, m));
   }
 }
@@ -141,9 +146,9 @@ TEST(Matching, GreedyEqualsStableForAlignedPreferences) {
       edges[i].weight += static_cast<double>(i) * 1e-7;
     }
     const double w_stable =
-        matching_value(edges, stable_matching(edges, sats, stations));
+        matching_value(edges, stable_matching(edges, sats, unit(stations)));
     const double w_greedy =
-        matching_value(edges, greedy_matching(edges, sats, stations));
+        matching_value(edges, greedy_matching(edges, sats, unit(stations)));
     EXPECT_NEAR(w_stable, w_greedy, 1e-9);
   }
 }
@@ -154,7 +159,7 @@ TEST(Matching, AllMatchersRespectMatchingConstraint) {
     const auto edges = random_graph(rng, 15, 10, 0.5);
     for (auto kind :
          {MatcherKind::kStable, MatcherKind::kOptimal, MatcherKind::kGreedy}) {
-      const Matching m = run_matcher(kind, edges, 15, 10);
+      const Matching m = run_matcher(kind, edges, 15, unit(10));
       EXPECT_TRUE(no_duplicate_endpoints(edges, m)) << matcher_name(kind);
       EXPECT_LE(m.size(), 10u);
     }
@@ -168,7 +173,7 @@ TEST(Matching, DenseContentionSaturatesStations) {
   const auto edges = random_graph(rng, 20, 5, 1.0);
   for (auto kind :
        {MatcherKind::kStable, MatcherKind::kOptimal, MatcherKind::kGreedy}) {
-    EXPECT_EQ(run_matcher(kind, edges, 20, 5).size(), 5u)
+    EXPECT_EQ(run_matcher(kind, edges, 20, unit(5)).size(), 5u)
         << matcher_name(kind);
   }
 }
@@ -178,8 +183,8 @@ TEST(Matching, DeterministicAcrossCalls) {
   const auto edges = random_graph(rng, 12, 12, 0.4);
   for (auto kind :
        {MatcherKind::kStable, MatcherKind::kOptimal, MatcherKind::kGreedy}) {
-    const Matching a = run_matcher(kind, edges, 12, 12);
-    const Matching b = run_matcher(kind, edges, 12, 12);
+    const Matching a = run_matcher(kind, edges, 12, unit(12));
+    const Matching b = run_matcher(kind, edges, 12, unit(12));
     EXPECT_EQ(a, b) << matcher_name(kind);
   }
 }
@@ -188,7 +193,7 @@ TEST(Matching, OptimalHandlesParallelEdges) {
   // Duplicate (sat, station) pairs with different weights: the heavier one
   // must be used.
   const std::vector<Edge> edges{{0, 0, 1.0}, {0, 0, 7.0}};
-  const Matching m = optimal_matching(edges, 1, 1);
+  const Matching m = optimal_matching(edges, 1, unit(1));
   ASSERT_EQ(m.size(), 1u);
   EXPECT_EQ(m[0], 1);
 }

@@ -12,6 +12,11 @@
 namespace dgs::core {
 namespace {
 
+/// Unit capacities: the one-to-one (point-to-point) market.
+std::vector<int> unit(int num_stations) {
+  return std::vector<int>(static_cast<std::size_t>(num_stations), 1);
+}
+
 std::vector<Edge> random_graph(util::Rng& rng, int sats, int stations,
                                double density) {
   std::vector<Edge> edges;
@@ -65,7 +70,7 @@ TEST(MatchingBruteForce, HungarianIsExactlyOptimalOnSmallGraphs) {
     const auto edges = random_graph(rng, sats, stations, 0.6);
     const double expected = brute_force_max_weight(edges, sats, stations);
     const double actual =
-        matching_value(edges, optimal_matching(edges, sats, stations));
+        matching_value(edges, optimal_matching(edges, sats, unit(stations)));
     EXPECT_NEAR(actual, expected, 1e-9)
         << "trial " << trial << " (" << sats << "x" << stations << ", "
         << edges.size() << " edges)";
@@ -80,7 +85,7 @@ TEST(MatchingBruteForce, StableNeverExceedsOptimal) {
     const auto edges = random_graph(rng, sats, stations, 0.6);
     const double opt = brute_force_max_weight(edges, sats, stations);
     const double stable =
-        matching_value(edges, stable_matching(edges, sats, stations));
+        matching_value(edges, stable_matching(edges, sats, unit(stations)));
     EXPECT_LE(stable, opt + 1e-9);
     // ...and is never worse than half the optimum (greedy/stable matchings
     // on weight-aligned preferences are 2-approximations).
@@ -96,7 +101,7 @@ TEST(MatchingBruteForce, StableIsMaximal) {
     const int sats = static_cast<int>(rng.uniform_int(1, 10));
     const int stations = static_cast<int>(rng.uniform_int(1, 10));
     const auto edges = random_graph(rng, sats, stations, 0.4);
-    const Matching m = stable_matching(edges, sats, stations);
+    const Matching m = stable_matching(edges, sats, unit(stations));
     std::vector<char> sat_used(sats, 0), gs_used(stations, 0);
     for (int i : m) {
       sat_used[edges[i].sat] = 1;

@@ -1,15 +1,12 @@
 // ThreadPool contract tests: chunk-aligned task ordering, exception
-// propagation, deterministic ordered reduction, and the nested-submit
-// deadlock guard.
+// propagation, and the nested-submit deadlock guard.
 #include "src/util/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <mutex>
-#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -95,58 +92,6 @@ TEST(ThreadPool, ExceptionOnSerialPathPropagates) {
                      throw std::invalid_argument("serial boom");
                    }),
                std::invalid_argument);
-}
-
-TEST(ThreadPool, ReduceOrderedIsBitIdenticalAcrossThreadCounts) {
-  // A sum whose result depends on association order: catches any
-  // implementation that reduces in completion order.
-  const std::int64_t n = 10000;
-  const auto term = [](std::int64_t i) {
-    return std::sin(static_cast<double>(i)) * 1e-3 +
-           1.0 / (1.0 + static_cast<double>(i));
-  };
-  const auto run = [&](int threads) {
-    ThreadPool pool(
-        ParallelConfig{.num_threads = threads, .chunk_size = 32});
-    return pool.reduce_ordered<double>(
-        n, 0.0,
-        [&](std::int64_t b, std::int64_t e) {
-          double s = 0.0;
-          for (std::int64_t i = b; i < e; ++i) s += term(i);
-          return s;
-        },
-        [](double acc, double partial) { return acc + partial; });
-  };
-  const double serial = run(1);
-  for (int threads : {2, 4, 8}) {
-    const double parallel = run(threads);
-    EXPECT_EQ(serial, parallel) << threads << " threads";  // bitwise
-  }
-}
-
-TEST(ThreadPool, ReduceOrderedPreservesChunkOrder) {
-  ThreadPool pool(ParallelConfig{.num_threads = 4, .chunk_size = 10});
-  const auto indices = pool.reduce_ordered<std::vector<std::int64_t>>(
-      95, {},
-      [](std::int64_t b, std::int64_t e) {
-        std::vector<std::int64_t> v(static_cast<std::size_t>(e - b));
-        std::iota(v.begin(), v.end(), b);
-        return v;
-      },
-      [](std::vector<std::int64_t> acc, std::vector<std::int64_t> part) {
-        acc.insert(acc.end(), part.begin(), part.end());
-        return acc;
-      });
-  ASSERT_EQ(indices.size(), 95u);
-  for (std::int64_t i = 0; i < 95; ++i) EXPECT_EQ(indices[i], i);
-}
-
-TEST(ThreadPool, MapFillsPerIndexOutputs) {
-  ThreadPool pool(ParallelConfig{.num_threads = 3, .chunk_size = 5});
-  const std::vector<int> out =
-      pool.map<int>(100, [](std::int64_t i) { return static_cast<int>(i * i); });
-  ASSERT_EQ(out.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(out[i], i * i);
 }
 
 TEST(ThreadPool, NestedSubmitRunsInlineWithoutDeadlock) {

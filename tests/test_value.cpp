@@ -1,4 +1,4 @@
-// Value functions Phi: latency, throughput, blended.
+// Value functions Phi: latency and throughput.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -63,27 +63,6 @@ TEST(ThroughputValue, IndependentOfAge) {
   ThroughputValue v;
   EXPECT_DOUBLE_EQ(v.edge_value(q, kT0.plus_seconds(60), kGb),
                    v.edge_value(q, kT0.plus_seconds(86400), kGb));
-}
-
-TEST(BlendedValue, InterpolatesBetweenExtremes) {
-  OnboardQueue q;
-  q.generate(1.0 * kGb, kT0);
-  const util::Epoch now = kT0.plus_seconds(1200);
-  LatencyValue lat;
-  ThroughputValue thr;
-  BlendedValue mid(0.5);
-  const double expect =
-      0.5 * lat.edge_value(q, now, kGb) + 0.5 * thr.edge_value(q, now, kGb);
-  EXPECT_NEAR(mid.edge_value(q, now, kGb), expect, 1e-12);
-  EXPECT_DOUBLE_EQ(BlendedValue(1.0).edge_value(q, now, kGb),
-                   lat.edge_value(q, now, kGb));
-  EXPECT_DOUBLE_EQ(BlendedValue(0.0).edge_value(q, now, kGb),
-                   thr.edge_value(q, now, kGb));
-}
-
-TEST(BlendedValue, RejectsBadAlpha) {
-  EXPECT_THROW(BlendedValue(-0.1), std::invalid_argument);
-  EXPECT_THROW(BlendedValue(1.1), std::invalid_argument);
 }
 
 TEST(MakeValueFunction, FactoryNames) {
