@@ -24,7 +24,7 @@ int main() {
     auto stations = setup.dgs;
     for (auto& gs : stations) gs.beam_count = beams;
     const core::SimulationResult r =
-        core::Simulator(setup.sats, stations, &wx, day_sim()).run();
+        core::Session(setup.sats, stations, &wx, day_sim()).run_to_end();
     std::printf("  %6d %9.1f dB %7.1f min %7.1f min %8.2f GB %8.1f TB\n",
                 beams, -10.0 * std::log10(static_cast<double>(beams)),
                 r.latency_minutes.median(),
@@ -40,7 +40,7 @@ int main() {
     auto stations = setup.baseline;
     for (auto& gs : stations) gs.beam_count = beams;
     const core::SimulationResult r =
-        core::Simulator(setup.sats_6ch, stations, &wx, day_sim()).run();
+        core::Session(setup.sats_6ch, stations, &wx, day_sim()).run_to_end();
     std::printf("  %6d %7.1f min %7.1f min %8.2f GB %8.1f TB\n", beams,
                 r.latency_minutes.median(),
                 r.latency_minutes.percentile(90.0), r.backlog_gb.median(),

@@ -23,7 +23,7 @@ int main() {
     const auto sats = groundseg::generate_constellation(opts, kEpoch);
     const auto stations = groundseg::generate_dgs_stations(opts);
     const core::SimulationResult r =
-        core::Simulator(sats, stations, &wx, day_sim()).run();
+        core::Session(sats, stations, &wx, day_sim()).run_to_end();
     std::printf("  %9.0f%% %8.1f min %8.1f min %9.2f GB %9.2f GB %8.1f TB\n",
                 denial * 100.0, r.latency_minutes.median(),
                 r.latency_minutes.percentile(90.0), r.backlog_gb.median(),

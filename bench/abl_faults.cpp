@@ -43,7 +43,7 @@ int main() {
     opts.station_backhaul_bps = 50e6;
     opts.faults = faults::make_profile(profile, kFaultSeed, num_stations);
     report(profile,
-           core::Simulator(setup.sats, setup.dgs, &wx, opts).run());
+           core::Session(setup.sats, setup.dgs, &wx, opts).run_to_end());
   }
 
   // The storm again, under the look-ahead planner: plans commit an hour
@@ -55,7 +55,7 @@ int main() {
     opts.lookahead_hours = 1.0;
     opts.faults = faults::make_profile("storm", kFaultSeed, num_stations);
     report("storm + lookahead",
-           core::Simulator(setup.sats, setup.dgs, &wx, opts).run());
+           core::Session(setup.sats, setup.dgs, &wx, opts).run_to_end());
   }
 
   std::printf("\n  expected shape: per-instant matching absorbs every "

@@ -24,7 +24,7 @@ int main() {
               "lat p90", "backlog", "delivered", "failed");
   {
     const core::SimulationResult r =
-        core::Simulator(setup.sats, setup.dgs, &wx, day_sim()).run();
+        core::Session(setup.sats, setup.dgs, &wx, day_sim()).run_to_end();
     std::printf("  %-26s %7.1f min %7.1f min %8.2f GB %9.1f TB %9lld\n",
                 "per-instant (paper)", r.latency_minutes.median(),
                 r.latency_minutes.percentile(90.0), r.backlog_gb.median(),
@@ -35,7 +35,7 @@ int main() {
     core::SimulationOptions opts = day_sim();
     opts.lookahead_hours = horizon_h;
     const core::SimulationResult r =
-        core::Simulator(setup.sats, setup.dgs, &wx, opts).run();
+        core::Session(setup.sats, setup.dgs, &wx, opts).run_to_end();
     char label[64];
     std::snprintf(label, sizeof(label), "look-ahead %.2f h", horizon_h);
     std::printf("  %-26s %7.1f min %7.1f min %8.2f GB %9.1f TB %9lld\n",

@@ -35,7 +35,7 @@ int main() {
     opts.value_scale =
         bids.value_scale(static_cast<int>(setup.dgs25.size()));
     const core::SimulationResult r =
-        core::Simulator(setup.sats, setup.dgs25, &wx, opts).run();
+        core::Session(setup.sats, setup.dgs25, &wx, opts).run_to_end();
 
     double delivered[2] = {0, 0}, backlog[2] = {0, 0};
     int count[2] = {0, 0};

@@ -33,7 +33,7 @@ int main() {
     core::SimulationOptions opts = day_sim();
     opts.matcher = row.kind;
     const core::SimulationResult r =
-        core::Simulator(setup.sats, setup.dgs, &wx, opts).run();
+        core::Session(setup.sats, setup.dgs, &wx, opts).run_to_end();
     std::printf("  %-22s %7.1f min %5.1f min %6.2f GB %8.1f TB %13.0f\n",
                 row.label, r.latency_minutes.median(),
                 r.latency_minutes.percentile(90.0), r.backlog_gb.median(),

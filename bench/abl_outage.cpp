@@ -32,17 +32,18 @@ int main() {
 
   // Healthy references.
   report("baseline, healthy",
-         core::Simulator(setup.sats_6ch, setup.baseline, &wx, day_sim())
-             .run());
+         core::Session(setup.sats_6ch, setup.baseline, &wx, day_sim())
+             .run_to_end());
   report("DGS, healthy",
-         core::Simulator(setup.sats, setup.dgs, &wx, day_sim()).run());
+         core::Session(setup.sats, setup.dgs, &wx, day_sim()).run_to_end());
 
   // Baseline loses Svalbard (its busiest polar site) from hour 6 to 18.
   {
     core::SimulationOptions opts = day_sim();
     opts.faults.outages.push_back(dgs::faults::OutageWindow{0, 6.0, 18.0});
     report("baseline, -1 station (20%) 12 h",
-           core::Simulator(setup.sats_6ch, setup.baseline, &wx, opts).run());
+           core::Session(setup.sats_6ch, setup.baseline, &wx, opts)
+               .run_to_end());
   }
 
   // DGS loses the same fraction: every 5th station, hours 6-18.
@@ -53,7 +54,7 @@ int main() {
           dgs::faults::OutageWindow{static_cast<int>(g), 6.0, 18.0});
     }
     report("DGS, -20% stations 12 h",
-           core::Simulator(setup.sats, setup.dgs, &wx, opts).run());
+           core::Session(setup.sats, setup.dgs, &wx, opts).run_to_end());
   }
 
   // DGS loses all of Europe (a correlated regional failure: power grid,
@@ -72,7 +73,7 @@ int main() {
     }
     std::printf("  (European regional outage kills %d stations)\n", killed);
     report("DGS, -Europe 12 h",
-           core::Simulator(setup.sats, setup.dgs, &wx, opts).run());
+           core::Session(setup.sats, setup.dgs, &wx, opts).run_to_end());
   }
 
   std::printf("\n  expected shape: the baseline's tail latency blows up "

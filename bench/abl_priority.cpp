@@ -29,7 +29,7 @@ int main() {
     opts.urgent_fraction = 0.05;
     opts.urgent_priority = priority;
     const core::SimulationResult r =
-        core::Simulator(setup.sats, setup.dgs, &wx, opts).run();
+        core::Session(setup.sats, setup.dgs, &wx, opts).run_to_end();
     const auto& u = priority > 1.0 ? r.urgent_latency_minutes
                                    : r.latency_minutes;
     std::printf("  %9.0fx | %7.1f min %9.1f min | %7.1f min %9.1f min\n",

@@ -31,9 +31,9 @@ int main() {
     sim.duration_hours = 12.0;  // 2x faster; same orderings
 
     const core::SimulationResult rb =
-        core::Simulator(sats6, baseline, &wx, sim).run();
+        core::Session(sats6, baseline, &wx, sim).run_to_end();
     const core::SimulationResult rd =
-        core::Simulator(sats, stations, &wx, sim).run();
+        core::Session(sats, stations, &wx, sim).run_to_end();
 
     const double lat_ratio =
         rb.latency_minutes.median() / rd.latency_minutes.median();

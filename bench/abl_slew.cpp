@@ -25,7 +25,7 @@ int main() {
       opts.slew_seconds = slew_s;
       if (mode == 1) opts.lookahead_hours = 0.5;
       const core::SimulationResult r =
-          core::Simulator(setup.sats, setup.dgs, &wx, opts).run();
+          core::Session(setup.sats, setup.dgs, &wx, opts).run_to_end();
       std::printf("  %6.0f s %-22s %7.1f min %7.1f min %9.1f TB %10lld\n",
                   slew_s, mode == 0 ? "per-instant" : "look-ahead 0.5 h",
                   r.latency_minutes.median(),

@@ -28,7 +28,7 @@ int main() {
       const auto stations = groundseg::generate_dgs_stations(opts);
 
       const core::SimulationResult r =
-          core::Simulator(sats, stations, &wx, day_sim()).run();
+          core::Session(sats, stations, &wx, day_sim()).run_to_end();
       util::SampleSet storage_gb;
       for (const auto& o : r.per_satellite) {
         storage_gb.add(o.storage_high_water_bytes / 1e9);

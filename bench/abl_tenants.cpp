@@ -40,7 +40,7 @@ int main() {
   // shares are the "natural" split the arbiter must improve on.
   const core::SimulationOptions plain = day_sim();
   const core::SimulationResult base =
-      core::Simulator(sats, setup.dgs25, &wx, plain).run();
+      core::Session(sats, setup.dgs25, &wx, plain).run_to_end();
   double natural[3] = {0, 0, 0};
   for (std::size_t s = 0; s < sats.size(); ++s) {
     natural[tenant_of(s)] += base.per_satellite[s].delivered_bytes;
@@ -58,7 +58,7 @@ int main() {
     opts.tenants[tenant_of(s)].satellites.push_back(static_cast<int>(s));
   }
   const core::SimulationResult r =
-      core::Simulator(sats, setup.dgs25, &wx, opts).run();
+      core::Session(sats, setup.dgs25, &wx, opts).run_to_end();
 
   std::printf("  %-10s %7s %12s %13s %9s %8s %9s\n", "tenant", "weight",
               "delivered", "entitlement", "natural", "share", "closure");

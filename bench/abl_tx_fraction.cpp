@@ -29,7 +29,7 @@ int main() {
     for (const auto& gs : stations) tx_count += gs.tx_capable ? 1 : 0;
 
     const core::SimulationResult r =
-        core::Simulator(sats, stations, &wx, day_sim()).run();
+        core::Session(sats, stations, &wx, day_sim()).run_to_end();
 
     util::SampleSet storage_gb;
     for (const auto& o : r.per_satellite) {

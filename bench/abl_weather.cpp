@@ -43,7 +43,7 @@ void run_band(const char* band_name, double freq_hz,
     opts.weather_aware = c.aware;
     opts.couple_forecast_to_plan_upload = c.coupled;
     const core::SimulationResult r =
-        core::Simulator(sats, setup.dgs, &wx, opts).run();
+        core::Session(sats, setup.dgs, &wx, opts).run_to_end();
     std::printf("  %-26s %10lld %9lld %11.2f%% %7.1f min %7.1f TB\n",
                 c.label, static_cast<long long>(r.assignments),
                 static_cast<long long>(r.failed_assignments),

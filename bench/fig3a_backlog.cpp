@@ -18,11 +18,12 @@ int main() {
   weather::SyntheticWeatherProvider wx(kWeatherSeed, kEpoch, 25.0);
 
   const core::SimulationResult baseline =
-      core::Simulator(setup.sats_6ch, setup.baseline, &wx, day_sim()).run();
+      core::Session(setup.sats_6ch, setup.baseline, &wx, day_sim())
+          .run_to_end();
   const core::SimulationResult dgs =
-      core::Simulator(setup.sats, setup.dgs, &wx, day_sim()).run();
+      core::Session(setup.sats, setup.dgs, &wx, day_sim()).run_to_end();
   const core::SimulationResult dgs25 =
-      core::Simulator(setup.sats, setup.dgs25, &wx, day_sim()).run();
+      core::Session(setup.sats, setup.dgs25, &wx, day_sim()).run_to_end();
 
   std::printf("\nEnd-of-day backlog per satellite (paper Fig. 3a):\n");
   print_percentiles("Baseline (5 polar, 6ch)", baseline.backlog_gb, "GB");

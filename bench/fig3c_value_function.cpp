@@ -17,17 +17,17 @@ int main() {
   weather::SyntheticWeatherProvider wx(kWeatherSeed, kEpoch, 25.0);
 
   const core::SimulationResult base_l =
-      core::Simulator(setup.sats_6ch, setup.baseline, &wx,
-                      day_sim(core::ValueKind::kLatency))
-          .run();
+      core::Session(setup.sats_6ch, setup.baseline, &wx,
+                    day_sim(core::ValueKind::kLatency))
+          .run_to_end();
   const core::SimulationResult dgs25_l =
-      core::Simulator(setup.sats, setup.dgs25, &wx,
-                      day_sim(core::ValueKind::kLatency))
-          .run();
+      core::Session(setup.sats, setup.dgs25, &wx,
+                    day_sim(core::ValueKind::kLatency))
+          .run_to_end();
   const core::SimulationResult dgs25_t =
-      core::Simulator(setup.sats, setup.dgs25, &wx,
-                      day_sim(core::ValueKind::kThroughput))
-          .run();
+      core::Session(setup.sats, setup.dgs25, &wx,
+                    day_sim(core::ValueKind::kThroughput))
+          .run_to_end();
 
   std::printf("\nLatency under different value functions (paper Fig. 3c):\n");
   print_percentiles("Baseline (L)", base_l.latency_minutes, "min");

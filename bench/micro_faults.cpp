@@ -100,8 +100,8 @@ void BM_SimulateOneHourNoFaults(benchmark::State& state) {
   PaperScale& ps = fixture();
   const core::SimulationOptions opts = hour_sim();
   for (auto _ : state) {
-    core::Simulator sim(ps.sats, ps.stations, &ps.wx, opts);
-    benchmark::DoNotOptimize(sim.run());
+    core::Session sim(ps.sats, ps.stations, &ps.wx, opts);
+    benchmark::DoNotOptimize(sim.run_to_end());
   }
 }
 BENCHMARK(BM_SimulateOneHourNoFaults)->Unit(benchmark::kMillisecond);
@@ -115,8 +115,8 @@ void BM_SimulateOneHourStormFaults(benchmark::State& state) {
   opts.faults = faults::make_profile(
       "storm", 7, static_cast<int>(ps.stations.size()));
   for (auto _ : state) {
-    core::Simulator sim(ps.sats, ps.stations, &ps.wx, opts);
-    benchmark::DoNotOptimize(sim.run());
+    core::Session sim(ps.sats, ps.stations, &ps.wx, opts);
+    benchmark::DoNotOptimize(sim.run_to_end());
   }
 }
 BENCHMARK(BM_SimulateOneHourStormFaults)->Unit(benchmark::kMillisecond);

@@ -116,8 +116,8 @@ void BM_SimulateOneHourPaperScale(benchmark::State& state) {
   opts.parallel.num_threads = g_threads;
   opts.parallel.chunk_size = 8;
   for (auto _ : state) {
-    core::Simulator sim(ps.sats, ps.stations, &ps.wx, opts);
-    benchmark::DoNotOptimize(sim.run());
+    core::Session sim(ps.sats, ps.stations, &ps.wx, opts);
+    benchmark::DoNotOptimize(sim.run_to_end());
   }
 }
 BENCHMARK(BM_SimulateOneHourPaperScale)->Unit(benchmark::kMillisecond);

@@ -56,7 +56,7 @@ int main() {
     opts.urgent_fraction = 0.05;
     opts.station_backhaul_bps = backhaul_mbps * 1e6;
     const core::SimulationResult r =
-        core::Simulator(setup.sats, setup.dgs, &wx, opts).run();
+        core::Session(setup.sats, setup.dgs, &wx, opts).run_to_end();
     std::printf("  %7.0f Mbps | %6.0f min %6.0f min | %6.0f min %6.0f min "
                 "| %9.2f TB\n",
                 backhaul_mbps, r.cloud_latency_minutes.median(),

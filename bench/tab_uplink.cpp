@@ -35,7 +35,7 @@ int main() {
   const Setup setup = make_paper_setup();
   weather::SyntheticWeatherProvider wx(kWeatherSeed, kEpoch, 25.0);
   const core::SimulationResult r =
-      core::Simulator(setup.sats, setup.dgs, &wx, day_sim()).run();
+      core::Session(setup.sats, setup.dgs, &wx, day_sim()).run_to_end();
   const double slots_per_sat =
       static_cast<double>(r.assignments) /
       static_cast<double>(setup.sats.size());

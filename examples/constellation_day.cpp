@@ -42,8 +42,8 @@ int main(int argc, char** argv) {
   opts.start = epoch;
   opts.duration_hours = 12.0;
   opts.step_seconds = 60.0;
-  core::Simulator sim(sats, stations, &wx, opts);
-  const core::SimulationResult r = sim.run();
+  core::Session sim(sats, stations, &wx, opts);
+  const core::SimulationResult r = sim.run_to_end();
 
   std::printf("\n--- delivery ---\n");
   std::printf("generated %.2f TB, delivered %.2f TB (%.1f%%)\n",

@@ -200,7 +200,7 @@ int cmd_simulate(int argc, char** argv) {
   weather::SyntheticWeatherProvider wx(42, opts.start,
                                        opts.duration_hours + 1.0);
   const core::SimulationResult r =
-      core::Simulator(sats, stations, &wx, opts).run();
+      core::Session(sats, stations, &wx, opts).run_to_end();
 
   if (!flags.metrics_out.empty()) {
     std::ofstream out(flags.metrics_out);

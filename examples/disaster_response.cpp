@@ -37,9 +37,9 @@ int main() {
               net.num_satellites);
 
   const core::SimulationResult dgs_run =
-      core::Simulator(sats, dgs_stations, &wx, opts).run();
+      core::Session(sats, dgs_stations, &wx, opts).run_to_end();
   const core::SimulationResult base_run =
-      core::Simulator(sats_6ch, baseline_stations, &wx, opts).run();
+      core::Session(sats_6ch, baseline_stations, &wx, opts).run_to_end();
 
   auto report = [](const char* name, const core::SimulationResult& r) {
     std::printf("%s\n", name);

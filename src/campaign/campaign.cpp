@@ -16,6 +16,7 @@
 
 #include "src/campaign/manifest.h"
 #include "src/core/report.h"
+#include "src/core/session.h"
 #include "src/faults/fault_rng.h"
 #include "src/faults/profiles.h"
 #include "src/util/stats.h"
@@ -373,7 +374,7 @@ void run_sample(const CampaignOptions& o, int sample_index) {
   weather::SyntheticWeatherProvider wx(o.weather_seed, start,
                                        o.duration_hours + 1.0);
   const core::SimulationResult result =
-      core::Simulator(sats, stations, &wx, opts).run();
+      core::Session(sats, stations, &wx, opts).run_to_end();
 
   const std::string dir = sample_dir(o, sample_index);
   fs::create_directories(dir);

@@ -7,8 +7,8 @@
 //   auto sats     = dgs::groundseg::generate_constellation(net_opts, epoch);
 //   dgs::weather::SyntheticWeatherProvider wx(seed, epoch, 24.0);
 //   dgs::core::SimulationOptions sim_opts{.start = epoch};
-//   dgs::core::Simulator sim(sats, stations, &wx, sim_opts);
-//   auto result = sim.run();
+//   dgs::core::Session session(sats, stations, &wx, sim_opts);
+//   auto result = session.run_to_end();  // or step() / report() mid-run
 //   std::cout << dgs::util::summary_row(result.latency_minutes, "min");
 #pragma once
 
@@ -22,6 +22,7 @@
 #include "src/core/plan.h"           // IWYU pragma: export
 #include "src/core/report.h"         // IWYU pragma: export
 #include "src/core/scheduler.h"      // IWYU pragma: export
+#include "src/core/session.h"        // IWYU pragma: export
 #include "src/core/simulator.h"      // IWYU pragma: export
 #include "src/core/value.h"          // IWYU pragma: export
 #include "src/core/visibility.h"     // IWYU pragma: export

@@ -108,7 +108,7 @@ Session::Session(std::vector<groundseg::SatelliteConfig> sats,
       opts_.start.plus_seconds(-opts_.initial_backlog_age_hours * 3600.0);
   steps_ = static_cast<std::int64_t>(
       std::llround(opts_.duration_hours * 3600.0 / dt_));
-  events_ = opts_.events;
+  events_ = opts_.events == nullptr ? &no_events_ : opts_.events;
 
   // Scheduling sees forecasts; outcomes use the actual field.
   const weather::WeatherProvider* forecast_wx =
@@ -284,130 +284,124 @@ void Session::step() {
   DGS_ENSURE(!done(), "Session::step past the end of the horizon (step "
                           << step_ << " of " << steps_ << ")");
   DGS_TRACE_SPAN("sim.step");
-  const std::int64_t step = step_;
-  obs::EventLog* const events = events_;
   // StepClock is the single timestamp source: step_start drives the
   // physics, end_hours stamps both the timeseries record and every event
   // this step emits, so the two artifacts join without drift.
-  const util::Epoch now = clock_.step_start(step);
-  if (events != nullptr) events->begin_step(step, clock_.end_hours(step));
+  const util::Epoch now = clock_.step_start(step_);
+  events_->begin_step(step_, clock_.end_hours(step_));
   delivered_.begin_step();
   cloud_.begin_step();
   acks_.begin_step();
 
-  // 0. Fault state for this step: refresh the station down mask and
-  // emit up/down transitions.  `new_outage` feeds the look-ahead
-  // replan check below.
+  const bool new_outage = faults();
+  generate(now);
+  const std::vector<ContactEdge> assigned = schedule(now, new_outage);
+  const double edge_received = execute(now, assigned);
+  backhaul(edge_received);
+  account(static_cast<int>(assigned.size()));
+
+  ++step_;
+  if (step_ == steps_) finalize();
+  publish_metrics();
+}
+
+bool Session::faults() {
+  if (!station_faults_) return false;
+  timeline_->fill_station_down(step_, &down_);
   bool new_outage = false;
-  if (station_faults_) {
-    timeline_->fill_station_down(step, &down_);
-    for (int g = 0; g < num_stations_; ++g) {
-      if (down_[g] != 0 && prev_down_[g] == 0) {
-        new_outage = true;
-        if (events != nullptr) events->outage_begin(g);
-        if (live_.outage_transitions != nullptr) {
-          live_.outage_transitions->inc();
-        }
-      } else if (down_[g] == 0 && prev_down_[g] != 0) {
-        if (events != nullptr) events->outage_end(g);
-        if (live_.outage_transitions != nullptr) {
-          live_.outage_transitions->inc();
-        }
+  for (int g = 0; g < num_stations_; ++g) {
+    if (down_[g] != 0 && prev_down_[g] == 0) {
+      new_outage = true;
+      events_->outage_begin(g);
+      if (live_.outage_transitions != nullptr) {
+        live_.outage_transitions->inc();
+      }
+    } else if (down_[g] == 0 && prev_down_[g] != 0) {
+      events_->outage_end(g);
+      if (live_.outage_transitions != nullptr) {
+        live_.outage_transitions->inc();
       }
     }
-    prev_down_.assign(down_.begin(), down_.end());
   }
-  const std::span<const char> down_span =
-      station_faults_ ? std::span<const char>(down_)
-                      : std::span<const char>();
+  prev_down_.assign(down_.begin(), down_.end());
+  return new_outage;
+}
 
-  // 1. Imaging: continuous data generation, one chunk per step (two when
-  // an urgent tier is configured).
-  {
-    DGS_TRACE_SPAN("sim.generate");
-    for (int s = 0; s < num_sats_; ++s) {
-      const double bytes =
-          sats_[s].data_generation_bytes_per_day * dt_ / 86400.0;
-      const double urgent = bytes * opts_.urgent_fraction;
-      if (urgent > 0.0) {
-        queues_[s].generate(urgent, now, opts_.urgent_priority);
-      }
-      queues_[s].generate(bytes - urgent, now);
-      res_.per_satellite[s].generated_bytes += bytes;
-      res_.total_generated_bytes += bytes;
+void Session::generate(const util::Epoch& now) {
+  DGS_TRACE_SPAN("sim.generate");
+  for (int s = 0; s < num_sats_; ++s) {
+    const double bytes =
+        sats_[s].data_generation_bytes_per_day * dt_ / 86400.0;
+    const double urgent = bytes * opts_.urgent_fraction;
+    if (urgent > 0.0) {
+      queues_[s].generate(urgent, now, opts_.urgent_priority);
     }
+    queues_[s].generate(bytes - urgent, now);
+    res_.per_satellite[s].generated_bytes += bytes;
+    res_.total_generated_bytes += bytes;
   }
+}
 
-  // 2. Plan staleness per satellite.
+std::vector<ContactEdge> Session::schedule(const util::Epoch& now,
+                                           bool new_outage) {
+  // Plan staleness per satellite; all-zero (always-fresh plans) when the
+  // forecast is not coupled to plan uploads.
   if (opts_.couple_forecast_to_plan_upload) {
     for (int s = 0; s < num_sats_; ++s) {
       leads_[s] = now.seconds_since(last_plan_[s]);
     }
-  }  // else all-zero: always-fresh plans.
-
-  // 3. Schedule this instant: either per-instant matching (with failure
-  // injection applied) or the pre-computed look-ahead horizon plan.
-  std::vector<ContactEdge> assigned;
-  {
-    DGS_TRACE_SPAN("sim.schedule");
-    if (plan_window_steps_ > 0) {
-      const bool refresh =
-          plan_origin_ < 0 || step - plan_origin_ >= plan_window_steps_;
-      if (refresh) {
-        const int window = static_cast<int>(
-            std::min<std::int64_t>(plan_window_steps_, steps_ - step));
-        plan_ = plan_horizon(*engine_, queues_,
-                             scheduler_->value_function(), now, window, dt_,
-                             down_span, &plan_geometry_);
-        plan_origin_ = step;
-      }
-      assigned = plan_.per_step[step - plan_origin_];
-      // Replan-on-failure: a station that just went down while the
-      // remainder of this window still assigns it invalidates the plan.
-      // This step executes the stale assignments (in-flight
-      // transmissions into the dead station are lost below); the
-      // horizon from the next step is re-scored with the down mask.
-      if (!refresh && new_outage && step + 1 < steps_) {
-        int faulted_station = -1;
-        const auto rel = static_cast<std::size_t>(step - plan_origin_);
-        for (std::size_t k = rel;
-             k < plan_.per_step.size() && faulted_station < 0; ++k) {
-          for (const ContactEdge& e : plan_.per_step[k]) {
-            if (down_[e.station] != 0) {
-              faulted_station = e.station;
-              break;
-            }
-          }
-        }
-        if (faulted_station >= 0) {
-          const int window = static_cast<int>(std::min<std::int64_t>(
-              plan_window_steps_, steps_ - (step + 1)));
-          plan_ = plan_horizon(*engine_, queues_,
-                               scheduler_->value_function(),
-                               clock_.step_start(step + 1), window, dt_,
-                               down_span, &plan_geometry_);
-          plan_origin_ = step + 1;
-          res_.replans += 1;
-          if (events != nullptr) {
-            events->replan(faulted_station, window);
-          }
+  }
+  DGS_TRACE_SPAN("sim.schedule");
+  if (plan_window_steps_ == 0) {
+    // Tenant fair share: refresh each tenant's deficit multiplier from
+    // the cumulative delivered books before scoring this instant's edges
+    // (driver thread; deterministic, DESIGN.md §16).
+    if (arbiter_.has_value()) arbiter_->refresh_scales();
+    return scheduler_->schedule_instant(now, queues_, leads_, down_);
+  }
+  const bool refresh =
+      plan_origin_ < 0 || step_ - plan_origin_ >= plan_window_steps_;
+  if (refresh) plan_from(step_);
+  std::vector<ContactEdge> assigned = plan_.per_step[step_ - plan_origin_];
+  // Replan-on-failure: a station that just went down while the remainder
+  // of this window still assigns it invalidates the plan.  This step
+  // executes the stale assignments (in-flight transmissions into the dead
+  // station are lost in execute()); the horizon from the next step is
+  // re-scored with the down mask.
+  if (!refresh && new_outage && step_ + 1 < steps_) {
+    int faulted_station = -1;
+    const auto rel = static_cast<std::size_t>(step_ - plan_origin_);
+    for (std::size_t k = rel;
+         k < plan_.per_step.size() && faulted_station < 0; ++k) {
+      for (const ContactEdge& e : plan_.per_step[k]) {
+        if (down_[e.station] != 0) {
+          faulted_station = e.station;
+          break;
         }
       }
-    } else {
-      // Tenant fair share: refresh each tenant's deficit multiplier from
-      // the cumulative delivered books before scoring this instant's
-      // edges (driver thread; deterministic, DESIGN.md §16).
-      if (arbiter_.has_value()) arbiter_->refresh_scales();
-      assigned = scheduler_->schedule_instant(now, queues_, leads_,
-                                              down_span);
+    }
+    if (faulted_station >= 0) {
+      const int window = plan_from(step_ + 1);
+      res_.replans += 1;
+      events_->replan(faulted_station, window);
     }
   }
+  return assigned;
+}
 
-  // 4. Execute the assignments against actual weather.  The satellite
-  // always transmits at the scheduled MODCOD and rate (receive-only
-  // stations cannot renegotiate); whether the ground captures it depends
-  // on the actual Es/N0.
-  double step_edge_received = 0.0;
+int Session::plan_from(std::int64_t origin) {
+  const int window = static_cast<int>(
+      std::min<std::int64_t>(plan_window_steps_, steps_ - origin));
+  plan_ = plan_horizon(*engine_, queues_, scheduler_->value_function(),
+                       clock_.step_start(origin), window, dt_, down_,
+                       &plan_geometry_);
+  plan_origin_ = origin;
+  return window;
+}
+
+double Session::execute(const util::Epoch& now,
+                        const std::vector<ContactEdge>& assigned) {
+  double edge_received = 0.0;
   {
     DGS_TRACE_SPAN("sim.execute");
     for (const ContactEdge& e : assigned) {
@@ -423,20 +417,18 @@ void Session::step() {
                                          &OpenContact::station);
       const bool opened = oc == contacts.end() || oc->station != e.station;
       if (opened) oc = contacts.insert(oc, OpenContact{e.station});
-      if (events != nullptr) {
-        const std::string_view name =
-            e.modcod != nullptr ? e.modcod->name : "none";
-        if (opened) {
-          events->contact_open(e.sat, e.station, name, e.predicted_rate_bps,
-                               util::rad2deg(e.elevation_rad));
-        } else if (oc->modcod != e.modcod) {
-          events->modcod_selected(e.sat, e.station, name,
-                                  e.predicted_rate_bps);
-        }
+      const std::string_view name =
+          e.modcod != nullptr ? e.modcod->name : "none";
+      if (opened) {
+        events_->contact_open(e.sat, e.station, name, e.predicted_rate_bps,
+                              util::rad2deg(e.elevation_rad));
+      } else if (oc->modcod != e.modcod) {
+        events_->modcod_selected(e.sat, e.station, name,
+                                 e.predicted_rate_bps);
       }
       oc->modcod = e.modcod;
       oc->held_steps += 1;
-      oc->last_step = step;
+      oc->last_step = step_;
 
       // A faulted station captures nothing: the satellite transmits
       // into the dead contact (it cannot tell), and the bytes take the
@@ -457,14 +449,12 @@ void Session::step() {
       double report_delay_s = 0.0;
       if (received && opts_.faults.has_ack_relay_faults()) {
         const faults::AckRelayOutcome relay =
-            timeline_->ack_relay_outcome(step, e.sat, e.station);
+            timeline_->ack_relay_outcome(step_, e.sat, e.station);
         if (relay.retries > 0) {
           report_delay_s = relay.delay_s;
           res_.ack_retries += relay.retries;
-          if (events != nullptr) {
-            events->ack_relay_retry(e.sat, e.station, relay.retries,
-                                    relay.delay_s);
-          }
+          events_->ack_relay_retry(e.sat, e.station, relay.retries,
+                                   relay.delay_s);
         }
       }
       const double sent = queues_[e.sat].transmit(
@@ -481,7 +471,7 @@ void Session::step() {
               edge_queues_[e.station].receive(chunk.total_bytes,
                                               chunk.priority,
                                               chunk.capture, now);
-              step_edge_received += chunk.total_bytes;
+              edge_received += chunk.total_bytes;
             }
           },
           received, report_delay_s);
@@ -495,14 +485,10 @@ void Session::step() {
         res_.wasted_transmission_bytes += sent;
         if (!station_up) {
           res_.outage_lost_bytes += sent;
-          if (events != nullptr) {
-            events->outage_loss(e.sat, e.station, sent);
-          }
+          events_->outage_loss(e.sat, e.station, sent);
         }
       }
-      if (events != nullptr) {
-        events->bytes_moved(e.sat, e.station, sent, received);
-      }
+      events_->bytes_moved(e.sat, e.station, sent, received);
 
       // Transmit-capable contact: collated report (acks + missing pieces)
       // and a fresh plan upload.  The S-band TT&C uplink is independent
@@ -513,28 +499,24 @@ void Session::step() {
         // plan) is lost; the satellite keeps its stale plan until the
         // next TX opportunity.
         if (opts_.faults.has_plan_upload_faults() &&
-            timeline_->plan_upload_fails(step, e.sat, e.station)) {
+            timeline_->plan_upload_fails(step_, e.sat, e.station)) {
           res_.plan_upload_failures += 1;
-          if (events != nullptr) {
-            events->plan_upload_failed(e.sat, e.station);
-          }
+          events_->plan_upload_failed(e.sat, e.station);
         } else {
           double acked_bytes = 0.0;
           int ack_batches = 0;
           const double requeued = queues_[e.sat].acknowledge_all(
               now, [&](double delay_s, double bytes) {
-                record_delay(acks_, step - std::llround(delay_s / dt_), now,
+                record_delay(acks_, step_ - std::llround(delay_s / dt_), now,
                              delay_s / 60.0);
                 acked_bytes += bytes;
                 ack_batches += 1;
               });
           res_.requeued_bytes += requeued;
-          if (events != nullptr) {
-            events->ack_relayed(e.sat, e.station, acked_bytes, requeued,
-                                ack_batches);
-            events->plan_uploaded(e.sat, e.station,
-                                  now.seconds_since(last_plan_[e.sat]));
-          }
+          events_->ack_relayed(e.sat, e.station, acked_bytes, requeued,
+                               ack_batches);
+          events_->plan_uploaded(e.sat, e.station,
+                                 now.seconds_since(last_plan_[e.sat]));
           last_plan_[e.sat] = now;
           res_.per_satellite[e.sat].tx_contacts += 1;
         }
@@ -543,95 +525,88 @@ void Session::step() {
   }
 
   // Contacts absent from this step's assigned set have ended.
-  close_contacts(step);
+  close_contacts(step_);
 
-  // 4b. Track which satellite each station served (slew accounting).
+  // Track which satellite each station served (slew accounting).
   if (opts_.slew_seconds > 0.0) {
     std::fill(prev_served_.begin(), prev_served_.end(), -1);
     for (const ContactEdge& e : assigned) prev_served_[e.station] = e.sat;
   }
+  return edge_received;
+}
 
-  // 5. Station backhaul: edge queues upload toward the cloud.
-  if (!edge_queues_.empty()) {
-    DGS_TRACE_SPAN("sim.backhaul");
-    const util::Epoch upload_t = upload_epoch(step);
-    double step_uploaded = 0.0;
-    std::int64_t degraded_stations = 0;
-    for (int g = 0; g < num_stations_; ++g) {
-      double mult = 1.0;
-      if (backhaul_faults_) {
-        mult = timeline_->backhaul_multiplier(g, step);
-        if (mult < 1.0) {
-          degraded_stations += 1;
-          if (events != nullptr && prev_backhaul_mult_[g] >= 1.0) {
-            events->backhaul_fault_begin(g, mult);
-          }
-        } else if (events != nullptr && prev_backhaul_mult_[g] < 1.0) {
-          events->backhaul_fault_end(g);
+void Session::backhaul(double edge_received) {
+  if (edge_queues_.empty()) return;
+  DGS_TRACE_SPAN("sim.backhaul");
+  const util::Epoch upload_t = upload_epoch(step_);
+  double uploaded = 0.0;
+  std::int64_t degraded_stations = 0;
+  for (int g = 0; g < num_stations_; ++g) {
+    double mult = 1.0;
+    if (backhaul_faults_) {
+      mult = timeline_->backhaul_multiplier(g, step_);
+      if (mult < 1.0) {
+        degraded_stations += 1;
+        if (prev_backhaul_mult_[g] >= 1.0) {
+          events_->backhaul_fault_begin(g, mult);
         }
-        prev_backhaul_mult_[static_cast<std::size_t>(g)] = mult;
+      } else if (prev_backhaul_mult_[g] < 1.0) {
+        events_->backhaul_fault_end(g);
       }
-      step_uploaded += edge_queues_[static_cast<std::size_t>(g)].drain(
-          dt_, upload_t,
-          [&](double latency_s, const backend::EdgeItem& item) {
-            record_delay(cloud_, capture_step(item.capture), upload_t,
-                         latency_s / 60.0);
-          },
-          mult);
+      prev_backhaul_mult_[static_cast<std::size_t>(g)] = mult;
     }
-    if (live_.backhaul_degraded_steps != nullptr && degraded_stations > 0) {
-      live_.backhaul_degraded_steps->inc(
-          static_cast<double>(degraded_stations));
-    }
-    if (events != nullptr) {
-      events->backhaul_step(step_edge_received, step_uploaded,
-                            station_queued_bytes());
-    }
+    uploaded += edge_queues_[static_cast<std::size_t>(g)].drain(
+        dt_, upload_t,
+        [&](double latency_s, const backend::EdgeItem& item) {
+          record_delay(cloud_, capture_step(item.capture), upload_t,
+                       latency_s / 60.0);
+        },
+        mult);
   }
+  if (live_.backhaul_degraded_steps != nullptr && degraded_stations > 0) {
+    live_.backhaul_degraded_steps->inc(
+        static_cast<double>(degraded_stations));
+  }
+  events_->backhaul_step(edge_received, uploaded, station_queued_bytes());
+}
 
-  // 6. Storage accounting.
+void Session::account(int active_links) {
   for (int s = 0; s < num_sats_; ++s) {
     res_.per_satellite[s].storage_high_water_bytes =
         std::max(res_.per_satellite[s].storage_high_water_bytes,
                  queues_[s].storage_bytes());
   }
 
-  // 6b. Conservation audit: every byte a sensor offered must be exactly
-  // one of dropped / queued / awaiting ack / freed by an ack.  A silent
-  // leak here would corrupt every downstream backlog and latency figure.
+  // Conservation audit: every byte a sensor offered must be exactly one
+  // of dropped / queued / awaiting ack / freed by an ack.  A silent leak
+  // here would corrupt every downstream backlog and latency figure.
 #ifdef DGS_ENABLE_DCHECKS
   for (int s = 0; s < num_sats_; ++s) {
     const std::string audit = queues_[s].audit_conservation();
-    DGS_CHECK(audit.empty(), "step " << step << ", sat " << s << ": "
+    DGS_CHECK(audit.empty(), "step " << step_ << ", sat " << s << ": "
                                      << audit);
   }
 #endif
 
-  // 7. Timeseries capture (same StepClock as the event log).
+  // Timeseries capture (same StepClock as the event log).
   if (opts_.collect_timeseries) {
     StepRecord rec;
-    rec.hours = clock_.end_hours(step);
+    rec.hours = clock_.end_hours(step_);
     rec.delivered_bytes_cum = res_.total_delivered_bytes;
     for (int s = 0; s < num_sats_; ++s) {
       rec.backlog_bytes_total += queues_[s].queued_bytes();
     }
-    rec.active_links = static_cast<int>(assigned.size());
+    rec.active_links = active_links;
     rec.failed_cum = res_.failed_assignments;
     res_.timeseries.push_back(rec);
   }
-
-  ++step_;
-  if (step_ == steps_) finalize();
-  publish_metrics();
 }
 
 void Session::close_contacts(std::int64_t step) {
   for (int s = 0; s < num_sats_; ++s) {
     std::erase_if(open_contacts_[s], [&](const OpenContact& c) {
       if (c.last_step == step) return false;
-      if (events_ != nullptr) {
-        events_->contact_close(s, c.station, c.held_steps);
-      }
+      events_->contact_close(s, c.station, c.held_steps);
       return true;
     });
   }

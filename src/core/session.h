@@ -1,12 +1,18 @@
 // Steppable simulation session (service mode, DESIGN.md §16).
 //
-// core::Session is the stateful heart of the simulator: it owns every piece
-// of mutable per-run state that Simulator::run() used to keep in locals —
-// onboard queues, station edge queues, the horizon plan, fault masks,
-// contact lifecycle tracking, the result accumulators — and exposes the
-// run as an explicit state machine:
+// core::Session is the one simulation driver (paper §4): it owns every
+// piece of mutable per-run state — onboard queues, station edge queues,
+// the horizon plan, fault masks, contact lifecycle tracking, the result
+// accumulators — and exposes the run as an explicit state machine:
 //
-//   * step() advances exactly one scheduling quantum;
+//   * step() advances exactly one scheduling quantum through six stages:
+//     faults (station down mask), generate (imaging), schedule (per-instant
+//     matching, §3.1, or the look-ahead plan), execute (against actual
+//     weather, §3.2, relaying acks through TX-capable stations, §3.3),
+//     backhaul (station edges to the cloud) and account (storage,
+//     conservation audit, timeseries);
+//   * run_to_end() steps to the horizon and returns the final report —
+//     the whole-run entry point;
 //   * report() renders a full SimulationResult at ANY point mid-run;
 //   * snapshot()/restore() round-trip the whole session through the
 //     versioned `dgs.checkpoint.v4` artifact (checkpoint.h) such that a
@@ -23,9 +29,6 @@
 // a whole-step age, step_ages.h), the queues' and the arbiter's books.
 // report() derives every other figure, and publish_metrics() sets the
 // Prometheus families from those ledgers after every step.
-//
-// Simulator (simulator.h) survives as the run-to-completion convenience
-// wrapper: Simulator::run() == Session(...).run_to_end().
 #pragma once
 
 #include <cstdint>
@@ -46,9 +49,10 @@ namespace dgs::core {
 
 class Session {
  public:
-  /// Same contract as the Simulator constructor: `actual_weather` decides
-  /// transmission outcomes (nullptr = permanently clear skies), the
-  /// station-subset restriction is applied before anything else, and
+  /// `actual_weather` decides transmission outcomes; it may differ from
+  /// the forecast the scheduler sees (SimulationOptions::weather_aware).
+  /// Borrowed; nullptr = permanently clear skies.  The station-subset
+  /// restriction is applied before anything else (select_stations), and
   /// invalid options throw std::invalid_argument rendering the
   /// OptionsError.
   Session(std::vector<groundseg::SatelliteConfig> sats,
@@ -77,7 +81,7 @@ class Session {
   std::int64_t run_until_hours(double t_hours);
 
   /// Steps to the end of the horizon and returns the final report.
-  /// A fresh session's run_to_end() is exactly Simulator::run().
+  /// Deterministic for fixed inputs.
   SimulationResult run_to_end();
 
   /// Renders the full result at the CURRENT step.  Callable mid-run: the
@@ -143,6 +147,31 @@ class Session {
           const weather::WeatherProvider* actual_weather,
           const SimulationOptions& opts, bool publish);
 
+  // --- The stages of step(), in order; each works on step step_ ---------
+  /// Refreshes the station down mask and logs its transitions.  True when
+  /// a station went down this step.
+  bool faults();
+  /// Imaging: one chunk per satellite (two with an urgent tier).
+  void generate(const util::Epoch& now);
+  /// This step's assignments: the look-ahead plan's (refreshed when its
+  /// window ran out, replanned when `new_outage` strands it) or the
+  /// per-instant matching.
+  std::vector<ContactEdge> schedule(const util::Epoch& now, bool new_outage);
+  /// Executes `assigned` against actual weather, relays acks and plans at
+  /// TX-capable stations, then closes the contacts left out.  Returns the
+  /// bytes it queued at the station edges.
+  double execute(const util::Epoch& now,
+                 const std::vector<ContactEdge>& assigned);
+  /// Drains the station edge queues toward the cloud and logs the step's
+  /// backhaul totals (`edge_received`: what execute() queued at the
+  /// edges); a no-op without a backhaul.
+  void backhaul(double edge_received);
+  /// Storage high water, conservation audit and the timeseries record.
+  void account(int active_links);
+
+  /// Plans the look-ahead horizon from step `origin`; returns its length
+  /// in steps.
+  int plan_from(std::int64_t origin);
   /// Closes every contact not assigned at `step`, logging the closes in
   /// (satellite, station) order.
   void close_contacts(std::int64_t step);
@@ -206,7 +235,11 @@ class Session {
   std::optional<faults::FaultTimeline> timeline_;
   std::optional<TenantArbiter> arbiter_;
   LiveMetrics live_;
+  /// The caller's event log, or the disabled `no_events_`: emitters are
+  /// called unconditionally.  Session is neither copyable nor movable, so
+  /// the pointer stays valid.
   obs::EventLog* events_ = nullptr;
+  obs::EventLog no_events_;
   /// Planner instants' geometry, reused across windows.  Not checkpointed:
   /// reuse is exact, so a restored session starting cold is identical.
   PlanGeometry plan_geometry_;

@@ -1,6 +1,5 @@
 #include "src/core/simulator.h"
 
-#include "src/core/session.h"
 #include "src/util/check.h"
 
 #include <algorithm>
@@ -342,23 +341,6 @@ std::vector<groundseg::GroundStation> select_stations(
                                 e->message);
   }
   return stations;
-}
-
-Simulator::Simulator(std::vector<groundseg::SatelliteConfig> sats,
-                     std::vector<groundseg::GroundStation> stations,
-                     const weather::WeatherProvider* actual_weather,
-                     const SimulationOptions& opts)
-    : sats_(std::move(sats)), stations_(std::move(stations)),
-      actual_wx_(actual_weather), opts_(opts) {
-  // Session repeats the validation at construction; running it here too
-  // keeps the contract that an invalid Simulator throws at construction,
-  // not at run().
-  select_stations(stations_, opts_, static_cast<int>(sats_.size()));
-}
-
-SimulationResult Simulator::run() {
-  Session session(sats_, stations_, actual_wx_, opts_);
-  return session.run_to_end();
 }
 
 }  // namespace dgs::core

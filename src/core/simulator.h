@@ -1,11 +1,14 @@
-// Whole-system discrete-time simulation (paper §4).
+// Whole-system discrete-time simulation (paper §4): its options, their
+// validation, and its result.
 //
-// Drives the DGS scheduler over a multi-hour horizon: satellites generate
-// imagery continuously, the scheduler assigns downlinks per step, actual
-// weather decides whether each scheduled MODCOD really closes, receive-only
-// deliveries wait for acks via transmit-capable contacts (§3.3), and the
-// harness collects the paper's metrics: per-chunk capture-to-ground latency,
-// per-satellite end-of-horizon backlog, ack delays, storage high-water.
+// core::Session (session.h) drives the DGS scheduler over a multi-hour
+// horizon: satellites generate imagery continuously, the scheduler assigns
+// downlinks per step, actual weather decides whether each scheduled MODCOD
+// really closes, receive-only deliveries wait for acks via
+// transmit-capable contacts (§3.3), and the run collects the paper's
+// metrics: per-chunk capture-to-ground latency, per-satellite
+// end-of-horizon backlog, ack delays, storage high-water.  A whole run is
+// Session(sats, stations, &weather, opts).run_to_end().
 #pragma once
 
 #include <cstdint>
@@ -94,7 +97,7 @@ struct SimulationOptions {
   /// Restrict the run to these station ids (GroundStation::id), the
   /// netdesign interchange format (`dgs_cli --stations-subset`, see
   /// groundseg::read_station_subset).  Empty (the default) runs every
-  /// station passed to the Simulator.  Ids must be unique, non-negative,
+  /// station passed to the Session.  Ids must be unique, non-negative,
   /// and name stations that exist; the simulator filters its station list
   /// (preserving input order) before anything else runs, so fault-plan
   /// station indices refer to the *filtered* list.
@@ -255,34 +258,10 @@ struct SimulationResult {
 /// checked against the input ids; fault-plan indices and everything
 /// downstream see only the filtered list.  Throws std::invalid_argument
 /// "SimulationOptions.<field>: <message>" when `opts` is invalid for this
-/// network, and a DGS_ENSURE failure when either input is empty.  Session
-/// and Simulator both validate through it.
+/// network, and a DGS_ENSURE failure when either input is empty.  The
+/// Session constructor validates through it.
 std::vector<groundseg::GroundStation> select_stations(
     std::vector<groundseg::GroundStation> stations,
     const SimulationOptions& opts, int num_sats);
-
-/// Run-to-completion convenience wrapper over core::Session (session.h),
-/// which owns all mutable per-run state and additionally supports
-/// stepping, mid-run reports, and snapshot/restore checkpointing.
-class Simulator {
- public:
-  /// `actual_weather` decides transmission outcomes; it may differ from the
-  /// forecast provider feeding the scheduler.  Both are borrowed.
-  /// Pass nullptr for permanently clear skies.
-  Simulator(std::vector<groundseg::SatelliteConfig> sats,
-            std::vector<groundseg::GroundStation> stations,
-            const weather::WeatherProvider* actual_weather,
-            const SimulationOptions& opts);
-
-  /// Runs the full horizon.  Deterministic for fixed inputs.
-  /// Equivalent to Session(...).run_to_end().
-  SimulationResult run();
-
- private:
-  std::vector<groundseg::SatelliteConfig> sats_;
-  std::vector<groundseg::GroundStation> stations_;
-  const weather::WeatherProvider* actual_wx_;
-  SimulationOptions opts_;
-};
 
 }  // namespace dgs::core

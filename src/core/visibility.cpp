@@ -312,8 +312,8 @@ const StepGeometry& VisibilityEngine::geometry(
   out.per_station.resize(stations_->size());
   out.work = GeometryWork{};
 
-  // Propagate every satellite once for this instant: batched SGP4 in SoA
-  // layout, one shared GMST rotation, chunk-tiled over the pool.
+  // Propagate every satellite once for this instant: batched SGP4, one
+  // shared GMST rotation, chunk-tiled over the pool.
   // Per-index writes keep the result thread-count independent.
   batch_.positions_ecef(when, out.sat_ecef, pool_);
   out.work.propagations = batch_.size();

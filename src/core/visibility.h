@@ -2,7 +2,7 @@
 // Construction").
 //
 // For a scheduling instant, the engine propagates every satellite (batched
-// SGP4, SoA layout), tests visibility against every station's elevation
+// SGP4), tests visibility against every station's elevation
 // mask and owner constraints, and evaluates the predictive link budget
 // (§3.2) with forecast weather to produce the weighted bipartite contact
 // graph.
@@ -212,7 +212,7 @@ class VisibilityEngine {
   const std::vector<groundseg::SatelliteConfig>* sats_;
   const std::vector<groundseg::GroundStation>* stations_;
   const weather::WeatherProvider* wx_;  ///< May be null (clear-sky planning).
-  orbit::Sgp4Batch batch_;              ///< SoA propagator for the fleet.
+  orbit::Sgp4Batch batch_;              ///< Propagator for the fleet.
   /// Per satellite, its radio's index among the fleet's distinct radios.
   std::vector<std::uint32_t> radio_of_;
   /// One link kernel per distinct radio, and its terms at every station:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstddef>
 #include <fstream>
 #include <sstream>
@@ -105,24 +106,49 @@ std::vector<GroundStation> read_station_csv(std::istream& in) {
       fail(line_no, "expected 8 CSV fields, got " +
                         std::to_string(fields.size()));
     }
-    try {
-      GroundStation gs;
-      gs.id = std::stoi(fields[0]);
-      gs.name = fields[1];
-      gs.location.latitude_rad = util::deg2rad(std::stod(fields[2]));
-      gs.location.longitude_rad = util::deg2rad(std::stod(fields[3]));
-      gs.location.altitude_km = std::stod(fields[4]);
-      gs.receiver.dish_diameter_m = std::stod(fields[5]);
-      gs.tx_capable = std::stoi(fields[6]) != 0;
-      gs.min_elevation_rad = util::deg2rad(std::stod(fields[7]));
-      if (std::fabs(gs.location.latitude_rad) > util::kPi / 2.0) {
-        fail(line_no, "latitude out of range");
+    // Every field is converted and checked where it is read, so each
+    // error reads "line N: <column>: <reason>".
+    const auto real = [&](std::size_t i, const char* column) {
+      double v = 0.0;
+      try {
+        v = std::stod(fields[i]);
+      } catch (const std::exception&) {
+        fail(line_no, std::string(column) + ": malformed number \"" +
+                          fields[i] + "\"");
       }
-      gs.refresh_ecef();
-      stations.push_back(std::move(gs));
-    } catch (const std::invalid_argument&) {
-      fail(line_no, "malformed numeric field");
+      if (!std::isfinite(v)) {
+        fail(line_no, std::string(column) + ": not a finite number \"" +
+                          fields[i] + "\"");
+      }
+      return v;
+    };
+    const auto integer = [&](std::size_t i, const char* column) {
+      try {
+        return std::stoi(fields[i]);
+      } catch (const std::exception&) {
+        fail(line_no, std::string(column) + ": malformed integer \"" +
+                          fields[i] + "\"");
+      }
+    };
+    GroundStation gs;
+    gs.id = integer(0, "id");
+    gs.name = fields[1];
+    gs.location.latitude_rad = util::deg2rad(real(2, "lat_deg"));
+    gs.location.longitude_rad = util::deg2rad(real(3, "lon_deg"));
+    gs.location.altitude_km = real(4, "alt_km");
+    gs.receiver.dish_diameter_m = real(5, "dish_m");
+    gs.tx_capable = integer(6, "tx_capable") != 0;
+    gs.min_elevation_rad = util::deg2rad(real(7, "min_el_deg"));
+    if (std::fabs(gs.location.latitude_rad) > util::kPi / 2.0) {
+      fail(line_no, "lat_deg: latitude " + fields[2] +
+                        " out of range [-90, 90]");
     }
+    if (gs.receiver.dish_diameter_m <= 0.0) {
+      fail(line_no, "dish_m: dish diameter " + fields[5] +
+                        " must be positive");
+    }
+    gs.refresh_ecef();
+    stations.push_back(std::move(gs));
   }
   return stations;
 }

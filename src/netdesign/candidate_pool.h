@@ -38,7 +38,7 @@ std::vector<CandidateSite> make_candidate_pool(
     const groundseg::NetworkOptions& net);
 
 /// The pool's stations in pool order — what the visibility engine and the
-/// Simulator consume.  Pool index i holds station id pool[i].station.id.
+/// Session consume.  Pool index i holds station id pool[i].station.id.
 std::vector<groundseg::GroundStation> pool_stations(
     const std::vector<CandidateSite>& pool);
 

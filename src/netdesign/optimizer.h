@@ -9,7 +9,7 @@
 //     the top of the heap.
 //
 //   * local_search refines a selection with bounded swap moves, scoring
-//     each trial subset with the *full* Simulator (latency tail + backlog,
+//     each trial subset with the *full* simulation (latency tail + backlog,
 //     the metrics the paper actually reports) — the expensive evaluator is
 //     reserved for the handful of subsets near the frontier.
 //
@@ -48,7 +48,7 @@ struct GreedyResult {
 GreedyResult lazy_greedy(const ValueTable& table, const GreedyOptions& opts,
                          obs::Registry* metrics = nullptr);
 
-/// One full-Simulator evaluation of a station subset (see
+/// One full-simulation evaluation of a station subset (see
 /// pareto.h's SubsetEvaluator for the production implementation).
 struct EvalPoint {
   double latency_p50_min = 0.0;

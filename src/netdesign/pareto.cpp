@@ -5,6 +5,7 @@
 #include <string>
 
 #include "src/core/run_artifact.h"
+#include "src/core/session.h"
 #include "src/util/check.h"
 
 namespace dgs::netdesign {
@@ -46,8 +47,8 @@ EvalPoint SubsetEvaluator::evaluate(
     opts.station_subset.push_back(
         (*pool_)[static_cast<std::size_t>(c)].station.id);
   }
-  core::Simulator sim(*sats_, pool_stations(*pool_), weather_, opts);
-  const core::SimulationResult r = sim.run();
+  core::Session sim(*sats_, pool_stations(*pool_), weather_, opts);
+  const core::SimulationResult r = sim.run_to_end();
 
   EvalPoint p;
   if (r.latency_minutes.empty()) {

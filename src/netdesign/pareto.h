@@ -2,7 +2,7 @@
 //
 // The sweep runs the selection pipeline at each requested station count
 // K: lazy-greedy over the value table, optional swap-based local-search
-// refinement, then one authoritative full-Simulator evaluation of the
+// refinement, then one authoritative full-simulation evaluation of the
 // final subset.  Each point carries the install cost and the simulated
 // latency tail / end-of-horizon backlog, with dominated points flagged so
 // a plot of the non-dominated set is the paper-style cost-vs-performance
@@ -49,7 +49,7 @@ struct FrontPoint {
   int k = 0;                  ///< The station count K swept for this point.
   double cost = 0.0;          ///< Sum of selected install costs.
   double objective_gb = 0.0;  ///< Greedy coverage objective (table tier).
-  EvalPoint eval;             ///< Simulator tier (authoritative).
+  EvalPoint eval;             ///< Simulation tier (authoritative).
   bool dominated = false;     ///< Some other point is >= on cost, p90
                               ///< latency, and backlog (one strictly).
   std::vector<int> station_ids;  ///< GroundStation::id, ascending.

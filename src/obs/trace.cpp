@@ -30,7 +30,7 @@ struct TraceEvent {
 };
 
 /// One per recording thread; owned by the global collector so spans
-/// survive their thread (pool workers die with their Simulator).
+/// survive their thread (pool workers die with their Session).
 struct TraceBuffer {
   std::mutex mutex;  ///< Uncontended except against an exporter.
   std::vector<TraceEvent> events;

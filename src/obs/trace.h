@@ -1,7 +1,7 @@
 // Scoped trace spans with a Chrome-trace (chrome://tracing / Perfetto)
 // JSON exporter.
 //
-//   void Simulator::step() {
+//   void Session::step() {
 //     DGS_TRACE_SPAN("sim.step");
 //     ...
 //   }

@@ -14,8 +14,8 @@
 //
 // Two call surfaces share one propagation kernel (sgp4_propagate):
 //   * Sgp4 — one element set, one state per call;
-//   * Sgp4Batch (sgp4_batch.h) — a whole constellation in SoA layout,
-//     propagated per scheduling step.
+//   * Sgp4Batch (sgp4_batch.h) — a whole constellation, propagated per
+//     scheduling step.
 // Both produce bit-identical states for the same element set and time.
 #pragma once
 
@@ -33,8 +33,8 @@ struct TemeState {
 
 /// The derived initialization constants of one near-earth element set —
 /// everything sgp4_propagate needs besides the time offset.  Produced by
-/// sgp4_init; field names follow the reference theory.  Kept as a plain
-/// aggregate so Sgp4Batch can scatter/gather it through per-field arrays.
+/// sgp4_init; field names follow the reference theory.  Sgp4Batch keeps
+/// one per satellite.
 struct Sgp4Params {
   // Elements at epoch (radians, rad/min).
   double ecco = 0.0, inclo = 0.0, nodeo = 0.0, argpo = 0.0, mo = 0.0;
@@ -88,8 +88,6 @@ class Sgp4 {
   double mean_motion_rad_per_min() const { return p_.no_unkozai; }
   /// Orbital period from the recovered mean motion [minutes].
   double period_minutes() const;
-  /// The derived constants (for Sgp4Batch construction).
-  const Sgp4Params& params() const { return p_; }
 
  private:
   util::Epoch epoch_;

@@ -7,34 +7,17 @@
 namespace dgs::orbit {
 
 Sgp4Batch::Sgp4Batch(std::span<const Tle> tles) {
-  const std::size_t n = tles.size();
-#define DGS_SGP4_RESERVE(name) name##_.reserve(n);
-  DGS_SGP4_PARAM_FIELDS(DGS_SGP4_RESERVE)
-#undef DGS_SGP4_RESERVE
-  isimp_.reserve(n);
-  epochs_.reserve(n);
+  params_.reserve(tles.size());
+  epochs_.reserve(tles.size());
   for (const Tle& tle : tles) {
-    const Sgp4Params p = sgp4_init(tle);
-#define DGS_SGP4_PUSH(name) name##_.push_back(p.name);
-    DGS_SGP4_PARAM_FIELDS(DGS_SGP4_PUSH)
-#undef DGS_SGP4_PUSH
-    isimp_.push_back(p.isimp ? 1 : 0);
+    params_.push_back(sgp4_init(tle));
     epochs_.push_back(tle.epoch);
   }
 }
 
-Sgp4Params Sgp4Batch::gather(std::size_t i) const {
-  Sgp4Params p;
-#define DGS_SGP4_GATHER(name) p.name = name##_[i];
-  DGS_SGP4_PARAM_FIELDS(DGS_SGP4_GATHER)
-#undef DGS_SGP4_GATHER
-  p.isimp = isimp_[i] != 0;
-  return p;
-}
-
 TemeState Sgp4Batch::propagate_one(int sat, const util::Epoch& when) const {
   const auto i = static_cast<std::size_t>(sat);
-  return sgp4_propagate(gather(i), when.minutes_since(epochs_[i]));
+  return sgp4_propagate(params_[i], when.minutes_since(epochs_[i]));
 }
 
 void Sgp4Batch::positions_teme(const util::Epoch& when,
@@ -45,7 +28,7 @@ void Sgp4Batch::positions_teme(const util::Epoch& when,
     for (std::int64_t s = begin; s < end; ++s) {
       const auto i = static_cast<std::size_t>(s);
       const TemeState st =
-          sgp4_propagate(gather(i), when.minutes_since(epochs_[i]));
+          sgp4_propagate(params_[i], when.minutes_since(epochs_[i]));
       out[i] = st.position_km;
     }
   };
@@ -64,7 +47,7 @@ void Sgp4Batch::positions_ecef(const util::Epoch& when,
     for (std::int64_t s = begin; s < end; ++s) {
       const auto i = static_cast<std::size_t>(s);
       const TemeState st =
-          sgp4_propagate(gather(i), when.minutes_since(epochs_[i]));
+          sgp4_propagate(params_[i], when.minutes_since(epochs_[i]));
       const util::Vec3& r = st.position_km;
       out[i] = {c * r.x + sn * r.y, -sn * r.x + c * r.y, r.z};
     }

@@ -1,13 +1,10 @@
 // Constellation-scale SGP4: a whole fleet propagated per scheduling step.
 //
-// Sgp4Batch stores the derived constants of N element sets in SoA layout
-// (one contiguous array per Sgp4Params field) and propagates every
-// satellite to the same absolute epoch in one call, chunk-tiled through
-// the deterministic ThreadPool.  Against N scalar Sgp4 objects this keeps
-// the per-step working set dense (the scalar path walks 300+ bytes of
-// object per satellite), shares one GMST rotation across the fleet for
-// the TEME->ECEF step instead of recomputing it per satellite, and gives
-// the per-satellite loop a branch-light body the compiler can pipeline.
+// Sgp4Batch holds the derived constants of N element sets (one Sgp4Params
+// per satellite) and propagates every satellite to the same absolute
+// epoch in one call, chunk-tiled through the deterministic ThreadPool.
+// Against N scalar Sgp4 objects it shares one GMST rotation across the
+// fleet for the TEME->ECEF step instead of recomputing it per satellite.
 //
 // Determinism contract (DESIGN.md §14): every state is produced by the
 // same sgp4_propagate kernel the scalar Sgp4 class calls, with identical
@@ -23,15 +20,6 @@
 #include "src/util/thread_pool.h"
 
 namespace dgs::orbit {
-
-// The double-valued Sgp4Params fields, X-macro'd so the SoA scatter and
-// gather can never drift from the struct definition.
-#define DGS_SGP4_PARAM_FIELDS(X)                                        \
-  X(ecco) X(inclo) X(nodeo) X(argpo) X(mo) X(no_unkozai) X(bstar)       \
-  X(aycof) X(con41) X(cc1) X(cc4) X(cc5) X(d2) X(d3) X(d4)              \
-  X(delmo) X(eta) X(argpdot) X(omgcof) X(sinmao) X(t2cof) X(t3cof)      \
-  X(t4cof) X(t5cof) X(x1mth2) X(x7thm1) X(mdot) X(nodedot) X(xlcof)     \
-  X(xmcof) X(nodecf)
 
 class Sgp4Batch {
  public:
@@ -61,14 +49,7 @@ class Sgp4Batch {
                       util::ThreadPool* pool = nullptr) const;
 
  private:
-  /// Reassembles satellite `i`'s Sgp4Params from the per-field arrays.
-  Sgp4Params gather(std::size_t i) const;
-
-  // SoA storage: one array per Sgp4Params double field, all size()-long.
-#define DGS_SGP4_DECL(name) std::vector<double> name##_;
-  DGS_SGP4_PARAM_FIELDS(DGS_SGP4_DECL)
-#undef DGS_SGP4_DECL
-  std::vector<char> isimp_;
+  std::vector<Sgp4Params> params_;
   std::vector<util::Epoch> epochs_;
 };
 

@@ -5,7 +5,7 @@
 
 #include "src/backend/backhaul.h"
 #include "src/backend/station_edge.h"
-#include "src/core/simulator.h"
+#include "src/core/session.h"
 
 namespace dgs::backend {
 namespace {
@@ -113,7 +113,7 @@ TEST(StationEdge, SimulatorCloudLatencyBehindGroundLatency) {
   opts.duration_hours = 6.0;
   opts.station_backhaul_bps = 50e6;  // consumer uplink, below burst rate
   const core::SimulationResult r =
-      core::Simulator(sats, stations, nullptr, opts).run();
+      core::Session(sats, stations, nullptr, opts).run_to_end();
 
   ASSERT_FALSE(r.cloud_latency_minutes.empty());
   // The cloud sees every chunk no earlier than the ground did.
@@ -135,7 +135,7 @@ TEST(StationEdge, InfiniteBackhaulByDefault) {
   opts.start = kT0;
   opts.duration_hours = 3.0;
   const core::SimulationResult r =
-      core::Simulator(sats, stations, nullptr, opts).run();
+      core::Session(sats, stations, nullptr, opts).run_to_end();
   EXPECT_TRUE(r.cloud_latency_minutes.empty());
   EXPECT_DOUBLE_EQ(r.station_queued_bytes, 0.0);
 }

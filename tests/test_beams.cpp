@@ -4,7 +4,7 @@
 
 #include <map>
 
-#include "src/core/simulator.h"
+#include "src/core/session.h"
 
 namespace dgs::core {
 namespace {
@@ -87,9 +87,9 @@ TEST(Beams, SimulatorServesMoreSatellitesUnderContention) {
   opts.start = kT0;
   opts.duration_hours = 8.0;
   const SimulationResult r1 =
-      Simulator(sats, single, nullptr, opts).run();
+      Session(sats, single, nullptr, opts).run_to_end();
   const SimulationResult r3 =
-      Simulator(sats, multi, nullptr, opts).run();
+      Session(sats, multi, nullptr, opts).run_to_end();
   // More simultaneous service slots were used...
   EXPECT_GT(r3.assignments, r1.assignments);
   // ...and the system keeps functioning: whether the extra slots beat the

@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "src/core/simulator.h"
+#include "src/core/session.h"
 #include "src/groundseg/network_gen.h"
 #include "src/obs/events.h"
 #include "src/obs/metrics.h"
@@ -71,8 +71,8 @@ TEST_F(FaultSimTest, LookaheadReplansWhenAssignedStationsFault) {
   for (int g = 0; g < static_cast<int>(stations_.size()); ++g) {
     opts.faults.outages.push_back(faults::OutageWindow{g, 2.4, 4.4});
   }
-  Simulator sim(sats_, stations_, nullptr, opts);
-  const SimulationResult r = sim.run();
+  Session sim(sats_, stations_, nullptr, opts);
+  const SimulationResult r = sim.run_to_end();
 
   EXPECT_GT(r.total_delivered_bytes, 0.0);
   EXPECT_GE(r.replans, 1);
@@ -94,8 +94,8 @@ TEST_F(FaultSimTest, PerInstantSchedulerAvoidsFaultedStations) {
   SimulationOptions opts = base_opts();
   opts.faults.outages.push_back(faults::OutageWindow{0, 1.0, 7.0});
   opts.faults.outages.push_back(faults::OutageWindow{1, 1.0, 7.0});
-  Simulator sim(sats_, stations_, nullptr, opts);
-  const SimulationResult r = sim.run();
+  Session sim(sats_, stations_, nullptr, opts);
+  const SimulationResult r = sim.run_to_end();
   EXPECT_GT(r.total_delivered_bytes, 0.0);
   EXPECT_EQ(r.outage_lost_bytes, 0.0);
   EXPECT_EQ(r.replans, 0);
@@ -104,15 +104,15 @@ TEST_F(FaultSimTest, PerInstantSchedulerAvoidsFaultedStations) {
 TEST_F(FaultSimTest, ChurnDegradesButConserves) {
   weather::SyntheticWeatherProvider wx(31, kT0, 25.0);
   SimulationOptions clean = base_opts();
-  Simulator clean_sim(sats_, stations_, &wx, clean);
-  const SimulationResult baseline = clean_sim.run();
+  Session clean_sim(sats_, stations_, &wx, clean);
+  const SimulationResult baseline = clean_sim.run_to_end();
 
   SimulationOptions opts = base_opts();
   opts.faults.seed = 7;
   opts.faults.churn.mtbf_hours = 4.0;
   opts.faults.churn.mttr_hours = 1.0;
-  Simulator sim(sats_, stations_, &wx, opts);
-  const SimulationResult r = sim.run();
+  Session sim(sats_, stations_, &wx, opts);
+  const SimulationResult r = sim.run_to_end();
 
   EXPECT_GT(r.total_delivered_bytes, 0.0);
   EXPECT_LT(r.total_delivered_bytes, baseline.total_delivered_bytes);
@@ -124,8 +124,8 @@ TEST_F(FaultSimTest, ChurnDegradesButConserves) {
 
 TEST_F(FaultSimTest, AckRelayLossDelaysAcknowledgements) {
   SimulationOptions clean = base_opts();
-  Simulator clean_sim(sats_, stations_, nullptr, clean);
-  const SimulationResult baseline = clean_sim.run();
+  Session clean_sim(sats_, stations_, nullptr, clean);
+  const SimulationResult baseline = clean_sim.run_to_end();
   ASSERT_FALSE(baseline.ack_delay_minutes.empty());
 
   SimulationOptions opts = base_opts();
@@ -134,8 +134,8 @@ TEST_F(FaultSimTest, AckRelayLossDelaysAcknowledgements) {
   opts.faults.ack_relay.initial_backoff_s = 120.0;
   opts.faults.ack_relay.backoff_multiplier = 2.0;
   opts.faults.ack_relay.max_backoff_s = 1800.0;
-  Simulator sim(sats_, stations_, nullptr, opts);
-  const SimulationResult r = sim.run();
+  Session sim(sats_, stations_, nullptr, opts);
+  const SimulationResult r = sim.run_to_end();
 
   EXPECT_GT(r.ack_retries, 0);
   ASSERT_FALSE(r.ack_delay_minutes.empty());
@@ -148,8 +148,8 @@ TEST_F(FaultSimTest, PlanUploadFailuresAreCountedAndDegrade) {
   SimulationOptions opts = base_opts();
   opts.faults.seed = 23;
   opts.faults.plan_upload.failure_probability = 0.5;
-  Simulator sim(sats_, stations_, nullptr, opts);
-  const SimulationResult r = sim.run();
+  Session sim(sats_, stations_, nullptr, opts);
+  const SimulationResult r = sim.run_to_end();
   EXPECT_GT(r.plan_upload_failures, 0);
   EXPECT_GT(r.total_delivered_bytes, 0.0);
   EXPECT_NEAR(r.total_generated_bytes,
@@ -167,8 +167,8 @@ TEST_F(FaultSimTest, BackhaulBlackoutStrandsDataAtTheEdge) {
     opts.faults.backhaul.push_back(
         faults::BackhaulFault{g, 0.0, opts.duration_hours, 0.0});
   }
-  Simulator sim(sats_, stations_, nullptr, opts);
-  const SimulationResult r = sim.run();
+  Session sim(sats_, stations_, nullptr, opts);
+  const SimulationResult r = sim.run_to_end();
   EXPECT_GT(r.total_delivered_bytes, 0.0);
   EXPECT_TRUE(r.cloud_latency_minutes.empty());
   EXPECT_GT(r.station_queued_bytes, 0.0);
@@ -207,8 +207,8 @@ std::string run_fault_events(int num_threads) {
   std::ostringstream events;
   obs::EventLog log(&events);
   opts.events = &log;
-  Simulator sim(sats, stations, &wx, opts);
-  const SimulationResult r = sim.run();
+  Session sim(sats, stations, &wx, opts);
+  const SimulationResult r = sim.run_to_end();
   EXPECT_GT(r.total_delivered_bytes, 0.0);
   return events.str();
 }
@@ -267,8 +267,8 @@ TEST(FaultGolden, FaultMetricsMirrorTheResultExactly) {
 
   obs::Registry registry;
   opts.metrics = &registry;
-  Simulator sim(sats, stations, nullptr, opts);
-  const SimulationResult r = sim.run();
+  Session sim(sats, stations, nullptr, opts);
+  const SimulationResult r = sim.run_to_end();
 
   EXPECT_EQ(
       registry.counter("dgs_faults_outage_lost_bytes_total", "")->value(),
@@ -295,8 +295,8 @@ TEST(FaultGolden, FaultFreeRunsRegisterNoFaultMetrics) {
   opts.duration_hours = 2.0;
   obs::Registry registry;
   opts.metrics = &registry;
-  Simulator sim(sats, stations, nullptr, opts);
-  (void)sim.run();
+  Session sim(sats, stations, nullptr, opts);
+  (void)sim.run_to_end();
   std::ostringstream prom;
   registry.write_prometheus(prom);
   EXPECT_EQ(prom.str().find("dgs_faults_"), std::string::npos);

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "src/core/report.h"
-#include "src/core/simulator.h"
+#include "src/core/session.h"
 #include "src/faults/fault_plan.h"
 #include "src/faults/profiles.h"
 #include "src/groundseg/network_gen.h"
@@ -330,7 +330,7 @@ TEST(OptionsValidate, ConstructorThrowsWithFieldInMessage) {
   opts.start = kT0;
   opts.step_seconds = 0.0;
   try {
-    Simulator sim(sats, stations, nullptr, opts);
+    Session sim(sats, stations, nullptr, opts);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& ex) {
     EXPECT_NE(std::string(ex.what()).find("SimulationOptions.step_seconds"),
@@ -342,7 +342,7 @@ TEST(OptionsValidate, ConstructorThrowsWithFieldInMessage) {
   // indices are range-checked at construction too.
   opts.step_seconds = 60.0;
   opts.faults.outages.push_back(faults::OutageWindow{99, 0.0, 1.0});
-  EXPECT_THROW(Simulator(sats, stations, nullptr, opts),
+  EXPECT_THROW(Session(sats, stations, nullptr, opts),
                std::invalid_argument);
 }
 

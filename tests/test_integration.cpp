@@ -4,7 +4,7 @@
 // the paper (synthetic geometry, shorter horizon); orderings must not.
 #include <gtest/gtest.h>
 
-#include "src/core/simulator.h"
+#include "src/core/session.h"
 #include "src/weather/synthetic.h"
 
 namespace dgs::core {
@@ -61,12 +61,12 @@ class PaperShape : public ::testing::Test {
     wx_ = new weather::SyntheticWeatherProvider(777, kEpoch, 13.0);
 
     dgs_ = new SimulationResult(
-        Simulator(sys_->sats, sys_->dgs, wx_, sim_opts()).run());
+        Session(sys_->sats, sys_->dgs, wx_, sim_opts()).run_to_end());
     dgs25_ = new SimulationResult(
-        Simulator(sys_->sats, sys_->dgs25, wx_, sim_opts()).run());
+        Session(sys_->sats, sys_->dgs25, wx_, sim_opts()).run_to_end());
     baseline_ = new SimulationResult(
-        Simulator(six_channel(sys_->sats), sys_->baseline, wx_, sim_opts())
-            .run());
+        Session(six_channel(sys_->sats), sys_->baseline, wx_, sim_opts())
+            .run_to_end());
   }
   static void TearDownTestSuite() {
     delete dgs_;
@@ -135,8 +135,8 @@ TEST_F(PaperShape, ThroughputValueRaisesLatencyTail) {
   // Fig. 3c: switching Phi from latency to throughput raises the tail
   // latency on the same network.
   const SimulationResult t =
-      Simulator(sys_->sats, sys_->dgs25, wx_, sim_opts(ValueKind::kThroughput))
-          .run();
+      Session(sys_->sats, sys_->dgs25, wx_, sim_opts(ValueKind::kThroughput))
+          .run_to_end();
   EXPECT_GE(t.latency_minutes.percentile(90.0),
             dgs25_->latency_minutes.percentile(90.0));
   // ...without delivering less data overall (it is throughput-optimized).

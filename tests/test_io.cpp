@@ -3,6 +3,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "src/groundseg/io.h"
 #include "src/groundseg/network_gen.h"
@@ -135,6 +136,44 @@ TEST(StationCsv, RejectsMalformedRows) {
   std::stringstream bad_lat;
   bad_lat << "1,X,97.0,0,0,1,0,5\n";
   EXPECT_THROW(read_station_csv(bad_lat), std::invalid_argument);
+}
+
+// The message read_station_csv rejects `row` with ("" if it accepts it).
+std::string station_csv_error(const std::string& row) {
+  std::stringstream ss(row + "\n");
+  try {
+    read_station_csv(ss);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(StationCsv, RangeErrorNamesTheLatitude) {
+  const std::string e = station_csv_error("1,a,95,0,0,3,1,10");
+  EXPECT_NE(e.find("line 1: lat_deg: latitude 95 out of range"),
+            std::string::npos)
+      << e;
+}
+
+TEST(StationCsv, OverflowingNumbersReportTheirLineAndField) {
+  const std::string real = station_csv_error("1,a,1e999,0,0,3,1,10");
+  EXPECT_NE(real.find("line 1: lat_deg:"), std::string::npos) << real;
+  const std::string integer = station_csv_error("99999999999,a,45,0,0,3,1,10");
+  EXPECT_NE(integer.find("line 1: id:"), std::string::npos) << integer;
+}
+
+TEST(StationCsv, RejectsNonFiniteNumbersAndNonPositiveDish) {
+  const std::string lat = station_csv_error("1,a,nan,0,0,3,1,10");
+  EXPECT_NE(lat.find("line 1: lat_deg: not a finite number"),
+            std::string::npos)
+      << lat;
+  const std::string dish = station_csv_error("1,a,45,0,0,-3,1,10");
+  EXPECT_NE(dish.find("line 1: dish_m:"), std::string::npos) << dish;
+  const std::string mask = station_csv_error("1,a,45,0,0,3,1,nan");
+  EXPECT_NE(mask.find("line 1: min_el_deg: not a finite number"),
+            std::string::npos)
+      << mask;
 }
 
 }  // namespace

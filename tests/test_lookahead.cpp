@@ -12,7 +12,7 @@
 #include <utility>
 
 #include "src/core/lookahead.h"
-#include "src/core/simulator.h"
+#include "src/core/session.h"
 #include "src/obs/events.h"
 #include "src/obs/metrics.h"
 #include "src/weather/synthetic.h"
@@ -516,8 +516,8 @@ TEST_F(LookaheadTest, SimulatorIntegrationConservesBytes) {
   opts.duration_hours = 6.0;
   opts.step_seconds = 60.0;
   opts.lookahead_hours = 1.0;
-  Simulator sim(sats_, stations_, nullptr, opts);
-  const SimulationResult r = sim.run();
+  Session sim(sats_, stations_, nullptr, opts);
+  const SimulationResult r = sim.run_to_end();
   EXPECT_GT(r.total_delivered_bytes, 0.0);
   double backlog = 0.0;
   for (const auto& o : r.per_satellite) backlog += o.backlog_bytes;
@@ -534,8 +534,8 @@ TEST_F(LookaheadTest, SimulatorAcceptsLookaheadWithOutages) {
   opts.duration_hours = 2.0;
   opts.lookahead_hours = 1.0;
   opts.faults.outages.push_back(faults::OutageWindow{0, 0.0, 1.0});
-  Simulator sim(sats_, stations_, nullptr, opts);
-  const SimulationResult r = sim.run();
+  Session sim(sats_, stations_, nullptr, opts);
+  const SimulationResult r = sim.run_to_end();
   EXPECT_GT(r.total_delivered_bytes, 0.0);
   // generated == delivered + still-queued + (wasted - requeued): every
   // byte is delivered, on board, or in limbo awaiting its collated
@@ -554,7 +554,7 @@ TEST_F(LookaheadTest, SimulatorRejectsNegativeLookahead) {
   opts.start = kEpoch;
   opts.duration_hours = 2.0;
   opts.lookahead_hours = -1.0;
-  EXPECT_THROW(Simulator(sats_, stations_, nullptr, opts),
+  EXPECT_THROW(Session(sats_, stations_, nullptr, opts),
                std::invalid_argument);
 }
 

@@ -9,7 +9,7 @@
 
 #include "src/core/market.h"
 #include "src/core/report.h"
-#include "src/core/simulator.h"
+#include "src/core/session.h"
 
 namespace dgs::core {
 namespace {
@@ -124,7 +124,7 @@ TEST(Market, HigherBidderWinsContestedStations) {
   opts.duration_hours = 8.0;
   opts.value_scale = bids.value_scale(static_cast<int>(stations.size()));
   const SimulationResult r =
-      Simulator(sats, stations, nullptr, opts).run();
+      Session(sats, stations, nullptr, opts).run_to_end();
 
   double delivered[2] = {0.0, 0.0};
   for (std::size_t s = 0; s < sats.size(); ++s) {
@@ -155,9 +155,10 @@ TEST(Market, UnitBidsChangeNothing) {
   with_bids.value_scale =
       bids.value_scale(static_cast<int>(stations.size()));
 
-  const SimulationResult a = Simulator(sats, stations, nullptr, plain).run();
+  const SimulationResult a =
+      Session(sats, stations, nullptr, plain).run_to_end();
   const SimulationResult b =
-      Simulator(sats, stations, nullptr, with_bids).run();
+      Session(sats, stations, nullptr, with_bids).run_to_end();
   EXPECT_EQ(summary_bytes(a), summary_bytes(b));
 }
 
@@ -187,7 +188,7 @@ TEST(Market, BidsRunIsByteIdenticalAcrossThreadCounts) {
   for (const int threads : {1, 4}) {
     opts.parallel.num_threads = threads;
     const std::string bytes = summary_bytes(
-        Simulator(sats, stations, nullptr, opts).run());
+        Session(sats, stations, nullptr, opts).run_to_end());
     if (threads == 1) {
       serial = bytes;
     } else {

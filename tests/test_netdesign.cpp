@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "src/core/run_artifact.h"
-#include "src/core/simulator.h"
+#include "src/core/session.h"
 #include "src/groundseg/io.h"
 #include "src/netdesign/pareto.h"
 #include "src/weather/synthetic.h"
@@ -328,8 +328,8 @@ TEST(NetdesignPipeline, SubsetEvaluatorMatchesManuallyFilteredRun) {
   const auto all = pool_stations(sc.pool);
   core::SimulationOptions with_subset = opts;
   with_subset.station_subset = subset;
-  core::Simulator via_subset(sc.sats, all, &sc.wx, with_subset);
-  const core::SimulationResult a = via_subset.run();
+  core::Session via_subset(sc.sats, all, &sc.wx, with_subset);
+  const core::SimulationResult a = via_subset.run_to_end();
 
   std::vector<groundseg::GroundStation> filtered;
   for (const auto& gs : all) {
@@ -337,8 +337,8 @@ TEST(NetdesignPipeline, SubsetEvaluatorMatchesManuallyFilteredRun) {
       filtered.push_back(gs);
     }
   }
-  core::Simulator direct(sc.sats, filtered, &sc.wx, opts);
-  const core::SimulationResult b = direct.run();
+  core::Session direct(sc.sats, filtered, &sc.wx, opts);
+  const core::SimulationResult b = direct.run_to_end();
 
   EXPECT_DOUBLE_EQ(a.total_delivered_bytes, b.total_delivered_bytes);
   EXPECT_DOUBLE_EQ(a.total_generated_bytes, b.total_generated_bytes);

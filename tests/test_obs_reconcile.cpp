@@ -62,7 +62,7 @@ TEST(ObsReconcile, TwentyFourHourRunBalancesExactly) {
   obs::clear_trace();
   obs::set_trace_enabled(true);
 
-  const SimulationResult r = Simulator(sats, stations, &wx, opts).run();
+  const SimulationResult r = Session(sats, stations, &wx, opts).run_to_end();
   obs::set_trace_enabled(false);
 
   const int num_sats = static_cast<int>(sats.size());

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "src/core/report.h"
-#include "src/core/simulator.h"
+#include "src/core/session.h"
 #include "src/faults/profiles.h"
 #include "src/groundseg/network_gen.h"
 #include "src/obs/events.h"
@@ -52,8 +52,8 @@ core::SimulationResult run_sim(int num_threads, double lookahead_hours,
         faults::make_profile("storm", 7, static_cast<int>(stations.size()));
   }
 
-  core::Simulator sim(sats, stations, &wx, opts);
-  return sim.run();
+  core::Session sim(sats, stations, &wx, opts);
+  return sim.run_to_end();
 }
 
 /// The full machine-readable artifact of a run: summary JSON + timeseries

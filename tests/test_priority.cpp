@@ -5,7 +5,7 @@
 
 #include <stdexcept>
 
-#include "src/core/simulator.h"
+#include "src/core/session.h"
 #include "src/core/value.h"
 
 namespace dgs::core {
@@ -94,7 +94,7 @@ TEST(PrioritySimulation, UrgentTierGetsLowerLatency) {
   opts.urgent_priority = 8.0;
 
   const SimulationResult r =
-      Simulator(sats, stations, nullptr, opts).run();
+      Session(sats, stations, nullptr, opts).run_to_end();
   ASSERT_FALSE(r.urgent_latency_minutes.empty());
   ASSERT_FALSE(r.bulk_latency_minutes.empty());
   // The urgent tier must beat bulk at the median and the tail.
@@ -114,7 +114,7 @@ TEST(PrioritySimulation, NoTierMeansNoUrgentSamples) {
   opts.start = kT0;
   opts.duration_hours = 4.0;
   const SimulationResult r =
-      Simulator(sats, stations, nullptr, opts).run();
+      Session(sats, stations, nullptr, opts).run_to_end();
   EXPECT_TRUE(r.urgent_latency_minutes.empty());
   EXPECT_EQ(r.bulk_latency_minutes.size(), r.latency_minutes.size());
 }

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "src/core/report.h"
+#include "src/core/session.h"
 #include "src/faults/profiles.h"
 #include "tests/json_lite.h"
 
@@ -23,7 +24,7 @@ SimulationResult run_small(bool timeseries) {
   opts.start = kT0;
   opts.duration_hours = 4.0;
   opts.collect_timeseries = timeseries;
-  return Simulator(sats, stations, nullptr, opts).run();
+  return Session(sats, stations, nullptr, opts).run_to_end();
 }
 
 TEST(Timeseries, OffByDefault) {
@@ -176,7 +177,7 @@ TEST(RunArtifactSchema, AllFaultProfilesRoundTrip) {
     }
     ASSERT_FALSE(opts.validate(net.num_stations).has_value()) << profile;
     const SimulationResult r =
-        Simulator(sats, stations, nullptr, opts).run();
+        Session(sats, stations, nullptr, opts).run_to_end();
     std::stringstream ss;
     write_summary_json(ss, r);
     std::string why;

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "src/core/data_queue.h"
-#include "src/core/simulator.h"
+#include "src/core/session.h"
 #include "src/weather/synthetic.h"
 
 namespace dgs::core {
@@ -109,7 +109,7 @@ TEST(Retransmit, SimulatorAccountsWasteAndRequeue) {
   opts.start = kT0;
   opts.duration_hours = 12.0;
   opts.weather_aware = false;  // guarantee mis-predictions
-  const SimulationResult r = Simulator(sats, stations, &wx, opts).run();
+  const SimulationResult r = Session(sats, stations, &wx, opts).run_to_end();
 
   EXPECT_GT(r.failed_assignments, 0);
   EXPECT_GT(r.wasted_transmission_bytes, 0.0);

@@ -26,6 +26,7 @@
 #include <sstream>
 #include <streambuf>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/checkpoint.h"
@@ -117,13 +118,39 @@ RunOutputs run_uninterrupted(const Scenario& s, int threads) {
   return out;
 }
 
-TEST(Session, RunToEndMatchesSimulatorRun) {
+// One full run's result and Prometheus text, with or without an event log
+// attached.
+std::pair<SimulationResult, std::string> run_with_events(const Scenario& s,
+                                                         bool with_events) {
+  SimulationOptions opts = s.opts;
+  obs::Registry registry;
+  opts.metrics = &registry;
+  std::ostringstream events;
+  obs::EventLog log(&events);
+  if (with_events) opts.events = &log;
+  SimulationResult r = Session(s.sats, s.stations, nullptr, opts).run_to_end();
+  EXPECT_EQ(events.str().empty(), !with_events);
+  std::ostringstream prom;
+  registry.write_prometheus(prom);
+  return {std::move(r), prom.str()};
+}
+
+// The event log is a sink only: attaching one changes no other output.
+void expect_event_log_changes_nothing(const Scenario& s) {
+  const auto [logged, logged_prom] = run_with_events(s, true);
+  const auto [unlogged, unlogged_prom] = run_with_events(s, false);
+  EXPECT_EQ(summary_bytes(logged), summary_bytes(unlogged));
+  EXPECT_EQ(logged_prom, unlogged_prom);
+}
+
+TEST(Session, EventLogNeverChangesAFaultedLookaheadRun) {
   const Scenario s = golden_scenario();
-  Session session(s.sats, s.stations, nullptr, s.opts);
-  const std::string via_session = summary_bytes(session.run_to_end());
-  const std::string via_simulator =
-      summary_bytes(Simulator(s.sats, s.stations, nullptr, s.opts).run());
-  EXPECT_EQ(via_session, via_simulator);
+  EXPECT_GT(run_with_events(s, false).first.replans, 0);
+  expect_event_log_changes_nothing(s);
+}
+
+TEST(Session, EventLogNeverChangesATenantRun) {
+  expect_event_log_changes_nothing(tenant_churn_scenario());
 }
 
 TEST(Session, StepAccountingAndDoneContract) {

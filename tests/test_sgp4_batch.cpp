@@ -1,4 +1,4 @@
-// Batched SGP4 (SoA) vs the scalar propagator: bit-identical by contract.
+// Batched SGP4 vs the scalar propagator: bit-identical by contract.
 #include <gtest/gtest.h>
 
 #include <vector>

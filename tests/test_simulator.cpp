@@ -5,7 +5,7 @@
 
 #include <stdexcept>
 
-#include "src/core/simulator.h"
+#include "src/core/session.h"
 #include "src/weather/synthetic.h"
 
 namespace dgs::core {
@@ -41,23 +41,23 @@ class SimulatorTest : public ::testing::Test {
 };
 
 TEST_F(SimulatorTest, RejectsBadInputs) {
-  EXPECT_THROW(Simulator({}, stations_, nullptr, short_sim()),
+  EXPECT_THROW(Session({}, stations_, nullptr, short_sim()),
                std::invalid_argument);
-  EXPECT_THROW(Simulator(sats_, {}, nullptr, short_sim()),
+  EXPECT_THROW(Session(sats_, {}, nullptr, short_sim()),
                std::invalid_argument);
   SimulationOptions bad = short_sim();
   bad.duration_hours = 0.0;
-  EXPECT_THROW(Simulator(sats_, stations_, nullptr, bad),
+  EXPECT_THROW(Session(sats_, stations_, nullptr, bad),
                std::invalid_argument);
   bad = short_sim();
   bad.step_seconds = -1.0;
-  EXPECT_THROW(Simulator(sats_, stations_, nullptr, bad),
+  EXPECT_THROW(Session(sats_, stations_, nullptr, bad),
                std::invalid_argument);
 }
 
 TEST_F(SimulatorTest, ByteConservation) {
-  Simulator sim(sats_, stations_, nullptr, short_sim());
-  const SimulationResult r = sim.run();
+  Session sim(sats_, stations_, nullptr, short_sim());
+  const SimulationResult r = sim.run_to_end();
 
   double backlog = 0.0, delivered = 0.0, pending = 0.0, generated = 0.0;
   for (const SatelliteOutcome& o : r.per_satellite) {
@@ -82,15 +82,15 @@ TEST_F(SimulatorTest, ByteConservation) {
 }
 
 TEST_F(SimulatorTest, GenerationRateIsHonored) {
-  Simulator sim(sats_, stations_, nullptr, short_sim());
-  const SimulationResult r = sim.run();
+  Session sim(sats_, stations_, nullptr, short_sim());
+  const SimulationResult r = sim.run_to_end();
   // 12 satellites x 100 GB/day x 6/24 day.
   EXPECT_NEAR(r.total_generated_bytes, 12 * 100e9 * 0.25, 1e6);
 }
 
 TEST_F(SimulatorTest, SomethingIsDelivered) {
-  Simulator sim(sats_, stations_, nullptr, short_sim());
-  const SimulationResult r = sim.run();
+  Session sim(sats_, stations_, nullptr, short_sim());
+  const SimulationResult r = sim.run_to_end();
   EXPECT_GT(r.total_delivered_bytes, 0.0);
   EXPECT_GT(r.assignments, 0);
   EXPECT_FALSE(r.latency_minutes.empty());
@@ -98,8 +98,8 @@ TEST_F(SimulatorTest, SomethingIsDelivered) {
 }
 
 TEST_F(SimulatorTest, LatenciesArePositiveAndBounded) {
-  Simulator sim(sats_, stations_, nullptr, short_sim());
-  const SimulationResult r = sim.run();
+  Session sim(sats_, stations_, nullptr, short_sim());
+  const SimulationResult r = sim.run_to_end();
   EXPECT_GE(r.latency_minutes.min(), 0.0);
   EXPECT_LE(r.latency_minutes.max(), 6.0 * 60.0 + 1.0);  // within horizon
 }
@@ -107,14 +107,14 @@ TEST_F(SimulatorTest, LatenciesArePositiveAndBounded) {
 TEST_F(SimulatorTest, ClearSkyNeverFailsAssignments) {
   // With no weather and rates scheduled from the same clear-sky model,
   // every scheduled slot must close.
-  Simulator sim(sats_, stations_, nullptr, short_sim());
-  const SimulationResult r = sim.run();
+  Session sim(sats_, stations_, nullptr, short_sim());
+  const SimulationResult r = sim.run_to_end();
   EXPECT_EQ(r.failed_assignments, 0);
 }
 
 TEST_F(SimulatorTest, AcksRequireTxContact) {
-  Simulator sim(sats_, stations_, nullptr, short_sim());
-  const SimulationResult r = sim.run();
+  Session sim(sats_, stations_, nullptr, short_sim());
+  const SimulationResult r = sim.run_to_end();
   int tx_contacts = 0;
   for (const SatelliteOutcome& o : r.per_satellite) {
     tx_contacts += o.tx_contacts;
@@ -128,8 +128,8 @@ TEST_F(SimulatorTest, AcksRequireTxContact) {
 TEST_F(SimulatorTest, NoTxStationsMeansNoAcksEver) {
   auto rx_only = stations_;
   for (auto& gs : rx_only) gs.tx_capable = false;
-  Simulator sim(sats_, rx_only, nullptr, short_sim());
-  const SimulationResult r = sim.run();
+  Session sim(sats_, rx_only, nullptr, short_sim());
+  const SimulationResult r = sim.run_to_end();
   EXPECT_TRUE(r.ack_delay_minutes.empty());
   // Delivered-but-unacked data is still aboard every satellite.
   for (const SatelliteOutcome& o : r.per_satellite) {
@@ -141,10 +141,10 @@ TEST_F(SimulatorTest, NoTxStationsMeansNoAcksEver) {
 TEST_F(SimulatorTest, StorageHighWaterGrowsWithoutAcks) {
   auto rx_only = stations_;
   for (auto& gs : rx_only) gs.tx_capable = false;
-  Simulator with_tx(sats_, stations_, nullptr, short_sim());
-  Simulator without_tx(sats_, rx_only, nullptr, short_sim());
-  const SimulationResult a = with_tx.run();
-  const SimulationResult b = without_tx.run();
+  Session with_tx(sats_, stations_, nullptr, short_sim());
+  Session without_tx(sats_, rx_only, nullptr, short_sim());
+  const SimulationResult a = with_tx.run_to_end();
+  const SimulationResult b = without_tx.run_to_end();
   double hw_with = 0.0, hw_without = 0.0;
   for (const auto& o : a.per_satellite) hw_with += o.storage_high_water_bytes;
   for (const auto& o : b.per_satellite) {
@@ -158,17 +158,17 @@ TEST_F(SimulatorTest, MorePowerfulNetworkDeliversMore) {
   groundseg::NetworkOptions big = small_net();
   big.num_stations = 50;
   auto more_stations = groundseg::generate_dgs_stations(big);
-  Simulator small_sim(sats_, stations_, nullptr, short_sim());
-  Simulator big_sim(sats_, more_stations, nullptr, short_sim());
-  EXPECT_GE(big_sim.run().total_delivered_bytes,
-            small_sim.run().total_delivered_bytes * 0.95);
+  Session small_sim(sats_, stations_, nullptr, short_sim());
+  Session big_sim(sats_, more_stations, nullptr, short_sim());
+  EXPECT_GE(big_sim.run_to_end().total_delivered_bytes,
+            small_sim.run_to_end().total_delivered_bytes * 0.95);
 }
 
 TEST_F(SimulatorTest, WarmStartBacklogIsAccounted) {
   SimulationOptions opts = short_sim();
   opts.initial_backlog_bytes = 5e9;
-  Simulator sim(sats_, stations_, nullptr, opts);
-  const SimulationResult r = sim.run();
+  Session sim(sats_, stations_, nullptr, opts);
+  const SimulationResult r = sim.run_to_end();
   EXPECT_NEAR(r.total_generated_bytes, 12 * (100e9 * 0.25 + 5e9), 1e6);
   // Warm data is older than the horizon start, so some latencies exceed
   // the warm-start age floor is reflected in the tail.
@@ -177,10 +177,10 @@ TEST_F(SimulatorTest, WarmStartBacklogIsAccounted) {
 
 TEST_F(SimulatorTest, DeterministicAcrossRuns) {
   weather::SyntheticWeatherProvider wx(99, kEpoch, 7.0);
-  Simulator a(sats_, stations_, &wx, short_sim());
-  Simulator b(sats_, stations_, &wx, short_sim());
-  const SimulationResult ra = a.run();
-  const SimulationResult rb = b.run();
+  Session a(sats_, stations_, &wx, short_sim());
+  Session b(sats_, stations_, &wx, short_sim());
+  const SimulationResult ra = a.run_to_end();
+  const SimulationResult rb = b.run_to_end();
   EXPECT_DOUBLE_EQ(ra.total_delivered_bytes, rb.total_delivered_bytes);
   EXPECT_EQ(ra.assignments, rb.assignments);
   EXPECT_EQ(ra.failed_assignments, rb.failed_assignments);
@@ -197,16 +197,16 @@ TEST_F(SimulatorTest, WeatherBlindSchedulingFailsSometimes) {
   blind.weather_aware = false;
 
   const SimulationResult ra =
-      Simulator(sats_, stations_, &wx, aware).run();
+      Session(sats_, stations_, &wx, aware).run_to_end();
   const SimulationResult rb =
-      Simulator(sats_, stations_, &wx, blind).run();
+      Session(sats_, stations_, &wx, blind).run_to_end();
   EXPECT_EQ(ra.failed_assignments, 0);  // perfect knowledge never fails
   EXPECT_GE(rb.failed_assignments, ra.failed_assignments);
 }
 
 TEST_F(SimulatorTest, UtilizationIsAFraction) {
-  Simulator sim(sats_, stations_, nullptr, short_sim());
-  const SimulationResult r = sim.run();
+  Session sim(sats_, stations_, nullptr, short_sim());
+  const SimulationResult r = sim.run_to_end();
   EXPECT_GE(r.mean_station_utilization, 0.0);
   EXPECT_LE(r.mean_station_utilization, 1.0);
 }

@@ -1,7 +1,7 @@
 // Antenna slew/re-lock accounting in the simulator.
 #include <gtest/gtest.h>
 
-#include "src/core/simulator.h"
+#include "src/core/session.h"
 
 namespace dgs::core {
 namespace {
@@ -25,7 +25,7 @@ class SlewTest : public ::testing::Test {
     opts.duration_hours = 6.0;
     opts.slew_seconds = slew_s;
     opts.lookahead_hours = lookahead_h;
-    return Simulator(sats_, stations_, nullptr, opts).run();
+    return Session(sats_, stations_, nullptr, opts).run_to_end();
   }
 
   std::vector<groundseg::SatelliteConfig> sats_;

@@ -3,7 +3,7 @@
 
 #include <stdexcept>
 
-#include "src/core/simulator.h"
+#include "src/core/session.h"
 
 namespace dgs {
 namespace {
@@ -64,7 +64,7 @@ TEST(StorageCapacity, SimulatorAccountsDrops) {
   opts.start = kT0;
   opts.duration_hours = 8.0;
   const core::SimulationResult r =
-      core::Simulator(sats, stations, nullptr, opts).run();
+      core::Session(sats, stations, nullptr, opts).run_to_end();
 
   EXPECT_GT(r.total_dropped_bytes, 0.0);
   double generated = 0.0, delivered = 0.0, backlog = 0.0, dropped = 0.0;

@@ -11,7 +11,7 @@
 #include <string>
 
 #include "src/core/report.h"
-#include "src/core/simulator.h"
+#include "src/core/session.h"
 #include "src/faults/profiles.h"
 #include "src/groundseg/network_gen.h"
 #include "src/util/crc32.h"
@@ -45,9 +45,9 @@ std::uint32_t summary_crc(int num_threads, bool lookahead_storm) {
         faults::make_profile("storm", 11, static_cast<int>(stations.size()));
   }
 
-  core::Simulator sim(sats, stations, &wx, opts);
+  core::Session sim(sats, stations, &wx, opts);
   std::ostringstream out;
-  core::write_summary_json(out, sim.run());
+  core::write_summary_json(out, sim.run_to_end());
   const std::string json = out.str();
   return util::crc32({reinterpret_cast<const std::uint8_t*>(json.data()),
                       json.size()});
@@ -125,7 +125,7 @@ TEST(SummaryPin, EveryDelayPathRun) {
   for (const int threads : {1, 4}) {
     opts.parallel.num_threads = threads;
     const core::SimulationResult r =
-        core::Simulator(sats, stations, &wx, opts).run();
+        core::Session(sats, stations, &wx, opts).run_to_end();
     ASSERT_EQ(r.per_tenant.size(), 2u);
     // Before anything sorts r's samples in place.
     std::string bytes;

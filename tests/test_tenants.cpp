@@ -200,7 +200,7 @@ TEST(TenantSim, PerTenantRowsPartitionTheRun) {
   auto opts = tenant_opts(
       9, make_tenants(9, {{"a", 1}, {"b", 2}, {"c", 4}}));
   const SimulationResult r =
-      Simulator(s.sats, s.stations, nullptr, opts).run();
+      Session(s.sats, s.stations, nullptr, opts).run_to_end();
   ASSERT_EQ(r.per_tenant.size(), 3u);
   double delivered = 0.0, generated = 0.0;
   std::int64_t assignments = 0;
@@ -233,9 +233,9 @@ TEST(TenantSim, SingleTenantMatchesUntenantedRunExactly) {
   auto tenanted = plain;
   tenanted.tenants = make_tenants(9, {{"solo", 3.5}});
   const SimulationResult a =
-      Simulator(s.sats, s.stations, nullptr, plain).run();
+      Session(s.sats, s.stations, nullptr, plain).run_to_end();
   const SimulationResult b =
-      Simulator(s.sats, s.stations, nullptr, tenanted).run();
+      Session(s.sats, s.stations, nullptr, tenanted).run_to_end();
   EXPECT_EQ(a.total_delivered_bytes, b.total_delivered_bytes);
   EXPECT_EQ(a.assignments, b.assignments);
   EXPECT_EQ(a.failed_assignments, b.failed_assignments);
@@ -248,7 +248,7 @@ TEST(TenantSim, SummaryJsonGainsTenantRowsAndValidates) {
   const auto opts = tenant_opts(
       9, make_tenants(9, {{"alpha", 1}, {"beta", 2}, {"gamma", 4}}));
   const SimulationResult r =
-      Simulator(s.sats, s.stations, nullptr, opts).run();
+      Session(s.sats, s.stations, nullptr, opts).run_to_end();
   std::stringstream ss;
   write_summary_json(ss, r);
   const std::string json = ss.str();
@@ -268,7 +268,7 @@ TEST(TenantSim, SlaBoundaryCountsAsAttained) {
   const TenantScenario s = tenant_scenario();
   auto opts = tenant_opts(9, make_tenants(9, {{"a", 1}, {"b", 2}}));
   const SimulationResult untargeted =
-      Simulator(s.sats, s.stations, nullptr, opts).run();
+      Session(s.sats, s.stations, nullptr, opts).run_to_end();
   ASSERT_EQ(untargeted.per_tenant.size(), 2u);
   const std::vector<double> lat =
       untargeted.per_tenant[0].latency_minutes.sorted();
@@ -278,7 +278,7 @@ TEST(TenantSim, SlaBoundaryCountsAsAttained) {
   const double target = lat[lat.size() / 2];
   opts.tenants[0].sla_latency_minutes = target;
   const SimulationResult r =
-      Simulator(s.sats, s.stations, nullptr, opts).run();
+      Session(s.sats, s.stations, nullptr, opts).run_to_end();
   EXPECT_EQ(r.per_tenant[0].latency_minutes.sorted(), lat);
   const auto n = static_cast<double>(lat.size());
   const double at_or_below =
