@@ -1,5 +1,6 @@
 #include "examples/cli_common.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -7,6 +8,15 @@
 #include "src/groundseg/io.h"
 
 namespace dgs::examples {
+
+bool parse_hours(const std::string& text, double* hours) {
+  if (text.empty()) return false;
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (*end != '\0' || !std::isfinite(v) || v < 0.0) return false;
+  *hours = v;
+  return true;
+}
 
 const char* flag_value(int argc, char** argv, int* i) {
   if (*i + 1 >= argc) return nullptr;

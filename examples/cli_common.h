@@ -30,6 +30,11 @@ struct CommonFlags {
   std::string trace_out;               ///< --trace-out <file>
 };
 
+/// Parses all of `text` as a finite number of hours >= 0 into *hours.
+/// Returns false, leaving *hours unchanged, for anything else ("5abc",
+/// "inf", "").
+bool parse_hours(const std::string& text, double* hours);
+
 /// Returns argv[*i + 1] and advances *i when a value is present, else
 /// nullptr.  The building block for "--flag <value>" parsing.
 const char* flag_value(int argc, char** argv, int* i);

@@ -71,7 +71,13 @@ int cmd_run(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--seed") == 0 && (v = next())) {
       opts.campaign_seed = std::strtoull(v, nullptr, 10);
     } else if (std::strcmp(argv[i], "--hours") == 0 && (v = next())) {
-      opts.duration_hours = std::atof(v);
+      if (!examples::parse_hours(v, &opts.duration_hours)) {
+        std::fprintf(stderr,
+                     "error: CampaignOptions.duration_hours: bad --hours "
+                     "\"%s\" (want a finite number >= 0)\n",
+                     v);
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--sats") == 0 && (v = next())) {
       opts.num_satellites = std::atoi(v);
     } else if (std::strcmp(argv[i], "--stations") == 0 && (v = next())) {

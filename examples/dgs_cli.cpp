@@ -167,7 +167,13 @@ int cmd_simulate(int argc, char** argv) {
   examples::CommonFlags flags;
   for (int i = 4; i < argc; ++i) {
     if (examples::parse_common_flag(argc, argv, &i, &flags)) continue;
-    opts.duration_hours = std::atof(argv[i]);
+    if (!examples::parse_hours(argv[i], &opts.duration_hours)) {
+      std::fprintf(stderr,
+                   "error: SimulationOptions.duration_hours: bad [hours] "
+                   "\"%s\" (want a finite number >= 0)\n",
+                   argv[i]);
+      return 2;
+    }
   }
   opts.collect_timeseries = !flags.csv_out.empty();
   const int effective_stations = examples::apply_common_flags(

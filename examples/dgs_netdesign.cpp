@@ -93,7 +93,13 @@ int main(int argc, char** argv) {
       net.num_satellites = std::atoi(v);
     } else if (std::strcmp(argv[i], "--hours") == 0 &&
                (v = examples::flag_value(argc, argv, &i))) {
-      hours = std::atof(v);
+      if (!examples::parse_hours(v, &hours)) {
+        std::fprintf(stderr,
+                     "error: bad --hours \"%s\" (want a finite number "
+                     ">= 0)\n",
+                     v);
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--step") == 0 &&
                (v = examples::flag_value(argc, argv, &i))) {
       step_seconds = std::atof(v);

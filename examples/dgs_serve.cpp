@@ -32,7 +32,6 @@
 // holds no valid checkpoint for this scenario: the reply names the
 // reason, and the current session keeps running.
 #include <cerrno>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -105,16 +104,6 @@ bool parse_count(const std::string& text, std::int64_t* n) {
   return true;
 }
 
-// All of `text` as a finite number >= 0.
-bool parse_hours(const std::string& text, double* hours) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (*end != '\0' || !std::isfinite(v) || v < 0.0) return false;
-  *hours = v;
-  return true;
-}
-
 // Writes to `path`, or to stdout when path is "-".
 bool with_output(const std::string& path,
                  const std::function<void(std::ostream&)>& fn) {
@@ -155,8 +144,12 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--restore") == 0 &&
                (v = examples::flag_value(argc, argv, &i))) {
       restore_path = v;
-    } else {
-      opts.duration_hours = std::atof(argv[i]);
+    } else if (!examples::parse_hours(argv[i], &opts.duration_hours)) {
+      std::fprintf(stderr,
+                   "error: SimulationOptions.duration_hours: bad [hours] "
+                   "\"%s\" (want a finite number >= 0)\n",
+                   argv[i]);
+      return 2;
     }
   }
 
@@ -243,7 +236,7 @@ int main(int argc, char** argv) {
           std::printf("error step=%s: want an integer >= 0\n", arg.c_str());
         }
       } else if (verb == "advance") {
-        if (parse_hours(arg, &hours)) {
+        if (examples::parse_hours(arg, &hours)) {
           advanced(session->run_until_hours(hours));
         } else {
           std::printf("error advance=%s: want hours >= 0\n", arg.c_str());

@@ -20,64 +20,26 @@ namespace dgs::core {
 
 namespace {
 
-/// Canonical byte encoding of every option that shapes the simulated
-/// trajectory (see Session::options_crc32 for the exclusion list).
-void put_options(BinaryWriter& w, const SimulationOptions& o) {
-  util::Epoch start = o.start;
-  w.obj(start);
-  w.f64(o.duration_hours);
-  w.f64(o.step_seconds);
-  w.u8(static_cast<std::uint8_t>(o.matcher));
-  w.u8(static_cast<std::uint8_t>(o.value));
-  w.u8(o.weather_aware ? 1 : 0);
-  w.u8(o.couple_forecast_to_plan_upload ? 1 : 0);
-  w.f64(o.initial_backlog_bytes);
-  w.f64(o.initial_backlog_age_hours);
-  w.f64(o.urgent_fraction);
-  w.f64(o.urgent_priority);
-  w.f64(o.lookahead_hours);
-  w.f64(o.station_backhaul_bps);
-  w.f64(o.slew_seconds);
-  w.u8(o.collect_timeseries ? 1 : 0);
-  w.u64(o.faults.seed);
-  w.u64(o.faults.outages.size());
-  for (const faults::OutageWindow& ow : o.faults.outages) {
-    w.i32(ow.station_index);
-    w.f64(ow.start_hours);
-    w.f64(ow.end_hours);
+/// walk_options visitor: the canonical byte encoding behind
+/// Session::options_crc32.
+struct OptionsWriter {
+  BinaryWriter& w;
+
+  void epoch(const char*, util::Epoch e) { w.obj(e); }
+  void real(const char*, double x, Bound, bool = true) { w.f64(x); }
+  void integer(const char*, int x, Bound, bool = true) { w.i32(x); }
+  template <class T>
+  void choice(const char*, T x) {
+    w.u8(static_cast<std::uint8_t>(x));
   }
-  w.f64(o.faults.churn.mtbf_hours);
-  w.f64(o.faults.churn.mttr_hours);
-  w.f64(o.faults.churn.station_fraction);
-  w.u64(o.faults.backhaul.size());
-  for (const faults::BackhaulFault& bf : o.faults.backhaul) {
-    w.i32(bf.station_index);
-    w.f64(bf.start_hours);
-    w.f64(bf.end_hours);
-    w.f64(bf.rate_multiplier);
+  void seed(const char*, std::uint64_t x) { w.u64(x); }
+  void text(const char*, const std::string& s) { w.str(s); }
+  template <class C, class F>
+  void list(const char*, C& items, F f) {
+    w.u64(items.size());
+    for (auto& x : items) f(x);
   }
-  w.f64(o.faults.ack_relay.loss_probability);
-  w.f64(o.faults.ack_relay.initial_backoff_s);
-  w.f64(o.faults.ack_relay.backoff_multiplier);
-  w.f64(o.faults.ack_relay.max_backoff_s);
-  w.i32(o.faults.ack_relay.max_attempts);
-  w.f64(o.faults.plan_upload.failure_probability);
-  w.u64(o.station_subset.size());
-  for (const int id : o.station_subset) w.i32(id);
-  w.u64(o.tenants.size());
-  for (const TenantSpec& t : o.tenants) {
-    w.str(t.name);
-    w.f64(t.weight);
-    w.f64(t.sla_latency_minutes);
-    w.u64(t.satellites.size());
-    for (const int s : t.satellites) w.i32(s);
-  }
-  // Appended only when set, so every run without bids keeps its CRC.
-  if (!o.value_scale.empty()) {
-    w.u64(o.value_scale.size());
-    for (const double m : o.value_scale) w.f64(m);
-  }
-}
+};
 
 }  // namespace
 
@@ -871,7 +833,8 @@ SimulationResult Session::report() const {
 
 std::uint32_t Session::options_crc32() const {
   BinaryWriter w;
-  put_options(w, opts_);
+  OptionsWriter v{w};
+  walk_options(v, opts_);
   return util::crc32(
       {reinterpret_cast<const std::uint8_t*>(w.data().data()),
        w.data().size()});

@@ -107,11 +107,9 @@ class Session {
       const SimulationOptions& opts);
 
   /// CRC32 over the canonical encoding of every option that affects the
-  /// simulated trajectory.  Excluded on purpose: `parallel` (any thread
-  /// count produces identical results — restoring under a different count
-  /// is the point) and the metrics/events sinks.  `value_scale` is
-  /// appended only when non-empty, so runs without bids keep the CRC they
-  /// had before the table existed.
+  /// simulated trajectory: each field walk_options (simulator.h) visits,
+  /// in its order.  The walk states what it leaves out and why, and
+  /// dgslint R10 holds every other option member to it.
   std::uint32_t options_crc32() const;
 
  private:

@@ -123,9 +123,10 @@ struct SimulationOptions {
   std::vector<double> value_scale;
 
   /// Validates every field (and their combinations) in one documented
-  /// place, replacing the scattered run-time checks the constructor used
-  /// to perform.  Returns the first violated constraint, or nullopt when
-  /// the options are runnable.  `num_stations` bounds station indices in
+  /// place: each walked number against its Bound (walk_options), then
+  /// the checks that span fields, the horizon's step count among them.
+  /// Returns the first violated constraint, or nullopt when the options
+  /// are runnable.  `num_stations` bounds station indices in
   /// the fault plan; pass -1 to skip those checks (e.g. before the
   /// network is built).  `station_ids` lists the available
   /// GroundStation::ids for station_subset membership checks; empty skips
@@ -137,6 +138,102 @@ struct SimulationOptions {
       int num_stations = -1, std::span<const int> station_ids = {},
       int num_satellites = -1) const;
 };
+
+/// The range validate() holds a walked number to.  Every real must also
+/// be finite.
+enum class Bound {
+  kAny,
+  kPositive,        ///< > 0
+  kNonNegative,     ///< >= 0
+  kUnit,            ///< in [0, 1]
+  kUnitOpen,        ///< in [0, 1)
+  kAtLeastOne,      ///< >= 1
+  kFinitePositive,  ///< > 0, one message for both checks (weights, bids)
+};
+
+/// The one list of the options that shape a trajectory, in their hashed
+/// order.  Session::options_crc32 encodes each visit, validate() checks
+/// each number against its Bound, and the options fuzzer corrupts and
+/// repairs fields through it.  `parallel`, `metrics` and `events` are not
+/// walked: results are identical at any thread count and the sinks only
+/// observe.  dgslint R10 holds every other member to the walk.
+///
+/// A visitor provides epoch, real, integer, choice (a flag or an
+/// enumerator), seed, text and list.  Each takes the field's name; real
+/// and integer also take its Bound and whether validate() checks it
+/// (its guard).  list(name, items, f) calls f on each element, whose
+/// names are relative to "name[i]" ("" names the element itself).
+template <class V, class O>
+void walk_options(V& v, O& o) {
+  v.epoch("start", o.start);
+  v.real("duration_hours", o.duration_hours, Bound::kPositive);
+  v.real("step_seconds", o.step_seconds, Bound::kPositive);
+  v.choice("matcher", o.matcher);
+  v.choice("value", o.value);
+  v.choice("weather_aware", o.weather_aware);
+  v.choice("couple_forecast_to_plan_upload",
+           o.couple_forecast_to_plan_upload);
+  v.real("initial_backlog_bytes", o.initial_backlog_bytes,
+         Bound::kNonNegative);
+  v.real("initial_backlog_age_hours", o.initial_backlog_age_hours,
+         Bound::kAny);
+  v.real("urgent_fraction", o.urgent_fraction, Bound::kUnit);
+  v.real("urgent_priority", o.urgent_priority, Bound::kPositive,
+         o.urgent_fraction > 0.0);
+  v.real("lookahead_hours", o.lookahead_hours, Bound::kNonNegative);
+  v.real("station_backhaul_bps", o.station_backhaul_bps,
+         Bound::kNonNegative);
+  v.real("slew_seconds", o.slew_seconds, Bound::kNonNegative);
+  v.choice("collect_timeseries", o.collect_timeseries);
+
+  auto& f = o.faults;
+  v.seed("faults.seed", f.seed);
+  v.list("faults.outages", f.outages, [&](auto& w) {
+    v.integer("station_index", w.station_index, Bound::kAny);
+    v.real("start_hours", w.start_hours, Bound::kAny);
+    v.real("end_hours", w.end_hours, Bound::kAny);
+  });
+  v.real("faults.churn.mtbf_hours", f.churn.mtbf_hours, Bound::kNonNegative);
+  v.real("faults.churn.mttr_hours", f.churn.mttr_hours, Bound::kAny);
+  v.real("faults.churn.station_fraction", f.churn.station_fraction,
+         Bound::kUnit);
+  v.list("faults.backhaul", f.backhaul, [&](auto& b) {
+    v.integer("station_index", b.station_index, Bound::kAny);
+    v.real("start_hours", b.start_hours, Bound::kAny);
+    v.real("end_hours", b.end_hours, Bound::kAny);
+    v.real("rate_multiplier", b.rate_multiplier, Bound::kUnit);
+  });
+  auto& ack = f.ack_relay;
+  const bool lossy = ack.loss_probability > 0.0;
+  v.real("faults.ack_relay.loss_probability", ack.loss_probability,
+         Bound::kUnitOpen);
+  v.real("faults.ack_relay.initial_backoff_s", ack.initial_backoff_s,
+         Bound::kPositive, lossy);
+  v.real("faults.ack_relay.backoff_multiplier", ack.backoff_multiplier,
+         Bound::kAtLeastOne, lossy);
+  v.real("faults.ack_relay.max_backoff_s", ack.max_backoff_s, Bound::kAny,
+         lossy);
+  v.integer("faults.ack_relay.max_attempts", ack.max_attempts,
+            Bound::kAtLeastOne, lossy);
+  v.real("faults.plan_upload.failure_probability",
+         f.plan_upload.failure_probability, Bound::kUnitOpen);
+
+  v.list("station_subset", o.station_subset,
+         [&](auto& id) { v.integer("", id, Bound::kAny); });
+  v.list("tenants", o.tenants, [&](auto& t) {
+    v.text("name", t.name);
+    v.real("weight", t.weight, Bound::kFinitePositive);
+    v.real("sla_latency_minutes", t.sla_latency_minutes,
+           Bound::kNonNegative);
+    v.list("satellites", t.satellites,
+           [&](auto& s) { v.integer("", s, Bound::kAny); });
+  });
+  // Visited only when set, so every run without bids keeps its CRC.
+  if (!o.value_scale.empty()) {
+    v.list("value_scale", o.value_scale,
+           [&](auto& m) { v.real("", m, Bound::kFinitePositive); });
+  }
+}
 
 /// One simulation step's aggregate state (collect_timeseries).
 struct StepRecord {

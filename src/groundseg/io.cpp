@@ -108,11 +108,16 @@ std::vector<GroundStation> read_station_csv(std::istream& in) {
     }
     // Every field is converted and checked where it is read, so each
     // error reads "line N: <column>: <reason>".
+    // A field must be consumed whole: "47.5abc" is not 47.5.
     const auto real = [&](std::size_t i, const char* column) {
       double v = 0.0;
+      std::size_t consumed = 0;
       try {
-        v = std::stod(fields[i]);
+        v = std::stod(fields[i], &consumed);
       } catch (const std::exception&) {
+        // Nothing consumed: reported below.
+      }
+      if (consumed == 0 || consumed != fields[i].size()) {
         fail(line_no, std::string(column) + ": malformed number \"" +
                           fields[i] + "\"");
       }
@@ -123,12 +128,18 @@ std::vector<GroundStation> read_station_csv(std::istream& in) {
       return v;
     };
     const auto integer = [&](std::size_t i, const char* column) {
+      int v = 0;
+      std::size_t consumed = 0;
       try {
-        return std::stoi(fields[i]);
+        v = std::stoi(fields[i], &consumed);
       } catch (const std::exception&) {
+        // Nothing consumed: reported below.
+      }
+      if (consumed == 0 || consumed != fields[i].size()) {
         fail(line_no, std::string(column) + ": malformed integer \"" +
                           fields[i] + "\"");
       }
+      return v;
     };
     GroundStation gs;
     gs.id = integer(0, "id");
@@ -137,7 +148,11 @@ std::vector<GroundStation> read_station_csv(std::istream& in) {
     gs.location.longitude_rad = util::deg2rad(real(3, "lon_deg"));
     gs.location.altitude_km = real(4, "alt_km");
     gs.receiver.dish_diameter_m = real(5, "dish_m");
-    gs.tx_capable = integer(6, "tx_capable") != 0;
+    const int tx = integer(6, "tx_capable");
+    if (tx != 0 && tx != 1) {
+      fail(line_no, "tx_capable: must be 0 or 1, got \"" + fields[6] + "\"");
+    }
+    gs.tx_capable = tx == 1;
     gs.min_elevation_rad = util::deg2rad(real(7, "min_el_deg"));
     if (std::fabs(gs.location.latitude_rad) > util::kPi / 2.0) {
       fail(line_no, "lat_deg: latitude " + fields[2] +

@@ -6,7 +6,8 @@ Three layers:
     positive, suppressed, and baselined behaviour;
   - mutation rehearsals copy a real source file into a temp root, inject
     a violation (rand() into fault_plan.cpp, an unordered_map loop into
-    run_artifact.cpp, a std::function member into SimulationOptions, a
+    run_artifact.cpp, a std::function member or an unwalked member into
+    SimulationOptions, a renamed walk_options, a
     mutex into the weather provider or the metrics registry, a
     thread_local memo into the link budget or a metrics shard slot, an
     unknown kind or a renamed table in the summary's field table), and
@@ -135,6 +136,16 @@ class FixtureCorpusTest(unittest.TestCase):
             [f["line"] for f in self.by_rule("R9", "src/obs/metrics.cpp")],
             [11])
 
+    def test_r10_unwalked_option_members(self):
+        found = self.by_rule("R10", "src/core/simulator.h")
+        # The member the walk misses; the excluded, suppressed and walked
+        # members, and the method with a `= {}` default argument, stay
+        # silent.
+        self.assertEqual([f["line"] for f in found], [10])
+        self.assertIn("SimulationOptions::forgotten_knob",
+                      found[0]["message"])
+        self.assertEqual(len(self.by_rule("R10", "src/core/market.h")), 0)
+
     def test_sup_malformed_suppressions_are_unsuppressable(self):
         sup = self.by_rule("SUP", "src/util/sup_cases.cpp")
         self.assertEqual(len(sup), 3)
@@ -203,6 +214,26 @@ class MutationRehearsalTest(unittest.TestCase):
                 "  std::function<double(int, int, double)> hook;", 1))
         self.assertEqual(code, 1)
         self.assertTrue(any(f["rule"] == "R7" for f in findings), findings)
+
+    def test_unwalked_option_member_fails(self):
+        code, findings = self._scan_mutated(
+            "src/core/simulator.h",
+            lambda t: t.replace(
+                "  std::vector<double> value_scale;",
+                "  std::vector<double> value_scale;\n"
+                "  double station_jitter_s = 0.0;", 1))
+        self.assertEqual(code, 1)
+        self.assertEqual([f["rule"] for f in findings], ["R10"], findings)
+        self.assertIn("station_jitter_s", findings[0]["message"])
+
+    def test_renamed_walk_fails(self):
+        # A walk R10 cannot find must not switch the check off.
+        code, findings = self._scan_mutated(
+            "src/core/simulator.h",
+            lambda t: t.replace("void walk_options(", "void walk_fields(", 1))
+        self.assertEqual(code, 1)
+        self.assertEqual([f["rule"] for f in findings], ["R10"], findings)
+        self.assertIn("no walk_options", findings[0]["message"])
 
     def test_mutex_in_weather_provider_fails(self):
         code, findings = self._scan_mutated(
@@ -328,7 +359,7 @@ class CliContractTest(unittest.TestCase):
         code, out, _ = run_dgslint("--list-rules")
         self.assertEqual(code, 0)
         for rule in ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9",
-                     "SUP"):
+                     "R10", "SUP"):
             self.assertIn(rule, out)
 
 

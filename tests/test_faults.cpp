@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -316,6 +317,53 @@ TEST(OptionsValidate, ReportsTheOffendingField) {
   e = opts.validate(5);
   ASSERT_TRUE(e.has_value());
   EXPECT_EQ(e->field, "faults.backhaul[0].rate_multiplier");
+}
+
+// Every walked real must be finite, whatever its bound; NaN and +-inf
+// used to pass every `x < 0` style check.
+TEST(OptionsValidate, RejectsNonFiniteReals) {
+  const double inf = std::numeric_limits<double>::infinity();
+  SimulationOptions opts;
+  opts.start = kT0;
+  opts.duration_hours = inf;
+  auto e = opts.validate();
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->field, "duration_hours");
+  EXPECT_EQ(e->message, "must be finite (got inf)");
+  opts.duration_hours = 24.0;
+
+  opts.initial_backlog_age_hours = -inf;
+  e = opts.validate();
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->field, "initial_backlog_age_hours");
+  opts.initial_backlog_age_hours = 12.0;
+
+  opts.faults.outages.push_back(
+      faults::OutageWindow{0, std::numeric_limits<double>::quiet_NaN(), 1.0});
+  e = opts.validate();
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->field, "faults.outages[0].start_hours");
+}
+
+// The horizon must round to at least one step, and to few enough steps
+// to count: 3.6 s of 60 s steps ran no step and then failed on an empty
+// sample set.
+TEST(OptionsValidate, RejectsAHorizonWithNoStepOrTooMany) {
+  SimulationOptions opts;
+  opts.start = kT0;
+  for (const double hours : {0.001, 1e300}) {
+    opts.duration_hours = hours;
+    const auto e = opts.validate();
+    ASSERT_TRUE(e.has_value()) << hours;
+    EXPECT_EQ(e->field, "duration_hours");
+    EXPECT_NE(e->message.find("steps of 60 s"), std::string::npos)
+        << e->message;
+  }
+  opts.duration_hours = 0.01;  // 0.6 steps round to one.
+  EXPECT_FALSE(opts.validate().has_value());
+  opts.duration_hours = 24.0;
+  opts.step_seconds = 1e-3;  // 86.4 million steps.
+  EXPECT_FALSE(opts.validate().has_value());
 }
 
 TEST(OptionsValidate, ConstructorThrowsWithFieldInMessage) {

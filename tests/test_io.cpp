@@ -176,5 +176,28 @@ TEST(StationCsv, RejectsNonFiniteNumbersAndNonPositiveDish) {
       << mask;
 }
 
+// A field is read whole: std::stod alone would take "47.5abc" as 47.5.
+TEST(StationCsv, RejectsTrailingCharactersInANumber) {
+  const std::string lat = station_csv_error("1,a,47.5abc,0,0,3,1,10");
+  EXPECT_NE(lat.find("line 1: lat_deg: malformed number \"47.5abc\""),
+            std::string::npos)
+      << lat;
+  const std::string id = station_csv_error("7x,a,47.5,0,0,3,1,10");
+  EXPECT_NE(id.find("line 1: id: malformed integer \"7x\""),
+            std::string::npos)
+      << id;
+}
+
+TEST(StationCsv, TxCapableIsZeroOrOne) {
+  for (const char* bad : {"1.9", "7", "-1"}) {
+    const std::string e =
+        station_csv_error(std::string("1,a,45,0,0,3,") + bad + ",10");
+    EXPECT_NE(e.find("line 1: tx_capable:"), std::string::npos)
+        << bad << ": " << e;
+  }
+  EXPECT_EQ(station_csv_error("1,a,45,0,0,3,0,10"), "");
+  EXPECT_EQ(station_csv_error("1,a,45,0,0,3,1,10"), "");
+}
+
 }  // namespace
 }  // namespace dgs::groundseg

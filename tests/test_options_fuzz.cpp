@@ -1,18 +1,18 @@
-// Property test for SimulationOptions::validate() (satellite of the
-// campaign PR): ~200 seeded random corruptions of a valid option set.
-// Properties checked for every corruption:
-//   1. every OptionsError.field names a real field (a fixed registry of
-//      known names, with [N] indices normalized),
-//   2. clamping exactly the named field and re-validating converges to
-//      nullopt in a bounded number of rounds — i.e. validate() never
-//      blames an innocent field and never reports a phantom constraint.
+// Property test for SimulationOptions::validate(), driven by the walk
+// (walk_options) that validate() and options_crc32 share.  From a valid
+// baseline that reaches every walked field, it corrupts each bounded
+// number (NaN, +-inf, or just past its Bound) and breaks each check that
+// spans fields.  Properties checked for every corruption:
+//   1. every OptionsError.field is a field or a list the walk visits,
+//   2. resetting exactly the named field to the baseline (clearing a
+//      named list) and re-validating converges to nullopt in a bounded
+//      number of rounds — i.e. validate() never blames an innocent field
+//      and never reports a phantom constraint.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdlib>
+#include <cmath>
 #include <functional>
 #include <limits>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -24,288 +24,172 @@ namespace {
 
 constexpr int kNumStations = 10;
 constexpr int kMaxRepairRounds = 32;
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 const util::Epoch kT0(util::DateTime{2020, 11, 4, 0, 0, 0.0});
 
+/// Valid, with every guard on and every list non-empty, so the walk
+/// reaches every field.
 SimulationOptions valid_baseline() {
   SimulationOptions o;
   o.start = kT0;
   o.duration_hours = 6.0;
   o.step_seconds = 60.0;
+  o.urgent_fraction = 0.25;
+  o.station_backhaul_bps = 50e6;
+  o.faults.outages = {{0, 1.0, 2.0}, {3, 2.5, 4.0}};
+  o.faults.churn = {12.0, 1.0, 0.5};
+  o.faults.backhaul = {{1, 0.5, 3.0, 0.25}, {2, 1.0, 2.0, 0.0}};
+  o.faults.ack_relay.loss_probability = 0.2;
+  o.faults.plan_upload.failure_probability = 0.1;
+  o.station_subset = {4, 0, 7};
+  o.tenants = {{"alpha", {0, 2}, 1.0, 30.0}, {"beta", {1}, 2.0, 0.0}};
+  o.value_scale = {1.0, 2.5, 0.5};
   return o;
 }
 
-/// Every field name validate() may legitimately report, with bracketed
-/// indices normalized to [*].  A name outside this set is a test failure:
-/// either validate() invented a field or a rename went unmirrored here.
-const std::set<std::string>& known_fields() {
-  static const std::set<std::string> kFields = {
-      "duration_hours",
-      "step_seconds",
-      "lookahead_hours",
-      "urgent_fraction",
-      "urgent_priority",
-      "initial_backlog_bytes",
-      "station_backhaul_bps",
-      "slew_seconds",
-      "parallel.num_threads",
-      "parallel.chunk_size",
-      "faults.outages[*].station_index",
-      "faults.outages[*].end_hours",
-      "faults.churn.mtbf_hours",
-      "faults.churn.mttr_hours",
-      "faults.churn.station_fraction",
-      "faults.backhaul",
-      "faults.backhaul[*].station_index",
-      "faults.backhaul[*].end_hours",
-      "faults.backhaul[*].rate_multiplier",
-      "faults.ack_relay.loss_probability",
-      "faults.ack_relay.initial_backoff_s",
-      "faults.ack_relay.backoff_multiplier",
-      "faults.ack_relay.max_backoff_s",
-      "faults.ack_relay.max_attempts",
-      "faults.plan_upload.failure_probability",
-      "tenants",
-      "tenants[*].name",
-      "tenants[*].weight",
-      "tenants[*].sla_latency_minutes",
-      "tenants[*].satellites",
-      "tenants[*].satellites[*]",
-      "value_scale",
-      "value_scale[*]",
+/// walk_options visitor: every field and list of one option set, by the
+/// indexed name validate() reports.
+struct Fields {
+  struct Field {
+    std::string name;
+    double* real = nullptr;  ///< At most one of real, integer and text
+    int* integer = nullptr;  ///< is set; none for a list.
+    std::string* text = nullptr;
+    Bound bound = Bound::kAny;
+    bool checked = true;  ///< Its guard holds.
+    std::function<void()> clear = nullptr;  ///< Lists only.
   };
-  return kFields;
-}
+  std::vector<Field> all;
 
-/// "faults.backhaul[3].end_hours" -> "faults.backhaul[*].end_hours".
-std::string normalize(const std::string& field) {
-  std::string out;
-  for (std::size_t i = 0; i < field.size(); ++i) {
-    out += field[i];
-    if (field[i] == '[') {
-      out += '*';
-      while (i + 1 < field.size() && field[i + 1] != ']') ++i;
+  explicit Fields(SimulationOptions& o) { walk_options(*this, o); }
+
+  void epoch(const char*, util::Epoch&) {}
+  template <class T>
+  void choice(const char*, T&) {}
+  void seed(const char*, std::uint64_t&) {}
+  void text(const char* name, std::string& s) {
+    all.push_back({named(name), nullptr, nullptr, &s});
+  }
+  void real(const char* name, double& x, Bound b, bool checked = true) {
+    all.push_back({named(name), &x, nullptr, nullptr, b, checked});
+  }
+  void integer(const char* name, int& x, Bound b, bool checked = true) {
+    all.push_back({named(name), nullptr, &x, nullptr, b, checked});
+  }
+  template <class C, class F>
+  void list(const char* name, C& items, F f) {
+    const std::string list_name = named(name);
+    all.push_back({list_name, nullptr, nullptr, nullptr, Bound::kAny, true,
+                   [&items] { items.clear(); }});
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      open_.push_back(list_name + "[" + std::to_string(i) + "]");
+      f(items[i]);
+      open_.pop_back();
     }
+  }
+
+  const Field* find(const std::string& name) const {
+    for (const Field& f : all) {
+      if (f.name == name) return &f;
+    }
+    return nullptr;
+  }
+
+ private:
+  std::string named(const char* leaf) const {
+    if (open_.empty()) return leaf;
+    return *leaf == '\0' ? open_.back() : open_.back() + "." + leaf;
+  }
+  std::vector<std::string> open_;  ///< "tenants[1]", ...
+};
+
+/// Values outside a number's Bound: the non-finite reals, and the
+/// nearest value past each finite edge.
+std::vector<double> bad_values(const Fields::Field& n) {
+  if (n.real == nullptr && n.integer == nullptr) return {};
+  std::vector<double> out;
+  if (n.real != nullptr) {
+    out = {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf};
+  }
+  const double below_zero = n.real ? std::nextafter(0.0, -1.0) : -1.0;
+  switch (n.bound) {
+    case Bound::kAny: break;
+    case Bound::kPositive:
+    case Bound::kFinitePositive: out.push_back(0.0); break;
+    case Bound::kNonNegative: out.push_back(below_zero); break;
+    case Bound::kUnit:
+      out.push_back(below_zero);
+      out.push_back(std::nextafter(1.0, 2.0));
+      break;
+    case Bound::kUnitOpen:
+      out.push_back(below_zero);
+      out.push_back(1.0);
+      break;
+    case Bound::kAtLeastOne:
+      out.push_back(n.real ? std::nextafter(1.0, 0.0) : 0.0);
+      break;
   }
   return out;
 }
 
-/// Index inside the first [N] of a field path, or -1.
-int bracket_index(const std::string& field) {
-  const std::size_t open = field.find('[');
-  if (open == std::string::npos) return -1;
-  return std::atoi(field.c_str() + open + 1);
+void set(const Fields::Field& n, double x) {
+  if (n.real != nullptr) {
+    *n.real = x;
+  } else {
+    *n.integer = static_cast<int>(x);
+  }
 }
 
-/// Clamps exactly the named field to a valid value.  Returns false for an
-/// unknown name (the property-violation case).
+/// Resets exactly the named field to its baseline value, or clears the
+/// named list.  Returns false for a name the walk does not visit.
 bool repair(SimulationOptions& o, const std::string& field) {
-  const std::string norm = normalize(field);
-  const int i = bracket_index(field);
-  if (norm == "duration_hours") {
-    o.duration_hours = 6.0;
-  } else if (norm == "step_seconds") {
-    o.step_seconds = 60.0;
-  } else if (norm == "lookahead_hours") {
-    o.lookahead_hours = 0.0;
-  } else if (norm == "urgent_fraction") {
-    o.urgent_fraction = 0.5;
-  } else if (norm == "urgent_priority") {
-    o.urgent_priority = 8.0;
-  } else if (norm == "initial_backlog_bytes") {
-    o.initial_backlog_bytes = 0.0;
-  } else if (norm == "station_backhaul_bps") {
-    o.station_backhaul_bps = 50e6;
-  } else if (norm == "slew_seconds") {
-    o.slew_seconds = 0.0;
-  } else if (norm == "parallel.num_threads") {
-    o.parallel.num_threads = 1;
-  } else if (norm == "parallel.chunk_size") {
-    o.parallel.chunk_size = 64;
-  } else if (norm == "faults.outages[*].station_index") {
-    o.faults.outages.at(static_cast<std::size_t>(i)).station_index = 0;
-  } else if (norm == "faults.outages[*].end_hours") {
-    auto& w = o.faults.outages.at(static_cast<std::size_t>(i));
-    w.end_hours = w.start_hours + 1.0;
-  } else if (norm == "faults.churn.mtbf_hours") {
-    o.faults.churn.mtbf_hours = 0.0;
-  } else if (norm == "faults.churn.mttr_hours") {
-    o.faults.churn.mttr_hours = 1.0;
-  } else if (norm == "faults.churn.station_fraction") {
-    o.faults.churn.station_fraction = 1.0;
-  } else if (norm == "faults.backhaul") {
-    o.faults.backhaul.clear();
-  } else if (norm == "faults.backhaul[*].station_index") {
-    o.faults.backhaul.at(static_cast<std::size_t>(i)).station_index = 0;
-  } else if (norm == "faults.backhaul[*].end_hours") {
-    auto& f = o.faults.backhaul.at(static_cast<std::size_t>(i));
-    f.end_hours = f.start_hours + 1.0;
-  } else if (norm == "faults.backhaul[*].rate_multiplier") {
-    o.faults.backhaul.at(static_cast<std::size_t>(i)).rate_multiplier =
-        0.5;
-  } else if (norm == "faults.ack_relay.loss_probability") {
-    o.faults.ack_relay.loss_probability = 0.0;
-  } else if (norm == "faults.ack_relay.initial_backoff_s") {
-    o.faults.ack_relay.initial_backoff_s = 60.0;
-  } else if (norm == "faults.ack_relay.backoff_multiplier") {
-    o.faults.ack_relay.backoff_multiplier = 2.0;
-  } else if (norm == "faults.ack_relay.max_backoff_s") {
-    o.faults.ack_relay.max_backoff_s =
-        std::max(1800.0, o.faults.ack_relay.initial_backoff_s);
-  } else if (norm == "faults.ack_relay.max_attempts") {
-    o.faults.ack_relay.max_attempts = 16;
-  } else if (norm == "faults.plan_upload.failure_probability") {
-    o.faults.plan_upload.failure_probability = 0.0;
-  } else if (norm == "tenants") {
-    o.tenants.clear();
-  } else if (norm == "tenants[*].name") {
-    o.tenants.at(static_cast<std::size_t>(i)).name =
-        "t" + std::to_string(i);
-  } else if (norm == "tenants[*].weight") {
-    o.tenants.at(static_cast<std::size_t>(i)).weight = 1.0;
-  } else if (norm == "tenants[*].sla_latency_minutes") {
-    o.tenants.at(static_cast<std::size_t>(i)).sla_latency_minutes = 0.0;
-  } else if (norm == "tenants[*].satellites") {
-    o.tenants.at(static_cast<std::size_t>(i)).satellites = {100 + i};
-  } else if (norm == "tenants[*].satellites[*]") {
-    o.tenants.at(static_cast<std::size_t>(i)).satellites = {200 + i};
-  } else if (norm == "value_scale") {
-    o.value_scale.clear();
-  } else if (norm == "value_scale[*]") {
-    o.value_scale.at(static_cast<std::size_t>(i)) = 1.0;
+  SimulationOptions base = valid_baseline();
+  const Fields now_fields(o);
+  const Fields base_fields(base);
+  const Fields::Field* now = now_fields.find(field);
+  const Fields::Field* was = base_fields.find(field);
+  if (now == nullptr) return false;
+  if (now->clear) {
+    now->clear();
+  } else if (now->text != nullptr) {
+    *now->text = *was->text;
   } else {
-    return false;
+    set(*now, was->real ? *was->real : *was->integer);
   }
   return true;
 }
 
-/// One corruption: a targeted way to make the options invalid.  Several
-/// may be applied to the same option set in one fuzz iteration.
-using Corruption = std::function<void(SimulationOptions&, faults::Pcg32&)>;
+/// Breaks one check that spans fields, keeping every list's shape.
+using Corruption = std::function<void(SimulationOptions&)>;
 
-double bad_negative(faults::Pcg32& rng) {
-  return -(rng.uniform() * 100.0 + 0.001);
-}
-
-const std::vector<Corruption>& corruptions() {
+const std::vector<Corruption>& cross_field_corruptions() {
   static const std::vector<Corruption> kTable = {
-      [](SimulationOptions& o, faults::Pcg32& rng) {
-        o.duration_hours = rng.next() % 2 == 0 ? 0.0 : bad_negative(rng);
+      [](SimulationOptions& o) { o.duration_hours = 0.001; },
+      [](SimulationOptions& o) { o.duration_hours = 1e300; },
+      [](SimulationOptions& o) {
+        auto& w = o.faults.outages[1];
+        w.end_hours = w.start_hours - 0.5;
       },
-      [](SimulationOptions& o, faults::Pcg32& rng) {
-        o.step_seconds = rng.next() % 2 == 0 ? 0.0 : bad_negative(rng);
+      [](SimulationOptions& o) {
+        o.faults.backhaul[0].station_index = kNumStations;
       },
-      [](SimulationOptions& o, faults::Pcg32& rng) {
-        o.lookahead_hours = bad_negative(rng);
+      [](SimulationOptions& o) { o.station_backhaul_bps = 0.0; },
+      [](SimulationOptions& o) { o.faults.churn.mttr_hours = 0.0; },
+      [](SimulationOptions& o) {
+        auto& a = o.faults.ack_relay;
+        a.max_backoff_s = a.initial_backoff_s / 2.0;
       },
-      [](SimulationOptions& o, faults::Pcg32& rng) {
-        o.urgent_fraction =
-            rng.next() % 2 == 0 ? 1.0 + rng.uniform() : bad_negative(rng);
+      [](SimulationOptions& o) { o.station_subset[1] = -1; },
+      [](SimulationOptions& o) { o.station_subset[2] = o.station_subset[0]; },
+      [](SimulationOptions& o) { o.tenants[1].name = "Beta!"; },
+      [](SimulationOptions& o) { o.tenants[1].name = o.tenants[0].name; },
+      [](SimulationOptions& o) { o.tenants[0].satellites[1] = -3; },
+      [](SimulationOptions& o) {
+        o.tenants[1].satellites[0] = o.tenants[0].satellites[0];
       },
-      [](SimulationOptions& o, faults::Pcg32& rng) {
-        o.urgent_fraction = 0.5;
-        o.urgent_priority = rng.next() % 2 == 0 ? 0.0 : bad_negative(rng);
-      },
-      [](SimulationOptions& o, faults::Pcg32& rng) {
-        o.initial_backlog_bytes = bad_negative(rng);
-      },
-      [](SimulationOptions& o, faults::Pcg32& rng) {
-        o.station_backhaul_bps = bad_negative(rng);
-      },
-      [](SimulationOptions& o, faults::Pcg32& rng) {
-        o.slew_seconds = bad_negative(rng);
-      },
-      [](SimulationOptions& o, faults::Pcg32& rng) {
-        o.parallel.num_threads = -1 - static_cast<int>(rng.next() % 8);
-      },
-      [](SimulationOptions& o, faults::Pcg32& rng) {
-        o.parallel.chunk_size = -static_cast<int>(rng.next() % 2);
-      },
-      [](SimulationOptions& o, faults::Pcg32&) {
-        // Invalid tenant name (uppercase + punctuation).  The satellite
-        // slice is keyed off the current tenant count so repeated
-        // applications stay disjoint and the *name* is the one error.
-        TenantSpec t;
-        t.name = "Tenant!" + std::to_string(o.tenants.size());
-        t.satellites = {static_cast<int>(o.tenants.size())};
-        o.tenants.push_back(std::move(t));
-      },
-      [](SimulationOptions& o, faults::Pcg32& rng) {
-        TenantSpec t;
-        t.name = "badweight" + std::to_string(o.tenants.size());
-        t.satellites = {static_cast<int>(o.tenants.size())};
-        t.weight = rng.next() % 2 == 0 ? 0.0 : bad_negative(rng);
-        o.tenants.push_back(std::move(t));
-      },
-      [](SimulationOptions& o, faults::Pcg32& rng) {
-        // A non-finite or non-positive bid multiplier.
-        const double bad[] = {0.0, -1.0,
-                              std::numeric_limits<double>::quiet_NaN(),
-                              std::numeric_limits<double>::infinity()};
-        o.value_scale.push_back(bad[rng.next() % 4]);
-      },
-      [](SimulationOptions& o, faults::Pcg32&) {
-        // A valid table under look-ahead: the whole-field error.
-        o.value_scale.push_back(2.0);
-        o.lookahead_hours = 1.0;
-      },
-      [](SimulationOptions& o, faults::Pcg32& rng) {
-        o.faults.outages.push_back(
-            {-1 - static_cast<int>(rng.next() % 3), 1.0, 2.0});
-      },
-      [](SimulationOptions& o, faults::Pcg32& rng) {
-        o.faults.outages.push_back({0, 3.0, 3.0 - rng.uniform() - 0.001});
-      },
-      [](SimulationOptions& o, faults::Pcg32& rng) {
-        o.faults.churn.mtbf_hours = bad_negative(rng);
-      },
-      [](SimulationOptions& o, faults::Pcg32&) {
-        o.faults.churn.mtbf_hours = 12.0;
-        o.faults.churn.mttr_hours = 0.0;
-      },
-      [](SimulationOptions& o, faults::Pcg32& rng) {
-        o.faults.churn.station_fraction = 1.0 + rng.uniform() + 0.001;
-      },
-      [](SimulationOptions& o, faults::Pcg32&) {
-        // Backhaul fault with no backhaul model: the whole-field error.
-        o.station_backhaul_bps = 0.0;
-        o.faults.backhaul.push_back({0, 1.0, 2.0, 0.5});
-      },
-      [](SimulationOptions& o, faults::Pcg32& rng) {
-        o.station_backhaul_bps = 50e6;
-        o.faults.backhaul.push_back({0, 1.0, 2.0, 1.0 + rng.uniform()});
-      },
-      [](SimulationOptions& o, faults::Pcg32& rng) {
-        o.station_backhaul_bps = 50e6;
-        o.faults.backhaul.push_back(
-            {kNumStations + static_cast<int>(rng.next() % 5), 1.0, 2.0,
-             0.5});
-      },
-      [](SimulationOptions& o, faults::Pcg32& rng) {
-        o.faults.ack_relay.loss_probability =
-            rng.next() % 2 == 0 ? 1.0 + rng.uniform() : bad_negative(rng);
-      },
-      [](SimulationOptions& o, faults::Pcg32& rng) {
-        o.faults.ack_relay.loss_probability = 0.5;
-        o.faults.ack_relay.initial_backoff_s =
-            rng.next() % 2 == 0 ? 0.0 : bad_negative(rng);
-      },
-      [](SimulationOptions& o, faults::Pcg32& rng) {
-        o.faults.ack_relay.loss_probability = 0.5;
-        o.faults.ack_relay.backoff_multiplier = rng.uniform();
-      },
-      [](SimulationOptions& o, faults::Pcg32& rng) {
-        o.faults.ack_relay.loss_probability = 0.5;
-        o.faults.ack_relay.max_backoff_s =
-            o.faults.ack_relay.initial_backoff_s * rng.uniform() - 1.0;
-      },
-      [](SimulationOptions& o, faults::Pcg32& rng) {
-        o.faults.ack_relay.loss_probability = 0.5;
-        o.faults.ack_relay.max_attempts = -static_cast<int>(rng.next() % 2);
-      },
-      [](SimulationOptions& o, faults::Pcg32& rng) {
-        o.faults.plan_upload.failure_probability = 1.0 + rng.uniform();
-      },
+      // Bids and tenants both need per-instant scheduling.
+      [](SimulationOptions& o) { o.lookahead_hours = 1.0; },
   };
   return kTable;
 }
@@ -314,40 +198,60 @@ TEST(OptionsFuzz, BaselineIsValid) {
   EXPECT_FALSE(valid_baseline().validate(kNumStations).has_value());
 }
 
-// Deterministic coverage: each corruption, applied alone, must produce
-// an error naming a registry field with a non-empty message.
+// Deterministic coverage: each bad value of each walked number, applied
+// alone, is reported against exactly that field; each cross-field
+// corruption names a walked field.
 TEST(OptionsFuzz, EveryCorruptionNamesAKnownField) {
-  for (std::size_t c = 0; c < corruptions().size(); ++c) {
-    faults::Pcg32 rng(1000 + c);
+  SimulationOptions base = valid_baseline();
+  const Fields fields(base);
+  for (std::size_t i = 0; i < fields.all.size(); ++i) {
+    ASSERT_TRUE(fields.all[i].checked) << fields.all[i].name;
+    for (const double bad : bad_values(fields.all[i])) {
+      SimulationOptions o = valid_baseline();
+      const Fields::Field n = Fields(o).all[i];
+      set(n, bad);
+      const auto e = o.validate(kNumStations);
+      ASSERT_TRUE(e.has_value()) << n.name << " = " << bad;
+      EXPECT_EQ(e->field, n.name) << bad << ": " << e->message;
+      EXPECT_FALSE(e->message.empty()) << e->field;
+    }
+  }
+  for (std::size_t c = 0; c < cross_field_corruptions().size(); ++c) {
     SimulationOptions o = valid_baseline();
-    corruptions()[c](o, rng);
+    cross_field_corruptions()[c](o);
     const auto e = o.validate(kNumStations);
     ASSERT_TRUE(e.has_value()) << "corruption " << c << " was a no-op";
-    EXPECT_TRUE(known_fields().count(normalize(e->field)))
+    EXPECT_NE(Fields(o).find(e->field), nullptr)
         << "corruption " << c << " named unknown field: " << e->field;
     EXPECT_FALSE(e->message.empty()) << e->field;
   }
 }
 
 // The fuzz property: random 1-3 corruption combos; every reported field
-// is known; repairing exactly the named field converges.
+// is walked; repairing exactly the named field converges.
 TEST(OptionsFuzz, RandomCorruptionsAreRepairableByNamedField) {
   faults::Pcg32 rng(20260808);
+  const auto& cross = cross_field_corruptions();
   for (int iter = 0; iter < 200; ++iter) {
     SimulationOptions o = valid_baseline();
     const int n = 1 + static_cast<int>(rng.next() % 3);
     for (int k = 0; k < n; ++k) {
-      corruptions()[rng.next() % corruptions().size()](o, rng);
+      const Fields fields(o);
+      const std::size_t pick = rng.next() % (fields.all.size() + cross.size());
+      if (pick >= fields.all.size()) {
+        cross[pick - fields.all.size()](o);
+        continue;
+      }
+      const std::vector<double> bad = bad_values(fields.all[pick]);
+      if (!bad.empty()) set(fields.all[pick], bad[rng.next() % bad.size()]);
     }
     int rounds = 0;
     while (const auto e = o.validate(kNumStations)) {
       ASSERT_LT(rounds++, kMaxRepairRounds)
           << "iter " << iter << " did not converge; last field " << e->field;
-      ASSERT_TRUE(known_fields().count(normalize(e->field)))
-          << "iter " << iter << " unknown field: " << e->field;
       ASSERT_FALSE(e->message.empty()) << e->field;
       ASSERT_TRUE(repair(o, e->field))
-          << "iter " << iter << " unrepairable field: " << e->field;
+          << "iter " << iter << " unknown field: " << e->field;
     }
     EXPECT_FALSE(o.validate(kNumStations).has_value());
   }

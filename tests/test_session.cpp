@@ -414,6 +414,58 @@ TEST(SessionCheckpointFixture, ValueScaleIsHashedOnlyWhenSet) {
   }
 }
 
+// Every hashed member away from its default: each fault sub-struct, a
+// station subset, tenants and bids.  lookahead_hours stays 0, which
+// tenants and bids require.
+Scenario fully_populated_scenario() {
+  groundseg::NetworkOptions net;
+  net.num_stations = 6;
+  net.num_satellites = 3;
+  net.seed = 13;
+  Scenario s;
+  s.sats = groundseg::generate_constellation(net, kT0);
+  s.stations = groundseg::generate_dgs_stations(net);
+  SimulationOptions& o = s.opts;
+  o.start = kT0.plus_seconds(90.0);
+  o.duration_hours = 3.0;
+  o.step_seconds = 30.0;
+  o.matcher = MatcherKind::kGreedy;
+  o.value = ValueKind::kThroughput;
+  o.weather_aware = false;
+  o.couple_forecast_to_plan_upload = false;
+  o.initial_backlog_bytes = 2e9;
+  o.initial_backlog_age_hours = 6.0;
+  o.urgent_fraction = 0.2;
+  o.urgent_priority = 4.0;
+  o.station_backhaul_bps = 25e6;
+  o.slew_seconds = 4.0;
+  o.collect_timeseries = true;
+  o.faults.seed = 77;
+  o.faults.outages = {{1, 0.5, 1.5}, {3, 2.0, 2.5}};
+  o.faults.churn = {10.0, 2.0, 0.5};
+  o.faults.backhaul = {{2, 0.25, 2.0, 0.3}};
+  o.faults.ack_relay = {0.3, 30.0, 3.0, 900.0, 8};
+  o.faults.plan_upload.failure_probability = 0.05;
+  o.station_subset = {s.stations[4].id, s.stations[1].id, s.stations[2].id,
+                      s.stations[0].id};
+  o.tenants = {{"ops", {0, 2}, 1.5, 45.0}, {"science", {1}, 3.0, 0.0}};
+  for (int i = 0; i < 3 * 4; ++i) o.value_scale.push_back(1.0 + 0.25 * i);
+  return s;
+}
+
+// The v4 fixtures pin the CRC of two option sets; this pins the encoding
+// of every walked member, the lists included, to the value the options
+// CRC had before it was written from walk_options.  `parallel` is not
+// hashed.
+TEST(SessionCheckpointFixture, FullyPopulatedOptionsKeepTheirCrc) {
+  Scenario s = fully_populated_scenario();
+  EXPECT_EQ(Session(s.sats, s.stations, nullptr, s.opts).options_crc32(),
+            0xACE10062u);
+  s.opts.parallel.num_threads = 3;
+  EXPECT_EQ(Session(s.sats, s.stations, nullptr, s.opts).options_crc32(),
+            0xACE10062u);
+}
+
 /// Restoring both fixtures of format `version` ("v1", "v2", "v3") must
 /// throw std::invalid_argument naming that version.
 void expect_fixtures_rejected(const std::string& version) {

@@ -43,6 +43,11 @@ Rules (see DESIGN.md §13 for the full table and rationale):
       src/obs/trace.cpp — per-thread memos are hidden state; hoist a
       constant to where its inputs are fixed (the VisibilityEngine's link
       kernels) instead.
+  R10 every option member is walked: each data member of
+      SimulationOptions, the fault plan's structs and TenantSpec is named
+      in walk_options (src/core/simulator.h), the one list validate(),
+      options_crc32 and the options fuzzer share, or sits on the
+      exclusion list (parallel, metrics, events).
   SUP suppression-comment hygiene: every `dgslint: allow(...)` names
       known rules and carries a `-- reason`.
 
@@ -134,6 +139,7 @@ RULE_TITLES = {
     "R7": "callable member in an options struct",
     "R8": "lock outside the pool and the trace collector",
     "R9": "thread_local outside the pool and the trace collector",
+    "R10": "option member not visited by walk_options",
     "SUP": "malformed dgslint suppression",
 }
 
@@ -492,10 +498,16 @@ def callable_aliases(files):
 def _struct_members(code, open_brace):
     """Yields (offset, text) of each top-level declaration in the struct
     body opening at `open_brace`; nested brace contents are emptied and an
-    inline function body ends its declaration."""
-    depth, start, flat = 0, open_brace + 1, []
+    inline function body ends its declaration.  Braces inside parentheses
+    (a `= {}` default argument) are kept as text."""
+    depth, parens, start, flat = 0, 0, open_brace + 1, []
     for i in range(open_brace + 1, len(code)):
         c = code[i]
+        if depth == 0 and c in "()":
+            parens += 1 if c == "(" else -1
+        if parens > 0:
+            flat.append(c)
+            continue
         if c == "{":
             depth += 1
             if depth == 1:
@@ -593,6 +605,84 @@ def check_r9(f, ctx):
             "its inputs are fixed and pass it in")
 
 
+# R10: walk_options is the one list of the options that shape a
+# trajectory; a member it does not name is neither validated nor hashed.
+R10_WALK_FILE = "src/core/simulator.h"
+R10_STRUCTS = {
+    "src/core/simulator.h": ("SimulationOptions",),
+    "src/faults/fault_plan.h": ("FaultPlan", "OutageWindow", "StationChurn",
+                                "BackhaulFault", "AckRelayFaults",
+                                "PlanUploadFaults"),
+    "src/core/market.h": ("TenantSpec",),
+}
+# Not walked on purpose: results are identical at any thread count, and
+# the sinks only observe.
+R10_EXCLUDED = ("parallel", "metrics", "events")
+R10_WALK_RE = re.compile(r"\bvoid\s+walk_options\s*\([^)]*\)\s*\{")
+R10_ACCESS_RE = re.compile(r"(?:\.|->)\s*(\w+)")
+
+
+def walked_members(files):
+    """Names the walk body accesses as members, or None when the walk's
+    file is not in the scan (fixture roots without an R10 corpus).  An
+    empty set means the file holds no walk."""
+    for f in files:
+        if f.relpath != R10_WALK_FILE:
+            continue
+        m = R10_WALK_RE.search(f.code)
+        if m is None:
+            return set()
+        depth, end = 1, m.end()
+        while depth and end < len(f.code):
+            depth += {"{": 1, "}": -1}.get(f.code[end], 0)
+            end += 1
+        return set(R10_ACCESS_RE.findall(f.code[m.end():end]))
+    return None
+
+
+def _data_member_name(stmt):
+    """The declared name of a data member, or None for anything else."""
+    stmt = re.sub(r"^\s*(?:(?:public|private|protected)\s*:\s*)+", "", stmt)
+    decl = re.split(r"[={]", stmt, maxsplit=1)[0].strip()
+    if not decl or "(" in decl or re.match(
+            r"(?:using|typedef|friend|template|static|enum|struct|class)\b",
+            decl):
+        return None
+    m = re.search(r"(\w+)\s*(?:\[[^\]]*\])?$", decl)
+    return m.group(1) if m else None
+
+
+def check_r10(f, ctx):
+    structs = R10_STRUCTS.get(f.relpath)
+    walked = ctx.get("walked_members")
+    if not structs or walked is None:
+        return
+    if not walked:
+        if f.relpath == R10_WALK_FILE:
+            yield Finding("R10", f.relpath, 1,
+                          "no walk_options body found; R10 needs one to "
+                          "check the option members against")
+        return
+    for name in structs:
+        m = re.search(r"\b(?:struct|class)\s+%s\b[^;{]*\{" % name, f.code)
+        if m is None:
+            yield Finding("R10", f.relpath, 1,
+                          "struct %s not found; move its R10 entry with it"
+                          % name)
+            continue
+        for offset, stmt in _struct_members(f.code, m.end() - 1):
+            member = _data_member_name(stmt)
+            if member is None or member in walked or member in R10_EXCLUDED:
+                continue
+            lead = len(stmt) - len(stmt.lstrip())
+            yield Finding(
+                "R10", f.relpath, f.line_of(offset + lead),
+                "%s::%s is not visited by walk_options (%s), so validate() "
+                "never checks it and options_crc32 never hashes it; walk it, "
+                "or add it to R10_EXCLUDED with the reason it shapes no "
+                "trajectory" % (name, member, R10_WALK_FILE))
+
+
 def check_sup(f, ctx):
     del ctx
     for line, rules in sorted(f.suppressions.items()):
@@ -605,7 +695,7 @@ def check_sup(f, ctx):
 
 
 CHECKERS = (check_r1, check_r2, check_r3, check_r4, check_r5, check_r6,
-            check_r7, check_r8, check_r9, check_sup)
+            check_r7, check_r8, check_r9, check_r10, check_sup)
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +781,8 @@ def scan(root, only_paths=None):
         with open(path, encoding="utf-8") as fh:
             files.append(SourceFile(path, rel, fh.read()))
     ctx = {"summary_keys": load_summary_keys(root),
-           "callable_aliases": callable_aliases(files)}
+           "callable_aliases": callable_aliases(files),
+           "walked_members": walked_members(files)}
     findings = []
     for f in files:
         for checker in CHECKERS:
