@@ -1,6 +1,6 @@
 // Service-mode micro-benchmarks (DESIGN.md §16): the per-quantum cost of
 // Session::step() at paper scale, and the full snapshot -> restore round
-// trip through the dgs.checkpoint.v4 artifact.  BM_SessionStep bounds the
+// trip through the dgs.checkpoint.v5 artifact.  BM_SessionStep bounds the
 // steady-state cost a service pays per scheduling quantum; BM_Checkpoint
 // bounds how expensive "checkpoint every N minutes" is.  CI's bench-smoke
 // lane gates both against bench/baseline.json.

@@ -1,21 +1,40 @@
 #include "examples/cli_common.h"
 
-#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <sstream>
+#include <type_traits>
 
 #include "src/faults/profiles.h"
 #include "src/groundseg/io.h"
 
 namespace dgs::examples {
 
+template <class T>
+T number_arg(const char* name, const char* text, T min, T max) {
+  T v{};
+  if (parse_number(text, min, max, &v)) return v;
+  std::ostringstream want;
+  want << (std::is_integral_v<T> ? "an integer" : "a finite number");
+  if (max == std::numeric_limits<T>::max()) {
+    want << " >= " << min;
+  } else {
+    want << " in [" << min << ", " << max << "]";
+  }
+  std::fprintf(stderr, "error: bad %s \"%s\" (want %s)\n", name, text,
+               want.str().c_str());
+  std::exit(2);
+}
+
+template int number_arg(const char*, const char*, int, int);
+template std::uint64_t number_arg(const char*, const char*, std::uint64_t,
+                                  std::uint64_t);
+template double number_arg(const char*, const char*, double, double);
+
 bool parse_hours(const std::string& text, double* hours) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (*end != '\0' || !std::isfinite(v) || v < 0.0) return false;
-  *hours = v;
-  return true;
+  return parse_number(text, 0.0, std::numeric_limits<double>::max(), hours);
 }
 
 const char* flag_value(int argc, char** argv, int* i) {
@@ -28,7 +47,7 @@ bool parse_common_flag(int argc, char** argv, int* i, CommonFlags* flags) {
   const char* v = nullptr;
   if (std::strcmp(arg, "--threads") == 0 &&
       (v = flag_value(argc, argv, i))) {
-    flags->threads = std::atoi(v);
+    flags->threads = number_arg("--threads", v, 0, kMaxThreads);
     return true;
   }
   if (std::strcmp(arg, "--fault-profile") == 0 &&
@@ -38,7 +57,7 @@ bool parse_common_flag(int argc, char** argv, int* i, CommonFlags* flags) {
   }
   if (std::strcmp(arg, "--fault-seed") == 0 &&
       (v = flag_value(argc, argv, i))) {
-    flags->fault_seed = std::strtoull(v, nullptr, 10);
+    flags->fault_seed = number_arg<std::uint64_t>("--fault-seed", v, 0);
     return true;
   }
   if (std::strcmp(arg, "--stations-subset") == 0 &&

@@ -16,10 +16,10 @@
 // run-artifact schema (manifest, every sample summary and event log, the
 // aggregate) and exits nonzero on the first violation.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <iostream>
+#include <limits>
 
 #include "examples/cli_common.h"
 #include "src/campaign/campaign.h"
@@ -28,6 +28,11 @@
 namespace {
 
 using namespace dgs;
+
+// The counts take any int here: CampaignOptions::validate() names the
+// field of one out of its range.  Each worker is a process.
+constexpr int kMinInt = std::numeric_limits<int>::min();
+constexpr int kMaxWorkers = 256;
 
 int usage() {
   std::fprintf(stderr,
@@ -65,11 +70,11 @@ int cmd_run(int argc, char** argv) {
     if (std::strcmp(argv[i], "--profile") == 0 && (v = next())) {
       opts.profile = v;
     } else if (std::strcmp(argv[i], "--samples") == 0 && (v = next())) {
-      opts.samples = std::atoi(v);
+      opts.samples = examples::number_arg("--samples", v, kMinInt);
     } else if (std::strcmp(argv[i], "--workers") == 0 && (v = next())) {
-      opts.workers = std::atoi(v);
+      opts.workers = examples::number_arg("--workers", v, 0, kMaxWorkers);
     } else if (std::strcmp(argv[i], "--seed") == 0 && (v = next())) {
-      opts.campaign_seed = std::strtoull(v, nullptr, 10);
+      opts.campaign_seed = examples::number_arg<std::uint64_t>("--seed", v, 0);
     } else if (std::strcmp(argv[i], "--hours") == 0 && (v = next())) {
       if (!examples::parse_hours(v, &opts.duration_hours)) {
         std::fprintf(stderr,
@@ -79,9 +84,9 @@ int cmd_run(int argc, char** argv) {
         return 2;
       }
     } else if (std::strcmp(argv[i], "--sats") == 0 && (v = next())) {
-      opts.num_satellites = std::atoi(v);
+      opts.num_satellites = examples::number_arg("--sats", v, kMinInt);
     } else if (std::strcmp(argv[i], "--stations") == 0 && (v = next())) {
-      opts.num_stations = std::atoi(v);
+      opts.num_stations = examples::number_arg("--stations", v, kMinInt);
     } else if (std::strcmp(argv[i], "--out") == 0 && (v = next())) {
       opts.out_dir = v;
     } else if (std::strcmp(argv[i], "--no-metrics") == 0) {

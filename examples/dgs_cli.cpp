@@ -11,7 +11,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include <fstream>
@@ -42,11 +41,11 @@ int cmd_gen_network(int argc, char** argv) {
     return 2;
   }
   groundseg::NetworkOptions opts;
-  if (argc > 4) opts.num_satellites = std::atoi(argv[4]);
-  if (argc > 5) opts.num_stations = std::atoi(argv[5]);
-  if (opts.num_satellites <= 0 || opts.num_stations <= 0) {
-    std::fprintf(stderr, "error: counts must be positive\n");
-    return 2;
+  if (argc > 4) {
+    opts.num_satellites = examples::number_arg("n_sats", argv[4], 1);
+  }
+  if (argc > 5) {
+    opts.num_stations = examples::number_arg("n_stations", argv[5], 1);
   }
   const auto sats = groundseg::generate_constellation(opts, now_epoch());
   std::vector<orbit::Tle> catalog;
@@ -67,9 +66,12 @@ int cmd_passes(int argc, char** argv) {
     return 2;
   }
   const auto catalog = groundseg::load_tle_file(argv[2]);
-  const orbit::Geodetic site{util::deg2rad(std::atof(argv[3])),
-                             util::deg2rad(std::atof(argv[4])), 0.0};
-  const double hours = argc > 5 ? std::atof(argv[5]) : 24.0;
+  const orbit::Geodetic site{
+      util::deg2rad(examples::number_arg("lat_deg", argv[3], -90.0, 90.0)),
+      util::deg2rad(examples::number_arg("lon_deg", argv[4], -180.0, 360.0)),
+      0.0};
+  const double hours =
+      argc > 5 ? examples::number_arg("hours", argv[5], 0.0) : 24.0;
   const util::Epoch start = now_epoch();
 
   std::printf("%-14s %-21s %9s %8s\n", "satellite", "AOS", "duration",
@@ -98,15 +100,21 @@ int cmd_budget(int argc, char** argv) {
                  "[freq_ghz] [dish_m]\n");
     return 2;
   }
-  const double el_deg = std::atof(argv[2]);
-  if (el_deg <= 0.0 || el_deg > 90.0) {
+  const double el_deg =
+      examples::number_arg("elevation_deg", argv[2], 0.0, 90.0);
+  if (el_deg == 0.0) {
     std::fprintf(stderr, "error: elevation must be in (0, 90]\n");
     return 2;
   }
   link::RadioSpec radio;
-  if (argc > 4) radio.frequency_hz = std::atof(argv[4]) * 1e9;
+  if (argc > 4) {
+    radio.frequency_hz =
+        examples::number_arg("freq_ghz", argv[4], 1.0, 1000.0) * 1e9;
+  }
   link::ReceiveSystem rx;
-  if (argc > 5) rx.dish_diameter_m = std::atof(argv[5]);
+  if (argc > 5) {
+    rx.dish_diameter_m = examples::number_arg("dish_m", argv[5], 0.01, 100.0);
+  }
 
   const double el = util::deg2rad(el_deg);
   const double re = 6371.0, h = 550.0;
@@ -116,7 +124,8 @@ int cmd_budget(int argc, char** argv) {
       re * std::sin(el);
   path.elevation_rad = el;
   path.site_latitude_rad = util::deg2rad(45.0);
-  path.rain_rate_mm_h = std::atof(argv[3]);
+  path.rain_rate_mm_h =
+      examples::number_arg("rain_mm_h", argv[3], 0.0, 1000.0);
   path.cloud_liquid_kg_m2 = path.rain_rate_mm_h > 0.0 ? 1.0 : 0.2;
 
   const link::LinkBudget b = link::evaluate_link(radio, rx, path);
@@ -245,9 +254,15 @@ int cmd_simulate(int argc, char** argv) {
   std::printf("delivered %.2f TB of %.2f TB generated (%.1f%%)\n",
               r.total_delivered_bytes / 1e12, r.total_generated_bytes / 1e12,
               100.0 * r.delivered_fraction());
-  std::printf("latency: %s\n",
-              util::summary_row(r.latency_minutes, "min").c_str());
-  std::printf("backlog: %s\n", util::summary_row(r.backlog_gb, "GB").c_str());
+  // A run that delivers nothing has no latency (or ack delay) to rank.
+  if (!r.latency_minutes.empty()) {
+    std::printf("latency: %s\n",
+                util::summary_row(r.latency_minutes, "min").c_str());
+  }
+  if (!r.backlog_gb.empty()) {
+    std::printf("backlog: %s\n",
+                util::summary_row(r.backlog_gb, "GB").c_str());
+  }
   if (!r.ack_delay_minutes.empty()) {
     std::printf("ack delay: %s\n",
                 util::summary_row(r.ack_delay_minutes, "min").c_str());

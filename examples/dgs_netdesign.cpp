@@ -14,7 +14,6 @@
 // byte-identical for any --threads value and across reruns.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include <fstream>
@@ -45,9 +44,7 @@ std::vector<int> parse_k_list(const char* arg) {
   std::stringstream ss(arg);
   std::string tok;
   while (std::getline(ss, tok, ',')) {
-    const int k = std::atoi(tok.c_str());
-    if (k <= 0) return {};
-    ks.push_back(k);
+    ks.push_back(examples::number_arg("--k", tok.c_str(), 1));
   }
   return ks;
 }
@@ -84,13 +81,13 @@ int main(int argc, char** argv) {
       continue;  // --threads / --metrics-out
     } else if (std::strcmp(argv[i], "--pool") == 0 &&
                (v = examples::flag_value(argc, argv, &i))) {
-      net.pool_size = std::atoi(v);
+      net.pool_size = examples::number_arg("--pool", v, 1);
     } else if (std::strcmp(argv[i], "--pool-seed") == 0 &&
                (v = examples::flag_value(argc, argv, &i))) {
-      net.pool_seed = std::strtoull(v, nullptr, 10);
+      net.pool_seed = examples::number_arg<std::uint64_t>("--pool-seed", v, 0);
     } else if (std::strcmp(argv[i], "--sats") == 0 &&
                (v = examples::flag_value(argc, argv, &i))) {
-      net.num_satellites = std::atoi(v);
+      net.num_satellites = examples::number_arg("--sats", v, 1);
     } else if (std::strcmp(argv[i], "--hours") == 0 &&
                (v = examples::flag_value(argc, argv, &i))) {
       if (!examples::parse_hours(v, &hours)) {
@@ -102,13 +99,13 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--step") == 0 &&
                (v = examples::flag_value(argc, argv, &i))) {
-      step_seconds = std::atof(v);
+      step_seconds = examples::number_arg("--step", v, 0.0);
     } else if (std::strcmp(argv[i], "--k") == 0 &&
                (v = examples::flag_value(argc, argv, &i))) {
       ks = parse_k_list(v);
     } else if (std::strcmp(argv[i], "--budget") == 0 &&
                (v = examples::flag_value(argc, argv, &i))) {
-      budget = std::atof(v);
+      budget = examples::number_arg("--budget", v, 0.0);
     } else if (std::strcmp(argv[i], "--refine") == 0) {
       refine = true;
     } else if (std::strcmp(argv[i], "--front-out") == 0 &&
@@ -123,10 +120,7 @@ int main(int argc, char** argv) {
   }
   const int threads = flags.threads;
   const std::string& metrics_path = flags.metrics_out;
-  if (net.pool_size <= 0 || net.num_satellites <= 0 || hours <= 0.0 ||
-      step_seconds <= 0.0 || ks.empty() || threads < 0 || budget < 0.0) {
-    return usage();
-  }
+  if (hours <= 0.0 || step_seconds <= 0.0 || ks.empty()) return usage();
   if (net.pool_seed > core::kMaxArtifactInteger) {
     // The front records the seed as a JSON number, exact only up to
     // 2^53 - 1; reject a larger one before the sweep rather than after.

@@ -13,7 +13,7 @@
 //
 //   step [n]             advance n >= 0 quanta (default 1)
 //   advance <hours>      step until the sim clock reaches <hours> >= 0
-//   checkpoint <file>    write a dgs.checkpoint.v4 snapshot
+//   checkpoint <file>    write a dgs.checkpoint.v5 snapshot
 //   restore <file>       replace the session from a snapshot
 //   report <file|->      write the summary JSON (- = stdout)
 //   metrics <file|->     write the Prometheus exposition (- = stdout)
@@ -24,22 +24,21 @@
 // last tenant).  --restore resumes from a checkpoint before the first
 // command is read: the remaining steps reproduce an uninterrupted run
 // byte for byte, at any --threads value, with or without --events-out on
-// either side.  Checkpoints of the older v1, v2 and v3 formats are rejected.
+// either side.  Checkpoints of the older v1 to v4 formats are rejected.
 //
 // A malformed command line (unknown verb, missing or non-numeric
 // argument, extra tokens) gets one `error ...` reply and leaves the
 // session unchanged.  So does a `restore` whose file cannot be read or
 // holds no valid checkpoint for this scenario: the reply names the
 // reason, and the current session keeps running.
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -66,7 +65,7 @@ int usage() {
                "checkpoint <file> |\n"
                "  restore <file> | report <file|-> | metrics <file|-> | "
                "quit\n"
-               "checkpoints are dgs.checkpoint.v4; v1, v2 and v3 files are "
+               "checkpoints are dgs.checkpoint.v5; v1 to v4 files are "
                "rejected\n",
                examples::common_flags_usage());
   return 2;
@@ -77,9 +76,10 @@ bool parse_tenant(const char* arg, core::TenantSpec* spec) {
   const char* colon = std::strchr(arg, ':');
   if (colon == nullptr || colon == arg) return false;
   spec->name.assign(arg, colon - arg);
-  char* end = nullptr;
-  spec->weight = std::strtod(colon + 1, &end);
-  return end != nullptr && *end == '\0' && spec->weight > 0.0;
+  return examples::parse_number(colon + 1, 0.0,
+                                std::numeric_limits<double>::max(),
+                                &spec->weight) &&
+         spec->weight > 0.0;
 }
 
 // Contiguous equal slices in declaration order; remainder to the last.
@@ -91,17 +91,6 @@ void partition_fleet(int num_sats, std::vector<core::TenantSpec>* tenants) {
     const int count = t + 1 == n ? num_sats - next : per;
     for (int k = 0; k < count; ++k) (*tenants)[t].satellites.push_back(next++);
   }
-}
-
-// All of `text` as an integer >= 0.
-bool parse_count(const std::string& text, std::int64_t* n) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (errno != 0 || *end != '\0' || v < 0) return false;
-  *n = v;
-  return true;
 }
 
 // Writes to `path`, or to stdout when path is "-".
@@ -228,7 +217,9 @@ int main(int argc, char** argv) {
       } else if (verb == "quit") {
         break;
       } else if (verb == "step") {
-        if (arg.empty() || parse_count(arg, &n)) {
+        if (arg.empty() ||
+            examples::parse_number<std::int64_t>(
+                arg, 0, std::numeric_limits<std::int64_t>::max(), &n)) {
           std::int64_t done = 0;
           for (; done < n && !session->done(); ++done) session->step();
           advanced(done);

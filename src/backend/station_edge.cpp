@@ -32,7 +32,6 @@ void StationEdgeQueue::receive(double bytes, double priority,
     items_.insert(it, std::move(item));
   }
   queued_bytes_ += bytes;
-  if (received_bytes_metric_ != nullptr) received_bytes_metric_->inc(bytes);
 }
 
 double StationEdgeQueue::drain(double dt_seconds, const util::Epoch& now,
@@ -57,9 +56,6 @@ double StationEdgeQueue::drain(double dt_seconds, const util::Epoch& now,
   }
   queued_bytes_ -= uploaded;
   if (queued_bytes_ < 0.0) queued_bytes_ = 0.0;
-  if (uploaded_bytes_metric_ != nullptr && uploaded > 0.0) {
-    uploaded_bytes_metric_->inc(uploaded);
-  }
   return uploaded;
 }
 

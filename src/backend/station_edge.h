@@ -12,7 +12,6 @@
 #include <deque>
 #include <functional>
 
-#include "src/obs/metrics.h"
 #include "src/util/time.h"
 
 namespace dgs::backend {
@@ -61,14 +60,6 @@ class StationEdgeQueue {
   double backhaul_bps() const { return backhaul_bps_; }
   std::size_t depth() const { return items_.size(); }
 
-  /// Observability hooks (borrowed counters, typically shared by every
-  /// station queue of a run): bytes entering the queue from the downlink
-  /// and bytes leaving it toward the cloud.  Null (the default) disables.
-  void set_metrics(obs::Counter* received_bytes, obs::Counter* uploaded_bytes) {
-    received_bytes_metric_ = received_bytes;
-    uploaded_bytes_metric_ = uploaded_bytes;
-  }
-
   /// Checkpoint serialization (core/checkpoint.h): the queue contents in
   /// service order plus the exact queued-bytes aggregate, verbatim.
   template <class Ar>
@@ -81,8 +72,6 @@ class StationEdgeQueue {
   double backhaul_bps_;
   std::deque<EdgeItem> items_;   ///< Priority desc, ground_rx asc.
   double queued_bytes_ = 0.0;
-  obs::Counter* received_bytes_metric_ = nullptr;  ///< Borrowed; may be null.
-  obs::Counter* uploaded_bytes_metric_ = nullptr;  ///< Borrowed; may be null.
 };
 
 }  // namespace dgs::backend

@@ -1,8 +1,11 @@
-// dgs.checkpoint.v4: the snapshot/restore container for core::Session
-// (DESIGN.md §16).  v4 stores each run fact once, writes the `geometry`
+// dgs.checkpoint.v5: the snapshot/restore container for core::Session
+// (DESIGN.md §16).  It stores each run fact once, writes the `geometry`
 // and `matcher` sections empty (the state they held is gone) and keeps
-// every delay as a whole-step age in LEB128 columns; a file with another
-// magic line (a v1, v2 or v3 checkpoint included) is rejected.
+// every delay as a whole-step age in LEB128 columns.  Its `metrics`
+// section holds the session's own counts, never a registry snapshot, and
+// the delivery satellite and urgent columns are written only when a
+// split reads them.  A file with another magic line (a v1 to v4
+// checkpoint included) is rejected.
 //
 // Layout: a magic line naming the container format, a u64 little-endian
 // header length, a single-line restricted-JSON header (field table:
@@ -54,7 +57,7 @@
 
 namespace dgs::core {
 
-inline constexpr std::string_view kCheckpointMagic = "dgs.checkpoint.v4\n";
+inline constexpr std::string_view kCheckpointMagic = "dgs.checkpoint.v5\n";
 
 namespace checkpoint_detail {
 

@@ -268,7 +268,7 @@ std::optional<ArtifactError> validate_netdesign_front_json(
     std::string_view text);
 
 // ---------------------------------------------------------------------------
-// Checkpoint artifact (src/core/checkpoint.h): the `dgs.checkpoint.v4`
+// Checkpoint artifact (src/core/checkpoint.h): the `dgs.checkpoint.v5`
 // container opens with a restricted-JSON header identifying the run a
 // snapshot belongs to.  The binary framing (magic line, sized sections,
 // CRC) is defined in checkpoint.h; the header's members live here like

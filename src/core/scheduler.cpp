@@ -23,13 +23,6 @@ Scheduler::Scheduler(const VisibilityEngine* engine,
   for (int g = 0; g < engine_->num_stations(); ++g) {
     capacities_.push_back(std::max(1, engine_->station(g).beam_count));
   }
-  if (obs::Registry* metrics = engine_->metrics(); metrics != nullptr) {
-    instants_ = metrics->counter("dgs_sched_instants_total",
-                                 "schedule_instant invocations");
-    matched_edges_ = metrics->counter(
-        "dgs_sched_matched_edges_total",
-        "Assignments selected by the matcher across all instants");
-  }
 }
 
 std::vector<ContactEdge> Scheduler::schedule_instant(
@@ -38,7 +31,6 @@ std::vector<ContactEdge> Scheduler::schedule_instant(
     std::span<const char> station_down) const {
   DGS_ENSURE_EQ(static_cast<int>(queues.size()), engine_->num_sats());
   DGS_TRACE_SPAN("sched.instant");
-  if (instants_ != nullptr) instants_->inc();
 
   std::vector<ContactEdge> contacts =
       engine_->contacts(when, forecast_lead_s, station_down);
@@ -87,9 +79,6 @@ std::vector<ContactEdge> Scheduler::schedule_instant(
   std::vector<ContactEdge> out;
   out.reserve(m.size());
   for (int ei : m) out.push_back(contacts[ei]);
-  if (matched_edges_ != nullptr) {
-    matched_edges_->inc(static_cast<double>(m.size()));
-  }
   return out;
 }
 

@@ -3,6 +3,9 @@
 // Per scheduling instant: build the contact graph (VisibilityEngine), weight
 // each edge with the value function Phi applied to the data the satellite
 // could move across it, then select a matching (stable by default).
+//
+// The scheduler keeps no counts of its own: a Session derives the
+// dgs_sched_* families from its steps and assignments (DESIGN.md §10).
 #pragma once
 
 #include <memory>
@@ -35,10 +38,7 @@ struct SchedulerConfig {
 
 class Scheduler {
  public:
-  /// The engine is borrowed and must outlive the scheduler.  If the engine
-  /// carries a metrics registry (VisibilityEngine::set_metrics, called
-  /// before this constructor), the scheduler registers its own counters
-  /// there and updates them on every schedule_instant call.
+  /// The engine is borrowed and must outlive the scheduler.
   Scheduler(const VisibilityEngine* engine, const SchedulerConfig& config);
 
   /// Computes the downlink assignments for instant `when`.
@@ -61,9 +61,6 @@ class Scheduler {
   std::unique_ptr<ValueFunction> value_;
   /// Per-station matching capacity: max(1, beam_count).
   std::vector<int> capacities_;
-  /// Registry handles (null when the engine has no registry).
-  obs::Counter* instants_ = nullptr;
-  obs::Counter* matched_edges_ = nullptr;
 };
 
 }  // namespace dgs::core

@@ -56,7 +56,9 @@ Session::Session(std::vector<groundseg::SatelliteConfig> sats,
                  const SimulationOptions& opts, bool publish)
     : sats_(std::move(sats)), stations_(std::move(stations)),
       actual_wx_(actual_weather), opts_(opts),
-      clock_(opts.start, opts.step_seconds) {
+      clock_(opts.start, opts.step_seconds),
+      latency_minutes_(
+          {1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0}) {
   // Apply the station-subset restriction before anything else: the
   // visibility engine, fault-plan indices and metrics see only the
   // filtered list, in input order.
@@ -79,9 +81,7 @@ Session::Session(std::vector<groundseg::SatelliteConfig> sats,
   engine_ = std::make_unique<VisibilityEngine>(sats_, stations_,
                                                forecast_wx);
   engine_->set_thread_pool(pool_.get());
-  // Must precede Scheduler construction: the scheduler registers its
-  // counters against the engine's registry at setup time.
-  engine_->set_metrics(opts_.metrics);
+  engine_->set_counts(&vis_counts_);
   if (!opts_.tenants.empty()) {
     arbiter_.emplace(opts_.tenants, num_sats_);
   }
@@ -110,31 +110,6 @@ Session::Session(std::vector<groundseg::SatelliteConfig> sats,
       timeline_.has_value() && timeline_->has_station_faults();
   backhaul_faults_ =
       timeline_.has_value() && timeline_->has_backhaul_faults();
-
-  // The families with no other ledger (DESIGN.md §10), updated where their
-  // events happen on the driver thread; publish_metrics() registers the
-  // rest.
-  if (obs::Registry* const metrics = opts_.metrics; metrics != nullptr) {
-    live_.backhaul_received = metrics->counter(
-        "dgs_backhaul_received_bytes_total",
-        "Bytes queued at station edges from the downlink");
-    live_.backhaul_uploaded = metrics->counter(
-        "dgs_backhaul_uploaded_bytes_total",
-        "Bytes uploaded from station edges to the cloud");
-    live_.latency_minutes = metrics->histogram(
-        "dgs_sim_latency_minutes", "Capture-to-ground latency per chunk",
-        {1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0});
-    // Fault families exist only while a fault plan is active, so
-    // fault-free runs keep their exposition unchanged.
-    if (timeline_.has_value()) {
-      live_.outage_transitions = metrics->counter(
-          "dgs_faults_outage_transitions_total",
-          "Station up->down and down->up transitions");
-      live_.backhaul_degraded_steps = metrics->counter(
-          "dgs_faults_backhaul_degraded_station_steps_total",
-          "Station-steps spent with a degraded backhaul multiplier");
-    }
-  }
 
   prev_down_.assign(static_cast<std::size_t>(num_stations_), 0);
   if (station_faults_) {
@@ -170,9 +145,6 @@ Session::Session(std::vector<groundseg::SatelliteConfig> sats,
     edge_queues_.assign(
         static_cast<std::size_t>(num_stations_),
         backend::StationEdgeQueue(opts_.station_backhaul_bps));
-    for (backend::StationEdgeQueue& eq : edge_queues_) {
-      eq.set_metrics(live_.backhaul_received, live_.backhaul_uploaded);
-    }
   }
 
   // Look-ahead planning state (opts_.lookahead_hours > 0).
@@ -275,14 +247,10 @@ bool Session::faults() {
     if (down_[g] != 0 && prev_down_[g] == 0) {
       new_outage = true;
       events_->outage_begin(g);
-      if (live_.outage_transitions != nullptr) {
-        live_.outage_transitions->inc();
-      }
+      outage_transitions_ += 1;
     } else if (down_[g] == 0 && prev_down_[g] != 0) {
       events_->outage_end(g);
-      if (live_.outage_transitions != nullptr) {
-        live_.outage_transitions->inc();
-      }
+      outage_transitions_ += 1;
     }
   }
   prev_down_.assign(down_.begin(), down_.end());
@@ -424,16 +392,19 @@ double Session::execute(const util::Epoch& now,
           [&](double latency_s, const DataChunk& chunk) {
             record_delay(delivered_, capture_step(chunk.capture), now,
                          latency_s / 60.0);
-            delivered_sat_.push_back(static_cast<std::uint32_t>(e.sat));
-            delivered_urgent_.push_back(chunk.priority > 1.0 ? 1 : 0);
-            if (live_.latency_minutes != nullptr) {
-              live_.latency_minutes->observe(latency_s / 60.0);
+            if (arbiter_.has_value()) {
+              delivered_sat_.push_back(static_cast<std::uint32_t>(e.sat));
             }
+            if (opts_.urgent_fraction > 0.0) {
+              delivered_urgent_.push_back(chunk.priority > 1.0 ? 1 : 0);
+            }
+            latency_minutes_.observe(latency_s / 60.0);
             if (!edge_queues_.empty()) {
               edge_queues_[e.station].receive(chunk.total_bytes,
                                               chunk.priority,
                                               chunk.capture, now);
               edge_received += chunk.total_bytes;
+              backhaul_received_bytes_ += chunk.total_bytes;
             }
           },
           received, report_delay_s);
@@ -517,18 +488,17 @@ void Session::backhaul(double edge_received) {
       }
       prev_backhaul_mult_[static_cast<std::size_t>(g)] = mult;
     }
-    uploaded += edge_queues_[static_cast<std::size_t>(g)].drain(
+    const double drained = edge_queues_[static_cast<std::size_t>(g)].drain(
         dt_, upload_t,
         [&](double latency_s, const backend::EdgeItem& item) {
           record_delay(cloud_, capture_step(item.capture), upload_t,
                        latency_s / 60.0);
         },
         mult);
+    uploaded += drained;
+    backhaul_uploaded_bytes_ += drained;
   }
-  if (live_.backhaul_degraded_steps != nullptr && degraded_stations > 0) {
-    live_.backhaul_degraded_steps->inc(
-        static_cast<double>(degraded_stations));
-  }
+  backhaul_degraded_station_steps_ += degraded_stations;
   events_->backhaul_step(edge_received, uploaded, station_queued_bytes());
 }
 
@@ -626,7 +596,8 @@ void Session::publish_metrics() {
   obs::Registry* const metrics = opts_.metrics;
   if (metrics == nullptr) return;
   // Each family is set from its one ledger on the driver thread, so it is
-  // bit-identical to the value report() renders (DESIGN.md §10).
+  // bit-identical to the value report() renders (DESIGN.md §10).  This is
+  // the only writer of the registry in src/core.
   const auto counter = [metrics](const std::string& name,
                                  const std::string& help, double v) {
     metrics->counter(name, help)->reset_to(v);
@@ -679,6 +650,29 @@ void Session::publish_metrics() {
   metrics->gauge("dgs_backhaul_queued_bytes",
                  "Bytes still queued at station edges (not yet in the cloud)")
       ->set(station_queued_bytes());
+  counter("dgs_backhaul_received_bytes_total",
+          "Bytes queued at station edges from the downlink",
+          backhaul_received_bytes_);
+  counter("dgs_backhaul_uploaded_bytes_total",
+          "Bytes uploaded from station edges to the cloud",
+          backhaul_uploaded_bytes_);
+  metrics
+      ->histogram("dgs_sim_latency_minutes",
+                  "Capture-to-ground latency per chunk",
+                  latency_minutes_.upper_bounds())
+      ->reset_to(latency_minutes_.cells(), latency_minutes_.sum());
+  for_each_visibility_count(
+      vis_counts_, [&](const char* name, const char* help, std::int64_t n) {
+        counter(name, help, count(n));
+      });
+  // The scheduler runs once per per-instant step and its matchings are
+  // the step's assignments; the look-ahead planner never calls it.
+  const bool per_instant = plan_window_steps_ == 0;
+  counter("dgs_sched_instants_total", "schedule_instant invocations",
+          count(per_instant ? step_ : 0));
+  counter("dgs_sched_matched_edges_total",
+          "Assignments selected by the matcher across all instants",
+          count(per_instant ? res_.assignments : 0));
   if (timeline_.has_value()) {
     counter("dgs_faults_outage_lost_bytes_total",
             "Bytes transmitted into a faulted station's dead contact",
@@ -695,6 +689,14 @@ void Session::publish_metrics() {
     metrics->gauge("dgs_faults_stations_down", "Stations currently in outage")
         ->set(count(std::count_if(prev_down_.begin(), prev_down_.end(),
                                   [](char d) { return d != 0; })));
+    // Fault families exist only while a fault plan is active, so
+    // fault-free runs keep their exposition unchanged.
+    counter("dgs_faults_outage_transitions_total",
+            "Station up->down and down->up transitions",
+            count(outage_transitions_));
+    counter("dgs_faults_backhaul_degraded_station_steps_total",
+            "Station-steps spent with a degraded backhaul multiplier",
+            count(backhaul_degraded_station_steps_));
   }
   // Per-tenant series (service mode): names carry the validated tenant
   // name, e.g. dgs_tenant_acme_delivered_bytes_total.
@@ -776,7 +778,7 @@ SimulationResult Session::report() const {
   // insertion order).  Without urgent chunks, the usual case, every chunk
   // is bulk.  `latency` moves into the all-chunks split at the end.
   std::vector<double> latency = minutes(delivered_, step_starts);
-  if (std::ranges::count(delivered_urgent_, 1) == 0) {
+  if (delivered_urgent_.empty()) {
     out.bulk_latency_minutes = util::SampleSet(latency);
   } else {
     for (std::size_t i = 0; i < latency.size(); ++i) {
@@ -857,8 +859,11 @@ void Session::io_section(Ar& ar, std::string_view name) {
     for (const std::uint8_t urgent : delivered_urgent_) {
       ar.check_index(urgent, 2);
     }
-    ar.check_size(delivered_sat_.size(), delivered_.size());
-    ar.check_size(delivered_urgent_.size(), delivered_.size());
+    // Each column is kept only when a split reads it (execute()).
+    ar.check_size(delivered_sat_.size(),
+                  arbiter_.has_value() ? delivered_.size() : 0);
+    ar.check_size(delivered_urgent_.size(),
+                  opts_.urgent_fraction > 0.0 ? delivered_.size() : 0);
     cloud_.io(ar, step_, first_capture);
     acks_.io(ar, step_, 0);
     ar.seq(res_.timeseries);
@@ -930,18 +935,22 @@ void Session::io_section(Ar& ar, std::string_view name) {
       for (int t = 0; t < arbiter_->num_tenants(); ++t) arbiter_->io(ar, t);
     }
   } else if (name == "metrics") {
-    // The registry's folded state, so a resumed run's scrape is
-    // byte-identical to an uninterrupted one.  Consumed even when this
-    // session has no registry.  The published families in it are set
-    // again from their sources once the checkpoint is applied.
-    bool has_metrics = opts_.metrics != nullptr;
-    std::vector<obs::MetricSnapshot> snap;
-    if (!Ar::kReading && has_metrics) snap = opts_.metrics->snapshot();
-    ar.b(has_metrics);
-    if (has_metrics) ar.seq(snap);
-    if (Ar::kReading && opts_.metrics != nullptr && !snap.empty()) {
-      opts_.metrics->restore(snap);
-    }
+    // The counts no other ledger holds; publish_metrics() sets their
+    // families from them once the checkpoint is applied, with or without
+    // a registry on either side.
+    std::vector<std::uint64_t> cells = latency_minutes_.cells();
+    double sum = latency_minutes_.sum();
+    ar.column(cells);
+    ar.check_size(cells.size(), latency_minutes_.cells().size());
+    ar.f64(sum);
+    if constexpr (Ar::kReading) latency_minutes_.reset_to(cells, sum);
+    ar.f64(backhaul_received_bytes_);
+    ar.f64(backhaul_uploaded_bytes_);
+    ar.i64(outage_transitions_);
+    ar.i64(backhaul_degraded_station_steps_);
+    for_each_visibility_count(
+        vis_counts_,
+        [&ar](const char*, const char*, std::int64_t& n) { ar.i64(n); });
   } else {
     DGS_CHECK(false, "unknown checkpoint section '" << name << "'");
   }
@@ -984,17 +993,14 @@ std::unique_ptr<Session> Session::restore(
     in.read(data.data() + at, kBlock);
     data.resize(at + static_cast<std::size_t>(in.gcount()));
   }
-  const bool registry_was_empty =
-      opts.metrics != nullptr && opts.metrics->series_count() == 0;
   auto session = std::unique_ptr<Session>(
       new Session(std::move(sats), std::move(stations), actual_weather,
                   opts, /*publish=*/false));
-  session->apply_checkpoint(data, registry_was_empty);
+  session->apply_checkpoint(data);
   return session;
 }
 
-void Session::apply_checkpoint(std::string_view data,
-                               bool registry_was_empty) {
+void Session::apply_checkpoint(std::string_view data) {
   CheckpointView view;
   if (const auto e = read_checkpoint(data, &view)) {
     // dgslint: allow(R4) -- renders ArtifactError for the caller/CLI
@@ -1030,17 +1036,6 @@ void Session::apply_checkpoint(std::string_view data,
                "trailing bytes in checkpoint section '" << name << "'");
   }
   publish_metrics();
-  // The published families were just set again from their ledgers, so a
-  // metrics section that disagrees with them, or names a series this
-  // session never registers, is corrupt.  The check needs a registry that
-  // held nothing else: one shared with a live session may carry more.
-  if (registry_was_empty && view.section("metrics").starts_with('\x01')) {
-    BinaryWriter w;
-    io_section(w, "metrics");
-    DGS_ENSURE(w.data() == view.section("metrics"),
-               "checkpoint section 'metrics' disagrees with the restored "
-               "ledgers");
-  }
 }
 
 }  // namespace dgs::core

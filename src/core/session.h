@@ -15,7 +15,7 @@
 //     the whole-run entry point;
 //   * report() renders a full SimulationResult at ANY point mid-run;
 //   * snapshot()/restore() round-trip the whole session through the
-//     versioned `dgs.checkpoint.v4` artifact (checkpoint.h) such that a
+//     versioned `dgs.checkpoint.v5` artifact (checkpoint.h) such that a
 //     restored run's remaining steps — Report, Prometheus exposition, and
 //     event JSONL — are byte-identical to an uninterrupted run, at any
 //     thread count.  Both directions run through one serializer,
@@ -26,9 +26,14 @@
 //
 // Each run fact is kept in one ledger (DESIGN.md §10, §16): `res_`, one
 // record per delivered chunk, the cloud and ack delay ledgers (each delay
-// a whole-step age, step_ages.h), the queues' and the arbiter's books.
-// report() derives every other figure, and publish_metrics() sets the
-// Prometheus families from those ledgers after every step.
+// a whole-step age, step_ages.h), the queues' and the arbiter's books,
+// and the counts no other ledger holds (the latency histogram, the
+// backhaul bytes, the fault transitions and the engine's
+// VisibilityCounts).  report() derives every other figure.
+// publish_metrics() sets every Prometheus family from those ledgers after
+// every step; it is the only code in src/core that writes the registry,
+// so a checkpoint carries no registry state and restores the full scrape
+// whether or not either side had a registry.
 #pragma once
 
 #include <cstdint>
@@ -90,7 +95,7 @@ class Session {
   /// does not perturb the run.
   SimulationResult report() const;
 
-  /// Writes a complete `dgs.checkpoint.v4` snapshot of the session.
+  /// Writes a complete `dgs.checkpoint.v5` snapshot of the session.
   void snapshot(std::ostream& out) const;
 
   /// Reconstructs a session from a snapshot.  The scenario inputs must
@@ -113,15 +118,6 @@ class Session {
   std::uint32_t options_crc32() const;
 
  private:
-  /// The five families with no other ledger, updated where their events
-  /// happen (DESIGN.md §10); the fault pair needs a fault plan.
-  struct LiveMetrics {
-    obs::Counter* backhaul_received = nullptr;
-    obs::Counter* backhaul_uploaded = nullptr;
-    obs::Histogram* latency_minutes = nullptr;
-    obs::Counter* outage_transitions = nullptr;
-    obs::Counter* backhaul_degraded_steps = nullptr;
-  };
   /// Contact lifecycle tracking for the event log (kept with or without
   /// a log, so a checkpoint carries it either way).
   struct OpenContact {
@@ -198,10 +194,7 @@ class Session {
                     double minutes);
   /// Applies a validated checkpoint buffer to this (freshly constructed)
   /// session.  Throws std::invalid_argument on any mismatch.
-  /// `registry_was_empty`: opts_.metrics held no series before this
-  /// session was constructed, so the restored registry must re-snapshot
-  /// to the checkpoint's metrics section exactly.
-  void apply_checkpoint(std::string_view data, bool registry_was_empty);
+  void apply_checkpoint(std::string_view data);
   /// The one serializer of checkpoint section `name`: writes it through a
   /// BinaryWriter (snapshot) or reads it back through a BinaryReader
   /// (apply_checkpoint).
@@ -232,7 +225,6 @@ class Session {
   std::unique_ptr<Scheduler> scheduler_;
   std::optional<faults::FaultTimeline> timeline_;
   std::optional<TenantArbiter> arbiter_;
-  LiveMetrics live_;
   /// The caller's event log, or the disabled `no_events_`: emitters are
   /// called unconditionally.  Session is neither copyable nor movable, so
   /// the pointer stays valid.
@@ -257,7 +249,9 @@ class Session {
   std::int64_t plan_origin_ = -1;
   // Every delivered chunk, once, in delivery order (one column per field):
   // report() rebuilds the latency splits from them, and record order
-  // keeps SampleSet::mean() bit-identical.
+  // keeps SampleSet::mean() bit-identical.  The satellite column is kept
+  // only with tenants and the urgent column only with an urgent tier, the
+  // two splits that read them.
   StepAges delivered_;                  ///< Capture to ground.
   std::vector<std::uint32_t> delivered_sat_;
   std::vector<std::uint8_t> delivered_urgent_;  ///< Priority > 1.
@@ -266,6 +260,14 @@ class Session {
   SimulationResult res_;                ///< Accumulators; the delay
                                         ///< samples and derived fields are
                                         ///< filled by report().
+  // The counts no other ledger holds, each added where its event happens
+  // (DESIGN.md §10): the checkpoint's `metrics` section.
+  VisibilityCounts vis_counts_;         ///< Lent to engine_.
+  obs::Histogram latency_minutes_;      ///< Capture to ground, per chunk.
+  double backhaul_received_bytes_ = 0.0;  ///< Into the station edges.
+  double backhaul_uploaded_bytes_ = 0.0;  ///< From the edges to the cloud.
+  std::int64_t outage_transitions_ = 0;   ///< Station up<->down.
+  std::int64_t backhaul_degraded_station_steps_ = 0;
   std::int64_t step_ = 0;
   bool finalized_ = false;
 };

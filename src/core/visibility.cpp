@@ -108,33 +108,6 @@ link::LinkBudget VisibilityEngine::link_budget(
                               wx.rain_rate_mm_h, wx.cloud_liquid_kg_m2);
 }
 
-void VisibilityEngine::set_metrics(obs::Registry* registry) {
-  metrics_ = registry;
-  if (registry == nullptr) {
-    propagations_ = nullptr;
-    link_budgets_ = nullptr;
-    contact_edges_ = nullptr;
-    cull_candidates_ = nullptr;
-    cull_precise_ = nullptr;
-    return;
-  }
-  propagations_ = registry->counter(
-      "dgs_vis_propagations_total",
-      "Satellite propagations (SGP4 + TEME->ECEF) computed");
-  link_budgets_ = registry->counter(
-      "dgs_vis_link_budgets_total",
-      "Predictive link budgets evaluated over visible pairs");
-  contact_edges_ = registry->counter(
-      "dgs_vis_contact_edges_total",
-      "Contact-graph edges produced (budget closed)");
-  cull_candidates_ = registry->counter(
-      "dgs_vis_cull_candidates_total",
-      "Sat x station pairs examined by the spatial index (band survivors)");
-  cull_precise_ = registry->counter(
-      "dgs_vis_cull_precise_total",
-      "Pairs passing the cone cull and given the precise elevation test");
-}
-
 util::Vec3 VisibilityEngine::satellite_ecef(int sat,
                                             const util::Epoch& when) const {
   const orbit::TemeState st = batch_.propagate_one(sat, when);
@@ -328,16 +301,10 @@ const StepGeometry& VisibilityEngine::geometry(
 }
 
 void VisibilityEngine::count_geometry(const GeometryWork& work) const {
-  // Integer adds from the driver thread: exact however they are split.
-  if (propagations_ != nullptr && work.propagations > 0) {
-    propagations_->inc(static_cast<double>(work.propagations));
-  }
-  if (cull_candidates_ != nullptr && work.cull_candidates > 0) {
-    cull_candidates_->inc(static_cast<double>(work.cull_candidates));
-  }
-  if (cull_precise_ != nullptr && work.cull_precise > 0) {
-    cull_precise_->inc(static_cast<double>(work.cull_precise));
-  }
+  if (counts_ == nullptr) return;
+  counts_->propagations += work.propagations;
+  counts_->cull_candidates += work.cull_candidates;
+  counts_->cull_precise += work.cull_precise;
 }
 
 void VisibilityEngine::check_query(std::span<const double> forecast_lead_s,
@@ -445,11 +412,9 @@ std::vector<ContactEdge> VisibilityEngine::edges(
   // (DESIGN.md §10): pass 2 evaluates one budget per pass-1 sample.
   std::size_t total = 0;
   for (const std::vector<ContactEdge>& v : per_station) total += v.size();
-  if (link_budgets_ != nullptr) {
-    link_budgets_->inc(static_cast<double>(sample_scratch_.size()));
-  }
-  if (contact_edges_ != nullptr) {
-    contact_edges_->inc(static_cast<double>(total));
+  if (counts_ != nullptr) {
+    counts_->link_budgets += static_cast<std::int64_t>(sample_scratch_.size());
+    counts_->contact_edges += static_cast<std::int64_t>(total);
   }
   std::vector<ContactEdge> edges;
   edges.reserve(total);

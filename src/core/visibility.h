@@ -28,7 +28,9 @@
 // look-ahead planner keeps a window's lists in a core::PlanGeometry and
 // reuses them when a replan reaches an instant with the same epoch bits.
 // One query splits about evenly between SGP4, the sweep's per-station
-// loop, weather and link budgets (DESIGN.md §9).
+// loop, weather and link budgets (DESIGN.md §9).  The engine counts each
+// query's work into a VisibilityCounts its owner lends it; it holds no
+// metrics registry (DESIGN.md §10).
 #pragma once
 
 #include <cstdint>
@@ -38,7 +40,6 @@
 #include "src/groundseg/network_gen.h"
 #include "src/link/budget.h"
 #include "src/link/dvbs2_framing.h"
-#include "src/obs/metrics.h"
 #include "src/orbit/sgp4_batch.h"
 #include "src/util/thread_pool.h"
 #include "src/util/vec3.h"
@@ -54,13 +55,43 @@ struct VisibleSat {
   double range_km = 0.0;
 };
 
-/// The work one geometry computation does, as the dgs_vis_propagations,
-/// _cull_candidates and _cull_precise counters count it.
+/// The work one geometry computation does, as VisibilityCounts counts it.
 struct GeometryWork {
   std::int64_t propagations = 0;
   std::int64_t cull_candidates = 0;
   std::int64_t cull_precise = 0;
 };
+
+/// The work of every query an engine answers, added once per query on the
+/// driver thread (DESIGN.md §10).  The engine adds to a struct its owner
+/// lends it (set_counts); a Session checkpoints its own and publishes it as
+/// the dgs_vis_* families.
+struct VisibilityCounts {
+  std::int64_t propagations = 0;
+  std::int64_t link_budgets = 0;
+  std::int64_t contact_edges = 0;
+  std::int64_t cull_candidates = 0;
+  std::int64_t cull_precise = 0;
+};
+
+/// Calls f(family name, help, count) for each count of `c` (a
+/// VisibilityCounts, const or not): the one list of the dgs_vis_*
+/// families, in the order a checkpoint stores them.
+template <class Counts, class F>
+void for_each_visibility_count(Counts& c, F f) {
+  f("dgs_vis_propagations_total",
+    "Satellite propagations (SGP4 + TEME->ECEF) computed", c.propagations);
+  f("dgs_vis_link_budgets_total",
+    "Predictive link budgets evaluated over visible pairs", c.link_budgets);
+  f("dgs_vis_contact_edges_total",
+    "Contact-graph edges produced (budget closed)", c.contact_edges);
+  f("dgs_vis_cull_candidates_total",
+    "Sat x station pairs examined by the spatial index (band survivors)",
+    c.cull_candidates);
+  f("dgs_vis_cull_precise_total",
+    "Pairs passing the cone cull and given the precise elevation test",
+    c.cull_precise);
+}
 
 /// Weather-independent geometry of one scheduling step.
 struct StepGeometry {
@@ -122,9 +153,9 @@ class VisibilityEngine {
   /// exact bits of `when` (util::Epoch::bits).
   const StepGeometry& geometry(const util::Epoch& when) const;
 
-  /// Adds `work` to the dgs_vis_* counters.  geometry() counts what it
-  /// computes; a caller that reuses a geometry counts it again here, so
-  /// the counters count per-query work either way (DESIGN.md §10).
+  /// Adds `work` to the lent counts.  geometry() counts what it computes;
+  /// a caller that reuses a geometry counts it again here, so the counts
+  /// count per-query work either way (DESIGN.md §10).
   void count_geometry(const GeometryWork& work) const;
 
   /// Stage two of contacts(): forecast weather and link budgets at `when`
@@ -164,11 +195,9 @@ class VisibilityEngine {
   void set_spatial_index(bool enabled) { spatial_index_ = enabled; }
   bool spatial_index() const { return spatial_index_; }
 
-  /// Borrowed metrics registry; nullptr (default) disables instrumentation.
-  /// Registers the engine's counters (propagations, link budgets, contact
-  /// edges, cull candidates/precise tests).
-  void set_metrics(obs::Registry* registry);
-  obs::Registry* metrics() const { return metrics_; }
+  /// Borrowed counts every query adds its work to; nullptr (default)
+  /// counts nothing.
+  void set_counts(VisibilityCounts* counts) { counts_ = counts; }
 
   int num_sats() const { return batch_.size(); }
   int num_stations() const { return static_cast<int>(stations_->size()); }
@@ -238,14 +267,7 @@ class VisibilityEngine {
   mutable std::vector<std::vector<ContactEdge>> edge_scratch_;
   /// contacts()' views of the scratch geometry's per-station lists.
   mutable std::vector<std::span<const VisibleSat>> list_scratch_;
-  obs::Registry* metrics_ = nullptr;              ///< Borrowed; may be null.
-  /// Cached registry handles (null when metrics_ is null).  Each is added
-  /// to once per query, on the driver thread (DESIGN.md §10).
-  obs::Counter* propagations_ = nullptr;
-  obs::Counter* link_budgets_ = nullptr;
-  obs::Counter* contact_edges_ = nullptr;
-  obs::Counter* cull_candidates_ = nullptr;
-  obs::Counter* cull_precise_ = nullptr;
+  VisibilityCounts* counts_ = nullptr;  ///< Borrowed; may be null.
 };
 
 }  // namespace dgs::core

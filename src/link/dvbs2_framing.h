@@ -83,7 +83,7 @@ void io_modcod(Ar& ar, const ModCod*& m) {
   std::int32_t index = m == nullptr ? -1 : modcod_index(*m);
   ar.i32(index);
   if constexpr (Ar::kReading) {
-    DGS_ENSURE(index <= 0xff, "modcod index " << index);
+    DGS_ENSURE(index >= -1 && index <= 0xff, "modcod index " << index);
     m = index < 0 ? nullptr
                   : &modcod_by_index(static_cast<std::uint8_t>(index));
   }

@@ -38,7 +38,8 @@ ValueTable build_value_table(
   core::VisibilityEngine engine(sats, stations, forecast_weather);
   util::ThreadPool thread_pool(opts.parallel);
   engine.set_thread_pool(&thread_pool);
-  engine.set_metrics(opts.metrics);
+  core::VisibilityCounts vis_counts;
+  engine.set_counts(&vis_counts);
 
   obs::Counter* candidates_metric = nullptr;
   obs::Counter* passes_metric = nullptr;
@@ -101,8 +102,13 @@ ValueTable build_value_table(
     }
   }
 
-  if (candidates_metric != nullptr) {
+  if (opts.metrics != nullptr) {
     candidates_metric->inc(static_cast<double>(num_candidates));
+    // The engine's work, published once the sweep is done.
+    core::for_each_visibility_count(
+        vis_counts, [&](const char* name, const char* help, std::int64_t n) {
+          opts.metrics->counter(name, help)->inc(static_cast<double>(n));
+        });
   }
   return table;
 }

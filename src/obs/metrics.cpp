@@ -144,58 +144,6 @@ std::size_t Registry::series_count() const {
   return n;
 }
 
-std::vector<MetricSnapshot> Registry::snapshot() const {
-  std::vector<MetricSnapshot> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, e] : entries_) {
-    MetricSnapshot m;
-    m.name = name;
-    m.help = e.help;
-    switch (e.kind) {
-      case Kind::kCounter:
-        m.kind = 0;
-        m.value = e.counter->value();
-        break;
-      case Kind::kGauge:
-        m.kind = 1;
-        m.value = e.gauge->value();
-        break;
-      case Kind::kHistogram:
-        m.kind = 2;
-        m.upper_bounds = e.histogram->upper_bounds();
-        m.cells = e.histogram->cells();
-        m.sum = e.histogram->sum();
-        break;
-    }
-    out.push_back(std::move(m));
-  }
-  return out;
-}
-
-void Registry::restore(std::span<const MetricSnapshot> metrics) {
-  for (const MetricSnapshot& m : metrics) {
-    switch (m.kind) {
-      case 0:
-        counter(m.name, m.help)->reset_to(m.value);
-        break;
-      case 1:
-        gauge(m.name, m.help)->set(m.value);
-        break;
-      case 2: {
-        Histogram* h = histogram(m.name, m.help, m.upper_bounds);
-        DGS_ENSURE(h->upper_bounds() == m.upper_bounds,
-                   "histogram '" << m.name
-                                 << "' restored with different buckets");
-        h->reset_to(m.cells, m.sum);
-        break;
-      }
-      default:
-        DGS_ENSURE(false, "unknown metric kind " << m.kind << " for '"
-                                                 << m.name << "'");
-    }
-  }
-}
-
 bool read_prometheus_sample(std::string_view exposition,
                             std::string_view name, double* out) {
   std::size_t pos = 0;

@@ -10,7 +10,9 @@
 // the TSan lane catches the rest.
 //
 // Metric objects are owned by their Registry and have stable addresses for
-// the registry's lifetime; hot loops cache the pointers once.  Naming
+// the registry's lifetime.  A registry is a view, not a ledger: a
+// core::Session keeps every count it publishes and checkpoints those
+// counts itself, so no registry state is ever saved or restored.  Naming
 // follows the Prometheus convention documented in DESIGN.md §10:
 // `dgs_<area>_<what>[_<unit>][_total]`.
 #pragma once
@@ -47,8 +49,8 @@ class Counter {
   }
   double value() const { return value_; }
 
-  /// Replaces the value: checkpoint restore (DESIGN.md §16), and
-  /// publishing a value kept in another ledger (DESIGN.md §10).
+  /// Replaces the value: publishing a value kept in another ledger
+  /// (DESIGN.md §10).
   void reset_to(double v) {
     internal::dcheck_driver_thread();
     value_ = v;
@@ -88,8 +90,9 @@ class Histogram {
   /// Non-cumulative per-bucket counts; size is upper_bounds().size() + 1
   /// with the overflow (+Inf) cell last.
   const std::vector<std::uint64_t>& cells() const { return cells_; }
-  /// Checkpoint restore: replaces the cells (as returned by cells()) and
-  /// the running sum.
+  /// Replaces the cells (as returned by cells()) and the running sum:
+  /// publishing a histogram kept in another ledger, and restoring that
+  /// ledger from a checkpoint.
   void reset_to(std::span<const std::uint64_t> cells, double sum);
 
  private:
@@ -97,32 +100,6 @@ class Histogram {
   std::vector<std::uint64_t> cells_;  ///< One per bucket, overflow last.
   double sum_ = 0.0;
 };
-
-/// One registered metric's state, captured by Registry::snapshot() for the
-/// dgs.checkpoint.v4 artifact and replayed by Registry::restore().
-struct MetricSnapshot {
-  std::string name;
-  std::string help;
-  int kind = 0;  ///< 0 = counter, 1 = gauge, 2 = histogram.
-  double value = 0.0;                    ///< Counter/gauge value.
-  std::vector<double> upper_bounds;      ///< Histogram bucket bounds.
-  std::vector<std::uint64_t> cells;      ///< Histogram cells().
-  double sum = 0.0;                      ///< Histogram running sum.
-};
-
-/// Checkpoint serialization (core/checkpoint.h); `kind` travels as u8.
-template <class Ar>
-void io(Ar& ar, MetricSnapshot& m) {
-  ar.str(m.name);
-  ar.str(m.help);
-  auto kind = static_cast<std::uint8_t>(m.kind);
-  ar.u8(kind);
-  if constexpr (Ar::kReading) m.kind = kind;
-  ar.f64(m.value);
-  ar.column(m.upper_bounds);
-  ar.column(m.cells);
-  ar.f64(m.sum);
-}
 
 /// Owns every metric of one run/process and renders the Prometheus text
 /// exposition.  Registration, like every write, happens on the driver
@@ -142,13 +119,6 @@ class Registry {
   /// Number of sample series the exposition would emit (one per counter or
   /// gauge; buckets + sum + count per histogram).
   std::size_t series_count() const;
-
-  /// Every entry's state in ascending name order (checkpointing).
-  std::vector<MetricSnapshot> snapshot() const;
-  /// Re-applies a snapshot: entries are created when absent (matching the
-  /// conditional registration of e.g. fault metrics) and reset to the
-  /// captured values.  Existing entries must have the same kind.
-  void restore(std::span<const MetricSnapshot> metrics);
 
  private:
   enum class Kind { kCounter, kGauge, kHistogram };

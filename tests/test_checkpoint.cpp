@@ -1,4 +1,4 @@
-// The dgs.checkpoint.v4 archive vocabulary (src/core/checkpoint.h) at the
+// The dgs.checkpoint.v5 archive vocabulary (src/core/checkpoint.h) at the
 // byte level: the exact little-endian bytes each scalar field writes, the
 // column() bulk call writing exactly what seq() with per-element scalars
 // writes, the reader rejecting an oversized or truncated column before

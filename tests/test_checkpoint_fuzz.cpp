@@ -1,6 +1,6 @@
-// Seeded mutation fuzz of the dgs.checkpoint.v4 section readers.
+// Seeded mutation fuzz of the dgs.checkpoint.v5 section readers.
 //
-// Each case takes a checked-in v4 fixture, mutates its section bodies
+// Each case takes a checked-in v5 fixture, mutates its section bodies
 // (byte flips, splices, count patches, LEB128 patches, truncations) and
 // re-frames the result with a valid CRC through write_checkpoint, so that
 // the mutation reaches the section readers rather than the CRC check.
@@ -244,13 +244,13 @@ void fuzz_fixture(const Scenario& s, const std::string& name,
   EXPECT_GT(restored, 0) << name;
 }
 
-TEST(CheckpointFuzz, StormLookaheadV4MutationsRestoreExactlyOrThrow) {
-  fuzz_fixture(storm_lookahead(), "checkpoint_v4_storm_lookahead_1h.ckpt",
+TEST(CheckpointFuzz, StormLookaheadV5MutationsRestoreExactlyOrThrow) {
+  fuzz_fixture(storm_lookahead(), "checkpoint_v5_storm_lookahead_1h.ckpt",
                0x5eed0001, 400);
 }
 
-TEST(CheckpointFuzz, TenantsChurnV4MutationsRestoreExactlyOrThrow) {
-  fuzz_fixture(tenants_churn(), "checkpoint_v4_tenants_churn_1h.ckpt",
+TEST(CheckpointFuzz, TenantsChurnV5MutationsRestoreExactlyOrThrow) {
+  fuzz_fixture(tenants_churn(), "checkpoint_v5_tenants_churn_1h.ckpt",
                0x5eed0002, 400);
 }
 

@@ -14,7 +14,6 @@
 #include "src/core/lookahead.h"
 #include "src/core/session.h"
 #include "src/obs/events.h"
-#include "src/obs/metrics.h"
 #include "src/weather/synthetic.h"
 
 namespace dgs::core {
@@ -172,12 +171,14 @@ void expect_same_blocks(const PassBlocks& a, const PassBlocks& b) {
   expect_same_blocks(a, unrolled(b));
 }
 
-/// Every dgs_vis_* counter in `registry`, by name.
-std::map<std::string, double> vis_counters(const obs::Registry& registry) {
-  std::map<std::string, double> out;
-  for (const obs::MetricSnapshot& m : registry.snapshot()) {
-    if (m.name.starts_with("dgs_vis_")) out[m.name] = m.value;
-  }
+/// Every dgs_vis_* count in `counts`, by family name.
+std::map<std::string, std::int64_t> vis_counters(
+    const VisibilityCounts& counts) {
+  std::map<std::string, std::int64_t> out;
+  for_each_visibility_count(
+      counts, [&out](const char* name, const char*, std::int64_t n) {
+        out[name] = n;
+      });
   return out;
 }
 
@@ -373,14 +374,14 @@ TEST_F(LookaheadTest, PlanGeometryReplansMatchColdWindows) {
                    << " lanes");
       util::ThreadPool pool(
           util::ParallelConfig{.num_threads = lanes, .chunk_size = 2});
-      obs::Registry cold_metrics;
-      obs::Registry warm_metrics;
+      VisibilityCounts cold_counts;
+      VisibilityCounts warm_counts;
       VisibilityEngine cold(sats_, stations_, weather ? &wx : nullptr);
       VisibilityEngine warm(sats_, stations_, weather ? &wx : nullptr);
       cold.set_thread_pool(&pool);
       warm.set_thread_pool(&pool);
-      cold.set_metrics(&cold_metrics);
-      warm.set_metrics(&warm_metrics);
+      cold.set_counts(&cold_counts);
+      warm.set_counts(&warm_counts);
       PlanGeometry table(kWindowSteps);
       for (std::size_t w = 0; w < std::size(kReplanOrigins); ++w) {
         const int origin = kReplanOrigins[w];
@@ -400,10 +401,11 @@ TEST_F(LookaheadTest, PlanGeometryReplansMatchColdWindows) {
       }
       EXPECT_GT(table.hits(), 0);
       EXPECT_LT(table.hits(), table.lookups());
-      const std::map<std::string, double> counters = vis_counters(cold_metrics);
+      const std::map<std::string, std::int64_t> counters =
+          vis_counters(cold_counts);
       EXPECT_EQ(counters.size(), 5u);
-      EXPECT_GT(counters.at("dgs_vis_cull_candidates_total"), 0.0);
-      EXPECT_EQ(vis_counters(warm_metrics), counters);
+      EXPECT_GT(counters.at("dgs_vis_cull_candidates_total"), 0);
+      EXPECT_EQ(vis_counters(warm_counts), counters);
     }
   }
 }

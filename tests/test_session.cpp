@@ -5,13 +5,14 @@
 // output surface — summary JSON, Prometheus exposition, event JSONL — to
 // be byte-identical to the uninterrupted run; a per-instant tenant/churn
 // run and the storm look-ahead run are restored every 10 steps under the
-// same requirement.  Checked-in v4 fixtures pin the on-disk format: each
-// restores and re-snapshots to the same bytes, and the v1, v2 and v3
-// fixtures are rejected.  Negative-space tests pin the checkpoint
+// same requirement.  Checked-in v5 fixtures pin the on-disk format: each
+// restores and re-snapshots to the same bytes, resumes to the
+// uninterrupted run's summary and scrape, and names no metric family; the
+// v1 to v4 fixtures are rejected.  Negative-space tests pin the checkpoint
 // validator: truncations, corrupt bytes, oversized length prefixes,
 // out-of-range indices and delay-ledger steps, bytes in the empty
 // geometry/matcher sections and scenario mismatches must all be rejected
-// with std::invalid_argument.  test_checkpoint_fuzz.cpp mutates the v4
+// with std::invalid_argument.  test_checkpoint_fuzz.cpp mutates the v5
 // fixtures at random under the same contract.  A
 // restore fed by short stream reads must still re-snapshot byte for byte.
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -280,8 +282,8 @@ TEST(SessionCheckpoint, PerInstantRestoreEveryTenStepsIsByteIdentical) {
   EXPECT_EQ(resumed.summary, baseline.summary);
   EXPECT_EQ(resumed.prometheus, baseline.prometheus);
   EXPECT_EQ(resumed.events, baseline.events);
-  // Without a registry the checkpoint carries no metrics, and the summary
-  // and event log still resume exactly.
+  // Without a registry the summary and event log still resume exactly
+  // (RegistryLessCheckpointRestoresTheFullScrape covers the scrape).
   const RunOutputs unscraped = run_restoring_every_ten_steps(s, false);
   EXPECT_EQ(unscraped.summary, baseline.summary);
   EXPECT_EQ(unscraped.events, baseline.events);
@@ -332,12 +334,13 @@ TEST(SessionCheckpoint, CacheEventsResumeFromACheckpointWithoutEventLog) {
   EXPECT_EQ(resumed_events.str(), suffix);
 }
 
-// dgs.checkpoint.v4 fixtures written at 1 h, with a registry and an event
+// dgs.checkpoint.v5 fixtures written at 1 h, with a registry and an event
 // log attached.  Restore recomputes no physics, so re-snapshotting must
 // reproduce the file exactly on any platform; it fails as soon as either
-// the writer or the reader leaves v4.  The v1, v2 and v3 fixtures of the
-// same scenarios stay checked in to pin that an older format is refused,
-// not misread.
+// the writer or the reader leaves v5.  Run on to the end, the restored
+// session must give the uninterrupted run's summary and Prometheus text.
+// The v1 to v4 fixtures of the same scenarios stay checked in to pin that
+// an older format is refused, not misread.
 std::string read_fixture(const std::string& name) {
   std::ifstream in(std::string(DGS_TEST_FIXTURE_DIR) + "/" + name,
                    std::ios::binary);
@@ -358,28 +361,78 @@ void expect_fixture_round_trips(const Scenario& s, const std::string& name) {
   EXPECT_EQ(restored->step_index(), 60);
   std::ostringstream again;
   restored->snapshot(again);
-  // Not EXPECT_EQ: a mismatch would print two 30-50 KB binary strings.
+  // Not EXPECT_EQ: a mismatch would print two 20-30 KB binary strings.
   EXPECT_TRUE(again.str() == bytes) << name << " re-snapshots differently";
+
+  const RunOutputs baseline = run_uninterrupted(s, 1);
+  EXPECT_EQ(summary_bytes(restored->run_to_end()), baseline.summary) << name;
+  std::ostringstream prom;
+  registry.write_prometheus(prom);
+  EXPECT_EQ(prom.str(), baseline.prometheus) << name;
 }
 
-TEST(SessionCheckpointFixture, StormLookaheadV4RoundTripsByteForByte) {
+TEST(SessionCheckpointFixture, StormLookaheadV5RoundTripsByteForByte) {
   expect_fixture_round_trips(golden_scenario(),
-                             "checkpoint_v4_storm_lookahead_1h.ckpt");
+                             "checkpoint_v5_storm_lookahead_1h.ckpt");
 }
 
-TEST(SessionCheckpointFixture, TenantsChurnV4RoundTripsByteForByte) {
+TEST(SessionCheckpointFixture, TenantsChurnV5RoundTripsByteForByte) {
   expect_fixture_round_trips(tenant_churn_scenario(),
-                             "checkpoint_v4_tenants_churn_1h.ckpt");
+                             "checkpoint_v5_tenants_churn_1h.ckpt");
+}
+
+// The session keeps every count it publishes, so a checkpoint holds no
+// registry state: not one family name.
+TEST(SessionCheckpointFixture, V5FixturesNameNoMetricFamily) {
+  for (const char* name : {"checkpoint_v5_storm_lookahead_1h.ckpt",
+                           "checkpoint_v5_tenants_churn_1h.ckpt"}) {
+    const std::string bytes = read_fixture(name);
+    ASSERT_FALSE(bytes.empty()) << name;
+    EXPECT_EQ(bytes.find("dgs_"), std::string::npos) << name;
+  }
+}
+
+// A checkpoint written by a session without a registry restores into one
+// with a registry and scrapes what the uninterrupted run scrapes: every
+// family's ledger travels in the checkpoint whatever the writer's sinks.
+TEST(SessionCheckpoint, RegistryLessCheckpointRestoresTheFullScrape) {
+  Scenario s = tenant_churn_scenario();
+  groundseg::NetworkOptions net;
+  net.num_stations = 10;
+  net.num_satellites = 8;
+  net.seed = 13;
+  s.stations = groundseg::generate_dgs_stations(net);
+  s.opts.duration_hours = 2.0;
+  s.opts.faults = faults::make_profile("churn", 7, net.num_stations);
+  const RunOutputs baseline = run_uninterrupted(s, 1);
+
+  Session unscraped(s.sats, s.stations, nullptr, s.opts);
+  unscraped.run_until_hours(1.0);
+  std::stringstream cp;
+  unscraped.snapshot(cp);
+  obs::Registry registry;
+  SimulationOptions opts = s.opts;
+  opts.metrics = &registry;
+  std::unique_ptr<Session> restored =
+      Session::restore(cp, s.sats, s.stations, nullptr, opts);
+  EXPECT_EQ(summary_bytes(restored->run_to_end()), baseline.summary);
+  std::ostringstream prom;
+  registry.write_prometheus(prom);
+  EXPECT_EQ(prom.str(), baseline.prometheus);
+  double propagations = 0.0;
+  ASSERT_TRUE(obs::read_prometheus_sample(
+      prom.str(), "dgs_vis_propagations_total", &propagations));
+  EXPECT_EQ(propagations, 8.0 * 120.0);
 }
 
 // SimulationOptions::value_scale is hashed into options_crc32 only when it
-// is set: both v4 fixtures carry the CRC their scenario has today (no
+// is set: both v5 fixtures carry the CRC their scenario has today (no
 // table), different tables hash apart, and restoring under another table
 // is refused by the options check.
 TEST(SessionCheckpointFixture, ValueScaleIsHashedOnlyWhenSet) {
   const std::pair<Scenario, std::string> fixtures[] = {
-      {golden_scenario(), "checkpoint_v4_storm_lookahead_1h.ckpt"},
-      {tenant_churn_scenario(), "checkpoint_v4_tenants_churn_1h.ckpt"},
+      {golden_scenario(), "checkpoint_v5_storm_lookahead_1h.ckpt"},
+      {tenant_churn_scenario(), "checkpoint_v5_tenants_churn_1h.ckpt"},
   };
   for (const auto& [s, name] : fixtures) {
     const std::string bytes = read_fixture(name);
@@ -453,7 +506,7 @@ Scenario fully_populated_scenario() {
   return s;
 }
 
-// The v4 fixtures pin the CRC of two option sets; this pins the encoding
+// The v5 fixtures pin the CRC of two option sets; this pins the encoding
 // of every walked member, the lists included, to the value the options
 // CRC had before it was written from walk_options.  `parallel` is not
 // hashed.
@@ -466,7 +519,7 @@ TEST(SessionCheckpointFixture, FullyPopulatedOptionsKeepTheirCrc) {
             0xACE10062u);
 }
 
-/// Restoring both fixtures of format `version` ("v1", "v2", "v3") must
+/// Restoring both fixtures of format `version` ("v1" to "v4") must
 /// throw std::invalid_argument naming that version.
 void expect_fixtures_rejected(const std::string& version) {
   const std::pair<Scenario, std::string> fixtures[] = {
@@ -500,6 +553,10 @@ TEST(SessionCheckpointFixture, V2FixturesAreRejectedNamingTheVersion) {
 
 TEST(SessionCheckpointFixture, V3FixturesAreRejectedNamingTheVersion) {
   expect_fixtures_rejected("v3");
+}
+
+TEST(SessionCheckpointFixture, V4FixturesAreRejectedNamingTheVersion) {
+  expect_fixtures_rejected("v4");
 }
 
 // An immediate snapshot (step 0) restores to the full run, and a
@@ -662,7 +719,7 @@ TEST_F(SessionCheckpointNegative, ScenarioMismatchesAreRejected) {
 TEST(SessionCheckpointCounts, OversizedCountsAreRejectedInEverySection) {
   const Scenario s = tenant_churn_scenario();
   const std::string bytes =
-      read_fixture("checkpoint_v4_tenants_churn_1h.ckpt");
+      read_fixture("checkpoint_v5_tenants_churn_1h.ckpt");
   CheckpointView view;
   ASSERT_FALSE(read_checkpoint(bytes, &view).has_value());
   const std::pair<const char*, std::size_t> first_counts[] = {
@@ -679,8 +736,8 @@ TEST(SessionCheckpointCounts, OversizedCountsAreRejectedInEverySection) {
       // The section holds no sequence; its tenant count, after the flag,
       // is checked against the session's instead.
       {"tenants", 1},
-      // After the registry flag.
-      {"metrics", 1},
+      // The latency histogram's cells.
+      {"metrics", 0},
   };
   // Plus the two empty sections.
   ASSERT_EQ(std::size(first_counts) + 2, checkpoint_section_names().size());
@@ -784,7 +841,7 @@ constexpr std::int32_t kBadSat[] = {-1, 8};
 constexpr std::int32_t kBadStation[] = {-1, 12};
 constexpr std::uint32_t kBadDeliverySat[] = {8, 0xFFFFFFFFu};
 
-/// The v4 `result` section up to the delivery satellites: the delivery
+/// The v5 `result` section up to the delivery satellites: the delivery
 /// ledger, read back without its checks, and where the section goes on.
 struct ResultHead {
   StepAges delivered;
@@ -814,8 +871,9 @@ std::int64_t first_delivery_step(const StepAges& ledger) {
   return it == ledger.per_step.end() ? -1 : it - ledger.per_step.begin();
 }
 
+// The satellite column is kept only with tenants.
 TEST(SessionCheckpointIndices, DeliverySatelliteIsRangeChecked) {
-  const Scenario s = golden_scenario();
+  const Scenario s = tenant_churn_scenario();
   const std::string bytes = snapshot_at_one_hour(s);
   for (const std::uint32_t bad : kBadDeliverySat) {
     // The first delivery's satellite: the first value of the satellite
@@ -837,12 +895,15 @@ TEST(SessionCheckpointIndices, DeliverySatelliteIsRangeChecked) {
 }
 
 // The urgent flag is a 0/1 byte; any other value is rejected, as the
-// satellite column's indices are.
+// satellite column's indices are.  The column is kept only with an urgent
+// tier.
 TEST(SessionCheckpointIndices, DeliveryUrgentFlagIsRangeChecked) {
-  const Scenario s = golden_scenario();
+  Scenario s = golden_scenario();
+  s.opts.urgent_fraction = 0.2;
+  s.opts.urgent_priority = 4.0;
   const std::string bytes = snapshot_at_one_hour(s);
-  // The first delivery's flag: after the delivery ledger, the satellite
-  // column and the urgent column's count.
+  // The first delivery's flag: after the delivery ledger, the (empty)
+  // satellite column and the urgent column's count.
   expect_patch_rejected(s, bytes, "result", [](std::string* body) {
     ResultHead head = split_result(*body);
     if (head.delivered.size() == 0) return false;
@@ -853,6 +914,28 @@ TEST(SessionCheckpointIndices, DeliveryUrgentFlagIsRangeChecked) {
     if (at >= head.rest.size()) return false;
     head.rest[at] = '\x02';
     *body = join_result(std::move(head));
+    return true;
+  });
+}
+
+// Without tenants or an urgent tier neither column is kept, and a
+// checkpoint that carries one anyway is rejected.
+TEST(SessionCheckpointIndices, DeliveryColumnsAreKeptOnlyWhereRead) {
+  const Scenario s = golden_scenario();
+  const std::string bytes = snapshot_at_one_hour(s);
+  CheckpointView view;
+  ASSERT_FALSE(read_checkpoint(bytes, &view).has_value());
+  const ResultHead head = split_result(std::string(view.section("result")));
+  ASSERT_GT(head.delivered.size(), 0u);
+  // Two empty columns: two zero counts.
+  EXPECT_EQ(head.rest.substr(0, 16), std::string(16, '\0'));
+  expect_patch_rejected(s, bytes, "result", [](std::string* body) {
+    ResultHead patched = split_result(*body);
+    std::vector<std::uint32_t> sats(patched.delivered.size(), 0);
+    BinaryWriter w;
+    w.leb128(sats);
+    patched.rest = w.take() + patched.rest.substr(8);
+    *body = join_result(std::move(patched));
     return true;
   });
 }
@@ -962,6 +1045,23 @@ TEST(SessionCheckpointIndices, PlannerEdgesAreRangeChecked) {
     expect_patch_rejected(s, bytes, "planner", [&](std::string* body) {
       const auto at = first_planned_edge(*body);
       if (at.has_value()) put_i32(body, *at + 4, bad);
+      return at.has_value();
+    });
+  }
+}
+
+// A planned edge's MODCOD is a table index or -1 (none); any other
+// negative index is rejected rather than read back as none, which would
+// re-snapshot as -1.
+TEST(SessionCheckpointIndices, PlannerModcodIndexIsRangeChecked) {
+  const Scenario s = golden_scenario();
+  const std::string bytes = snapshot_at_one_hour(s);
+  for (const std::int32_t bad :
+       {std::int32_t{-2}, std::numeric_limits<std::int32_t>::min()}) {
+    expect_patch_rejected(s, bytes, "planner", [&](std::string* body) {
+      // After the edge's satellite, station, elevation, range and rate.
+      const auto at = first_planned_edge(*body);
+      if (at.has_value()) put_i32(body, *at + 4 + 4 + 3 * 8, bad);
       return at.has_value();
     });
   }

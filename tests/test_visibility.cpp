@@ -447,43 +447,39 @@ TEST_F(ForecastMemoFixture, BudgetAndEdgeCountersCountEachQueryOnce) {
   std::vector<char> down(stations.size(), 0);
   for (std::size_t g = 0; g < stations.size(); g += 3) down[g] = 1;
   for (const int lanes : {1, 4}) {
-    obs::Registry registry;
+    VisibilityCounts counts;
     VisibilityEngine engine(sats, stations, &downpour);
     util::ThreadPool pool(
         util::ParallelConfig{.num_threads = lanes, .chunk_size = 2});
     engine.set_thread_pool(&pool);
-    engine.set_metrics(&registry);
-    const obs::Counter* budgets =
-        registry.counter("dgs_vis_link_budgets_total", "");
-    const obs::Counter* edges =
-        registry.counter("dgs_vis_contact_edges_total", "");
-    double total_samples = 0.0;
-    double total_edges = 0.0;
+    engine.set_counts(&counts);
+    std::int64_t total_samples = 0;
+    std::int64_t total_edges = 0;
     for (int k = 0; k < 12; ++k) {
       const util::Epoch t = kEpoch.plus_seconds(k * 300.0);
-      double samples = 0.0;
+      std::int64_t samples = 0;
       for (int g = 0; g < engine.num_stations(); ++g) {
         if (down[static_cast<std::size_t>(g)] != 0) continue;
         for (int s = 0; s < engine.num_sats(); ++s) {
           if (stations[static_cast<std::size_t>(g)].constraints.allows(
                   static_cast<std::size_t>(s)) &&
               engine.visible(s, g, t)) {
-            samples += 1.0;
+            samples += 1;
           }
         }
       }
-      const double budgets_before = budgets->value();
-      const double edges_before = edges->value();
-      const auto got = static_cast<double>(engine.contacts(t, {}, down).size());
-      EXPECT_EQ(budgets->value() - budgets_before, samples)
+      const VisibilityCounts before = counts;
+      const auto got =
+          static_cast<std::int64_t>(engine.contacts(t, {}, down).size());
+      EXPECT_EQ(counts.link_budgets - before.link_budgets, samples)
           << lanes << " lanes, step " << k;
-      EXPECT_EQ(edges->value() - edges_before, got)
+      EXPECT_EQ(counts.contact_edges - before.contact_edges, got)
           << lanes << " lanes, step " << k;
       total_samples += samples;
       total_edges += got;
     }
     // Not vacuous, and the two counters count different things.
-    EXPECT_GT(total_edges, 50.0);
+    EXPECT_GT(total_edges, 50);
     EXPECT_LT(total_edges, total_samples);
   }
 }

@@ -130,18 +130,16 @@ TEST(VisibilityIndex, ThreadPoolAndCacheDoNotChangeIndexedOutput) {
 
 TEST(VisibilityIndex, CullCountersAreConsistent) {
   const Network net = make_network(30, 12, 2);
-  obs::Registry registry;
+  VisibilityCounts counts;
   VisibilityEngine engine(net.sats, net.stations, nullptr);
-  engine.set_metrics(&registry);
+  engine.set_counts(&counts);
   int edges = 0;
   for (int m = 0; m < 60; m += 5) {
     edges += static_cast<int>(
         engine.contacts(kEpoch.plus_seconds(m * 60.0)).size());
   }
-  const double candidates =
-      registry.counter("dgs_vis_cull_candidates_total", "")->value();
-  const double precise =
-      registry.counter("dgs_vis_cull_precise_total", "")->value();
+  const auto candidates = static_cast<double>(counts.cull_candidates);
+  const auto precise = static_cast<double>(counts.cull_precise);
   // The cull can only narrow: candidates >= precise tests >= edges kept.
   EXPECT_GE(candidates, precise);
   EXPECT_GE(precise, static_cast<double>(edges));
