@@ -47,7 +47,7 @@ bool parse_common_flag(int argc, char** argv, int* i, CommonFlags* flags) {
   const char* v = nullptr;
   if (std::strcmp(arg, "--threads") == 0 &&
       (v = flag_value(argc, argv, i))) {
-    flags->threads = number_arg("--threads", v, 0, kMaxThreads);
+    flags->threads = number_arg("--threads", v, 0, util::kMaxThreads);
     return true;
   }
   if (std::strcmp(arg, "--fault-profile") == 0 &&

@@ -10,13 +10,12 @@
 #ifndef DGS_EXAMPLES_CLI_COMMON_H_
 #define DGS_EXAMPLES_CLI_COMMON_H_
 
-#include <charconv>
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <string_view>
 
 #include "src/core/simulator.h"
+#include "src/util/parse.h"
 
 namespace dgs::examples {
 
@@ -33,22 +32,8 @@ struct CommonFlags {
   std::string trace_out;               ///< --trace-out <file>
 };
 
-/// Parses all of `text` as a number in [min, max] into *out: decimal
-/// digits for an integer type, any finite decimal form for a double.
-/// Returns false, leaving *out unchanged, for anything else ("12abc",
-/// "", "inf", "nan", a leading space or sign the type does not take, a
-/// value out of range).
-template <class T>
-bool parse_number(std::string_view text, T min, T max, T* out) {
-  T v{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-  if (ec != std::errc() || ptr != end || !(v >= min && v <= max)) {
-    return false;
-  }
-  *out = v;
-  return true;
-}
+/// Whole-text, range-checked number parsing (src/util/parse.h).
+using util::parse_number;
 
 /// The value of command-line argument `name` (a flag or a positional),
 /// read whole by parse_number.  Anything else prints
@@ -57,9 +42,6 @@ bool parse_number(std::string_view text, T min, T max, T* out) {
 template <class T>
 T number_arg(const char* name, const char* text, T min,
              T max = std::numeric_limits<T>::max());
-
-/// --threads takes 0 (hardware concurrency) up to this many lanes.
-inline constexpr int kMaxThreads = 256;
 
 /// Parses all of `text` as a finite number of hours >= 0 into *hours.
 /// Returns false, leaving *hours unchanged, for anything else ("5abc",

@@ -7,21 +7,18 @@
 //
 // Usage: ./build/examples/constellation_day [num_sats] [num_stations]
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 
+#include "examples/cli_common.h"
 #include "src/core/dgs.h"
 
 int main(int argc, char** argv) {
   using namespace dgs;
 
-  const int num_sats = argc > 1 ? std::atoi(argv[1]) : 80;
-  const int num_stations = argc > 2 ? std::atoi(argv[2]) : 100;
-  if (num_sats <= 0 || num_stations <= 0) {
-    std::fprintf(stderr, "usage: %s [num_sats > 0] [num_stations > 0]\n",
-                 argv[0]);
-    return 1;
-  }
+  const int num_sats =
+      argc > 1 ? examples::number_arg("num_sats", argv[1], 1) : 80;
+  const int num_stations =
+      argc > 2 ? examples::number_arg("num_stations", argv[2], 1) : 100;
 
   const util::Epoch epoch(util::DateTime{2020, 11, 4, 0, 0, 0.0});
   groundseg::NetworkOptions net;

@@ -57,8 +57,6 @@ class StationEdgeQueue {
                double rate_multiplier = 1.0);
 
   double queued_bytes() const { return queued_bytes_; }
-  double backhaul_bps() const { return backhaul_bps_; }
-  std::size_t depth() const { return items_.size(); }
 
   /// Checkpoint serialization (core/checkpoint.h): the queue contents in
   /// service order plus the exact queued-bytes aggregate, verbatim.

@@ -30,8 +30,8 @@
 // length prefixes, expect() for values the reader must find equal to its
 // own, check_index()/check_size() for indices and sizes a resumed run
 // indexes vectors with, column() for a vector of plain numbers, leb128()
-// for a vector of mostly small u32s, and seq()/map()/obj() for nesting.  The reader
-// bounds every count by the bytes left before it allocates and checks
+// for a vector of mostly small u32s, and seq()/obj() for nesting.  The
+// reader bounds every count by the bytes left before it allocates and checks
 // every expect(), index and size, so malformed input throws
 // std::invalid_argument rather than exhausting memory or indexing out of
 // bounds.
@@ -72,7 +72,7 @@ void io_any(Ar& ar, T& x) {
   }
 }
 
-/// The default element serializer of seq()/map(): the element's own io.
+/// The default element serializer of seq(): the element's own io.
 struct Obj {
   template <class Ar, class T>
   void operator()(Ar& ar, T& x) const {
@@ -173,12 +173,6 @@ class BinaryWriter {
       *p++ = static_cast<char>(v);
     }
     data_.resize(static_cast<std::size_t>(p - data_.data()));
-  }
-  /// count() then every entry, in key order, through `f(ar, key, value)`.
-  template <class M, class F>
-  void map(M& m, F f) {
-    count(m.size(), 0);
-    for (auto& [key, value] : m) f(*this, key, value);
   }
 
   std::size_t size() const { return data_.size(); }
@@ -312,18 +306,6 @@ class BinaryReader {
           break;
         }
       }
-    }
-  }
-  template <class M, class F>
-  void map(M& m, F f) {
-    using Entry = std::pair<typename M::key_type, typename M::mapped_type>;
-    const auto entry = [&f](auto& ar, Entry& e) { f(ar, e.first, e.second); };
-    static const std::size_t min_bytes = min_wire_bytes<Entry>(entry);
-    m.clear();
-    for (std::size_t i = count(0, min_bytes); i > 0; --i) {
-      Entry e;
-      entry(*this, e);
-      m.emplace(std::move(e));
     }
   }
 

@@ -1,9 +1,9 @@
 #include "src/core/run_artifact.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <iterator>
 #include <ostream>
 #include <type_traits>
@@ -12,7 +12,9 @@
 #include "src/core/checkpoint.h"
 #include "src/core/report.h"
 #include "src/netdesign/pareto.h"
+#include "src/obs/events.h"
 #include "src/util/check.h"
+#include "src/util/parse.h"
 
 namespace dgs::core {
 namespace {
@@ -138,8 +140,8 @@ bool parse_value(Cursor& c, JsonValue* out, int depth, ArtifactError* e) {
       out->kind = JsonValue::Kind::kNull;
       return parse_literal(c, "null", e);
     default: {
-      // Strict JSON number grammar, scanned before conversion: strtod
-      // alone would also accept hex / inf / nan spellings, which are
+      // Strict JSON number grammar, scanned before conversion: the
+      // converter alone would also accept inf / nan spellings, which are
       // outside the artifact subset.
       const std::size_t start = c.i;
       const auto digit_run = [&c] {
@@ -165,9 +167,10 @@ bool parse_value(Cursor& c, JsonValue* out, int depth, ArtifactError* e) {
         if (!c.done() && (c.peek() == '+' || c.peek() == '-')) ++c.i;
         if (digit_run() == 0) return fail(c, e, "malformed number");
       }
-      const std::string token(c.s.substr(start, c.i - start));
       out->kind = JsonValue::Kind::kNumber;
-      out->number = std::strtod(token.c_str(), nullptr);
+      if (!util::parse_whole(c.s.substr(start, c.i - start), &out->number)) {
+        return fail(c, e, "number out of range");
+      }
       return true;
     }
   }
@@ -371,6 +374,28 @@ constexpr FieldSpec<H> kCheckpointHeader[] = {
      assign<&H::payload_crc32>},
 };
 
+/// One timeseries CSV column: header name, printf format, whether its
+/// value is a whole count, and the value off the step record.
+struct CsvColumn {
+  const char* name;
+  const char* format;
+  bool integral;
+  double (*get)(const StepRecord&);
+};
+
+constexpr CsvColumn kTimeseriesColumns[] = {
+    {"hours", obs::kStepHoursFormat, false,
+     [](const StepRecord& r) { return r.hours; }},
+    {"delivered_tb_cum", "%.6f", false,
+     [](const StepRecord& r) { return r.delivered_bytes_cum / 1e12; }},
+    {"backlog_gb_total", "%.3f", false,
+     [](const StepRecord& r) { return r.backlog_bytes_total / 1e9; }},
+    {"active_links", "%.0f", true,
+     [](const StepRecord& r) { return static_cast<double>(r.active_links); }},
+    {"failed_links_cum", "%.0f", true,
+     [](const StepRecord& r) { return static_cast<double>(r.failed_cum); }},
+};
+
 // --- Validation --------------------------------------------------------------
 
 std::optional<ArtifactError> check_number(const JsonValue& v,
@@ -386,6 +411,9 @@ std::optional<ArtifactError> check_number(const JsonValue& v,
 }
 
 std::optional<ArtifactError> check_value(const JsonValue& v, FieldKind kind,
+                                         const std::string& where);
+std::optional<ArtifactError> check_value(const JsonValue& v,
+                                         obs::EventKind kind,
                                          const std::string& where);
 
 /// The one member loop: checks `rows` against the members of `obj`, in
@@ -503,6 +531,19 @@ std::optional<ArtifactError> check_value(const JsonValue& v, FieldKind kind,
       return check_stats_object(v, where);
     case kTenants:
       return check_tenants_object(v, where);
+  }
+  return std::nullopt;
+}
+
+/// An event member is checked as the artifact kind it renders like.
+std::optional<ArtifactError> check_value(const JsonValue& v,
+                                         obs::EventKind kind,
+                                         const std::string& where) {
+  switch (kind) {
+    case obs::EventKind::kInt: return check_value(v, kInt, where);
+    case obs::EventKind::kNumber: return check_value(v, kReal, where);
+    case obs::EventKind::kString: return check_value(v, kString, where);
+    case obs::EventKind::kBool: return check_value(v, kBool, where);
   }
   return std::nullopt;
 }
@@ -655,8 +696,14 @@ std::span<const char* const> checkpoint_section_names() {
 }
 
 std::string_view timeseries_csv_header() {
-  return "hours,delivered_tb_cum,backlog_gb_total,active_links,"
-         "failed_links_cum";
+  static const std::string header = [] {
+    std::string h;
+    for (const CsvColumn& column : kTimeseriesColumns) {
+      h += (h.empty() ? "" : ",") + std::string(column.name);
+    }
+    return h;
+  }();
+  return header;
 }
 
 std::optional<ArtifactError> validate_summary_json(std::string_view text) {
@@ -675,6 +722,7 @@ std::optional<ArtifactError> validate_summary_json(std::string_view text) {
 }
 
 std::optional<ArtifactError> validate_timeseries_csv(std::string_view text) {
+  constexpr std::size_t kColumns = std::size(kTimeseriesColumns);
   std::size_t pos = 0;
   int line_no = 0;
   double prev_hours = -1.0;
@@ -692,31 +740,39 @@ std::optional<ArtifactError> validate_timeseries_csv(std::string_view text) {
       continue;
     }
     if (line.empty()) return err(where, "empty row");
-    // Exactly 5 columns, each a complete number.
-    int col = 0;
+    const auto columns =
+        static_cast<std::size_t>(std::count(line.begin(), line.end(), ',')) +
+        1;
+    if (columns != kColumns) {
+      return err(where, "expected " + std::to_string(kColumns) +
+                            " columns, got " + std::to_string(columns));
+    }
     std::size_t field_start = 0;
-    double hours = 0.0;
-    for (std::size_t j = 0; j <= line.size(); ++j) {
-      if (j != line.size() && line[j] != ',') continue;
-      const std::string field(line.substr(field_start, j - field_start));
-      char* end = nullptr;
-      const double v = std::strtod(field.c_str(), &end);
-      if (field.empty() || end != field.c_str() + field.size()) {
-        return err(where, "column " + std::to_string(col + 1) +
-                              " is not a number: \"" + field + "\"");
+    for (std::size_t c = 0; c < kColumns; ++c) {
+      const CsvColumn& column = kTimeseriesColumns[c];
+      const std::size_t comma = std::min(line.find(',', field_start),
+                                         line.size());
+      const std::string_view field =
+          line.substr(field_start, comma - field_start);
+      field_start = comma + 1;
+      double v = 0.0;
+      if (!util::parse_whole(field, &v) || !std::isfinite(v)) {
+        return err(where, std::string("column ") + column.name +
+                              " is not a finite number: \"" +
+                              std::string(field) + "\"");
       }
-      if (col == 0) hours = v;
-      ++col;
-      field_start = j + 1;
+      if (column.integral && (!is_integral(v) || v < 0.0)) {
+        return err(where, std::string("column ") + column.name +
+                              " is not a whole number >= 0: \"" +
+                              std::string(field) + "\"");
+      }
+      if (c == 0) {  // hours
+        if (v <= prev_hours) {
+          return err(where, "hours must be strictly increasing");
+        }
+        prev_hours = v;
+      }
     }
-    if (col != 5) {
-      return err(where,
-                 "expected 5 columns, got " + std::to_string(col));
-    }
-    if (hours <= prev_hours) {
-      return err(where, "hours must be strictly increasing");
-    }
-    prev_hours = hours;
   }
   if (line_no == 0) return err("timeseries", "missing header row");
   return std::nullopt;
@@ -728,8 +784,7 @@ std::optional<ArtifactError> validate_events_jsonl(std::string_view text) {
   while (pos < text.size()) {
     std::size_t eol = text.find('\n', pos);
     if (eol == std::string_view::npos) eol = text.size();
-    // NUL-terminated copy: the number scanner is strtod-based.
-    const std::string line(text.substr(pos, eol - pos));
+    const std::string_view line = text.substr(pos, eol - pos);
     pos = eol + 1;
     ++line_no;
     if (line.empty()) continue;
@@ -760,6 +815,20 @@ std::optional<ArtifactError> validate_events_jsonl(std::string_view text) {
         return err(where + "." + doc->members[i].first,
                    "event payloads are flat (no nested objects)");
       }
+    }
+    const std::string& type = doc->members[2].second.text;
+    const auto schemas = obs::event_schemas();
+    const auto row = std::find_if(
+        schemas.begin(), schemas.end(),
+        [&type](const obs::EventSchema& s) { return type == s.type; });
+    if (row == schemas.end()) {
+      return err(where + ".type", "unknown event type \"" + type + "\"");
+    }
+    std::size_t at = 3;
+    if (auto e = check_fields(*doc, row->fields, where, &at)) return e;
+    if (at != doc->members.size()) {
+      return err(where + "." + doc->members[at].first,
+                 "unknown key after the \"" + type + "\" members");
     }
   }
   return std::nullopt;
@@ -990,12 +1059,16 @@ std::string indexed_key(char prefix, std::size_t index) {
 
 void write_timeseries_csv(std::ostream& out, const SimulationResult& result) {
   out << timeseries_csv_header() << "\n";
-  char buf[128];
+  // Wide enough for any double in %.6f.
+  char buf[320];
   for (const StepRecord& r : result.timeseries) {
-    std::snprintf(buf, sizeof(buf), "%.4f,%.6f,%.3f,%d,%lld\n", r.hours,
-                  r.delivered_bytes_cum / 1e12, r.backlog_bytes_total / 1e9,
-                  r.active_links, static_cast<long long>(r.failed_cum));
-    out << buf;
+    std::string_view sep;
+    for (const CsvColumn& column : kTimeseriesColumns) {
+      std::snprintf(buf, sizeof(buf), column.format, column.get(r));
+      out << sep << buf;
+      sep = ",";
+    }
+    out << '\n';
   }
 }
 

@@ -7,12 +7,15 @@
 // sweeps a network-design front, and snapshots a checkpoint header.  The
 // members of each JSON artifact are listed once, in one FieldSpec table in
 // run_artifact.cpp: a row names its key, its kind, and how to read its
-// value off the struct it serializes.  The writers emit a table's rows
-// through write_fields (write_summary_json in run_artifact.cpp,
-// write_netdesign_front in src/netdesign/pareto.cpp, the campaign manifest
-// and aggregate in src/campaign/, the checkpoint header in
-// src/core/checkpoint.cpp), the validators here check the same rows with
-// one member loop, and the checkpoint reader fills its header from them.
+// value off the struct it serializes.  The timeseries CSV's columns are one
+// table there too, and the event log's types one table in
+// src/obs/events.cpp; each drives its writer and its validator.  The
+// writers emit a JSON table's rows through write_fields
+// (write_summary_json in run_artifact.cpp, write_netdesign_front in
+// src/netdesign/pareto.cpp, the campaign manifest and aggregate in
+// src/campaign/, the checkpoint header in src/core/checkpoint.cpp), the
+// validators here check the same rows with one member loop, and the
+// checkpoint reader fills its header from them.
 // Every consumer (dgs_cli, the Monte-Carlo campaign runner, the test
 // suite, CI) pins kRunArtifactSchemaVersion.
 //
@@ -190,12 +193,15 @@ std::string_view timeseries_csv_header();
 /// schema_version, exact key set and order, per-field kinds.
 std::optional<ArtifactError> validate_summary_json(std::string_view text);
 
-/// Timeseries CSV: exact header, 5 numeric columns per row, strictly
-/// increasing hours.
+/// Timeseries CSV: exact header, then per row one field per column of the
+/// column table, each a whole finite number (a whole number >= 0 in the
+/// count columns), hours strictly increasing.
 std::optional<ArtifactError> validate_timeseries_csv(std::string_view text);
 
-/// Event log: every non-empty line is a restricted-JSON object opening
-/// with ("t_hours": number, "step": integer >= 0, "type": string).
+/// Event log: every non-empty line is a flat restricted-JSON object
+/// opening with ("t_hours": number, "step": integer >= 0, "type": string),
+/// whose type is a row of obs::event_schemas() and whose other members are
+/// exactly that row's keys, in order, each of its kind.
 std::optional<ArtifactError> validate_events_jsonl(std::string_view text);
 
 /// A parsed-and-validated summary, ready for campaign aggregation.

@@ -116,6 +116,11 @@ std::optional<OptionsError> check_parallel(const SimulationOptions& o) {
   c.integer("parallel.num_threads", o.parallel.num_threads,
             Bound::kNonNegative);
   c.integer("parallel.chunk_size", o.parallel.chunk_size, Bound::kPositive);
+  if (!c.error && o.parallel.num_threads > util::kMaxThreads) {
+    return err("parallel.num_threads",
+               "must be <= " + num(util::kMaxThreads) + " (got " +
+                   num(o.parallel.num_threads) + ")");
+  }
   return c.error;
 }
 

@@ -9,6 +9,7 @@
 
 #include "src/util/angles.h"
 #include "src/util/check.h"
+#include "src/util/parse.h"
 
 namespace dgs::groundseg {
 namespace {
@@ -111,13 +112,7 @@ std::vector<GroundStation> read_station_csv(std::istream& in) {
     // A field must be consumed whole: "47.5abc" is not 47.5.
     const auto real = [&](std::size_t i, const char* column) {
       double v = 0.0;
-      std::size_t consumed = 0;
-      try {
-        v = std::stod(fields[i], &consumed);
-      } catch (const std::exception&) {
-        // Nothing consumed: reported below.
-      }
-      if (consumed == 0 || consumed != fields[i].size()) {
+      if (!util::parse_whole(fields[i], &v)) {
         fail(line_no, std::string(column) + ": malformed number \"" +
                           fields[i] + "\"");
       }
@@ -129,13 +124,7 @@ std::vector<GroundStation> read_station_csv(std::istream& in) {
     };
     const auto integer = [&](std::size_t i, const char* column) {
       int v = 0;
-      std::size_t consumed = 0;
-      try {
-        v = std::stoi(fields[i], &consumed);
-      } catch (const std::exception&) {
-        // Nothing consumed: reported below.
-      }
-      if (consumed == 0 || consumed != fields[i].size()) {
+      if (!util::parse_whole(fields[i], &v)) {
         fail(line_no, std::string(column) + ": malformed integer \"" +
                           fields[i] + "\"");
       }
@@ -206,15 +195,9 @@ std::vector<int> read_station_subset(std::istream& in) {
     const std::string line = rstrip(raw);
     if (line.empty() || line[0] == '#') continue;
 
-    std::size_t consumed = 0;
     int id = -1;
-    try {
-      id = std::stoi(line, &consumed);
-    } catch (const std::exception&) {
+    if (!util::parse_whole(line, &id)) {
       fail(line_no, "expected a station id, got \"" + line + "\"");
-    }
-    if (consumed != line.size()) {
-      fail(line_no, "trailing characters after station id: \"" + line + "\"");
     }
     if (id < 0) fail(line_no, "negative station id " + std::to_string(id));
     if (std::find(ids.begin(), ids.end(), id) != ids.end()) {

@@ -3,24 +3,82 @@
 #include <cstdio>
 #include <ostream>
 
+#include "src/obs/metrics.h"
+#include "src/util/check.h"
+
 namespace dgs::obs {
 
 namespace {
 
-/// Round-trip-exact number rendering (compact when lossless).
-void append_number(std::ostream& out, double v) {
-  char compact[64];
-  std::snprintf(compact, sizeof(compact), "%g", v);
-  double back = 0.0;
-  std::sscanf(compact, "%lf", &back);
-  if (back == v) {
-    out << compact;
-    return;
-  }
-  char exact[64];
-  std::snprintf(exact, sizeof(exact), "%.17g", v);
-  out << exact;
-}
+using enum EventKind;
+
+// Members several types share, so each key is spelled once.
+constexpr EventField kSat{"sat", kInt};
+constexpr EventField kGs{"gs", kInt};
+constexpr EventField kModcod{"modcod", kString};
+constexpr EventField kRateBps{"rate_bps", kNumber};
+constexpr EventField kBytes{"bytes", kNumber};
+
+constexpr EventField kContactOpen[] = {kSat, kGs, kModcod, kRateBps,
+                                       {"elevation_deg", kNumber}};
+constexpr EventField kContactClose[] = {kSat, kGs, {"held_steps", kInt}};
+constexpr EventField kModcodSelected[] = {kSat, kGs, kModcod, kRateBps};
+constexpr EventField kBytesMoved[] = {kSat, kGs, kBytes,
+                                      {"received", kBool}};
+constexpr EventField kAckRelayed[] = {kSat,
+                                      kGs,
+                                      {"acked_bytes", kNumber},
+                                      {"requeued_bytes", kNumber},
+                                      {"batches", kInt}};
+constexpr EventField kPlanUploaded[] = {kSat, kGs, {"lead_s", kNumber}};
+constexpr EventField kStationOnly[] = {kGs};
+constexpr EventField kOutageLoss[] = {kSat, kGs, kBytes};
+constexpr EventField kAckRelayRetry[] = {
+    kSat, kGs, {"retries", kInt}, {"delay_s", kNumber}};
+constexpr EventField kPair[] = {kSat, kGs};
+constexpr EventField kReplan[] = {kGs, {"window_steps", kInt}};
+constexpr EventField kBackhaulFaultBegin[] = {kGs, {"multiplier", kNumber}};
+constexpr EventField kBackhaulStep[] = {{"received_bytes", kNumber},
+                                        {"uploaded_bytes", kNumber},
+                                        {"queued_bytes", kNumber}};
+
+/// Row indices of kEvents, in table order.
+enum Type : std::size_t {
+  kContactOpenType,
+  kContactCloseType,
+  kModcodSelectedType,
+  kBytesMovedType,
+  kAckRelayedType,
+  kPlanUploadedType,
+  kOutageBeginType,
+  kOutageEndType,
+  kOutageLossType,
+  kAckRelayRetryType,
+  kPlanUploadFailedType,
+  kReplanType,
+  kBackhaulFaultBeginType,
+  kBackhaulFaultEndType,
+  kBackhaulStepType,
+};
+
+constexpr EventSchema kEvents[] = {
+    {"contact_open", kContactOpen},
+    {"contact_close", kContactClose},
+    {"modcod_selected", kModcodSelected},
+    {"bytes_moved", kBytesMoved},
+    {"ack_relayed", kAckRelayed},
+    {"plan_uploaded", kPlanUploaded},
+    {"outage_begin", kStationOnly},
+    {"outage_end", kStationOnly},
+    {"outage_loss", kOutageLoss},
+    {"ack_relay_retry", kAckRelayRetry},
+    {"plan_upload_failed", kPair},
+    {"replan", kReplan},
+    {"backhaul_fault_begin", kBackhaulFaultBegin},
+    {"backhaul_fault_end", kStationOnly},
+    {"backhaul_step", kBackhaulStep},
+};
+static_assert(std::size(kEvents) == kBackhaulStepType + 1);
 
 /// MODCOD names are plain ASCII, but escape the JSON specials anyway.
 void append_string(std::ostream& out, std::string_view s) {
@@ -34,141 +92,111 @@ void append_string(std::ostream& out, std::string_view s) {
 
 }  // namespace
 
-std::ostream& EventLog::begin_line(const char* type) {
-  char buf[96];
-  // %.4f matches write_timeseries_csv's hours column exactly, so the two
-  // artifacts join byte-for-byte on t_hours.
-  std::snprintf(buf, sizeof(buf), "{\"t_hours\": %.4f, \"step\": %lld, "
-                                  "\"type\": \"%s\"",
-                t_hours_, static_cast<long long>(step_), type);
-  return *out_ << buf;
+std::span<const EventSchema> event_schemas() { return kEvents; }
+
+void EventLog::write(std::size_t type, std::initializer_list<Value> values) {
+  const EventSchema& row = kEvents[type];
+  DGS_DCHECK(values.size() == row.fields.size(), row.type);
+  char hours[64];
+  std::snprintf(hours, sizeof(hours), kStepHoursFormat, t_hours_);
+  std::ostream& out = *out_;
+  out << "{\"t_hours\": " << hours << ", \"step\": " << step_
+      << ", \"type\": \"" << row.type << '"';
+  const Value* v = values.begin();
+  for (const EventField& field : row.fields) {
+    DGS_DCHECK(v->kind == field.kind, row.type << "." << field.key);
+    out << ", \"" << field.key << "\": ";
+    switch (field.kind) {
+      case kInt: out << v->integer; break;
+      case kNumber: out << round_trip_number(v->number); break;
+      case kString: append_string(out, v->text); break;
+      case kBool: out << (v->flag ? "true" : "false"); break;
+    }
+    ++v;
+  }
+  out << "}\n";
 }
 
 void EventLog::contact_open(int sat, int station, std::string_view modcod,
                             double rate_bps, double elevation_deg) {
   if (!enabled()) return;
-  std::ostream& out = begin_line("contact_open");
-  out << ", \"sat\": " << sat << ", \"gs\": " << station << ", \"modcod\": ";
-  append_string(out, modcod);
-  out << ", \"rate_bps\": ";
-  append_number(out, rate_bps);
-  out << ", \"elevation_deg\": ";
-  append_number(out, elevation_deg);
-  out << "}\n";
+  write(kContactOpenType, {sat, station, modcod, rate_bps, elevation_deg});
 }
 
 void EventLog::contact_close(int sat, int station, int held_steps) {
   if (!enabled()) return;
-  begin_line("contact_close")
-      << ", \"sat\": " << sat << ", \"gs\": " << station
-      << ", \"held_steps\": " << held_steps << "}\n";
+  write(kContactCloseType, {sat, station, held_steps});
 }
 
 void EventLog::modcod_selected(int sat, int station, std::string_view modcod,
                                double rate_bps) {
   if (!enabled()) return;
-  std::ostream& out = begin_line("modcod_selected");
-  out << ", \"sat\": " << sat << ", \"gs\": " << station << ", \"modcod\": ";
-  append_string(out, modcod);
-  out << ", \"rate_bps\": ";
-  append_number(out, rate_bps);
-  out << "}\n";
+  write(kModcodSelectedType, {sat, station, modcod, rate_bps});
 }
 
 void EventLog::bytes_moved(int sat, int station, double bytes,
                            bool received) {
   if (!enabled()) return;
-  std::ostream& out = begin_line("bytes_moved");
-  out << ", \"sat\": " << sat << ", \"gs\": " << station << ", \"bytes\": ";
-  append_number(out, bytes);
-  out << ", \"received\": " << (received ? "true" : "false") << "}\n";
+  write(kBytesMovedType, {sat, station, bytes, received});
 }
 
 void EventLog::ack_relayed(int sat, int station, double acked_bytes,
                            double requeued_bytes, int batches) {
   if (!enabled()) return;
-  std::ostream& out = begin_line("ack_relayed");
-  out << ", \"sat\": " << sat << ", \"gs\": " << station
-      << ", \"acked_bytes\": ";
-  append_number(out, acked_bytes);
-  out << ", \"requeued_bytes\": ";
-  append_number(out, requeued_bytes);
-  out << ", \"batches\": " << batches << "}\n";
+  write(kAckRelayedType,
+        {sat, station, acked_bytes, requeued_bytes, batches});
 }
 
 void EventLog::plan_uploaded(int sat, int station, double lead_s) {
   if (!enabled()) return;
-  std::ostream& out = begin_line("plan_uploaded");
-  out << ", \"sat\": " << sat << ", \"gs\": " << station
-      << ", \"lead_s\": ";
-  append_number(out, lead_s);
-  out << "}\n";
+  write(kPlanUploadedType, {sat, station, lead_s});
 }
 
 void EventLog::outage_begin(int station) {
   if (!enabled()) return;
-  begin_line("outage_begin") << ", \"gs\": " << station << "}\n";
+  write(kOutageBeginType, {station});
 }
 
 void EventLog::outage_end(int station) {
   if (!enabled()) return;
-  begin_line("outage_end") << ", \"gs\": " << station << "}\n";
+  write(kOutageEndType, {station});
 }
 
 void EventLog::outage_loss(int sat, int station, double bytes) {
   if (!enabled()) return;
-  std::ostream& out = begin_line("outage_loss");
-  out << ", \"sat\": " << sat << ", \"gs\": " << station << ", \"bytes\": ";
-  append_number(out, bytes);
-  out << "}\n";
+  write(kOutageLossType, {sat, station, bytes});
 }
 
 void EventLog::ack_relay_retry(int sat, int station, int retries,
                                double delay_s) {
   if (!enabled()) return;
-  std::ostream& out = begin_line("ack_relay_retry");
-  out << ", \"sat\": " << sat << ", \"gs\": " << station
-      << ", \"retries\": " << retries << ", \"delay_s\": ";
-  append_number(out, delay_s);
-  out << "}\n";
+  write(kAckRelayRetryType, {sat, station, retries, delay_s});
 }
 
 void EventLog::plan_upload_failed(int sat, int station) {
   if (!enabled()) return;
-  begin_line("plan_upload_failed")
-      << ", \"sat\": " << sat << ", \"gs\": " << station << "}\n";
+  write(kPlanUploadFailedType, {sat, station});
 }
 
 void EventLog::replan(int station, int window_steps) {
   if (!enabled()) return;
-  begin_line("replan") << ", \"gs\": " << station
-                       << ", \"window_steps\": " << window_steps << "}\n";
+  write(kReplanType, {station, window_steps});
 }
 
 void EventLog::backhaul_fault_begin(int station, double multiplier) {
   if (!enabled()) return;
-  std::ostream& out = begin_line("backhaul_fault_begin");
-  out << ", \"gs\": " << station << ", \"multiplier\": ";
-  append_number(out, multiplier);
-  out << "}\n";
+  write(kBackhaulFaultBeginType, {station, multiplier});
 }
 
 void EventLog::backhaul_fault_end(int station) {
   if (!enabled()) return;
-  begin_line("backhaul_fault_end") << ", \"gs\": " << station << "}\n";
+  write(kBackhaulFaultEndType, {station});
 }
 
 void EventLog::backhaul_step(double received_bytes, double uploaded_bytes,
                              double queued_bytes) {
   if (!enabled()) return;
-  std::ostream& out = begin_line("backhaul_step");
-  out << ", \"received_bytes\": ";
-  append_number(out, received_bytes);
-  out << ", \"uploaded_bytes\": ";
-  append_number(out, uploaded_bytes);
-  out << ", \"queued_bytes\": ";
-  append_number(out, queued_bytes);
-  out << "}\n";
+  write(kBackhaulStepType, {received_bytes, uploaded_bytes, queued_bytes});
 }
 
 }  // namespace dgs::obs

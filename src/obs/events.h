@@ -1,28 +1,41 @@
 // Structured event log: one JSON object per line (JSONL), recording the
 // per-contact lifecycle of a simulation run — contact open/close, MODCOD
 // selection, bytes moved, ack relays, plan uploads, station outages, and
-// backhaul activity.  The schema (stable keys, one example line per
-// event type) is documented in DESIGN.md §10.
+// backhaul activity.
+//
+// The schema is one table in events.cpp (event_schemas()): each of the 15
+// event types with its ordered keys and each key's kind.  Every emitter
+// below writes its line through that table, and validate_events_jsonl
+// (src/core/run_artifact.h) checks a line against the same row, so the
+// writer and the validator cannot drift.  DESIGN.md §10 lists the types.
 //
 // Timestamps: every event carries the *end-of-step* simulation time of the
 // step it happened in, computed by the same StepClock the timeseries
-// exporter uses, so the JSONL and the timeseries CSV join exactly on
-// (step, t_hours) with no off-by-one-step drift.  Events are emitted only
-// from the simulation driver thread, which makes the log deterministic for
-// any thread count (DESIGN.md §9).
+// exporter uses and rendered with the same kStepHoursFormat, so the JSONL
+// and the timeseries CSV join exactly on (step, t_hours) with no
+// off-by-one-step drift.  Events are emitted only from the simulation
+// driver thread, which makes the log deterministic for any thread count
+// (DESIGN.md §9).
 //
-// Byte quantities are printed round-trip exactly (%.17g): the log is a
+// Numbers are printed round-trip exactly (round_trip_number): the log is a
 // ledger, and tests/test_obs_reconcile.cpp balances it against the Report
 // aggregates to the last bit.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <iosfwd>
+#include <span>
 #include <string_view>
 
 #include "src/util/time.h"
 
 namespace dgs::obs {
+
+/// printf format of a step's end time in hours: the event log's t_hours
+/// and the timeseries CSV's hours column, so the two join byte for byte.
+inline constexpr const char* kStepHoursFormat = "%.4f";
 
 /// The single source of step timestamps, shared by SimulationResult
 /// timeseries collection and the event log.  Step k covers the sim-time
@@ -45,6 +58,30 @@ class StepClock {
   util::Epoch start_;
   double step_seconds_;
 };
+
+/// What an event member holds: how the writer renders it and what the
+/// validator accepts.
+enum class EventKind {
+  kInt,     ///< Integer.
+  kNumber,  ///< Number, rendered round-trip exactly.
+  kString,  ///< Non-empty string.
+  kBool,    ///< true / false.
+};
+
+/// One member of an event line after its (t_hours, step, type) prefix.
+struct EventField {
+  const char* key;
+  EventKind kind;
+};
+
+/// One event type: its "type" value and its members, in order.
+struct EventSchema {
+  const char* type;
+  std::span<const EventField> fields;
+};
+
+/// The event log's schema: every event type, one row each.
+std::span<const EventSchema> event_schemas();
 
 /// JSONL writer.  Construct with a sink (borrowed; must outlive the log) or
 /// nullptr for a disabled log whose emitters cost one branch.  Not
@@ -103,9 +140,23 @@ class EventLog {
                      double queued_bytes);
 
  private:
-  /// Writes the line prefix {"t_hours":...,"step":...,"type":"<type>" and
-  /// returns the sink for the caller to append fields and finish.
-  std::ostream& begin_line(const char* type);
+  /// One member value handed to write(); `kind` names the field set.
+  struct Value {
+    EventKind kind;
+    long long integer = 0;
+    double number = 0.0;
+    std::string_view text;
+    bool flag = false;
+
+    Value(int v) : kind(EventKind::kInt), integer(v) {}
+    Value(double v) : kind(EventKind::kNumber), number(v) {}
+    Value(std::string_view v) : kind(EventKind::kString), text(v) {}
+    Value(bool v) : kind(EventKind::kBool), flag(v) {}
+  };
+
+  /// Writes one line of event_schemas()[type]: the prefix, then `values`
+  /// under the row's keys (DCHECKed against the row's kinds).
+  void write(std::size_t type, std::initializer_list<Value> values);
 
   std::ostream* out_;
   std::int64_t step_ = 0;

@@ -1,30 +1,23 @@
 #include "src/obs/metrics.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <ostream>
 
 #include "src/util/check.h"
+#include "src/util/parse.h"
 
 namespace dgs::obs {
 
-namespace {
-
-/// Shortest round-trip-exact rendering of a sample value ("17" stays "17",
-/// byte totals keep every bit).
-std::string format_value(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // Prefer the compact form when it round-trips (it always does for the
-  // small integers most counters hold).
+std::string round_trip_number(double v) {
   char compact[64];
   std::snprintf(compact, sizeof(compact), "%g", v);
   double back = 0.0;
   std::sscanf(compact, "%lf", &back);
-  return back == v ? compact : buf;
+  if (back == v) return compact;
+  char exact[64];
+  std::snprintf(exact, sizeof(exact), "%.17g", v);
+  return exact;
 }
-
-}  // namespace
 
 Histogram::Histogram(std::vector<double> upper_bounds)
     : bounds_(std::move(upper_bounds)) {
@@ -110,22 +103,22 @@ void Registry::write_prometheus(std::ostream& out) const {
     switch (e.kind) {
       case Kind::kCounter:
         out << "# TYPE " << name << " counter\n";
-        out << name << ' ' << format_value(e.counter->value()) << '\n';
+        out << name << ' ' << round_trip_number(e.counter->value()) << '\n';
         break;
       case Kind::kGauge:
         out << "# TYPE " << name << " gauge\n";
-        out << name << ' ' << format_value(e.gauge->value()) << '\n';
+        out << name << ' ' << round_trip_number(e.gauge->value()) << '\n';
         break;
       case Kind::kHistogram: {
         out << "# TYPE " << name << " histogram\n";
         const Histogram& h = *e.histogram;
         for (std::size_t i = 0; i < h.upper_bounds().size(); ++i) {
           out << name << "_bucket{le=\""
-              << format_value(h.upper_bounds()[i]) << "\"} "
+              << round_trip_number(h.upper_bounds()[i]) << "\"} "
               << h.cumulative_bucket(i) << '\n';
         }
         out << name << "_bucket{le=\"+Inf\"} " << h.count() << '\n';
-        out << name << "_sum " << format_value(h.sum()) << '\n';
+        out << name << "_sum " << round_trip_number(h.sum()) << '\n';
         out << name << "_count " << h.count() << '\n';
         break;
       }
@@ -157,13 +150,7 @@ bool read_prometheus_sample(std::string_view exposition,
     if (space == std::string_view::npos || line.substr(0, space) != name) {
       continue;
     }
-    // NUL-terminated copy for strtod.
-    const std::string value(line.substr(space + 1));
-    char* end = nullptr;
-    const double v = std::strtod(value.c_str(), &end);
-    if (end == value.c_str()) return false;
-    *out = v;
-    return true;
+    return util::parse_whole(line.substr(space + 1), out);
   }
   return false;
 }

@@ -136,10 +136,16 @@ class Registry {
   std::map<std::string, Entry> entries_;  ///< Sorted for stable exposition.
 };
 
+/// Shortest round-trip-exact rendering of `v`: "%g" when it reads back
+/// equal ("17" stays "17"), else "%.17g".  Every sample value of the
+/// Prometheus text and every number of the event log is written by it.
+std::string round_trip_number(double v);
+
 /// Reads one sample back out of a Prometheus text exposition: the value of
 /// the line whose metric name equals `name` exactly (no label matching —
 /// DGS series are unlabelled except histogram buckets, whose `name{le=...}`
-/// form never equals a bare name).  Returns false when absent.  This is
+/// form never equals a bare name).  Returns false when absent or when the
+/// value is not one whole number.  This is
 /// the snapshot half of the round trip: write_prometheus produced the
 /// text, and the campaign aggregator folds per-run snapshots back into
 /// campaign-level counters (DESIGN.md §12).

@@ -1,11 +1,14 @@
 #include "src/orbit/tle.h"
 
+#include <algorithm>
 #include <cctype>
+#include <cfloat>
 #include <cmath>
 #include <cstdio>
 
 #include "src/util/check.h"
 #include "src/util/constants.h"
+#include "src/util/parse.h"
 
 namespace dgs::orbit {
 namespace {
@@ -27,62 +30,57 @@ std::string field(std::string_view line, std::size_t start, std::size_t len) {
   return s.substr(b, e - b + 1);
 }
 
+/// The trimmed field [start, start+len), read whole as a finite double;
+/// a blank field reads 0.
 double parse_double(std::string_view line, std::size_t start, std::size_t len,
                     const char* what) {
   const std::string s = field(line, start, len);
-  if (s.empty()) return 0.0;
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(s, &pos);
-    if (pos != s.size()) fail(std::string("trailing junk in ") + what);
-    return v;
-  } catch (const std::invalid_argument&) {
-    fail(std::string("bad numeric field: ") + what);
+  double v = 0.0;
+  if (!s.empty() && !util::parse_number(s, -DBL_MAX, DBL_MAX, &v)) {
+    fail(std::string(what) + ": not a finite number \"" + s + "\"");
   }
+  return v;
 }
 
+/// The trimmed field read whole as an int; a blank field reads 0.
 int parse_int(std::string_view line, std::size_t start, std::size_t len,
               const char* what) {
   const std::string s = field(line, start, len);
-  if (s.empty()) return 0;
-  try {
-    std::size_t pos = 0;
-    const int v = std::stoi(s, &pos);
-    if (pos != s.size()) fail(std::string("trailing junk in ") + what);
-    return v;
-  } catch (const std::invalid_argument&) {
-    fail(std::string("bad integer field: ") + what);
+  int v = 0;
+  if (!s.empty() && !util::parse_whole(s, &v)) {
+    fail(std::string(what) + ": not an integer \"" + s + "\"");
   }
+  return v;
+}
+
+/// True when `s` is a non-empty run of decimal digits.
+bool all_digits(std::string_view s) {
+  return !s.empty() && std::all_of(s.begin(), s.end(), [](char c) {
+    return std::isdigit(static_cast<unsigned char>(c)) != 0;
+  });
 }
 
 /// Parses the implied-decimal exponent notation used for nddot and B*,
-/// e.g. " 28098-4" == 0.28098e-4 and "-11606-4" == -0.11606e-4.
+/// e.g. " 28098-4" == 0.28098e-4 and "-11606-4" == -0.11606e-4: an
+/// optional sign, the mantissa digits, then an optional signed exponent.
 double parse_exp_field(std::string_view line, std::size_t start,
-                       std::size_t len) {
-  std::string s = field(line, start, len);
+                       std::size_t len, const char* what) {
+  const std::string s = field(line, start, len);
   if (s.empty()) return 0.0;
-  double sign = 1.0;
-  std::size_t i = 0;
-  if (s[i] == '+' || s[i] == '-') {
-    if (s[i] == '-') sign = -1.0;
-    ++i;
+  const std::size_t lead = s[0] == '+' || s[0] == '-' ? 1 : 0;
+  const std::size_t split = s.find_first_of("+-", lead);
+  const std::string mantissa = s.substr(lead, split - lead);
+  const std::string expo =
+      split == std::string::npos ? "0" : s.substr(split + 1);
+  double m = 0.0;
+  int e = 0;
+  if (!all_digits(mantissa) || !all_digits(expo) ||
+      !util::parse_whole("0." + mantissa, &m) ||
+      !util::parse_whole(expo, &e)) {
+    fail(std::string(what) + ": bad exponent notation \"" + s + "\"");
   }
-  // Mantissa digits up to the exponent sign.
-  std::string mantissa, expo;
-  for (; i < s.size(); ++i) {
-    if (s[i] == '+' || s[i] == '-') {
-      expo = s.substr(i);
-      break;
-    }
-    if (!std::isdigit(static_cast<unsigned char>(s[i]))) {
-      fail("bad exponent-notation field");
-    }
-    mantissa += s[i];
-  }
-  if (mantissa.empty()) return 0.0;
-  const double m = std::stod("0." + mantissa);
-  const int e = expo.empty() ? 0 : std::stoi(expo);
-  return sign * m * std::pow(10.0, e);
+  if (split != std::string::npos && s[split] == '-') e = -e;
+  return (s[0] == '-' ? -m : m) * std::pow(10.0, e);
 }
 
 }  // namespace
@@ -120,30 +118,33 @@ Tle parse_tle(std::string_view line1, std::string_view line2) {
 
   const int epoch_yy = parse_int(line1, 18, 2, "epoch year");
   const double epoch_doy = parse_double(line1, 20, 12, "epoch day");
-  if (epoch_doy < 1.0 || epoch_doy >= 367.0) fail("epoch day out of range");
+  if (epoch_doy < 1.0 || epoch_doy >= 367.0) fail("epoch day: out of [1, 367)");
   t.epoch = util::Epoch::from_tle_epoch(epoch_yy, epoch_doy);
 
   t.ndot_over_2 = parse_double(line1, 33, 10, "ndot/2");
-  t.nddot_over_6 = parse_exp_field(line1, 44, 8);
-  t.bstar = parse_exp_field(line1, 53, 8);
+  t.nddot_over_6 = parse_exp_field(line1, 44, 8, "nddot/6");
+  t.bstar = parse_exp_field(line1, 53, 8, "bstar");
   t.element_set_number = parse_int(line1, 64, 4, "element set number");
 
   t.inclination_deg = parse_double(line2, 8, 8, "inclination");
   t.raan_deg = parse_double(line2, 17, 8, "raan");
+  // Seven digits with an implied leading decimal point, so always in
+  // [0, 1).
   const std::string ecc = field(line2, 26, 7);
-  t.eccentricity = ecc.empty() ? 0.0 : std::stod("0." + ecc);
+  if (!ecc.empty() &&
+      (!all_digits(ecc) || !util::parse_whole("0." + ecc, &t.eccentricity))) {
+    fail("eccentricity: expected implied-decimal digits, got \"" + ecc +
+         "\"");
+  }
   t.arg_perigee_deg = parse_double(line2, 34, 8, "arg perigee");
   t.mean_anomaly_deg = parse_double(line2, 43, 8, "mean anomaly");
   t.mean_motion_revs_per_day = parse_double(line2, 52, 11, "mean motion");
   t.rev_number = parse_int(line2, 63, 5, "rev number");
 
   if (t.inclination_deg < 0.0 || t.inclination_deg > 180.0) {
-    fail("inclination out of [0, 180]");
+    fail("inclination: out of [0, 180]");
   }
-  if (t.eccentricity < 0.0 || t.eccentricity >= 1.0) {
-    fail("eccentricity out of [0, 1)");
-  }
-  if (t.mean_motion_revs_per_day <= 0.0) fail("non-positive mean motion");
+  if (t.mean_motion_revs_per_day <= 0.0) fail("mean motion: must be > 0");
   return t;
 }
 

@@ -36,6 +36,7 @@ void run_serial(std::int64_t n, std::int64_t chunk,
 
 ThreadPool::ThreadPool(const ParallelConfig& config) {
   DGS_ENSURE_GE(config.num_threads, 0);
+  DGS_ENSURE_LE(config.num_threads, kMaxThreads);
   DGS_ENSURE_GT(config.chunk_size, 0);
   chunk_ = config.chunk_size;
   int lanes = config.num_threads;

@@ -40,11 +40,15 @@ inline int hardware_concurrency() {
   return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
 }
 
+/// The most lanes a pool takes: SimulationOptions::validate() rejects more
+/// and the front ends cap --threads here.
+inline constexpr int kMaxThreads = 256;
+
 /// Parallelism knobs threaded through SimulationOptions and the bench
 /// `--threads` flag.
 struct ParallelConfig {
-  /// Total lanes (workers + calling thread).  1 = serial (today's
-  /// behaviour, the default); 0 = hardware concurrency.
+  /// Total lanes (workers + calling thread), at most kMaxThreads.  1 =
+  /// serial (today's behaviour, the default); 0 = hardware concurrency.
   int num_threads = 1;
   /// Iterations per chunk.  Fixed chunking keeps ordered reductions
   /// independent of the thread count; tune for task granularity only.
@@ -61,7 +65,6 @@ class ThreadPool {
 
   /// Total lanes: worker threads + the calling thread.
   int concurrency() const { return static_cast<int>(workers_.size()) + 1; }
-  int chunk_size() const { return static_cast<int>(chunk_); }
 
   /// Invoked with a chunk-aligned [begin, end) subrange of [0, n).
   using RangeBody = std::function<void(std::int64_t, std::int64_t)>;

@@ -10,7 +10,8 @@ Three layers:
     SimulationOptions, a renamed walk_options, a
     mutex into the weather provider or the metrics registry, a
     thread_local memo into the link budget or a metrics shard slot, an
-    unknown kind or a renamed table in the summary's field table), and
+    unknown kind or a renamed table in the summary's field table, a
+    prefix parse back into the TLE reader or a front end), and
     require dgslint to fail — proof the linter
     would catch a real regression, not just the fixtures;
   - CLI-contract tests pin exit codes, --verify-baseline, and the
@@ -146,6 +147,19 @@ class FixtureCorpusTest(unittest.TestCase):
                       found[0]["message"])
         self.assertEqual(len(self.by_rule("R10", "src/core/market.h")), 0)
 
+    def test_r11_numeric_text_parsed_whole(self):
+        found = self.by_rule("R11", "src/orbit/r11_cases.cpp")
+        # std::stoi, a bare strtod and ::atol; the suppressed atof and the
+        # names in identifiers, members, strings and comments stay silent.
+        self.assertEqual([f["line"] for f in found], [5, 6, 7])
+        self.assertIn("stoi()", found[0]["message"])
+        # The front ends are in scope, the benches are not.
+        self.assertEqual(
+            [f["line"] for f in self.by_rule("R11", "examples/r11_cli.cpp")],
+            [5])
+        self.assertEqual(
+            len(self.by_rule("R11", "bench/r11_out_of_scope.cpp")), 0)
+
     def test_sup_malformed_suppressions_are_unsuppressable(self):
         sup = self.by_rule("SUP", "src/util/sup_cases.cpp")
         self.assertEqual(len(sup), 3)
@@ -180,7 +194,8 @@ class MutationRehearsalTest(unittest.TestCase):
         for rel in ("src/faults/fault_plan.cpp", "src/core/run_artifact.cpp",
                     "src/core/simulator.h", "src/weather/synthetic.h",
                     "src/util/thread_pool.cpp", "src/obs/trace.cpp",
-                    "src/obs/metrics.cpp", "src/link/budget.cpp"):
+                    "src/obs/metrics.cpp", "src/link/budget.cpp",
+                    "src/orbit/tle.cpp", "examples/constellation_day.cpp"):
             code, findings = self._scan_mutated(rel, lambda t: t)
             self.assertEqual(code, 0, findings)
 
@@ -275,6 +290,24 @@ class MutationRehearsalTest(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertEqual([f["rule"] for f in findings], ["R9", "R9"],
                          findings)
+
+    def test_prefix_parse_in_tle_reader_fails(self):
+        # The eccentricity read that took "00012ab" as 0.00012.
+        code, findings = self._scan_mutated(
+            "src/orbit/tle.cpp",
+            lambda t: t + "\ndouble injected_ecc(const std::string& e) {\n"
+                          "  return std::stod(\"0.\" + e);\n}\n")
+        self.assertEqual(code, 1)
+        self.assertEqual([f["rule"] for f in findings], ["R11"], findings)
+
+    def test_atoi_in_front_end_fails(self):
+        code, findings = self._scan_mutated(
+            "examples/constellation_day.cpp",
+            lambda t: t.replace(
+                'examples::number_arg("num_sats", argv[1], 1)',
+                "std::atoi(argv[1])", 1))
+        self.assertEqual(code, 1)
+        self.assertEqual([f["rule"] for f in findings], ["R11"], findings)
 
     def test_bad_metric_name_in_session_fails(self):
         code, findings = self._scan_mutated(

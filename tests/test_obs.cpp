@@ -273,6 +273,44 @@ TEST(EventLog, EveryEventTypeEmitsOneValidJsonLine) {
   EXPECT_EQ(types, expected);
 }
 
+// Every type of the schema table, emitted once through its public
+// emitter: the log names exactly the table's types, one line each, and
+// validates against the table.
+TEST(EventLog, EveryTableTypeEmitsOnceAndValidates) {
+  std::stringstream ss;
+  EventLog log(&ss);
+  log.begin_step(7, 0.1333);
+  log.contact_open(1, 2, "QPSK 3/4", 1e6, 45.5);
+  log.contact_close(1, 2, 4);
+  log.modcod_selected(1, 2, "8PSK 2/3", 2e6);
+  log.bytes_moved(1, 2, 1234.5, false);
+  log.ack_relayed(1, 2, 10.0, 5.0, 2);
+  log.plan_uploaded(1, 2, 60.0);
+  log.outage_begin(7);
+  log.outage_end(7);
+  log.outage_loss(1, 7, 99.5);
+  log.ack_relay_retry(1, 2, 3, 45.0);
+  log.plan_upload_failed(1, 2);
+  log.replan(7, 60);
+  log.backhaul_fault_begin(7, 0.25);
+  log.backhaul_fault_end(7);
+  log.backhaul_step(1.0, 2.0, 3.0);
+
+  std::multiset<std::string> emitted;
+  std::string line;
+  while (std::getline(ss, line)) {
+    std::string type;
+    ASSERT_TRUE(json_string_field(line, "type", &type)) << line;
+    emitted.insert(type);
+  }
+  std::multiset<std::string> table;
+  for (const EventSchema& row : event_schemas()) table.insert(row.type);
+  EXPECT_EQ(table.size(), 15u);
+  EXPECT_EQ(emitted, table);
+  std::string why;
+  EXPECT_TRUE(dgs::testing::events_schema_valid(ss.str(), &why)) << why;
+}
+
 TEST(EventLog, ByteQuantitiesRoundTripExactly) {
   std::stringstream ss;
   EventLog log(&ss);

@@ -24,6 +24,7 @@
 #include "src/core/report.h"
 #include "src/core/run_artifact.h"
 #include "src/netdesign/pareto.h"
+#include "src/obs/events.h"
 
 namespace dgs::core {
 namespace {
@@ -182,19 +183,102 @@ TEST(TimeseriesValidator, RejectsShapeViolations) {
             std::string::npos);
 }
 
+TEST(TimeseriesValidator, RejectsNonFiniteFieldsAndNonWholeCounts) {
+  const std::string header(timeseries_csv_header());
+  const auto check = [&header](const std::string& row,
+                               const std::string& message) {
+    const auto e = validate_timeseries_csv(header + "\n" + row + "\n");
+    ASSERT_TRUE(e.has_value()) << row;
+    EXPECT_EQ(e->where, "timeseries line 2") << row;
+    EXPECT_EQ(e->message, message) << row;
+  };
+  check("nan,0.000001,0.250,3,0",
+        "column hours is not a finite number: \"nan\"");
+  check("0.0167,0.000001,inf,3,0",
+        "column backlog_gb_total is not a finite number: \"inf\"");
+  check("0.0167,0.000001abc,0.250,3,0",
+        "column delivered_tb_cum is not a finite number: \"0.000001abc\"");
+  check("0.0167,0.000001,0.250,2.5,0",
+        "column active_links is not a whole number >= 0: \"2.5\"");
+  check("0.0167,0.000001,0.250,3,-4",
+        "column failed_links_cum is not a whole number >= 0: \"-4\"");
+  check("0.0167,0.000001,0.250,3", "expected 5 columns, got 4");
+}
+
 // --- Events validator ------------------------------------------------------
 
 TEST(EventsValidator, AcceptsTheEmittedShape) {
-  EXPECT_FALSE(
-      validate_events_jsonl(
-          "{\"t_hours\": 0.0167, \"step\": 1, \"type\": \"contact_open\", "
-          "\"sat\": 0, \"station\": 3}\n"
-          "\n"
-          "{\"t_hours\": 0.0333, \"step\": 2, \"type\": \"bytes_moved\", "
-          "\"bytes\": 1.5e9, \"received\": true}\n")
-          .has_value());
+  std::ostringstream log_text;
+  obs::EventLog log(&log_text);
+  log.begin_step(1, 0.0167);
+  log.contact_open(0, 3, "QPSK 1/2", 1.5e8, 12.25);
+  log.begin_step(2, 0.0333);
+  log.bytes_moved(0, 3, 1.5e9, true);
+  // Blank lines between events are skipped.
+  const std::string text = log_text.str() + "\n";
+  const auto e = validate_events_jsonl(text);
+  EXPECT_FALSE(e.has_value()) << e->where << ": " << e->message;
   // An empty log (no sinks fired) is valid.
   EXPECT_FALSE(validate_events_jsonl("").has_value());
+}
+
+/// One emitted bytes_moved line, to mutate.
+std::string bytes_moved_line() {
+  std::ostringstream out;
+  obs::EventLog log(&out);
+  log.begin_step(2, 0.0333);
+  log.bytes_moved(4, 7, 1.5e9, true);
+  return out.str();
+}
+
+TEST(EventsValidator, RejectsLinesOffTheirTypesRow) {
+  const std::string line = bytes_moved_line();
+  ASSERT_EQ(line,
+            "{\"t_hours\": 0.0333, \"step\": 2, \"type\": \"bytes_moved\", "
+            "\"sat\": 4, \"gs\": 7, \"bytes\": 1.5e+09, \"received\": true}\n");
+  const auto check = [&line](const std::string& from, const std::string& to,
+                             const std::string& where,
+                             const std::string& message) {
+    const auto e = validate_events_jsonl(replaced(line, from, to));
+    ASSERT_TRUE(e.has_value()) << from << " -> " << to;
+    EXPECT_EQ(e->where, where) << from << " -> " << to;
+    EXPECT_NE(e->message.find(message), std::string::npos)
+        << from << " -> " << to << ": " << e->message;
+  };
+  // An unknown or misspelled type.
+  check("\"bytes_moved\"", "\"bytes_movde\"", "events line 1.type",
+        "unknown event type \"bytes_movde\"");
+  // A misspelled, missing or extra key, reported at the key the row
+  // expects there.
+  check("\"gs\"", "\"station\"", "events line 1.gs",
+        "expected key \"gs\" at this position, found \"station\"");
+  check(", \"received\": true", "", "events line 1.received",
+        "expected key \"received\" at this position, found the end");
+  check("true}", "true, \"note\": 1}", "events line 1.note",
+        "unknown key after the \"bytes_moved\" members");
+  // A value of the wrong kind.
+  check("1.5e+09", "\"1.5e+09\"", "events line 1.bytes",
+        "expected a number");
+  check("\"sat\": 4", "\"sat\": 4.5", "events line 1.sat",
+        "expected an integer-valued number");
+  check("true", "1", "events line 1.received", "expected true or false");
+}
+
+TEST(EventsValidator, ChecksEveryKeyOfContactOpen) {
+  // The line a hand-written example once called the emitted shape: "gs"
+  // spelled "station", and no modcod, rate or elevation.
+  const auto e = validate_events_jsonl(
+      "{\"t_hours\": 0.0167, \"step\": 1, \"type\": \"contact_open\", "
+      "\"sat\": 0, \"station\": 3}\n");
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->where, "events line 1.gs");
+  const auto modcod = validate_events_jsonl(
+      "{\"t_hours\": 0.0167, \"step\": 1, \"type\": \"contact_open\", "
+      "\"sat\": 0, \"gs\": 3, \"modcod\": 7, \"rate_bps\": 1, "
+      "\"elevation_deg\": 10}\n");
+  ASSERT_TRUE(modcod.has_value());
+  EXPECT_EQ(modcod->where, "events line 1.modcod");
+  EXPECT_EQ(modcod->message, "expected a non-empty string");
 }
 
 TEST(EventsValidator, RejectsMalformedLines) {
@@ -219,7 +303,8 @@ TEST(EventsValidator, RejectsMalformedLines) {
   EXPECT_NE(nested->message.find("flat"), std::string::npos);
   // Line numbers locate the bad row.
   const auto second = validate_events_jsonl(
-      "{\"t_hours\": 0.1, \"step\": 1, \"type\": \"x\"}\n"
+      "{\"t_hours\": 0.1, \"step\": 1, \"type\": \"outage_begin\", "
+      "\"gs\": 7}\n"
       "not json\n");
   ASSERT_TRUE(second.has_value());
   EXPECT_NE(second->where.find("line 2"), std::string::npos);

@@ -55,6 +55,20 @@ TEST_F(SimulatorTest, RejectsBadInputs) {
                std::invalid_argument);
 }
 
+// validate() bounds the lane count before any pool is built, so a library
+// caller cannot ask a Session for more workers than the front ends allow.
+// Checked through validate() alone: nothing here starts a thread.
+TEST(SimulationOptionsValidate, BoundsTheThreadCount) {
+  SimulationOptions o = short_sim();
+  o.parallel.num_threads = util::kMaxThreads;
+  EXPECT_FALSE(o.validate().has_value());
+  o.parallel.num_threads = util::kMaxThreads + 1;
+  const auto e = o.validate();
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->field, "parallel.num_threads");
+  EXPECT_EQ(e->message, "must be <= 256 (got 257)");
+}
+
 TEST_F(SimulatorTest, ByteConservation) {
   Session sim(sats_, stations_, nullptr, short_sim());
   const SimulationResult r = sim.run_to_end();

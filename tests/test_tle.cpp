@@ -1,6 +1,7 @@
 // TLE parsing, validation, checksums, and round-trip formatting.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 
@@ -95,6 +96,75 @@ TEST(TleParse, RejectsMismatchedCatalogNumbers) {
   // is unnecessary because the satnum check runs after checksum -- so build
   // a consistent-checksum variant instead by swapping whole lines.
   EXPECT_THROW(parse_tle(kIssL1, kVanguardL2), std::invalid_argument);
+}
+
+/// `line` with the 0-based columns from `start` overwritten by `text`, its
+/// checksum recomputed so only the field itself is wrong.
+std::string with_field(std::string line, std::size_t start,
+                       const std::string& text) {
+  line.replace(start, text.size(), text);
+  line[68] = static_cast<char>('0' + tle_checksum(line));
+  return line;
+}
+
+/// The parse error `parse_tle` raises, or "" when it accepts the lines.
+std::string parse_error(const std::string& l1, const std::string& l2) {
+  try {
+    parse_tle(l1, l2);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Every numeric field is read whole and finite; each mutation below used
+// to parse (or escaped as a bare std::stoi / std::out_of_range).
+TEST(TleParse, RejectsNanInclination) {
+  const std::string e = parse_error(kIssL1, with_field(kIssL2, 8, "     nan"));
+  EXPECT_NE(e.find("TLE parse error: inclination: "), std::string::npos) << e;
+}
+
+TEST(TleParse, RejectsNanMeanMotion) {
+  const std::string e =
+      parse_error(kIssL1, with_field(kIssL2, 52, "        nan"));
+  EXPECT_NE(e.find("TLE parse error: mean motion: "), std::string::npos) << e;
+}
+
+TEST(TleParse, RejectsInfMeanMotion) {
+  const std::string e =
+      parse_error(kIssL1, with_field(kIssL2, 52, "        inf"));
+  EXPECT_NE(e.find("TLE parse error: mean motion: "), std::string::npos) << e;
+}
+
+TEST(TleParse, RejectsOverflowingMeanMotion) {
+  const std::string e =
+      parse_error(kIssL1, with_field(kIssL2, 52, "      1e999"));
+  EXPECT_NE(e.find("TLE parse error: mean motion: "), std::string::npos) << e;
+}
+
+TEST(TleParse, RejectsEccentricityWithTrailingJunk) {
+  const std::string e = parse_error(kIssL1, with_field(kIssL2, 26, "00012ab"));
+  EXPECT_NE(e.find("TLE parse error: eccentricity: "), std::string::npos)
+      << e;
+}
+
+TEST(TleParse, RejectsBstarWithNonDigitExponent) {
+  const std::string e = parse_error(with_field(kIssL1, 53, " 29621-x"), kIssL2);
+  EXPECT_NE(e.find("TLE parse error: bstar: "), std::string::npos) << e;
+}
+
+TEST(TleParse, RejectsBstarWithMissingExponent) {
+  const std::string e = parse_error(with_field(kIssL1, 53, " 29621- "), kIssL2);
+  EXPECT_NE(e.find("TLE parse error: bstar: "), std::string::npos) << e;
+}
+
+TEST(TleParse, FieldMutationHelperKeepsValidLinesValid) {
+  // The helper only moves the checksum: rewriting a field with its own
+  // text parses to the same element set.
+  const Tle t = parse_tle(with_field(kIssL1, 53, "-11606-4"),
+                          with_field(kIssL2, 26, "0006703"));
+  EXPECT_NEAR(t.bstar, -0.11606e-4, 1e-12);
+  EXPECT_NEAR(t.eccentricity, 0.0006703, 1e-12);
 }
 
 TEST(TleFormat, RoundTripsIss) {

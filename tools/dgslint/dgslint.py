@@ -48,6 +48,11 @@ Rules (see DESIGN.md §13 for the full table and rationale):
       in walk_options (src/core/simulator.h), the one list validate(),
       options_crc32 and the options fuzzer share, or sits on the
       exclusion list (parallel, metrics, events).
+  R11 numeric text is parsed whole: no atoi/atof/atol, std::sto*, or
+      strtod/strtol/strtoul/strtoull in src/ or examples/ — they stop at
+      the first bad character, skip leading spaces or throw their own
+      exceptions; util::parse_whole / util::parse_number
+      (src/util/parse.h) read the whole text or report failure.
   SUP suppression-comment hygiene: every `dgslint: allow(...)` names
       known rules and carries a `-- reason`.
 
@@ -140,6 +145,7 @@ RULE_TITLES = {
     "R8": "lock outside the pool and the trace collector",
     "R9": "thread_local outside the pool and the trace collector",
     "R10": "option member not visited by walk_options",
+    "R11": "numeric text not parsed whole",
     "SUP": "malformed dgslint suppression",
 }
 
@@ -683,6 +689,26 @@ def check_r10(f, ctx):
                 "trajectory" % (name, member, R10_WALK_FILE))
 
 
+# R11: numeric text is read whole through src/util/parse.h; the C library
+# parsers accept "12abc" as 12.  src/ and examples/ only.
+R11_SCOPES = ("src/", "examples/")
+R11_RE = re.compile(
+    r"(?<![\w.>])(?:std::)?(atoi|atof|atol|stoi|stol|stoul|stod|stof|strtod|"
+    r"strtol|strtoul|strtoull)\s*\(")
+
+
+def check_r11(f, ctx):
+    del ctx
+    if not f.relpath.startswith(R11_SCOPES):
+        return
+    for m in R11_RE.finditer(f.code):
+        yield Finding(
+            "R11", f.relpath, f.line_of(m.start()),
+            "%s() does not read its text whole (\"12abc\" parses as 12) — "
+            "use util::parse_whole or util::parse_number (src/util/parse.h)"
+            % m.group(1))
+
+
 def check_sup(f, ctx):
     del ctx
     for line, rules in sorted(f.suppressions.items()):
@@ -695,7 +721,7 @@ def check_sup(f, ctx):
 
 
 CHECKERS = (check_r1, check_r2, check_r3, check_r4, check_r5, check_r6,
-            check_r7, check_r8, check_r9, check_r10, check_sup)
+            check_r7, check_r8, check_r9, check_r10, check_r11, check_sup)
 
 
 # ---------------------------------------------------------------------------
