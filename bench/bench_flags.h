@@ -5,12 +5,16 @@
 // them.  Currently: `--threads=N` / `--threads N` selects the ThreadPool
 // lane count the benchmarked pipeline runs with (1 = serial, the default;
 // 0 = hardware concurrency), so speedup curves are measurable by sweeping
-// the flag.
+// the flag.  Numeric values are read whole by examples::number_arg, as the
+// front ends read theirs: anything else ("2x", "",
+// out of range) prints an error and exits 2.
 #pragma once
 
-#include <cstdlib>
 #include <cstring>
 #include <string>
+
+#include "examples/cli_common.h"
+#include "src/util/thread_pool.h"
 
 namespace dgs::bench {
 
@@ -23,11 +27,13 @@ inline int consume_threads_flag(int* argc, char** argv,
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
     if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = std::atoi(argv[i] + 10);
+      threads = examples::number_arg<int>("--threads", argv[i] + 10, 0,
+                                          util::kMaxThreads);
       continue;
     }
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < *argc) {
-      threads = std::atoi(argv[i + 1]);
+      threads = examples::number_arg<int>("--threads", argv[i + 1], 0,
+                                          util::kMaxThreads);
       ++i;
       continue;
     }
@@ -61,11 +67,12 @@ inline std::string consume_string_flag(int* argc, char** argv,
   return value;
 }
 
-/// Integer variant of consume_string_flag; `fallback` when absent.
+/// Integer variant of consume_string_flag: a whole int >= 0, or
+/// `fallback` when absent.
 inline int consume_int_flag(int* argc, char** argv, const char* flag,
                             int fallback) {
   const std::string v = consume_string_flag(argc, argv, flag);
-  return v.empty() ? fallback : std::atoi(v.c_str());
+  return v.empty() ? fallback : examples::number_arg<int>(flag, v.c_str(), 0);
 }
 
 /// Extracts `--trace-out=FILE` / `--trace-out FILE` (again before

@@ -9,13 +9,14 @@
 
 #include "src/faults/profiles.h"
 #include "src/groundseg/io.h"
+#include "src/util/parse.h"
 
 namespace dgs::examples {
 
 template <class T>
 T number_arg(const char* name, const char* text, T min, T max) {
   T v{};
-  if (parse_number(text, min, max, &v)) return v;
+  if (util::parse_number(text, min, max, &v)) return v;
   std::ostringstream want;
   want << (std::is_integral_v<T> ? "an integer" : "a finite number");
   if (max == std::numeric_limits<T>::max()) {
@@ -34,7 +35,8 @@ template std::uint64_t number_arg(const char*, const char*, std::uint64_t,
 template double number_arg(const char*, const char*, double, double);
 
 bool parse_hours(const std::string& text, double* hours) {
-  return parse_number(text, 0.0, std::numeric_limits<double>::max(), hours);
+  return util::parse_number(text, 0.0, std::numeric_limits<double>::max(),
+                            hours);
 }
 
 const char* flag_value(int argc, char** argv, int* i) {

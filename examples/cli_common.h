@@ -15,7 +15,6 @@
 #include <string>
 
 #include "src/core/simulator.h"
-#include "src/util/parse.h"
 
 namespace dgs::examples {
 
@@ -32,11 +31,8 @@ struct CommonFlags {
   std::string trace_out;               ///< --trace-out <file>
 };
 
-/// Whole-text, range-checked number parsing (src/util/parse.h).
-using util::parse_number;
-
 /// The value of command-line argument `name` (a flag or a positional),
-/// read whole by parse_number.  Anything else prints
+/// read whole by util::parse_number.  Anything else prints
 /// "error: bad <name> "<text>" (want ...)", stating the range, and exits
 /// 2.  Defined for int, std::uint64_t and double.
 template <class T>

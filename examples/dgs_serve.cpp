@@ -50,6 +50,7 @@
 #include "src/groundseg/io.h"
 #include "src/obs/events.h"
 #include "src/obs/metrics.h"
+#include "src/util/parse.h"
 #include "src/weather/synthetic.h"
 
 namespace {
@@ -76,9 +77,9 @@ bool parse_tenant(const char* arg, core::TenantSpec* spec) {
   const char* colon = std::strchr(arg, ':');
   if (colon == nullptr || colon == arg) return false;
   spec->name.assign(arg, colon - arg);
-  return examples::parse_number(colon + 1, 0.0,
-                                std::numeric_limits<double>::max(),
-                                &spec->weight) &&
+  return util::parse_number(colon + 1, 0.0,
+                            std::numeric_limits<double>::max(),
+                            &spec->weight) &&
          spec->weight > 0.0;
 }
 
@@ -218,7 +219,7 @@ int main(int argc, char** argv) {
         break;
       } else if (verb == "step") {
         if (arg.empty() ||
-            examples::parse_number<std::int64_t>(
+            util::parse_number<std::int64_t>(
                 arg, 0, std::numeric_limits<std::int64_t>::max(), &n)) {
           std::int64_t done = 0;
           for (; done < n && !session->done(); ++done) session->step();

@@ -1,7 +1,7 @@
-// Whole-text number parsing: the one way src/ and examples/ read numeric
-// text (dgslint R11 flags the C library's atoi/strtod/std::stod family,
-// which stop at the first bad character, skip leading spaces, or throw
-// their own exceptions).
+// Whole-text number parsing: the one way src/, examples/ and bench/ read
+// numeric text (dgslint R11 flags the C library's atoi/strtod/std::stod
+// family, which stop at the first bad character, skip leading spaces, or
+// throw their own exceptions).
 #pragma once
 
 #include <charconv>

@@ -19,8 +19,9 @@ struct WeatherSample {
 
 /// A provider is called from one thread at a time, like the query methods
 /// of the core::VisibilityEngine that calls it, so an implementation may
-/// keep unsynchronized per-instant state (SyntheticWeatherProvider's storm
-/// field).  Callers read a null provider as clear sky everywhere.
+/// keep unsynchronized state: SyntheticWeatherProvider keeps its per-instant
+/// storm field and a per-hour forecast-direction memo.  Callers read a null
+/// provider as clear sky everywhere.
 class WeatherProvider {
  public:
   virtual ~WeatherProvider() = default;

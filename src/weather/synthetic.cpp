@@ -31,6 +31,18 @@ int field_band(double lat) {
   return static_cast<int>(t);
 }
 
+/// The shield's angular radius (3.5 cloud sigma), widened by the margin.
+double shield_reach_rad(double radius_km) {
+  return 3.5 * radius_km / kEarthRadiusKm + kFieldMarginRad;
+}
+
+/// std::remainder(x, 2 pi), skipping the call where it returns x itself:
+/// for |x| <= pi the nearest multiple of 2 pi is 0 (a tie rounds to the
+/// even 0), so the two agree bit for bit there, signed zeros included.
+double wrap_lon(double x) {
+  return std::fabs(x) <= util::kPi ? x : std::remainder(x, util::kTwoPi);
+}
+
 /// SplitMix64 — used for deterministic forecast-error angles.
 std::uint64_t mix64(std::uint64_t z) {
   z += 0x9E3779B97F4A7C15ull;
@@ -89,6 +101,7 @@ SyntheticWeatherProvider::SyntheticWeatherProvider(
     const double typical = typical_peak_rain_mm_h(s.lat0_rad);
     s.peak_rain_mm_h = std::min(120.0, rng.exponential(1.0 / typical));
     s.cloud_kg_m2 = rng.uniform(0.4, 1.6);
+    s.sin_reach = std::sin(shield_reach_rad(s.radius_km));
     storms_.push_back(s);
   }
 }
@@ -98,7 +111,7 @@ void SyntheticWeatherProvider::Field::build(const std::vector<Storm>& storms,
   t_s = t;
   cells.clear();
   bands.resize(kFieldBands);
-  for (std::vector<std::uint32_t>& band : bands) band.clear();
+  for (std::vector<Entry>& band : bands) band.clear();
   for (const Storm& s : storms) {
     if (t < s.birth_s || t > s.death_s) continue;
     const double age = t - s.birth_s;
@@ -106,7 +119,6 @@ void SyntheticWeatherProvider::Field::build(const std::vector<Storm>& storms,
     c.c_lat = s.lat0_rad + s.vel_north_rad_s * age;
     c.c_lon = s.lon0_rad + s.vel_east_rad_s * age;
     c.cos_c_lat = std::cos(c.c_lat);
-    c.c_lon_wrapped = std::remainder(c.c_lon, util::kTwoPi);
 
     // The precipitating core is much smaller than the cloud shield: rain
     // covers only a few percent of the globe at any instant while cloud
@@ -127,11 +139,13 @@ void SyntheticWeatherProvider::Field::build(const std::vector<Storm>& storms,
     // The shield's angular radius, widened by the margin, bounds both the
     // latitude bands it reaches and, when it holds no pole, its longitude
     // extent: the spherical cap's bounding box.
-    const double reach_rad = c.reach_km / kEarthRadiusKm + kFieldMarginRad;
-    c.lon_reach_rad = std::numeric_limits<double>::infinity();
+    const double reach_rad = shield_reach_rad(s.radius_km);
+    Entry e;
+    e.c_lon_wrapped = wrap_lon(c.c_lon);
+    e.lon_reach_rad = std::numeric_limits<double>::infinity();
     if (std::fabs(c.c_lat) + reach_rad < util::kPi / 2.0) {
-      c.lon_reach_rad =
-          std::asin(std::min(1.0, std::sin(reach_rad) / c.cos_c_lat)) +
+      e.lon_reach_rad =
+          std::asin(std::min(1.0, s.sin_reach / c.cos_c_lat)) +
           kFieldMarginRad;
     }
     // A NaN centre (a NaN instant) is visited from every band, as a scan
@@ -142,9 +156,9 @@ void SyntheticWeatherProvider::Field::build(const std::vector<Storm>& storms,
       lo = field_band(c.c_lat - reach_rad);
       hi = field_band(c.c_lat + reach_rad);
     }
-    const auto index = static_cast<std::uint32_t>(cells.size());
+    e.index = static_cast<std::uint32_t>(cells.size());
     for (int b = lo; b <= hi; ++b) {
-      bands[static_cast<std::size_t>(b)].push_back(index);
+      bands[static_cast<std::size_t>(b)].push_back(e);
     }
     cells.push_back(c);
   }
@@ -155,18 +169,19 @@ WeatherSample SyntheticWeatherProvider::Field::sample(double lat,
   WeatherSample out;
   out.cloud_liquid_kg_m2 = background_cloud_kg_m2(lat);
 
-  // The longitude window only holds for a point on the sphere's chart; a
-  // forecast-displaced latitude beyond a pole skips it.
-  const bool lon_window = std::fabs(lat) <= util::kPi / 2.0;
-  const double lon_wrapped = std::remainder(lon, util::kTwoPi);
-  const double cos_lat = std::cos(lat);
+  // cos(lat) of the query point, computed when the first cell reaches the
+  // haversine (most samples in clear air never need it).
+  double cos_lat = 0.0;
+  bool have_cos_lat = false;
+  // The distance test and its sums.  The band walk below runs the
+  // longitude test before it; that test only rejects, so running it first
+  // changes neither the cells kept nor their order.
   const auto visit = [&](const Cell& c) {
     // Cheap meridional prefilter: |dlat| alone already exceeds the shield.
     if (std::fabs(lat - c.c_lat) * kEarthRadiusKm > c.reach_km) return;
-    if (lon_window) {
-      double dlon = std::fabs(lon_wrapped - c.c_lon_wrapped);
-      if (dlon > util::kPi) dlon = util::kTwoPi - dlon;
-      if (dlon > c.lon_reach_rad) return;
+    if (!have_cos_lat) {
+      cos_lat = std::cos(lat);
+      have_cos_lat = true;
     }
 
     // util::great_circle_angle(lat, lon, c_lat, c_lon) with both cosines
@@ -189,8 +204,19 @@ WeatherSample SyntheticWeatherProvider::Field::sample(double lat,
     // No band holds a NaN latitude; no storm would fail its tests either.
     for (const Cell& c : cells) visit(c);
   } else {
-    for (std::uint32_t i : bands[static_cast<std::size_t>(field_band(lat))]) {
-      visit(cells[i]);
+    // The longitude window, read from the band's own entries: a cell
+    // outside it is rejected without touching its Cell.  The window only
+    // holds for a point on the sphere's chart; a forecast-displaced
+    // latitude beyond a pole skips it.
+    const bool lon_window = std::fabs(lat) <= util::kPi / 2.0;
+    const double lon_wrapped = wrap_lon(lon);
+    for (const Entry& e : bands[static_cast<std::size_t>(field_band(lat))]) {
+      if (lon_window) {
+        double dlon = std::fabs(lon_wrapped - e.c_lon_wrapped);
+        if (dlon > util::kPi) dlon = util::kTwoPi - dlon;
+        if (dlon > e.lon_reach_rad) continue;
+      }
+      visit(cells[e.index]);
     }
   }
   out.cloud_liquid_kg_m2 = std::min(out.cloud_liquid_kg_m2, 4.0);
@@ -218,15 +244,25 @@ WeatherSample SyntheticWeatherProvider::forecast(double latitude_rad,
   // displaced by an error that grows with lead time.  The displacement
   // direction is a deterministic function of (seed, forecast valid-hour),
   // mimicking a coherent model bias rather than white noise.
+  // Every forecast in one valid hour shares the direction, so its sin and
+  // cos are memoized on the exact key: a hit returns the very bits a
+  // recomputation would.
   const double lead_h = lead_seconds / 3600.0;
   const double err_km = opts_.forecast_drift_km_per_hour * lead_h;
   const std::uint64_t key =
       mix64(seed_ ^ static_cast<std::uint64_t>(when.jd() * 24.0));
-  const double angle =
-      static_cast<double>(key % 62832) / 10000.0;  // [0, 2*pi)
-  const double dlat = err_km * std::sin(angle) / kEarthRadiusKm;
+  if (!direction_.valid || direction_.key != key) {
+    const double angle =
+        static_cast<double>(key % 62832) / 10000.0;  // [0, 2*pi)
+    direction_.valid = true;
+    direction_.key = key;
+    direction_.sin_angle = std::sin(angle);
+    direction_.cos_angle = std::cos(angle);
+  }
+  const double dlat = err_km * direction_.sin_angle / kEarthRadiusKm;
   const double coslat = std::max(0.2, std::cos(latitude_rad));
-  const double dlon = err_km * std::cos(angle) / (kEarthRadiusKm * coslat);
+  const double dlon =
+      err_km * direction_.cos_angle / (kEarthRadiusKm * coslat);
   return sample_at(latitude_rad + dlat, longitude_rad + dlon,
                    when.seconds_since(start_));
 }

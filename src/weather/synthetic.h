@@ -12,7 +12,10 @@
 // Every sample at one instant sees the same storm field, so the provider
 // builds it once per distinct instant (drifted centres, envelopes, latitude
 // bands) and rebuilds it in place when the instant changes (DESIGN.md §9).
-// Like every provider, it is called from one thread at a time.
+// forecast() also keeps a one-entry memo of the last valid hour's
+// displacement direction, an exact function of its key, so no sample
+// changes.  Like every provider, it is called from one thread at a time,
+// which is what lets it keep this state without a lock.
 #pragma once
 
 #include <cstdint>
@@ -65,23 +68,23 @@ class SyntheticWeatherProvider final : public WeatherProvider {
     double radius_km;              ///< Rain-core Gaussian sigma.
     double peak_rain_mm_h;
     double cloud_kg_m2;            ///< Peak cloud liquid of the shield.
+    double sin_reach;              ///< sin of the shield's margined angle.
   };
 
   /// The storm field at one instant.  Each cell holds one live storm's
   /// drifted centre and the per-instant constants of its distance and
   /// intensity terms; `bands[b]` lists, in ascending storm order, the
   /// cells whose 3.5-sigma shield can reach a query point whose latitude
-  /// falls in band b.  Sampling walks one band: every storm it skips would
-  /// have failed the distance test, and the rest are summed in storm order
-  /// with the arithmetic of a scan over all storms, so samples are
-  /// bit-identical to that scan (tests/test_weather.cpp keeps it as the
-  /// oracle).
+  /// falls in band b, each entry carrying the cell's longitude window so
+  /// most cells are rejected without being read.  Sampling walks one band:
+  /// every storm it skips would have failed the distance test, and the
+  /// rest are summed in storm order with the arithmetic of a scan over all
+  /// storms, so samples are bit-identical to that scan
+  /// (tests/test_weather.cpp keeps it as the oracle).
   struct Field {
     struct Cell {
       double c_lat, c_lon;   ///< Drifted centre.
       double cos_c_lat;      ///< cos(c_lat), hoisted out of the haversine.
-      double c_lon_wrapped;  ///< c_lon reduced to [-pi, pi].
-      double lon_reach_rad;  ///< Shield's longitude half-width (inf: pole).
       double reach_km;       ///< 3.5 cloud sigma: the shield's extent.
       double rain_reach_km;  ///< 2.5 rain sigma.
       double rain_denom;     ///< 2 rain_sigma^2.
@@ -89,10 +92,16 @@ class SyntheticWeatherProvider final : public WeatherProvider {
       double rain_amp;       ///< Peak rain x envelope.
       double cloud_amp;      ///< Peak cloud x envelope.
     };
+    /// A band's reference to a cell, with its longitude window inline.
+    struct Entry {
+      double c_lon_wrapped;  ///< The cell's c_lon reduced to [-pi, pi].
+      double lon_reach_rad;  ///< Shield's longitude half-width (inf: pole).
+      std::uint32_t index;   ///< Into `cells`.
+    };
 
     double t_s = std::numeric_limits<double>::quiet_NaN();
     std::vector<Cell> cells;
-    std::vector<std::vector<std::uint32_t>> bands;
+    std::vector<std::vector<Entry>> bands;
 
     void build(const std::vector<Storm>& storms, double t);
     WeatherSample sample(double lat, double lon) const;
@@ -108,6 +117,15 @@ class SyntheticWeatherProvider final : public WeatherProvider {
   /// The field of the last instant sampled, rebuilt in place (keeping its
   /// buffers) when the instant changes.
   mutable Field field_;
+
+  /// forecast()'s one-entry memo of the last valid hour's displacement
+  /// direction: the sin and cos of its angle.
+  struct ForecastDirection {
+    bool valid = false;
+    std::uint64_t key = 0;  ///< mix64 key of the valid hour.
+    double sin_angle = 0.0, cos_angle = 0.0;
+  };
+  mutable ForecastDirection direction_;
 };
 
 }  // namespace dgs::weather

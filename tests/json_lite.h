@@ -1,17 +1,17 @@
 // Minimal JSON helpers for tests: a full-document syntax validator plus
 // field extraction for the flat one-line objects the event log emits,
 // and wrappers hooking the run-artifact schema validators
-// (src/core/run_artifact.h) into EXPECT-style assertions.
-// Inputs must be backed by NUL-terminated buffers (std::string contents) —
-// number scanning uses strtod, which may read past a raw view otherwise.
+// (src/core/run_artifact.h) into EXPECT-style assertions.  A number is
+// read as its whole token through util::parse_whole (src/util/parse.h).
 #pragma once
 
 #include <cctype>
-#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <string_view>
 
 #include "src/core/run_artifact.h"
+#include "src/util/parse.h"
 
 namespace dgs::testing {
 
@@ -45,12 +45,22 @@ inline bool parse_string(Cursor& c) {
   return false;
 }
 
+/// Length of the number token that starts `s`: its sign, digits, point
+/// and exponent characters, up to the first character of none of them.
+inline std::size_t number_token_length(std::string_view s) {
+  std::size_t n = 0;
+  while (n < s.size() && s[n] != '\0' &&
+         std::strchr("+-0123456789.eE", s[n]) != nullptr) {
+    ++n;
+  }
+  return n;
+}
+
 inline bool parse_number(Cursor& c) {
-  const char* begin = c.s.data() + c.i;
-  char* end = nullptr;
-  static_cast<void>(std::strtod(begin, &end));
-  if (end == begin) return false;
-  c.i += static_cast<std::size_t>(end - begin);
+  const std::size_t n = number_token_length(c.s.substr(c.i));
+  double v = 0.0;
+  if (n == 0 || !util::parse_whole(c.s.substr(c.i, n), &v)) return false;
+  c.i += n;
   return true;
 }
 
@@ -154,12 +164,10 @@ inline bool json_number_field(std::string_view line, std::string_view key,
   const std::string needle = json_key_needle(key);
   const std::size_t pos = line.find(needle);
   if (pos == std::string_view::npos) return false;
-  const char* begin = line.data() + pos + needle.size();
-  char* end = nullptr;
-  const double v = std::strtod(begin, &end);
-  if (end == begin) return false;
-  *out = v;
-  return true;
+  std::string_view rest = line.substr(pos + needle.size());
+  while (!rest.empty() && rest.front() == ' ') rest.remove_prefix(1);
+  const std::size_t n = json_detail::number_token_length(rest);
+  return n > 0 && util::parse_whole(rest.substr(0, n), out);
 }
 
 /// Extracts `"key": "<text>"` (no escape handling; test data is ASCII).

@@ -153,12 +153,15 @@ class FixtureCorpusTest(unittest.TestCase):
         # names in identifiers, members, strings and comments stay silent.
         self.assertEqual([f["line"] for f in found], [5, 6, 7])
         self.assertIn("stoi()", found[0]["message"])
-        # The front ends are in scope, the benches are not.
+        # The front ends and the benches are in scope, the tests are not.
         self.assertEqual(
             [f["line"] for f in self.by_rule("R11", "examples/r11_cli.cpp")],
             [5])
         self.assertEqual(
-            len(self.by_rule("R11", "bench/r11_out_of_scope.cpp")), 0)
+            [f["line"] for f in self.by_rule("R11", "bench/r11_bench_flags.cpp")],
+            [4])
+        self.assertEqual(
+            len(self.by_rule("R11", "tests/r11_out_of_scope.cpp")), 0)
 
     def test_sup_malformed_suppressions_are_unsuppressable(self):
         sup = self.by_rule("SUP", "src/util/sup_cases.cpp")

@@ -1,16 +1,21 @@
 // Synthetic weather provider: determinism, physical bounds, correlation
-// structure, forecast error growth, and the storm-field index checked bit
-// for bit against a scan of every storm.
+// structure, forecast error growth, the storm-field index and the forecast
+// memo checked bit for bit against a scan of every storm, and a pin of a
+// fixed grid of samples.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "src/util/angles.h"
+#include "src/util/crc32.h"
 #include "src/util/rng.h"
 #include "src/weather/climatology.h"
 #include "src/weather/synthetic.h"
@@ -375,6 +380,163 @@ TEST_F(SyntheticWeatherTest, FieldMatchesScanWhenInstantsAlternate) {
                   Peer::scan(wx_, f_lat, f_lon, t2_s));
     }
   }
+}
+
+// --- The engine's call pattern: a warm memo changes no bit ------------------
+
+/// Bit equality: a warm provider must return exactly what a cold one does,
+/// NaN payloads included.
+void expect_same_bits(const WeatherSample& got, const WeatherSample& want) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.rain_rate_mm_h),
+            std::bit_cast<std::uint64_t>(want.rain_rate_mm_h));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.cloud_liquid_kg_m2),
+            std::bit_cast<std::uint64_t>(want.cloud_liquid_kg_m2));
+}
+
+/// expect_same, where a NaN query's NaN sample matches the scan's NaN
+/// (whose payload the two expression orders may set differently).
+void expect_same_or_nan(const WeatherSample& got, const WeatherSample& want) {
+  const auto same = [](double a, double b) {
+    return a == b || (std::isnan(a) && std::isnan(b));
+  };
+  EXPECT_TRUE(same(got.rain_rate_mm_h, want.rain_rate_mm_h))
+      << got.rain_rate_mm_h << " vs " << want.rain_rate_mm_h;
+  EXPECT_TRUE(same(got.cloud_liquid_kg_m2, want.cloud_liquid_kg_m2))
+      << got.cloud_liquid_kg_m2 << " vs " << want.cloud_liquid_kg_m2;
+}
+
+TEST_F(SyntheticWeatherTest, ForecastMemoMatchesScanAtTheEngineCallPattern) {
+  const double pi = util::kPi;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Station {
+    double lat, lon;
+  };
+  std::vector<Station> stations;
+  util::Rng rng(36);
+  for (int i = 0; i < 40; ++i) {
+    stations.push_back({rng.uniform(deg2rad(-70.0), deg2rad(70.0)),
+                        rng.uniform(-pi, pi)});
+  }
+  // Beyond +-78.5 deg, where the station cosine clamps at 0.2; at 89.9 deg
+  // long leads displace the forecast point past the pole.
+  for (double lat : {80.0, 85.0, 89.9}) {
+    stations.push_back({deg2rad(lat), deg2rad(lat - 100.0)});
+    stations.push_back({deg2rad(-lat), deg2rad(100.0 - lat)});
+  }
+  // On the date line, |lon| exactly pi, and beside it, so leads cross it.
+  stations.push_back({deg2rad(10.0), pi});
+  stations.push_back({deg2rad(-20.0), -pi});
+  stations.push_back({deg2rad(45.0), pi - 0.01});
+  stations.push_back({deg2rad(-45.0), -pi + 0.01});
+  stations.push_back({nan, 0.3});
+  stations.push_back({0.3, nan});
+  const double leads[] = {0.0,          60.0,         900.0,
+                          3600.0,       3.0 * 3600.0, 6.5 * 3600.0,
+                          12.0 * 3600.0, 24.0 * 3600.0};
+
+  // Either side of a valid-hour boundary, so the direction memo changes key.
+  const util::Epoch before = start_.plus_seconds(5.0 * 3600.0 - 30.0);
+  const util::Epoch after = start_.plus_seconds(5.0 * 3600.0 + 30.0);
+  ASSERT_NE(static_cast<std::uint64_t>(before.jd() * 24.0),
+            static_cast<std::uint64_t>(after.jd() * 24.0));
+
+  // Never queried: each copy starts with an empty field and a cold memo.
+  const SyntheticWeatherProvider pristine(42, start_, 24.0);
+  int past_pole = 0, across_date_line = 0, on_date_line = 0, nan_queries = 0;
+  int stormy = 0;
+  const auto query = [&](const Station& st, const util::Epoch& when,
+                         double lead) {
+    const double t_s = Peer::seconds_since_start(wx_, when);
+    const WeatherSample got = wx_.forecast(st.lat, st.lon, when, lead);
+    const auto [f_lat, f_lon] =
+        Peer::forecast_point(wx_, st.lat, st.lon, when, lead);
+    const WeatherSample want = Peer::scan(wx_, f_lat, f_lon, t_s);
+    expect_same_or_nan(got, want);
+    SyntheticWeatherProvider fresh = pristine;
+    expect_same_bits(got, fresh.forecast(st.lat, st.lon, when, lead));
+    if (std::fabs(f_lat) > pi / 2.0) ++past_pole;
+    if (std::fabs(f_lon) > pi) ++across_date_line;
+    if (std::fabs(f_lon) == pi) ++on_date_line;
+    if (std::isnan(f_lat) || std::isnan(f_lon)) ++nan_queries;
+    if (want.cloud_liquid_kg_m2 > background_cloud_kg_m2(f_lat)) ++stormy;
+  };
+  const auto actual = [&](const Station& st, const util::Epoch& when) {
+    const WeatherSample got = wx_.actual(st.lat, st.lon, when);
+    expect_same_or_nan(got, Peer::scan(wx_, st.lat, st.lon,
+                                       Peer::seconds_since_start(wx_, when)));
+    SyntheticWeatherProvider fresh = pristine;
+    expect_same_bits(got, fresh.actual(st.lat, st.lon, when));
+  };
+
+  for (const util::Epoch& when : {before, after}) {
+    // The engine's order: each station's satellites in turn, with the
+    // execute loop's actual() calls between.
+    for (const Station& st : stations) {
+      for (double lead : leads) query(st, when, lead);
+      actual(st, when);
+    }
+    // The same queries shuffled, so consecutive calls come from different
+    // stations and leads.
+    std::vector<std::pair<std::size_t, double>> order;
+    for (std::size_t i = 0; i < stations.size(); ++i) {
+      for (double lead : leads) order.emplace_back(i, lead);
+    }
+    for (std::size_t i = order.size() - 1; i > 0; --i) {
+      const auto j = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(i)));
+      std::swap(order[i], order[j]);
+    }
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      query(stations[order[k].first], when, order[k].second);
+      if (k % 7 == 0) actual(stations[order[k].first], when);
+    }
+  }
+  // Every corner case was reached, and many queries sit under a storm.
+  EXPECT_GT(past_pole, 0);
+  EXPECT_GT(across_date_line, 0);
+  EXPECT_GT(on_date_line, 0);
+  EXPECT_GT(nan_queries, 0);
+  EXPECT_GT(stormy, 100);
+}
+
+// --- Weather pin ------------------------------------------------------------
+// The CRC32 of the raw bits of a fixed grid of samples, actual and forecast
+// at several leads, at three instants.  One ulp in the rain or the cloud
+// term fails it.  The rule of test_summary_pin.cpp holds here: a change
+// meant to alter samples recomputes the pin and says why.
+
+TEST(WeatherPin, FixedGridOfActualAndForecastSamples) {
+  constexpr std::uint32_t kPinned = 0x96d98fa3;
+  const util::Epoch start(util::DateTime{2020, 11, 4, 0, 0, 0.0});
+  const SyntheticWeatherProvider wx(7, start, 24.0);
+  std::string bits;
+  int rainy = 0;
+  const auto put = [&bits, &rainy](const WeatherSample& s) {
+    if (s.rain_rate_mm_h > 0.0) ++rainy;
+    for (const double v : {s.rain_rate_mm_h, s.cloud_liquid_kg_m2}) {
+      const auto b = std::bit_cast<std::uint64_t>(v);
+      for (int i = 0; i < 8; ++i) {
+        bits.push_back(static_cast<char>((b >> (8 * i)) & 0xff));
+      }
+    }
+  };
+  for (const double hours : {1.5, 9.25, 20.0}) {
+    const util::Epoch when = start.plus_seconds(hours * 3600.0);
+    for (int i = -16; i <= 16; ++i) {
+      for (int j = -18; j < 18; ++j) {
+        const double lat = deg2rad(5.0 * i);
+        const double lon = deg2rad(10.0 * j);
+        put(wx.actual(lat, lon, when));
+        for (const double lead_h : {0.5, 3.0, 12.0}) {
+          put(wx.forecast(lat, lon, when, lead_h * 3600.0));
+        }
+      }
+    }
+  }
+  EXPECT_GT(rainy, 50);
+  EXPECT_EQ(util::crc32({reinterpret_cast<const std::uint8_t*>(bits.data()),
+                         bits.size()}),
+            kPinned);
 }
 
 TEST(SyntheticWeather, RejectsBadConstruction) {

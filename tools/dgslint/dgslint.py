@@ -49,10 +49,11 @@ Rules (see DESIGN.md §13 for the full table and rationale):
       options_crc32 and the options fuzzer share, or sits on the
       exclusion list (parallel, metrics, events).
   R11 numeric text is parsed whole: no atoi/atof/atol, std::sto*, or
-      strtod/strtol/strtoul/strtoull in src/ or examples/ — they stop at
-      the first bad character, skip leading spaces or throw their own
-      exceptions; util::parse_whole / util::parse_number
-      (src/util/parse.h) read the whole text or report failure.
+      strtod/strtol/strtoul/strtoull in src/, examples/ or bench/ — they
+      stop at the first bad character, skip leading spaces or throw their
+      own exceptions; util::parse_whole / util::parse_number
+      (src/util/parse.h) read the whole text or report failure.  tests/
+      and perfbench/ are out of scope.
   SUP suppression-comment hygiene: every `dgslint: allow(...)` names
       known rules and carries a `-- reason`.
 
@@ -690,8 +691,9 @@ def check_r10(f, ctx):
 
 
 # R11: numeric text is read whole through src/util/parse.h; the C library
-# parsers accept "12abc" as 12.  src/ and examples/ only.
-R11_SCOPES = ("src/", "examples/")
+# parsers accept "12abc" as 12.  src/, examples/ and bench/ only (not
+# tests/ or perfbench/).
+R11_SCOPES = ("src/", "examples/", "bench/")
 R11_RE = re.compile(
     r"(?<![\w.>])(?:std::)?(atoi|atof|atol|stoi|stol|stoul|stod|stof|strtod|"
     r"strtol|strtoul|strtoull)\s*\(")
